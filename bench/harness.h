@@ -13,6 +13,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "sim/power.h"
 #include "sim/simulator.h"
 #include "sta/sta.h"
+#include "util/json.h"
 #include "variability/variability.h"
 
 namespace bench {
@@ -189,26 +191,29 @@ RepeatedTiming measureRepeated(int repeats, Fn&& fn) {
   return t;
 }
 
-/// Writes BENCH_<name>.json: {"name", "jobs", "repeats", "min_ms",
-/// "median_ms", "runs_ms": [...]} plus any extra numeric fields.  `jobs`
-/// records the worker count the measurement ran with (--jobs / DESYNC_JOBS).
+/// Writes BENCH_<name>.json on one line: {"name", "build_type",
+/// "compiler", "nproc", "jobs", "repeats", "min_ms", "median_ms", extra
+/// numeric fields..., "runs_ms": [...]}.  build_type, compiler, nproc and
+/// jobs (the worker count the measurement ran with, --jobs / DESYNC_JOBS)
+/// are the provenance two trajectories need to be comparable.
 inline void writeBenchJson(
     const std::string& name, const RepeatedTiming& t,
     const std::vector<std::pair<std::string, double>>& extra = {}) {
-  std::ofstream os("BENCH_" + name + ".json");
-  os.precision(6);
-  os << std::fixed;
-  os << "{\"name\": \"" << name << "\", \"jobs\": " << core::effectiveJobs()
-     << ", \"repeats\": " << t.runs_ms.size() << ", \"min_ms\": " << t.min_ms
-     << ", \"median_ms\": " << t.median_ms;
-  for (const auto& [k, v] : extra) {
-    os << ", \"" << k << "\": " << v;
-  }
-  os << ", \"runs_ms\": [";
-  for (std::size_t i = 0; i < t.runs_ms.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << t.runs_ms[i];
-  }
-  os << "]}\n";
+  using desync::util::Json;
+  Json out = Json::object();
+  out.set("name", Json::str(name));
+  out.set("build_type", Json::str(DESYNC_BUILD_TYPE));
+  out.set("compiler", Json::str("gcc-compatible " __VERSION__));
+  out.set("nproc", Json::number(std::thread::hardware_concurrency()));
+  out.set("jobs", Json::number(core::effectiveJobs()));
+  out.set("repeats", Json::number(static_cast<double>(t.runs_ms.size())));
+  out.set("min_ms", Json::number(t.min_ms));
+  out.set("median_ms", Json::number(t.median_ms));
+  for (const auto& [k, v] : extra) out.set(k, Json::number(v));
+  Json runs = Json::array();
+  for (const double ms : t.runs_ms) runs.push(Json::number(ms));
+  out.set("runs_ms", std::move(runs));
+  std::ofstream("BENCH_" + name + ".json") << out.dump() << "\n";
 }
 
 /// printf-style row helper.

@@ -269,7 +269,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 1+2. Cleaning + region creation (automatic or designer-specified).
-  auto grouping_fp = [&](flowdb::KeyHasher& h) {
+  auto grouping_fp = [&](util::KeyHasher& h) {
     h.u64(options.grouping.clean_logic ? 1 : 0);
     h.u64(options.grouping.bus_heuristic ? 1 : 0);
     h.u64(options.grouping.false_path_nets.size());
@@ -337,7 +337,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 5b+6. Delay elements and control network.
-  auto control_fp = [&](flowdb::KeyHasher& h) {
+  auto control_fp = [&](util::KeyHasher& h) {
     h.u64(static_cast<std::uint64_t>(options.control.controller));
     h.f64(options.control.margin);
     h.u64(static_cast<std::uint64_t>(options.control.mux_taps));

@@ -30,7 +30,7 @@ constexpr std::string_view kSlotMagic = "DSYNCECO";
 /// the merged record then differs from both and the objects diff dirty —
 /// the safe direction.
 std::uint64_t nameHash(std::string_view name) {
-  flowdb::Fnv64 h;
+  util::Fnv64 h;
   h.update(name);
   return h.digest();
 }
@@ -67,7 +67,7 @@ class NameHashes {
 // The record helpers take the module's raw slot arrays rather than going
 // through the checked accessors: the digest visits every field of every
 // object, and the per-access liveness validation is measurable there.
-void hashTerm(flowdb::Fnv64& h, const std::vector<netlist::Cell>& cells,
+void hashTerm(util::Fnv64& h, const std::vector<netlist::Cell>& cells,
               const std::vector<Port>& ports, NameHashes& names,
               const TermRef& t) {
   h.u64(static_cast<std::uint64_t>(t.kind));
@@ -85,7 +85,7 @@ void hashTerm(flowdb::Fnv64& h, const std::vector<netlist::Cell>& cells,
 std::uint64_t cellRecord(const netlist::Cell& cell,
                          const std::vector<netlist::Net>& nets,
                          NameHashes& names) {
-  flowdb::Fnv64 h;
+  util::Fnv64 h;
   h.u64(names.of(cell.name));
   h.u64(names.of(cell.type));
   h.u64(cell.pins.size());
@@ -107,7 +107,7 @@ std::uint64_t cellRecord(const netlist::Cell& cell,
 std::uint64_t netRecord(const netlist::Net& net,
                         const std::vector<netlist::Cell>& cells,
                         const std::vector<Port>& ports, NameHashes& names) {
-  flowdb::Fnv64 h;
+  util::Fnv64 h;
   h.u64(names.of(net.name));
   if (net.bus.valid()) {
     h.u64(1);
@@ -125,7 +125,7 @@ std::uint64_t netRecord(const netlist::Net& net,
 
 std::uint64_t portRecord(const Port& p, const std::vector<netlist::Net>& nets,
                          NameHashes& names) {
-  flowdb::Fnv64 h;
+  util::Fnv64 h;
   h.u64(names.of(p.name));
   h.u64(static_cast<std::uint64_t>(p.dir));
   if (p.net.valid()) {
@@ -164,7 +164,7 @@ bool isOutPortName(const std::string& name) {
 
 EcoContext::EcoContext(flowdb::PassCache& cache, const Module& module,
                        const liberty::Gatefile& gatefile,
-                       const flowdb::CacheKey& guard, FlowReport& flow)
+                       const util::CacheKey& guard, FlowReport& flow)
     : cache_(cache),
       input_module_(module),
       gatefile_(gatefile),
@@ -189,7 +189,7 @@ void EcoContext::loadTables(FlowReport& flow) {
   if (!payload.has_value()) return;  // first run: cold, tables stored later
   try {
     flowdb::ByteReader r(*payload);
-    flowdb::CacheKey stored_guard;
+    util::CacheKey stored_guard;
     stored_guard.hi = r.u64();
     stored_guard.lo = r.u64();
     const std::string stored_module(r.str());
@@ -677,7 +677,7 @@ void EcoContext::captureRegionKeys(const Module& m, const Regions& regions) {
   // on member iteration order; nothing run-dependent (jobs, corners)
   // enters it.
   region_keys_.assign(static_cast<std::size_t>(regions.n_groups),
-                      flowdb::CacheKey{});
+                      util::CacheKey{});
   std::vector<std::uint64_t> members;
   for (int g = 0; g < regions.n_groups; ++g) {
     members.clear();
@@ -686,7 +686,7 @@ void EcoContext::captureRegionKeys(const Module& m, const Regions& regions) {
       members.push_back(nameHash(m.cellName(c)));
     }
     std::sort(members.begin(), members.end());
-    flowdb::KeyHasher h;
+    util::KeyHasher h;
     h.u64(members.size());
     for (std::uint64_t v : members) h.u64(v);
     region_keys_[static_cast<std::size_t>(g)] = h.key();
@@ -911,7 +911,7 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
 
 std::uint64_t EcoContext::protocolFingerprint(
     const sim::symfe::ProtocolInput& input, int controller_kind) {
-  flowdb::Fnv64 h;
+  util::Fnv64 h;
   h.u64(static_cast<std::uint64_t>(controller_kind));
   h.u64(static_cast<std::uint64_t>(input.n_groups));
   h.u64(input.active.size());

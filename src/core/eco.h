@@ -61,11 +61,11 @@
 #include "core/flow_report.h"
 #include "core/regions.h"
 #include "flowdb/cache.h"
-#include "flowdb/hash.h"
 #include "liberty/gatefile.h"
 #include "netlist/netlist.h"
 #include "sim/symfe/symfe.h"
 #include "sta/sta.h"
+#include "util/hash.h"
 
 namespace desync::core {
 
@@ -84,7 +84,7 @@ class EcoContext {
   /// warm, computes the dirty-endpoint closure.  Diagnostics go to `flow`
   /// notes; the whole diff runs under an "eco_diff" trace span.
   EcoContext(flowdb::PassCache& cache, const netlist::Module& module,
-             const liberty::Gatefile& gatefile, const flowdb::CacheKey& guard,
+             const liberty::Gatefile& gatefile, const util::CacheKey& guard,
              FlowReport& flow);
 
   /// Tables loaded, guard matched and the edit small enough to bound: the
@@ -198,7 +198,7 @@ class EcoContext {
   flowdb::PassCache& cache_;
   const netlist::Module& input_module_;
   const liberty::Gatefile& gatefile_;
-  flowdb::CacheKey guard_;
+  util::CacheKey guard_;
   std::string slot_name_;
   bool warm_ = false;
   bool refsta_stored_usable_ = true;
@@ -238,7 +238,7 @@ class EcoContext {
       restorable_proofs_;
 
   // Region keys captured by the grouping pass, index-aligned with groups.
-  std::vector<flowdb::CacheKey> region_keys_;
+  std::vector<util::CacheKey> region_keys_;
 
   // This run's table contents, accumulated by the restore queries.
   bool new_refsta_broken_ = false;  ///< arrivals depend on loop cuts

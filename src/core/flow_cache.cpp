@@ -281,7 +281,7 @@ FlowSession::FlowSession(netlist::Design& design, netlist::Module& module,
   // design state.  --jobs is deliberately absent: the flow is deterministic
   // across worker counts, so cached state is valid at any --jobs.
   library_fingerprint_ = gatefile.library().contentHash();
-  flowdb::KeyHasher h;
+  util::KeyHasher h;
   h.u32(flowdb::kSnapshotFormatVersion);
   h.str(kToolVersion);
   h.str(gatefile.library().name);
@@ -315,9 +315,9 @@ FlowSession::FlowSession(netlist::Design& design, netlist::Module& module,
 
 void FlowSession::addPass(
     const char* name,
-    const std::function<void(flowdb::KeyHasher&)>& fingerprint,
+    const std::function<void(util::KeyHasher&)>& fingerprint,
     const std::function<void(ScopedPass&)>& body) {
-  flowdb::KeyHasher h;
+  util::KeyHasher h;
   h.absorb(key_);
   h.str(name);
   if (fingerprint) fingerprint(h);
@@ -328,7 +328,7 @@ void FlowSession::addPass(
 int FlowSession::findRestorePoint() {
   trace::Span span("cache_probe", "flowdb");
   for (int i = static_cast<int>(passes_.size()) - 1; i >= 0; --i) {
-    const flowdb::CacheKey& key = passes_[static_cast<std::size_t>(i)].key;
+    const util::CacheKey& key = passes_[static_cast<std::size_t>(i)].key;
     if (checkpoint_.has_value() &&
         checkpoint_->pass_index == static_cast<std::uint32_t>(i) &&
         checkpoint_->key == key) {
@@ -402,7 +402,7 @@ void FlowSession::run() {
     // post-session checks depend on; any configuration drift makes the
     // stored tables unreachable (cold ECO run) instead of subtly stale.
     const auto t0 = Clock::now();
-    flowdb::KeyHasher h;
+    util::KeyHasher h;
     h.absorb(key_);
     h.u64(static_cast<std::uint64_t>(options_.fe.mode));
     h.u64(options_.fe.prove_max_conflicts);

@@ -42,7 +42,7 @@
 
 #include "core/desync.h"
 #include "flowdb/cache.h"
-#include "flowdb/hash.h"
+#include "util/hash.h"
 
 namespace desync::core {
 
@@ -66,7 +66,7 @@ class FlowSession {
   /// pass depends on; may be null) and the `body` that computes it.  The
   /// body runs inside run(), in registration order.
   void addPass(const char* name,
-               const std::function<void(flowdb::KeyHasher&)>& fingerprint,
+               const std::function<void(util::KeyHasher&)>& fingerprint,
                const std::function<void(ScopedPass&)>& body);
 
   /// Executes the registered pipeline: restores the deepest cached state,
@@ -88,7 +88,7 @@ class FlowSession {
   struct Pass {
     const char* name;
     std::function<void(ScopedPass&)> body;
-    flowdb::CacheKey key;
+    util::CacheKey key;
   };
 
   /// Deepest-first probe for a restorable state; returns the index of the
@@ -108,7 +108,7 @@ class FlowSession {
   std::unique_ptr<flowdb::PassCache> cache_;
   bool eco_mode_ = false;
   std::unique_ptr<EcoContext> eco_;
-  flowdb::CacheKey key_;
+  util::CacheKey key_;
   std::uint64_t library_fingerprint_ = 0;
   std::optional<std::string> pending_entry_;
   std::optional<flowdb::PassCache::Checkpoint> checkpoint_;

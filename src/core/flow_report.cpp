@@ -1,44 +1,12 @@
 #include "core/flow_report.h"
 
-#include <cstdio>
-#include <sstream>
+#include <cmath>
 
 namespace desync::core {
 
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+util::Json reportNumber(double v) {
+  return util::Json::number(std::round(v * 1e6) / 1e6);
 }
-
-}  // namespace
 
 PassStat& FlowReport::addPass(std::string name) {
   PassStat stat;
@@ -60,109 +28,109 @@ double FlowReport::totalMs() const {
   return total;
 }
 
-std::string FlowReport::toJson(int indent) const {
-  const std::string nl = indent < 0 ? "" : "\n";
-  const std::string pad1 = indent < 0 ? "" : std::string(indent, ' ');
-  const std::string pad2 = indent < 0 ? "" : std::string(2 * indent, ' ');
-  std::ostringstream os;
-  os.precision(6);
-  os << std::fixed;
-  os << "{" << nl;
-  os << pad1 << "\"total_ms\": " << totalMs() << "," << nl;
-  if (jobs_ > 0) {
-    os << pad1 << "\"jobs\": " << jobs_ << "," << nl;
-  }
+util::Json FlowReport::toJson() const {
+  using util::Json;
+  auto count = [](auto n) { return Json::number(static_cast<double>(n)); };
+  Json out = Json::object();
+  out.set("total_ms", reportNumber(totalMs()));
+  if (jobs_ > 0) out.set("jobs", count(jobs_));
   if (pool_contended_ > 0) {
-    os << pad1 << "\"pool\": {\"contended_sections\": " << pool_contended_
-       << ", \"wait_ms\": " << pool_wait_ms_ << "}," << nl;
+    out.set("pool", Json::object()
+                        .set("contended_sections", count(pool_contended_))
+                        .set("wait_ms", reportNumber(pool_wait_ms_)));
   }
   if (bitsim_.compiles > 0) {
-    os << pad1 << "\"bitsim\": {\"compiles\": " << bitsim_.compiles
-       << ", \"compile_ms\": " << bitsim_.compile_ms
-       << ", \"levels\": " << bitsim_.levels << ", \"lanes\": "
-       << bitsim_.lanes << ", \"cycles\": " << bitsim_.cycles
-       << ", \"lane_vectors\": " << bitsim_.lane_vectors
-       << ", \"eval_ms\": " << bitsim_.eval_ms
-       << ", \"vectors_per_sec\": " << bitsim_.vectors_per_sec << "},"
-       << nl;
+    out.set("bitsim",
+            Json::object()
+                .set("compiles", count(bitsim_.compiles))
+                .set("compile_ms", reportNumber(bitsim_.compile_ms))
+                .set("levels", count(bitsim_.levels))
+                .set("lanes", count(bitsim_.lanes))
+                .set("cycles", count(bitsim_.cycles))
+                .set("lane_vectors", count(bitsim_.lane_vectors))
+                .set("eval_ms", reportNumber(bitsim_.eval_ms))
+                .set("vectors_per_sec", reportNumber(bitsim_.vectors_per_sec)));
   }
   if (symfe_.ran) {
-    os << pad1 << "\"symfe\": {\"registers\": " << symfe_.registers
-       << ", \"proved\": " << symfe_.proved
-       << ", \"refuted\": " << symfe_.refuted
-       << ", \"skipped\": " << symfe_.skipped
-       << ", \"restored\": " << symfe_.restored
-       << ", \"conflicts\": " << symfe_.conflicts
-       << ", \"decisions\": " << symfe_.decisions
-       << ", \"protocol_states\": " << symfe_.protocol_states
-       << ", \"protocol_admissible\": "
-       << (symfe_.protocol_admissible ? "true" : "false")
-       << ", \"comb_only\": " << (symfe_.comb_only ? "true" : "false")
-       << ", \"ms\": " << symfe_.ms << "}," << nl;
+    out.set("symfe",
+            Json::object()
+                .set("registers", count(symfe_.registers))
+                .set("proved", count(symfe_.proved))
+                .set("refuted", count(symfe_.refuted))
+                .set("skipped", count(symfe_.skipped))
+                .set("restored", count(symfe_.restored))
+                .set("conflicts", count(symfe_.conflicts))
+                .set("decisions", count(symfe_.decisions))
+                .set("protocol_states", count(symfe_.protocol_states))
+                .set("protocol_admissible",
+                     Json::boolean(symfe_.protocol_admissible))
+                .set("comb_only", Json::boolean(symfe_.comb_only))
+                .set("ms", reportNumber(symfe_.ms)));
   }
   if (eco_.ran) {
-    os << pad1 << "\"eco\": {\"warm\": " << (eco_.warm ? "true" : "false")
-       << ", \"regions_total\": " << eco_.regions_total
-       << ", \"regions_dirty\": " << eco_.regions_dirty
-       << ", \"regions_restored\": " << eco_.regions_restored
-       << ", \"registers_restored\": " << eco_.registers_restored
-       << ", \"endpoints_restored\": " << eco_.endpoints_restored
-       << ", \"cells_changed\": " << eco_.cells_changed
-       << ", \"nets_changed\": " << eco_.nets_changed
-       << ", \"dirty_endpoints\": " << eco_.dirty_endpoints << "}," << nl;
+    out.set("eco", Json::object()
+                       .set("warm", Json::boolean(eco_.warm))
+                       .set("regions_total", count(eco_.regions_total))
+                       .set("regions_dirty", count(eco_.regions_dirty))
+                       .set("regions_restored", count(eco_.regions_restored))
+                       .set("registers_restored",
+                            count(eco_.registers_restored))
+                       .set("endpoints_restored",
+                            count(eco_.endpoints_restored))
+                       .set("cells_changed", count(eco_.cells_changed))
+                       .set("nets_changed", count(eco_.nets_changed))
+                       .set("dirty_endpoints", count(eco_.dirty_endpoints)));
   }
   if (cache_.enabled) {
-    os << pad1 << "\"cache\": {\"hits\": " << cache_.hits
-       << ", \"misses\": " << cache_.misses
-       << ", \"bytes_read\": " << cache_.bytes_read
-       << ", \"bytes_written\": " << cache_.bytes_written
-       << ", \"restore_ms\": " << cache_.restore_ms
-       << ", \"compute_ms\": " << cache_.compute_ms << "}," << nl;
+    out.set("cache", Json::object()
+                         .set("hits", count(cache_.hits))
+                         .set("misses", count(cache_.misses))
+                         .set("bytes_read", count(cache_.bytes_read))
+                         .set("bytes_written", count(cache_.bytes_written))
+                         .set("restore_ms", reportNumber(cache_.restore_ms))
+                         .set("compute_ms", reportNumber(cache_.compute_ms)));
   }
-  os << pad1 << "\"passes\": [";
-  for (std::size_t i = 0; i < passes_.size(); ++i) {
-    const PassStat& p = passes_[i];
-    os << (i == 0 ? "" : ",") << nl << pad2 << "{\"name\": \""
-       << jsonEscape(p.name) << "\", \"wall_ms\": " << p.wall_ms
-       << ", \"source\": \"" << jsonEscape(p.source) << "\"";
+  Json passes = Json::array();
+  for (const PassStat& p : passes_) {
+    Json pass = Json::object();
+    pass.set("name", Json::str(p.name));
+    pass.set("wall_ms", reportNumber(p.wall_ms));
+    pass.set("source", Json::str(p.source));
     if (p.work_ms > 0.0) {
-      os << ", \"work_ms\": " << p.work_ms;
+      pass.set("work_ms", reportNumber(p.work_ms));
       if (p.wall_ms > 0.0) {
-        os << ", \"speedup\": " << p.work_ms / p.wall_ms;
+        pass.set("speedup", reportNumber(p.work_ms / p.wall_ms));
       }
     }
-    for (const auto& [k, v] : p.counters) {
-      os << ", \"" << jsonEscape(k) << "\": " << v;
-    }
-    os << "}";
+    for (const auto& [k, v] : p.counters) pass.set(k, count(v));
+    passes.push(std::move(pass));
   }
-  os << nl << pad1 << "]";
+  out.set("passes", std::move(passes));
   if (trace_.has_value() && trace_->enabled) {
     const trace::Summary& t = *trace_;
-    os << "," << nl << pad1 << "\"trace\": {\"file\": \""
-       << jsonEscape(t.file) << "\", \"events\": " << t.events
-       << ", \"spans\": " << t.spans
-       << ", \"counter_events\": " << t.counter_events
-       << ", \"worker_tracks\": " << t.worker_tracks;
+    Json trace = Json::object();
+    trace.set("file", Json::str(t.file));
+    trace.set("events", count(t.events));
+    trace.set("spans", count(t.spans));
+    trace.set("counter_events", count(t.counter_events));
+    trace.set("worker_tracks", count(t.worker_tracks));
     if (t.worker_utilization_pct >= 0.0) {
-      os << ", \"worker_utilization_pct\": " << t.worker_utilization_pct;
+      trace.set("worker_utilization_pct",
+                reportNumber(t.worker_utilization_pct));
     }
-    os << ", \"pass_self_ms\": {";
-    for (std::size_t i = 0; i < t.pass_self_ms.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << "\"" << jsonEscape(t.pass_self_ms[i].first)
-         << "\": " << t.pass_self_ms[i].second;
+    Json self = Json::object();
+    for (const auto& [pass, ms] : t.pass_self_ms) {
+      self.set(pass, reportNumber(ms));
     }
-    os << "}}";
+    trace.set("pass_self_ms", std::move(self));
+    out.set("trace", std::move(trace));
   }
   if (!notes_.empty()) {
-    os << "," << nl << pad1 << "\"notes\": [";
-    for (std::size_t i = 0; i < notes_.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << "\"" << jsonEscape(notes_[i]) << "\"";
-    }
-    os << "]";
+    Json notes = Json::array();
+    for (const std::string& n : notes_) notes.push(Json::str(n));
+    out.set("notes", std::move(notes));
   }
-  os << nl << "}";
-  return os.str();
+  return out;
 }
 
 ScopedPass::ScopedPass(FlowReport& report, std::string name)

@@ -3,10 +3,10 @@
 // Every pass of desynchronize() runs under a ScopedPass, which records its
 // wall-clock time and whatever counters the pass reports (cells, nets,
 // regions, replaced flip-flops, ...).  The collected FlowReport travels in
-// DesyncResult; `drdesync --report` serializes it as JSON (schema in the
-// README) and bench_tool_runtime republishes the per-pass times as
-// benchmark counters, so pass-level regressions show up in CI benchmarks
-// without re-profiling.
+// DesyncResult; `drdesync --report` serializes it as JSON (schema in
+// docs/report-schema.md) and bench_tool_runtime republishes the per-pass
+// times as benchmark counters, so pass-level regressions show up in CI
+// benchmarks without re-profiling.
 #pragma once
 
 #include <chrono>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "trace/trace.h"
+#include "util/json.h"
 
 namespace desync::core {
 
@@ -185,8 +186,7 @@ class FlowReport {
   /// flow-equivalence check compiled a bit-parallel plan.  The "trace"
   /// object carries the trace file path, event totals, worker-track count
   /// and utilization, and per-pass self times (docs/report-schema.md).
-  /// `indent` < 0 emits a single line.
-  [[nodiscard]] std::string toJson(int indent = 2) const;
+  [[nodiscard]] util::Json toJson() const;
 
  private:
   std::vector<PassStat> passes_;
@@ -200,6 +200,11 @@ class FlowReport {
   std::vector<std::string> notes_;
   std::optional<trace::Summary> trace_;
 };
+
+/// A report number: rounded to six decimals (milliseconds to the
+/// nanosecond) so that Json::dump's shortest form reads "3.21", not
+/// "3.2100000000000004".
+[[nodiscard]] util::Json reportNumber(double v);
 
 /// RAII pass timer: measures from construction to destruction and appends
 /// a PassStat (with any counters registered in between) to the report.

@@ -1,8 +1,5 @@
 #include "core/run_report.h"
 
-#include <cstdio>
-#include <sstream>
-
 #include "core/version.h"
 #include "flowdb/snapshot.h"
 #include "trace/trace.h"
@@ -11,90 +8,54 @@ namespace desync::core {
 
 namespace {
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    // Control characters must be escaped too: error messages can carry
-    // newlines, and the server embeds this JSON in single-line replies.
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+using util::Json;
+
+template <typename Int>
+Json count(Int n) {
+  return Json::number(static_cast<double>(n));
+}
+
+Json openReport(const RunInfo& info) {
+  Json out = Json::object();
+  out.set("input", Json::str(info.input));
+  out.set("tool_version", Json::str(std::string(kToolVersion)));
+  out.set("snapshot_format_version",
+          count(flowdb::kSnapshotFormatVersion));
   return out;
 }
-
-/// Appends FlowReport::toJson (a nested multi-line object) re-indented two
-/// spaces under the "flow" key.
-void appendFlow(std::ostringstream& os, const FlowReport& flow) {
-  std::istringstream flow_in(flow.toJson());
-  os << "  \"flow\": ";
-  std::string line;
-  bool first = true;
-  while (std::getline(flow_in, line)) {
-    os << (first ? "" : "\n  ") << line;
-    first = false;
-  }
-}
-
-void openReport(std::ostringstream& os, const RunInfo& info) {
-  os.precision(6);
-  os << std::fixed;
-  os << "{\n";
-  os << "  \"input\": \"" << jsonEscape(info.input) << "\",\n";
-  os << "  \"tool_version\": \"" << kToolVersion << "\",\n";
-  os << "  \"snapshot_format_version\": " << flowdb::kSnapshotFormatVersion
-     << ",\n";
-}
-
-}  // namespace
 
 /// The deterministic design facts shared by the full and canonical
 /// reports: everything here is a pure function of the input design and
 /// flow options, never of timing, jobs, or cache state.
-void appendDesignFacts(std::ostringstream& os, const RunInfo& info,
-                       const DesyncResult& result) {
-  os << "  \"cells_in\": " << info.cells_in << ",\n";
-  os << "  \"cells_out\": " << info.cells_out << ",\n";
-  os << "  \"nets_out\": " << info.nets_out << ",\n";
-  os << "  \"regions\": " << result.regions.n_groups << ",\n";
-  os << "  \"ffs_replaced\": " << result.substitution.ffs_replaced << ",\n";
-  os << "  \"sync_min_period_ns\": " << result.sync_min_period_ns << ",\n";
-  os << "  \"sync_min_period_by_corner\": {";
-  for (std::size_t i = 0; i < result.corner_periods.size(); ++i) {
-    const DesyncResult::CornerPeriod& cp = result.corner_periods[i];
-    os << (i == 0 ? "" : ", ") << "\"" << jsonEscape(cp.corner)
-       << "\": " << cp.min_period_ns;
+Json designFacts(const RunInfo& info, const DesyncResult& result) {
+  Json out = openReport(info);
+  out.set("cells_in", count(info.cells_in));
+  out.set("cells_out", count(info.cells_out));
+  out.set("nets_out", count(info.nets_out));
+  out.set("regions", count(result.regions.n_groups));
+  out.set("ffs_replaced", count(result.substitution.ffs_replaced));
+  out.set("sync_min_period_ns", reportNumber(result.sync_min_period_ns));
+  Json by_corner = Json::object();
+  for (const DesyncResult::CornerPeriod& cp : result.corner_periods) {
+    by_corner.set(cp.corner, reportNumber(cp.min_period_ns));
   }
-  os << "},\n";
-  os << "  \"delay_elements\": [";
-  for (std::size_t i = 0; i < result.control.regions.size(); ++i) {
-    const RegionControl& rc = result.control.regions[i];
-    os << (i == 0 ? "" : ",") << "\n    {\"group\": " << rc.group
-       << ", \"levels\": " << rc.delay_levels
-       << ", \"cloud_ns\": " << rc.required_delay_ns
-       << ", \"matched_ns\": " << rc.matched_delay_ns << "}";
+  out.set("sync_min_period_by_corner", std::move(by_corner));
+  Json delays = Json::array();
+  for (const RegionControl& rc : result.control.regions) {
+    delays.push(Json::object()
+                    .set("group", count(rc.group))
+                    .set("levels", count(rc.delay_levels))
+                    .set("cloud_ns", reportNumber(rc.required_delay_ns))
+                    .set("matched_ns", reportNumber(rc.matched_delay_ns)));
   }
-  os << (result.control.regions.empty() ? "" : "\n  ") << "]";
+  out.set("delay_elements", std::move(delays));
+  return out;
 }
 
-std::string runReportJson(const RunInfo& info, const DesyncResult& result) {
-  std::ostringstream os;
-  openReport(os, info);
-  appendDesignFacts(os, info, result);
-  os << ",\n";
+}  // namespace
+
+Json runReport(const RunInfo& info, const DesyncResult& result) {
+  Json out = designFacts(info, result);
   if (result.fe.ran) {
     // Engine-independent by construction: both engines produce identical
     // capture sequences (tests/bitsim_test.cpp), so this object never
@@ -103,69 +64,66 @@ std::string runReportJson(const RunInfo& info, const DesyncResult& result) {
     // "vacuous" is the honesty bit: with no flip-flop replaced there are
     // no capture sequences to compare, and "equivalent: true" alone would
     // overstate what the vector route checked.
-    const bool vacuous = result.substitution.ffs_replaced == 0;
-    os << "  \"fe\": {\"equivalent\": " << (fe.equivalent ? "true" : "false")
-       << ", \"vacuous\": " << (vacuous ? "true" : "false")
-       << ", \"batches\": " << fe.batches_run
-       << ", \"elements_compared\": " << fe.elements_compared
-       << ", \"values_compared\": " << fe.values_compared
-       << ", \"mismatches\": " << fe.mismatches << "},\n";
+    out.set("fe", Json::object()
+                      .set("equivalent", Json::boolean(fe.equivalent))
+                      .set("vacuous", Json::boolean(
+                                          result.substitution.ffs_replaced ==
+                                          0))
+                      .set("batches", count(fe.batches_run))
+                      .set("elements_compared", count(fe.elements_compared))
+                      .set("values_compared", count(fe.values_compared))
+                      .set("mismatches", count(fe.mismatches)));
   }
   if (result.symfe.ran) {
     const sim::symfe::SymfeReport& sf = result.symfe.report;
-    os << "  \"symfe\": {\"ok\": " << (sf.ok() ? "true" : "false")
-       << ", \"registers\": " << sf.registers.size()
-       << ", \"proved\": " << sf.proved << ", \"refuted\": " << sf.refuted
-       << ", \"skipped\": " << sf.skipped
-       << ", \"conflicts\": " << sf.conflicts
-       << ", \"decisions\": " << sf.decisions
-       << ", \"comb_only\": " << (sf.comb_only ? "true" : "false")
-       << ", \"protocol\": {\"checked\": "
-       << (sf.protocol.checked ? "true" : "false") << ", \"admissible\": "
-       << (sf.protocol.admissible ? "true" : "false") << ", \"controller\": \""
-       << jsonEscape(sf.protocol.controller)
-       << "\", \"channels\": " << sf.protocol.channels
-       << ", \"states_explored\": " << sf.protocol.states_explored
-       << "}, \"ms\": " << sf.total_ms << "},\n";
+    out.set("symfe",
+            Json::object()
+                .set("ok", Json::boolean(sf.ok()))
+                .set("registers", count(sf.registers.size()))
+                .set("proved", count(sf.proved))
+                .set("refuted", count(sf.refuted))
+                .set("skipped", count(sf.skipped))
+                .set("conflicts", count(sf.conflicts))
+                .set("decisions", count(sf.decisions))
+                .set("comb_only", Json::boolean(sf.comb_only))
+                .set("protocol",
+                     Json::object()
+                         .set("checked", Json::boolean(sf.protocol.checked))
+                         .set("admissible",
+                              Json::boolean(sf.protocol.admissible))
+                         .set("controller", Json::str(sf.protocol.controller))
+                         .set("channels", count(sf.protocol.channels))
+                         .set("states_explored",
+                              count(sf.protocol.states_explored)))
+                .set("ms", reportNumber(sf.total_ms)));
   }
-  appendFlow(os, result.flow);
-  os << "\n}\n";
-  return os.str();
+  out.set("flow", result.flow.toJson());
+  return out;
 }
 
-std::string canonicalRunReportJson(const RunInfo& info,
-                                   const DesyncResult& result) {
-  std::ostringstream os;
-  openReport(os, info);
-  appendDesignFacts(os, info, result);
-  os << "\n}\n";
-  return os.str();
+Json canonicalRunReport(const RunInfo& info, const DesyncResult& result) {
+  return designFacts(info, result);
 }
 
-std::string errorReportJson(const RunInfo& info, std::string_view error,
-                            std::string_view failed_pass,
-                            const FlowReport& flow) {
-  std::ostringstream os;
-  openReport(os, info);
-  os << "  \"error\": \"" << jsonEscape(error) << "\",\n";
+Json errorReport(const RunInfo& info, std::string_view error,
+                 std::string_view failed_pass, const FlowReport& flow) {
+  Json out = openReport(info);
+  out.set("error", Json::str(std::string(error)));
   if (!failed_pass.empty()) {
-    os << "  \"failed_pass\": \"" << jsonEscape(failed_pass) << "\",\n";
+    out.set("failed_pass", Json::str(std::string(failed_pass)));
     // The failing pass's ScopedPass records its elapsed time during
     // unwinding, so the partial report can say how long it ran before
     // dying.
     if (const PassStat* p = flow.find(failed_pass)) {
-      os << "  \"failed_pass_ms\": " << p->wall_ms << ",\n";
+      out.set("failed_pass_ms", reportNumber(p->wall_ms));
     }
   }
   // Innermost trace span the exception unwound through — the closest
   // instrumented scope to the failure point (`--trace` runs only).
   const std::string span = trace::lastUnwoundSpan();
-  if (!span.empty()) {
-    os << "  \"last_open_span\": \"" << jsonEscape(span) << "\",\n";
-  }
-  appendFlow(os, flow);
-  os << "\n}\n";
-  return os.str();
+  if (!span.empty()) out.set("last_open_span", Json::str(span));
+  out.set("flow", flow.toJson());
+  return out;
 }
 
 }  // namespace desync::core

@@ -2,10 +2,10 @@
 //
 // Two shapes, both stamped with the tool version and the FlowDB snapshot
 // format version (the identities that also participate in cache keys):
-//   - runReportJson: the full report of a successful run — design totals,
+//   - runReport: the full report of a successful run — design totals,
 //     per-region delay elements, per-corner reference periods and the
 //     nested FlowReport (per-pass timings, sources and cache traffic);
-//   - errorReportJson: the partial report of a failed run — an "error"
+//   - errorReport: the partial report of a failed run — an "error"
 //     message, the "failed_pass" name, how long that pass ran before the
 //     failure ("failed_pass_ms"), the innermost trace span the exception
 //     unwound through ("last_open_span", `--trace` runs only) and the
@@ -19,6 +19,7 @@
 #include <string_view>
 
 #include "core/desync.h"
+#include "util/json.h"
 
 namespace desync::core {
 
@@ -31,8 +32,8 @@ struct RunInfo {
 };
 
 /// Full report of a successful run (schema in docs/report-schema.md).
-[[nodiscard]] std::string runReportJson(const RunInfo& info,
-                                        const DesyncResult& result);
+[[nodiscard]] util::Json runReport(const RunInfo& info,
+                                   const DesyncResult& result);
 
 /// Deterministic projection of the run report: the design facts only
 /// (cells, nets, regions, replaced FFs, reference periods, delay
@@ -41,15 +42,15 @@ struct RunInfo {
 /// results — at any jobs budget, cold or warm cache, CLI or drdesyncd —
 /// which is exactly the comparison the server determinism tests and
 /// `drdesync-bench --verify` perform.
-[[nodiscard]] std::string canonicalRunReportJson(const RunInfo& info,
-                                                 const DesyncResult& result);
+[[nodiscard]] util::Json canonicalRunReport(const RunInfo& info,
+                                            const DesyncResult& result);
 
 /// Partial report of a failed run: "error" + "failed_pass" (with its
 /// elapsed "failed_pass_ms" and, when tracing, the "last_open_span") +
 /// the passes completed before the failure.
-[[nodiscard]] std::string errorReportJson(const RunInfo& info,
-                                          std::string_view error,
-                                          std::string_view failed_pass,
-                                          const FlowReport& flow);
+[[nodiscard]] util::Json errorReport(const RunInfo& info,
+                                     std::string_view error,
+                                     std::string_view failed_pass,
+                                     const FlowReport& flow);
 
 }  // namespace desync::core

@@ -4,19 +4,13 @@
 #include "sim/bitsim/bitsim.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
+#include "util/hash.h"
 
 namespace desync::dft {
 
 using sim::Val;
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Runs the full scan test on one machine; returns the scan-out stream.
 std::vector<Val> scanTest(sim::Simulator& s, const FaultSimOptions& opt,
@@ -149,10 +143,8 @@ FaultSimResult runScanFaultSim(const netlist::Module& module,
   for (int p = 0; p < options.n_patterns; ++p) {
     std::vector<bool> pattern;
     for (std::size_t i = 0; i < scan.chain_length; ++i) {
-      pattern.push_back(
-          (splitmix64(options.seed ^ (static_cast<std::uint64_t>(p) << 32 |
-                                      i)) &
-           1u) != 0);
+      const std::uint64_t bit = static_cast<std::uint64_t>(p) << 32 | i;
+      pattern.push_back((util::splitmix64(options.seed ^ bit) & 1u) != 0);
     }
     result.patterns.push_back(std::move(pattern));
   }

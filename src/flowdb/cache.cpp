@@ -14,6 +14,8 @@
 
 namespace desync::flowdb {
 
+using util::CacheKey;
+
 namespace fs = std::filesystem;
 
 namespace {

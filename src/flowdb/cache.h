@@ -1,6 +1,6 @@
 // Content-addressed pass cache + checkpoint store.
 //
-// A PassCache maps 128-bit content keys (flowdb::CacheKey, computed by the
+// A PassCache maps 128-bit content keys (util::CacheKey, computed by the
 // flow from the input snapshot, the library fingerprint, the tool/format
 // versions and each pass's relevant options) to opaque entry payloads on
 // disk.  Entries are written atomically — the payload is sealed in an
@@ -33,7 +33,7 @@
 #include <string>
 #include <string_view>
 
-#include "flowdb/hash.h"
+#include "util/hash.h"
 
 namespace desync::flowdb {
 
@@ -62,26 +62,26 @@ class PassCache {
   /// checksum, or the payload's embedded key not matching `key`); in the
   /// invalid case a diagnostic is appended to *diag (when given) and the
   /// entry counts as a miss.
-  std::optional<std::string> load(const CacheKey& key,
+  std::optional<std::string> load(const util::CacheKey& key,
                                   std::string* diag = nullptr);
 
   /// Atomically stores `payload` under `key` (write temp + rename).
   /// Returns false (leaving no partial file) on I/O failure.
-  bool store(const CacheKey& key, std::string_view payload);
+  bool store(const util::CacheKey& key, std::string_view payload);
 
   /// Loads the checkpoint slot: (pass_index, pass_name, key, entry
   /// payload).  std::nullopt when absent/invalid (diagnostic to *diag).
   struct Checkpoint {
     std::uint32_t pass_index = 0;
     std::string pass_name;
-    CacheKey key;
+    util::CacheKey key;
     std::string entry;
   };
   std::optional<Checkpoint> loadCheckpoint(std::string* diag = nullptr);
 
   /// Atomically overwrites the checkpoint slot.
   bool storeCheckpoint(std::uint32_t pass_index, std::string_view pass_name,
-                       const CacheKey& key, std::string_view entry);
+                       const util::CacheKey& key, std::string_view entry);
 
   /// Loads a named slot (a well-known single file, like the checkpoint but
   /// caller-defined — the ECO region tables live in one such slot per

@@ -22,7 +22,7 @@
 #include <string>
 #include <string_view>
 
-#include "flowdb/hash.h"
+#include "util/hash.h"
 
 namespace desync::flowdb {
 
@@ -164,7 +164,7 @@ inline std::string sealEnvelope(std::string_view magic, std::uint32_t version,
   w.u32(version);
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.bytesRaw(payload);
-  Fnv64 sum;
+  util::Fnv64 sum;
   sum.update(w.bytes());
   w.u64(sum.digest());
   return w.take();
@@ -199,7 +199,7 @@ inline std::string_view openEnvelope(std::string_view bytes,
                       std::to_string(payload_size) + " bytes, file holds " +
                       std::to_string(bytes.size() - kEnvelopeOverhead) + ")");
   }
-  Fnv64 sum;
+  util::Fnv64 sum;
   sum.update(bytes.substr(0, bytes.size() - 8));
   ByteReader tail(bytes.substr(bytes.size() - 8));
   if (tail.u64() != sum.digest()) {

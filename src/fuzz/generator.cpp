@@ -11,6 +11,7 @@ namespace desync::fuzz {
 using designs::Bus;
 using designs::Rtl;
 using netlist::NetId;
+using util::Rng;
 
 namespace {
 

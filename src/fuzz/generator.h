@@ -24,9 +24,9 @@
 #include <cstdint>
 #include <string>
 
-#include "fuzz/rng.h"
 #include "liberty/gatefile.h"
 #include "netlist/netlist.h"
+#include "util/rng.h"
 
 namespace desync::fuzz {
 
@@ -75,10 +75,10 @@ struct CombConfig {
 
 /// Builds a random combinational circuit (buffers and inverters included so
 /// the cleaning pass has work) as module `name`.  Gate types are drawn with
-/// Rng::below, so the selection is free of modulo bias.
+/// util::Rng::below, so the selection is free of modulo bias.
 netlist::Module& buildRandomComb(netlist::Design& design,
-                                 const liberty::Gatefile& gatefile, Rng& rng,
-                                 const CombConfig& config = {},
+                                 const liberty::Gatefile& gatefile,
+                                 util::Rng& rng, const CombConfig& config = {},
                                  const std::string& name = "fuzz");
 
 }  // namespace desync::fuzz

@@ -11,16 +11,18 @@
 
 #include "core/desync.h"
 #include "core/parallel.h"
-#include "fuzz/rng.h"
-#include "netlist/verilog.h"
 #include "liberty/bound.h"
+#include "netlist/verilog.h"
 #include "sim/flow_equivalence.h"
 #include "sim/simulator.h"
 #include "sim/stimulus.h"
 #include "sim/symfe/symfe.h"
 #include "sta/sta.h"
+#include "util/rng.h"
 
 namespace desync::fuzz {
+
+using util::Rng;
 
 namespace fs = std::filesystem;
 

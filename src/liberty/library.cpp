@@ -1,36 +1,10 @@
 #include "liberty/library.h"
 
 #include <atomic>
-#include <bit>
+
+#include "util/hash.h"
 
 namespace desync::liberty {
-
-namespace {
-
-/// Minimal FNV-1a accumulator for contentHash (kept local: liberty must
-/// not depend on the flowdb library that consumes the fingerprint).
-struct ContentHasher {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void bytes(std::string_view s) {
-    for (char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x100000001b3ULL;
-    }
-  }
-  /// Length-prefixed, so adjacent strings cannot alias.
-  void str(std::string_view s) {
-    u64(s.size());
-    bytes(s);
-  }
-  void u64(std::uint64_t v) {
-    char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-    bytes(std::string_view(b, 8));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-};
-
-}  // namespace
 
 namespace detail {
 namespace {
@@ -76,7 +50,7 @@ LibCell* Library::findCell(std::string_view name) {
 }
 
 std::uint64_t Library::contentHash() const {
-  ContentHasher hasher;
+  util::Fnv64 hasher;
   hasher.str(name);
   hasher.f64(default_wire_cap);
   hasher.u64(order_.size());
@@ -118,7 +92,7 @@ std::uint64_t Library::contentHash() const {
       }
     }
   });
-  return hasher.h;
+  return hasher.digest();
 }
 
 const LibCell& Library::cell(std::string_view name) const {

@@ -1,6 +1,10 @@
 #include "server/protocol.h"
 
+#include <cmath>
+
 namespace desync::server {
+
+using util::Json;
 
 namespace {
 
@@ -23,6 +27,16 @@ const char* reportModeName(ReportMode mode) {
   return "?";
 }
 
+/// The request `id`, range-checked before the cast: a non-negative integer
+/// no larger than 2^53, past which doubles stop counting by one.
+std::uint64_t idField(const Json& doc) {
+  const double id = doc.getNumber("id", 0);
+  if (!(id >= 0 && id <= 9007199254740992.0) || id != std::trunc(id)) {
+    bad("'id' must be an integer in 0..2^53");
+  }
+  return static_cast<std::uint64_t>(id);
+}
+
 }  // namespace
 
 Message parseMessage(const std::string& line) {
@@ -31,16 +45,13 @@ Message parseMessage(const std::string& line) {
 
   Message msg;
   msg.cmd = doc.getString("cmd", "desync");
+  msg.request.id = idField(doc);
   if (msg.cmd == "ping" || msg.cmd == "stats" || msg.cmd == "shutdown") {
-    msg.request.id = static_cast<std::uint64_t>(doc.getNumber("id", 0));
     return msg;
   }
   if (msg.cmd != "desync") bad("unknown cmd '" + msg.cmd + "'");
 
   Request& req = msg.request;
-  const double id = doc.getNumber("id", 0);
-  if (id < 0) bad("'id' must be non-negative");
-  req.id = static_cast<std::uint64_t>(id);
   req.name = doc.getString("name", "");
   req.design = doc.getString("design", "");
   req.design_path = doc.getString("design_path", "");
@@ -110,23 +121,6 @@ std::string requestLine(const Request& req) {
     doc.set("report", Json::str(reportModeName(req.report)));
   }
   return doc.dump();
-}
-
-std::string flattenJson(const std::string& pretty) {
-  std::string out;
-  out.reserve(pretty.size());
-  std::size_t i = 0;
-  while (i < pretty.size()) {
-    const char c = pretty[i];
-    if (c == '\n') {
-      ++i;
-      while (i < pretty.size() && pretty[i] == ' ') ++i;
-      continue;
-    }
-    out += c;
-    ++i;
-  }
-  return out;
 }
 
 }  // namespace desync::server

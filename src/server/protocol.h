@@ -19,15 +19,15 @@
 #include <string>
 #include <vector>
 
-#include "server/json.h"
+#include "util/json.h"
 
 namespace desync::server {
 
 /// How much of the run report the reply should embed.
 enum class ReportMode {
   kNone,       ///< no report object
-  kFull,       ///< runReportJson: design facts + per-pass flow statistics
-  kCanonical,  ///< canonicalRunReportJson: deterministic design facts only
+  kFull,       ///< runReport: design facts + per-pass flow statistics
+  kCanonical,  ///< canonicalRunReport: deterministic design facts only
 };
 
 /// One desynchronization request (cmd == "desync", the default).
@@ -64,8 +64,8 @@ struct Message {
   Request request;  ///< valid when cmd == "desync"
 };
 
-/// Parses one request line.  Throws JsonError (malformed JSON or fields of
-/// the wrong type) or ProtocolError (well-formed JSON violating the
+/// Parses one request line.  Throws util::JsonError (malformed JSON or
+/// fields of the wrong type) or ProtocolError (well-formed JSON violating the
 /// protocol: unknown cmd, missing design, bad ranges).
 class ProtocolError : public std::runtime_error {
  public:
@@ -75,11 +75,5 @@ class ProtocolError : public std::runtime_error {
 
 /// Serializes a Request as its wire line (used by drdesync-bench).
 [[nodiscard]] std::string requestLine(const Request& req);
-
-/// Collapses pretty-printed JSON (the report serializers emit multi-line
-/// objects) onto one line so it can be embedded in a JSON-lines reply:
-/// removes every newline plus its following indentation.  Safe because the
-/// report serializers escape control characters inside strings.
-[[nodiscard]] std::string flattenJson(const std::string& pretty);
 
 }  // namespace desync::server

@@ -14,6 +14,8 @@
 
 namespace desync::server {
 
+using util::Json;
+
 namespace {
 
 /// Writes `line` + '\n' to `fd`, retrying short writes.  Errors (peer gone)

@@ -14,6 +14,8 @@
 
 namespace desync::server {
 
+using util::Json;
+
 namespace {
 
 liberty::Library loadLibrary(const std::string& spec) {
@@ -97,8 +99,7 @@ Json FlowService::handle(const Request& req) {
       reply.set("failed_pass", Json::str(failed_pass));
     }
     if (req.report != ReportMode::kNone) {
-      reply.setRaw("report", flattenJson(core::errorReportJson(
-                                 info, error, failed_pass, flow)));
+      reply.set("report", core::errorReport(info, error, failed_pass, flow));
     }
     reply.set("service_ms", Json::number(msSince(begin)));
     return reply;
@@ -142,11 +143,9 @@ Json FlowService::handle(const Request& req) {
       reply.set("sdc", Json::str(result.sdc.toText()));
     }
     if (req.report == ReportMode::kFull) {
-      reply.setRaw("report",
-                   flattenJson(core::runReportJson(info, result)));
+      reply.set("report", core::runReport(info, result));
     } else if (req.report == ReportMode::kCanonical) {
-      reply.setRaw("report",
-                   flattenJson(core::canonicalRunReportJson(info, result)));
+      reply.set("report", core::canonicalRunReport(info, result));
     }
     reply.set("service_ms", Json::number(msSince(begin)));
     return reply;

@@ -15,7 +15,7 @@
 //     library, gatefile and pass cache are shared and concurrent-safe.
 //
 // handle() never throws for request-level failures: parse and flow errors
-// come back as ok=false replies carrying errorReportJson, exactly like the
+// come back as ok=false replies carrying errorReport, exactly like the
 // CLI's --report output on failure.
 #pragma once
 
@@ -24,8 +24,8 @@
 
 #include "liberty/gatefile.h"
 #include "liberty/library.h"
-#include "server/json.h"
 #include "server/protocol.h"
+#include "util/json.h"
 
 namespace desync::server {
 
@@ -50,7 +50,7 @@ class FlowService {
   /// Runs one desynchronization request to completion on the calling
   /// thread and returns the reply object (without queue timing, which only
   /// the scheduler knows — the server sets "queue_ms" before writing).
-  [[nodiscard]] Json handle(const Request& req);
+  [[nodiscard]] util::Json handle(const Request& req);
 
   [[nodiscard]] const liberty::Gatefile& gatefile() const {
     return gatefile_;

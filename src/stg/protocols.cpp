@@ -3,6 +3,8 @@
 #include <deque>
 #include <unordered_map>
 
+#include "util/hash.h"
+
 namespace desync::stg {
 namespace {
 
@@ -192,17 +194,14 @@ struct ProductState {
 
 struct ProductHash {
   std::size_t operator()(const ProductState& s) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    for (std::uint8_t b : s.marking) {
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-    h ^= static_cast<std::size_t>(s.mon.a_open) |
-         (static_cast<std::size_t>(s.mon.b_open) << 1) |
-         (static_cast<std::size_t>(s.mon.n_a) << 2) |
-         (static_cast<std::size_t>(s.mon.a_latched) << 8);
-    h *= 1099511628211ull;
-    return h;
+    util::Fnv64 h;
+    h.update({reinterpret_cast<const char*>(s.marking.data()),
+              s.marking.size()});
+    h.u64(static_cast<std::uint64_t>(s.mon.a_open) |
+          (static_cast<std::uint64_t>(s.mon.b_open) << 1) |
+          (static_cast<std::uint64_t>(s.mon.n_a) << 2) |
+          (static_cast<std::uint64_t>(s.mon.a_latched) << 8));
+    return h.digest();
   }
 };
 

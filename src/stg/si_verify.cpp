@@ -3,6 +3,8 @@
 #include <deque>
 #include <unordered_map>
 
+#include "util/hash.h"
+
 namespace desync::stg {
 namespace {
 
@@ -14,16 +16,11 @@ struct State {
 
 struct StateHash {
   std::size_t operator()(const State& s) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    for (bool b : s.values) {
-      h ^= static_cast<std::size_t>(b) + 0x9e3779b9;
-      h *= 1099511628211ull;
-    }
-    for (std::uint8_t m : s.marking) {
-      h ^= m;
-      h *= 1099511628211ull;
-    }
-    return h;
+    util::Fnv64 h;
+    h.update({reinterpret_cast<const char*>(s.marking.data()),
+              s.marking.size()});
+    for (bool b : s.values) h.u64(b ? 1 : 0);
+    return h.digest();
   }
 };
 

@@ -3,19 +3,17 @@
 #include <algorithm>
 #include <deque>
 
+#include "util/hash.h"
+
 namespace desync::stg {
 
 namespace {
 
-/// Hash for markings (FNV-1a over bytes).
 struct MarkingHash {
   std::size_t operator()(const Marking& m) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    for (std::uint8_t b : m) {
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-    return h;
+    util::Fnv64 h;
+    h.update({reinterpret_cast<const char*>(m.data()), m.size()});
+    return h.digest();
   }
 };
 

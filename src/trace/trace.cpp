@@ -14,6 +14,8 @@
 #include <sys/resource.h>
 #endif
 
+#include "util/json.h"
+
 namespace desync::trace {
 
 namespace detail {
@@ -23,6 +25,7 @@ std::atomic<bool> g_enabled{false};
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using util::jsonEscape;
 
 /// Event name capacity; longer names are truncated.  Sized for the flow's
 /// longest pass/counter names with headroom.
@@ -123,16 +126,6 @@ double nowUs() {
   return std::chrono::duration<double, std::micro>(
              Clock::now().time_since_epoch())
       .count();
-}
-
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out;
 }
 
 /// Everything finish() knows about one drained track.

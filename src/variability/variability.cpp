@@ -5,26 +5,18 @@
 
 #include "core/parallel.h"
 #include "trace/trace.h"
+#include "util/hash.h"
 
 namespace desync::variability {
 
 namespace {
 
-/// SplitMix64: cheap, well-distributed hash/PRNG step.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+using util::splitmix64;
 
 std::uint64_t hashString(std::string_view s, std::uint64_t seed) {
-  std::uint64_t h = seed ^ 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return splitmix64(h);
+  util::Fnv64 h(seed ^ util::Fnv64::kOffset);
+  h.update(s);
+  return splitmix64(h.digest());
 }
 
 double uniform01(std::uint64_t h) {

@@ -33,6 +33,7 @@
 #include "sim/simulator.h"
 #include "sim/stimulus.h"
 #include "sim/value.h"
+#include "util/hash.h"
 
 namespace core = desync::core;
 namespace fuzz = desync::fuzz;
@@ -40,6 +41,7 @@ namespace lib = desync::liberty;
 namespace nl = desync::netlist;
 namespace sim = desync::sim;
 namespace bs = desync::sim::bitsim;
+namespace util = desync::util;
 
 using sim::LaneWord;
 using sim::Val;
@@ -102,13 +104,6 @@ std::vector<std::vector<Val>> allCombos(unsigned n) {
     combos.push_back(std::move(in));
   }
   return combos;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
 }
 
 /// Checks scalar and lane evaluation of one table against the reference,
@@ -199,7 +194,7 @@ TEST(ValueOps, RandomWideTables) {
 #endif
     for (int t = 0; t < n_tables; ++t) {
       const std::uint64_t table =
-          splitmix64(static_cast<std::uint64_t>(t) * 97 + n) & mask;
+          util::splitmix64(static_cast<std::uint64_t>(t) * 97 + n) & mask;
       checkTable(table, n, combos);
     }
   }

@@ -27,6 +27,7 @@ namespace designs = desync::designs;
 namespace flowdb = desync::flowdb;
 namespace lib = desync::liberty;
 namespace nl = desync::netlist;
+namespace util = desync::util;
 
 namespace {
 
@@ -398,7 +399,7 @@ TEST(FlowCache, ErrorReportJsonCarriesFailureAndPartialFlow) {
     info.input = "dlx.v";
     info.cells_in = 42;
     const std::string json =
-        core::errorReportJson(info, e.what(), e.pass(), e.flow());
+        core::errorReport(info, e.what(), e.pass(), e.flow()).dump();
     // The partial report names the failure and still lists every pass that
     // ran, stamped with the same identities that enter cache keys.
     EXPECT_NE(json.find("\"error\""), std::string::npos);
@@ -456,7 +457,7 @@ TEST(FlowCache, ResumeWithoutCheckpointNotesAndRunsCold) {
 TEST(PassCache, StoreLoadRoundTripAndMissAccounting) {
   const auto dir = scratchDir("unit");
   flowdb::PassCache cache(dir.string());
-  const flowdb::CacheKey key{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  const util::CacheKey key{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
 
   EXPECT_FALSE(cache.load(key).has_value());
   EXPECT_TRUE(cache.store(key, "payload-bytes"));
@@ -478,8 +479,8 @@ TEST(PassCache, StoreLoadRoundTripAndMissAccounting) {
 TEST(PassCache, ForeignPayloadUnderTheWrongNameIsRejected) {
   const auto dir = scratchDir("keybind");
   flowdb::PassCache cache(dir.string());
-  const flowdb::CacheKey key_a{1, 2};
-  const flowdb::CacheKey key_b{3, 4};
+  const util::CacheKey key_a{1, 2};
+  const util::CacheKey key_b{3, 4};
   ASSERT_TRUE(cache.store(key_a, "payload-for-a"));
 
   // A validly-sealed entry sitting under another key's file name — what a
@@ -516,7 +517,7 @@ TEST(PassCache, ConcurrentInstancesOnOneDirectoryKeepEntriesDistinct) {
     writers.emplace_back([&dir, t] {
       flowdb::PassCache cache(dir.string());
       for (int k = 0; k < kKeysPerThread; ++k) {
-        const flowdb::CacheKey key{static_cast<std::uint64_t>(t),
+        const util::CacheKey key{static_cast<std::uint64_t>(t),
                                    static_cast<std::uint64_t>(k)};
         const std::string payload =
             "payload-" + std::to_string(t) + "-" + std::to_string(k);
@@ -531,7 +532,7 @@ TEST(PassCache, ConcurrentInstancesOnOneDirectoryKeepEntriesDistinct) {
   flowdb::PassCache reader(dir.string());
   for (int t = 0; t < kThreads; ++t) {
     for (int k = 0; k < kKeysPerThread; ++k) {
-      const flowdb::CacheKey key{static_cast<std::uint64_t>(t),
+      const util::CacheKey key{static_cast<std::uint64_t>(t),
                                  static_cast<std::uint64_t>(k)};
       const auto loaded = reader.load(key);
       ASSERT_TRUE(loaded.has_value());
@@ -546,7 +547,7 @@ TEST(PassCache, CheckpointSlotRoundTrip) {
   flowdb::PassCache cache(dir.string());
   EXPECT_FALSE(cache.loadCheckpoint().has_value());
 
-  const flowdb::CacheKey key{42, 1337};
+  const util::CacheKey key{42, 1337};
   EXPECT_TRUE(cache.storeCheckpoint(4, "region_timing", key, "entry-bytes"));
   const auto ck = cache.loadCheckpoint();
   ASSERT_TRUE(ck.has_value());

@@ -12,17 +12,18 @@
 #include <vector>
 
 #include "fuzz/generator.h"
-#include "fuzz/rng.h"
 #include "liberty/gatefile.h"
 #include "liberty/stdlib90.h"
 #include "netlist/cleaning.h"
 #include "netlist/verilog.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace nl = desync::netlist;
 namespace lib = desync::liberty;
 namespace sim = desync::sim;
 namespace fuzz = desync::fuzz;
+namespace util = desync::util;
 
 using sim::Val;
 
@@ -56,7 +57,7 @@ std::string outputs(const nl::Module& m, const lib::Gatefile& g,
 class Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Fuzz, VerilogRoundTripPreservesStructureAndBehaviour) {
-  fuzz::Rng rnd{GetParam()};
+  util::Rng rnd{GetParam()};
   nl::Design d1;
   fuzz::buildRandomComb(d1, gf(), rnd, kConfig);
   EXPECT_TRUE(d1.top().checkInvariants().empty());
@@ -69,7 +70,7 @@ TEST_P(Fuzz, VerilogRoundTripPreservesStructureAndBehaviour) {
   EXPECT_TRUE(d2.top().checkInvariants().empty());
 
   // Behavioural equivalence on a handful of vectors.
-  fuzz::Rng vec{GetParam() ^ 0xabcdef};
+  util::Rng vec{GetParam() ^ 0xabcdef};
   for (int t = 0; t < 6; ++t) {
     std::uint32_t v = static_cast<std::uint32_t>(vec());
     EXPECT_EQ(outputs(d1.top(), gf(), v, kConfig.n_inputs),
@@ -79,12 +80,12 @@ TEST_P(Fuzz, VerilogRoundTripPreservesStructureAndBehaviour) {
 }
 
 TEST_P(Fuzz, CleaningPreservesBehaviour) {
-  fuzz::Rng rnd{GetParam() + 17};
+  util::Rng rnd{GetParam() + 17};
   nl::Design d1;
   fuzz::buildRandomComb(d1, gf(), rnd, kConfig);
   // Reference responses before cleaning.
   std::vector<std::string> before;
-  fuzz::Rng vec{GetParam() ^ 0x5a5a};
+  util::Rng vec{GetParam() ^ 0x5a5a};
   std::vector<std::uint32_t> vectors;
   for (int t = 0; t < 6; ++t) {
     vectors.push_back(static_cast<std::uint32_t>(vec()));
@@ -111,7 +112,7 @@ TEST_P(Fuzz, CleaningPreservesBehaviour) {
 TEST(Rng, BelowIsUnbiasedOverSmallRanges) {
   // 9 does not divide 2^64, so naive modulo would skew low residues; the
   // rejection draw must keep every bucket within a few percent of uniform.
-  fuzz::Rng rnd{42};
+  util::Rng rnd{42};
   constexpr int kBuckets = 9;
   constexpr int kDraws = 90000;
   int count[kBuckets] = {};
@@ -125,7 +126,7 @@ TEST(Rng, BelowIsUnbiasedOverSmallRanges) {
 }
 
 TEST(Rng, RangeCoversBothEndsInclusive) {
-  fuzz::Rng rnd{7};
+  util::Rng rnd{7};
   bool lo = false, hi = false;
   for (int i = 0; i < 1000; ++i) {
     const int v = rnd.range(3, 5);

@@ -12,6 +12,7 @@
 #include "sim/simulator.h"
 #include "sta/sdc.h"
 #include "sta/sta.h"
+#include "util/rng.h"
 
 namespace nl = desync::netlist;
 namespace lib = desync::liberty;
@@ -212,11 +213,7 @@ TEST(LibertyEdge, GatefileRoundTripsThroughLibertyText) {
 class StaConservative : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StaConservative, SimSettleWithinStaBound) {
-  std::uint64_t seed = GetParam();
-  auto rnd = [&]() {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    return seed >> 33;
-  };
+  desync::util::Rng rng{GetParam()};
   const std::vector<std::string> gates = {"IV", "ND2",  "NR2",   "AN2",
                                           "OR2", "EO",  "AOI21", "MUX21"};
   nl::Design d;
@@ -228,12 +225,12 @@ TEST_P(StaConservative, SimSettleWithinStaBound) {
     pool.push_back(n);
   }
   for (int g = 0; g < 40; ++g) {
-    const std::string& type = gates[rnd() % gates.size()];
+    const std::string& type = gates[rng.below(gates.size())];
     const lib::LibCell& cell = gf().library().cell(type);
     std::vector<nl::Module::PinInit> pins;
     for (const std::string& in : cell.inputPins()) {
       pins.push_back({in, nl::PortDir::kInput,
-                      pool[rnd() % pool.size()]});
+                      pool[rng.below(pool.size())]});
     }
     nl::NetId out = m.addNet("g" + std::to_string(g));
     pins.push_back({"Z", nl::PortDir::kOutput, out});
@@ -262,7 +259,7 @@ TEST_P(StaConservative, SimSettleWithinStaBound) {
     sim::Time start = s.now();
     for (int i = 0; i < 4; ++i) {
       s.setInput("in" + std::to_string(i),
-                 sim::fromBool((rnd() & 1) != 0));
+                 sim::fromBool(rng.chance(50)));
     }
     s.runUntilStable(start + sim::nsToPs(1000));
     for (const auto& [name, t] : settle) {

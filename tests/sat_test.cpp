@@ -9,24 +9,12 @@
 
 #include "sat/solver.h"
 #include "sim/symfe/encoder.h"
+#include "util/rng.h"
 
 namespace sat = desync::sat;
 namespace symfe = desync::sim::symfe;
 
 namespace {
-
-// Deterministic in-test generator (no std::random, fully reproducible).
-struct Lcg {
-  std::uint64_t s;
-  explicit Lcg(std::uint64_t seed) : s(seed * 2654435761u + 1) {}
-  std::uint64_t next() {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    return s >> 33;
-  }
-  std::uint32_t below(std::uint32_t n) {
-    return static_cast<std::uint32_t>(next() % n);
-  }
-};
 
 struct Cnf {
   int n_vars = 0;
@@ -34,19 +22,16 @@ struct Cnf {
 };
 
 Cnf randomCnf(std::uint64_t seed) {
-  Lcg rng(seed);
+  desync::util::Rng rng{seed};
   Cnf cnf;
-  cnf.n_vars = 3 + static_cast<int>(rng.below(18));  // 3..20 vars
-  const int n_clauses = 2 + static_cast<int>(
-      rng.below(static_cast<std::uint32_t>(cnf.n_vars * 5)));
+  cnf.n_vars = rng.range(3, 20);
+  const int n_clauses = rng.range(2, 1 + cnf.n_vars * 5);
   for (int c = 0; c < n_clauses; ++c) {
-    const int width = 1 + static_cast<int>(rng.below(3));  // 1..3 literals
+    const int width = rng.range(1, 3);  // literals
     std::vector<sat::Lit> clause;
     for (int k = 0; k < width; ++k) {
-      const auto v =
-          static_cast<sat::Var>(rng.below(static_cast<std::uint32_t>(
-              cnf.n_vars)));
-      clause.push_back(sat::mkLit(v, rng.below(2) != 0));
+      const auto v = static_cast<sat::Var>(rng.below(cnf.n_vars));
+      clause.push_back(sat::mkLit(v, rng.chance(50)));
     }
     cnf.clauses.push_back(std::move(clause));
   }

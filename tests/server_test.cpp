@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,15 +22,16 @@
 #include "fuzz/generator.h"
 #include "netlist/verilog.h"
 #include "server/client.h"
-#include "server/json.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/service.h"
+#include "util/json.h"
 
 namespace server = desync::server;
 namespace fuzz = desync::fuzz;
 namespace designs = desync::designs;
 namespace netlist = desync::netlist;
+namespace util = desync::util;
 
 namespace {
 
@@ -65,7 +67,7 @@ TEST(ServerJson, ParseDumpRoundTrip) {
   const std::string line =
       R"({"id": 7, "ok": true, "ratio": 0.5, "tags": ["a", "b"], )"
       R"("nested": {"n": null}})";
-  const server::Json v = server::Json::parse(line);
+  const util::Json v = util::Json::parse(line);
   EXPECT_EQ(v.getInt("id", -1), 7);
   EXPECT_TRUE(v.getBool("ok", false));
   EXPECT_EQ(v.getNumber("ratio", 0.0), 0.5);
@@ -73,46 +75,83 @@ TEST(ServerJson, ParseDumpRoundTrip) {
   EXPECT_EQ(v.find("tags")->asArray().size(), 2u);
   EXPECT_TRUE(v.find("nested")->find("n")->isNull());
   // dump() re-parses to the same document.
-  EXPECT_EQ(server::Json::parse(v.dump()).dump(), v.dump());
+  EXPECT_EQ(util::Json::parse(v.dump()).dump(), v.dump());
 }
 
 TEST(ServerJson, StringEscapesDecodeAndReEncode) {
-  const server::Json v =
-      server::Json::parse(R"({"s": "a\n\t\"\\ é 😀"})");
+  const util::Json v =
+      util::Json::parse(R"({"s": "a\n\t\"\\ é 😀"})");
   const std::string s = v.getString("s", "");
   EXPECT_NE(s.find('\n'), std::string::npos);
   EXPECT_NE(s.find("\xC3\xA9"), std::string::npos);      // é in UTF-8
   EXPECT_NE(s.find("\xF0\x9F\x98\x80"), std::string::npos);  // emoji
   // The dump is one line even though the payload has a newline.
   EXPECT_EQ(v.dump().find('\n'), std::string::npos);
-  EXPECT_EQ(server::Json::parse(v.dump()).getString("s", ""), s);
+  EXPECT_EQ(util::Json::parse(v.dump()).getString("s", ""), s);
 }
 
 TEST(ServerJson, MalformedInputsThrow) {
-  EXPECT_THROW(server::Json::parse("{"), server::JsonError);
-  EXPECT_THROW(server::Json::parse("{} garbage"), server::JsonError);
-  EXPECT_THROW(server::Json::parse(R"({"a": 1,})"), server::JsonError);
-  EXPECT_THROW(server::Json::parse(R"("unterminated)"), server::JsonError);
-  EXPECT_THROW(server::Json::parse(R"("\q")"), server::JsonError);
-  EXPECT_THROW(server::Json::parse("1e999"), server::JsonError);
-  EXPECT_THROW(server::Json::parse(R"("\ud800")"), server::JsonError);
+  EXPECT_THROW(util::Json::parse("{"), util::JsonError);
+  EXPECT_THROW(util::Json::parse("{} garbage"), util::JsonError);
+  EXPECT_THROW(util::Json::parse(R"({"a": 1,})"), util::JsonError);
+  EXPECT_THROW(util::Json::parse(R"("unterminated)"), util::JsonError);
+  EXPECT_THROW(util::Json::parse(R"("\q")"), util::JsonError);
+  EXPECT_THROW(util::Json::parse("1e999"), util::JsonError);
+  EXPECT_THROW(util::Json::parse(R"("\ud800")"), util::JsonError);
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += '[';
-  EXPECT_THROW(server::Json::parse(deep), server::JsonError);
-}
-
-TEST(ServerJson, RawFragmentsEmbedVerbatim) {
-  server::Json v = server::Json::object();
-  v.set("id", server::Json::number(1));
-  v.setRaw("report", R"({"cells": 42})");
-  const std::string line = v.dump();
-  const server::Json back = server::Json::parse(line);
-  EXPECT_EQ(back.find("report")->getInt("cells", -1), 42);
+  EXPECT_THROW(util::Json::parse(deep), util::JsonError);
 }
 
 TEST(ServerJson, GetIntRejectsFractions) {
-  const server::Json v = server::Json::parse(R"({"jobs": 2.5})");
-  EXPECT_THROW(v.getInt("jobs", 0), server::JsonError);
+  const util::Json v = util::Json::parse(R"({"jobs": 2.5})");
+  EXPECT_THROW((void)v.getInt("jobs", 0), util::JsonError);
+}
+
+TEST(ServerJson, NumbersDumpShortestAndRoundTripExactly) {
+  for (const double v : {0.1, 1.0 / 3, 1e-7, 9007199254740992.0, -2.5, 42.0}) {
+    const double back = util::Json::parse(util::Json::number(v).dump())
+                            .asNumber();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(v))
+        << util::Json::number(v).dump();
+  }
+  EXPECT_EQ(util::Json::number(42).dump(), "42");
+  EXPECT_EQ(util::Json::number(0.1).dump(), "0.1");
+  EXPECT_EQ(util::Json::number(3.21).dump(), "3.21");
+}
+
+// Every wire input a client could use to reach undefined behaviour or an
+// invalid value must be rejected with an exception, never cast or stored.
+TEST(ServerJson, HostileRequestInputsAreRejected) {
+  const char* const kInputs[] = {
+      R"({"design": "m", "jobs": 1e10})",     // int cast out of range
+      R"({"design": "m", "jobs": -1e10})",
+      R"({"design": "m", "mux_taps": 1e300})",
+      R"({"design": "m", "id": 1e30})",       // uint64 cast out of range
+      R"({"design": "m", "id": -1})",
+      R"({"design": "m", "id": 1.5})",
+      R"({"cmd": "ping", "id": -1})",        // control ids are checked too
+      R"({"cmd": "stats", "id": 1e30})",
+      R"({"cmd": "shutdown", "id": -3})",
+      R"({"design": "m", "jobs": +1})",      // RFC 8259 number grammar
+      R"({"design": "m", "jobs": 01})",
+      R"({"design": "m", "jobs": 1.})",
+      R"({"design": "m", "margin": .5})",
+      R"({"design": "m", "margin": -})",
+      R"({"design": "m", "margin": 1e})",
+      R"({"design": "m", "margin": 1e+})",
+      R"({"design": "m", "name": "\udc00"})",  // lone low surrogate
+      R"({"design": "m", "name": "\ud800x"})",  // lone high surrogate
+  };
+  for (const char* input : kInputs) {
+    EXPECT_THROW((void)server::parseMessage(input), std::runtime_error)
+        << input;
+  }
+  // The grammar's valid edge forms still parse.
+  for (const char* ok : {"0", "-0", "0.5", "-1.25e-3", "1E+2", "10"}) {
+    EXPECT_NO_THROW((void)util::Json::parse(ok)) << ok;
+  }
 }
 
 // --- protocol ------------------------------------------------------------
@@ -182,14 +221,7 @@ TEST(ServerProtocol, InvalidRequestsAreRejected) {
   EXPECT_THROW(parseMessage(R"({"design": "m", "report": "verbose"})"),
                ProtocolError);
   // Malformed JSON surfaces as JsonError, not ProtocolError.
-  EXPECT_THROW(parseMessage("{oops"), server::JsonError);
-}
-
-TEST(ServerProtocol, FlattenJsonCollapsesPrettyOutput) {
-  const std::string pretty = "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}\n";
-  const std::string flat = server::flattenJson(pretty);
-  EXPECT_EQ(flat.find('\n'), std::string::npos);
-  EXPECT_EQ(server::Json::parse(flat).getInt("a", -1), 1);
+  EXPECT_THROW(parseMessage("{oops"), util::JsonError);
 }
 
 // --- FlowService ---------------------------------------------------------
@@ -198,7 +230,7 @@ TEST(FlowService, HandlesAGeneratedDesign) {
   server::FlowService service(builtinService());
   server::Request req = seedRequest(service, 3);
   req.id = 9;
-  const server::Json reply = service.handle(req);
+  const util::Json reply = service.handle(req);
   EXPECT_TRUE(reply.getBool("ok", false)) << reply.dump();
   EXPECT_EQ(reply.getInt("id", -1), 9);
   EXPECT_EQ(reply.getString("track", ""), "seed-3");
@@ -207,10 +239,10 @@ TEST(FlowService, HandlesAGeneratedDesign) {
   EXPECT_FALSE(reply.getString("sdc", "").empty());
   ASSERT_NE(reply.find("report"), nullptr);
   EXPECT_GE(reply.getNumber("service_ms", -1.0), 0.0);
-  // The whole reply frames as one JSON line (raw report embedded).
+  // The whole reply frames as one JSON line (report object embedded).
   const std::string line = reply.dump();
   EXPECT_EQ(line.find('\n'), std::string::npos);
-  const server::Json parsed = server::Json::parse(line);
+  const util::Json parsed = util::Json::parse(line);
   EXPECT_GT(parsed.find("report")->getInt("regions", -1), 0);
 }
 
@@ -219,7 +251,7 @@ TEST(FlowService, FlowFailureBecomesAnErrorReply) {
   server::Request req;
   req.id = 4;
   req.design = "this is not verilog";
-  const server::Json reply = service.handle(req);
+  const util::Json reply = service.handle(req);
   EXPECT_FALSE(reply.getBool("ok", true));
   EXPECT_FALSE(reply.getString("error", "").empty());
   // The error report (CLI --report shape) rides along for the default
@@ -232,7 +264,7 @@ TEST(FlowService, MissingTopModuleIsAReplyNotACrash) {
   server::FlowService service(builtinService());
   server::Request req = seedRequest(service, 1);
   req.top = "no_such_module";
-  const server::Json reply = service.handle(req);
+  const util::Json reply = service.handle(req);
   EXPECT_FALSE(reply.getBool("ok", true));
   EXPECT_NE(reply.getString("error", "").find("no_such_module"),
             std::string::npos);
@@ -242,9 +274,9 @@ TEST(FlowService, RepliesAreIdenticalAtAnyJobsBudget) {
   server::FlowService service(builtinService());
   server::Request req = seedRequest(service, 5);
   req.jobs = 1;
-  const server::Json serial = service.handle(req);
+  const util::Json serial = service.handle(req);
   req.jobs = 4;
-  const server::Json pooled = service.handle(req);
+  const util::Json pooled = service.handle(req);
   ASSERT_TRUE(serial.getBool("ok", false)) << serial.dump();
   ASSERT_TRUE(pooled.getBool("ok", false)) << pooled.dump();
   EXPECT_EQ(serial.getString("verilog", "a"), pooled.getString("verilog", "b"));
@@ -272,13 +304,13 @@ TEST(ServerStream, ControlCommandsAnswerInline) {
   std::istringstream replies(out.str());
   std::string line;
   ASSERT_TRUE(std::getline(replies, line));
-  EXPECT_TRUE(server::Json::parse(line).getBool("pong", false));
+  EXPECT_TRUE(util::Json::parse(line).getBool("pong", false));
   ASSERT_TRUE(std::getline(replies, line));
-  EXPECT_FALSE(server::Json::parse(line).getBool("ok", true));
+  EXPECT_FALSE(util::Json::parse(line).getBool("ok", true));
   ASSERT_TRUE(std::getline(replies, line));
-  EXPECT_EQ(server::Json::parse(line).getInt("rejected", -1), 1);
+  EXPECT_EQ(util::Json::parse(line).getInt("rejected", -1), 1);
   ASSERT_TRUE(std::getline(replies, line));
-  EXPECT_TRUE(server::Json::parse(line).getBool("shutting_down", false));
+  EXPECT_TRUE(util::Json::parse(line).getBool("shutting_down", false));
   EXPECT_EQ(srv.stats().rejected, 1u);
 }
 
@@ -296,7 +328,7 @@ TEST(ServerStream, DesyncRequestsAreServedWithQueueTiming) {
   srv.serveStream(in, out);
   srv.stop();
 
-  const server::Json reply = server::Json::parse(
+  const util::Json reply = util::Json::parse(
       out.str().substr(0, out.str().find('\n')));
   EXPECT_TRUE(reply.getBool("ok", false)) << reply.dump();
   EXPECT_GE(reply.getNumber("queue_ms", -1.0), 0.0);
@@ -335,14 +367,12 @@ TEST(ServerSocket, ConcurrentRequestsMatchSequentialReference) {
     server::Request req = requests[i];
     req.id = i;
     req.jobs = 1;  // exact serial reference
-    const server::Json reply = reference.handle(req);
+    const util::Json reply = reference.handle(req);
     ASSERT_TRUE(reply.getBool("ok", false))
         << requests[i].name << ": " << reply.dump();
-    // The in-process reply embeds the report as a raw pre-serialized
-    // fragment; parse and re-dump it so both sides compare in dump() form.
-    expected.push_back(Expected{
-        reply.getString("verilog", ""), reply.getString("sdc", ""),
-        server::Json::parse(reply.find("report")->asString()).dump()});
+    expected.push_back(Expected{reply.getString("verilog", ""),
+                                reply.getString("sdc", ""),
+                                reply.find("report")->dump()});
   }
 
   // The same workload through a live socket server: 4 handler threads,
@@ -370,7 +400,7 @@ TEST(ServerSocket, ConcurrentRequestsMatchSequentialReference) {
         req.id = i;
         req.jobs = 1 + static_cast<int>(i % 4);
         client.sendLine(server::requestLine(req));
-        const server::Json reply = server::Json::parse(client.recvLine());
+        const util::Json reply = util::Json::parse(client.recvLine());
         if (!reply.getBool("ok", false) ||
             reply.getInt("id", -1) != static_cast<int>(i) ||
             reply.getString("verilog", "") != expected[item].verilog ||

@@ -85,6 +85,13 @@ struct Expected {
   bool fe;
 };
 
+// Names the discovered ctest case after the protocol. Without it GoogleTest
+// prints the raw bytes of Expected, padding included, so the case names
+// changed from build to build.
+void PrintTo(const Expected& e, std::ostream* os) {
+  *os << stg::protocolName(e.p);
+}
+
 class ProtocolFig24 : public ::testing::TestWithParam<Expected> {};
 
 TEST_P(ProtocolFig24, MatchesPublishedClassification) {

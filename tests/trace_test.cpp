@@ -10,6 +10,8 @@
 //     "pass"-category spans and the cache / counter events exist;
 //   - tracing never changes flow output: the Verilog and SDC text is
 //     byte-identical across all four runs.
+// A separate test checks the writer's escaping: track and span names with
+// quotes, backslashes and control characters parse back unchanged.
 //
 // The traced --jobs 4 run executes FIRST in this binary: the process-wide
 // pool grows but never shrinks, so running it first pins the worker count
@@ -18,15 +20,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <variant>
+#include <string_view>
 #include <vector>
 
 #include "core/desync.h"
@@ -35,6 +34,7 @@
 #include "liberty/stdlib90.h"
 #include "netlist/verilog.h"
 #include "trace/trace.h"
+#include "util/json.h"
 
 namespace core = desync::core;
 namespace designs = desync::designs;
@@ -44,193 +44,31 @@ namespace trace = desync::trace;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — enough to load a trace_event file into a tree.
+using desync::util::Json;
 
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
-               JsonObject>
-      v;
-
-  [[nodiscard]] bool isObject() const {
-    return std::holds_alternative<JsonObject>(v);
+/// Member `key` of `v`; fails the test (and returns a null) when absent.
+const Json& at(const Json& v, std::string_view key) {
+  static const Json null;
+  const Json* member = v.find(key);
+  if (member == nullptr) {
+    ADD_FAILURE() << "missing JSON key: " << key;
+    return null;
   }
-  [[nodiscard]] const JsonObject& object() const {
-    return std::get<JsonObject>(v);
-  }
-  [[nodiscard]] const JsonArray& array() const {
-    return std::get<JsonArray>(v);
-  }
-  [[nodiscard]] const std::string& str() const {
-    return std::get<std::string>(v);
-  }
-  [[nodiscard]] double num() const { return std::get<double>(v); }
-  /// Member lookup; fails the test (and returns a null) when absent.
-  [[nodiscard]] const JsonValue& at(const std::string& key) const {
-    static const JsonValue null{nullptr};
-    const JsonObject& o = object();
-    auto it = o.find(key);
-    if (it == o.end()) {
-      ADD_FAILURE() << "missing JSON key: " << key;
-      return null;
-    }
-    return it->second;
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return isObject() && object().count(key) > 0;
-  }
-};
+  return *member;
+}
+const std::string& str(const Json& v, std::string_view key) {
+  return at(v, key).asString();
+}
+double num(const Json& v, std::string_view key) {
+  return at(v, key).asNumber();
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skipWs();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
-  [[nodiscard]] bool ok() const { return error_.empty(); }
-  [[nodiscard]] const std::string& error() const { return error_; }
-
- private:
-  void fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-    pos_ = s_.size();  // stop consuming
-  }
-
-  void skipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  JsonValue value() {
-    skipWs();
-    switch (peek()) {
-      case '{':
-        return objectValue();
-      case '[':
-        return arrayValue();
-      case '"':
-        return JsonValue{stringValue()};
-      case 't':
-        return literal("true", JsonValue{true});
-      case 'f':
-        return literal("false", JsonValue{false});
-      case 'n':
-        return literal("null", JsonValue{nullptr});
-      default:
-        return numberValue();
-    }
-  }
-
-  JsonValue literal(std::string_view word, JsonValue v) {
-    if (s_.substr(pos_, word.size()) != word) fail("bad literal");
-    pos_ += word.size();
-    return v;
-  }
-
-  JsonValue objectValue() {
-    consume('{');
-    JsonObject obj;
-    skipWs();
-    if (consume('}')) return JsonValue{std::move(obj)};
-    for (;;) {
-      skipWs();
-      std::string key = stringValue();
-      skipWs();
-      if (!consume(':')) fail("expected ':'");
-      obj.emplace(std::move(key), value());
-      skipWs();
-      if (consume(',')) continue;
-      if (consume('}')) break;
-      fail("expected ',' or '}'");
-      break;
-    }
-    return JsonValue{std::move(obj)};
-  }
-
-  JsonValue arrayValue() {
-    consume('[');
-    JsonArray arr;
-    skipWs();
-    if (consume(']')) return JsonValue{std::move(arr)};
-    for (;;) {
-      arr.push_back(value());
-      skipWs();
-      if (consume(',')) continue;
-      if (consume(']')) break;
-      fail("expected ',' or ']'");
-      break;
-    }
-    return JsonValue{std::move(arr)};
-  }
-
-  std::string stringValue() {
-    if (!consume('"')) {
-      fail("expected string");
-      return {};
-    }
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) break;
-        char esc = s_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            pos_ += 4;  // tests never inspect escaped control chars
-            out += '?';
-            break;
-          default: out += esc;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (!consume('"')) fail("unterminated string");
-    return out;
-  }
-
-  JsonValue numberValue() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected value");
-      return JsonValue{nullptr};
-    }
-    return JsonValue{std::stod(std::string(s_.substr(start, pos_ - start)))};
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
+std::string readFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 // ---------------------------------------------------------------------------
 // Fixture: four flow runs, one trace file per traced run.
@@ -265,7 +103,7 @@ FlowOutput runFlow(int jobs, const std::string& cache_dir) {
 
 struct Fixture {
   FlowOutput traced_j4, traced_j1, plain_j4, plain_j1;
-  JsonValue trace_j4;   ///< parsed trace of the --jobs 4 run
+  Json trace_j4;   ///< parsed trace of the --jobs 4 run
   std::string trace_j4_error;
   trace::Summary summary_j4;
 };
@@ -298,24 +136,21 @@ Fixture& fixture() {
     fx->plain_j4 = runFlow(kJobs, "");
     fx->plain_j1 = runFlow(1, "");
 
-    std::ifstream in(trace_path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    JsonParser parser(text);
-    fx->trace_j4 = parser.parse();
-    fx->trace_j4_error = parser.error();
+    try {
+      fx->trace_j4 = Json::parse(readFile(trace_path));
+    } catch (const desync::util::JsonError& e) {
+      fx->trace_j4_error = e.what();
+    }
     return fx;
   }();
   return *f;
 }
 
 /// The traceEvents array of the --jobs 4 trace.
-const JsonArray& events() {
-  const JsonValue& root = fixture().trace_j4;
-  static const JsonArray empty;
-  if (!root.isObject() || !root.has("traceEvents")) return empty;
-  return root.at("traceEvents").array();
+const std::vector<Json>& events() {
+  static const std::vector<Json> empty;
+  const Json* list = fixture().trace_j4.find("traceEvents");
+  return list == nullptr ? empty : list->asArray();
 }
 
 }  // namespace
@@ -324,20 +159,20 @@ TEST(Trace, FileIsValidJson) {
   Fixture& fx = fixture();
   EXPECT_TRUE(fx.trace_j4_error.empty()) << fx.trace_j4_error;
   ASSERT_TRUE(fx.trace_j4.isObject());
-  ASSERT_TRUE(fx.trace_j4.has("traceEvents"));
+  ASSERT_NE(fx.trace_j4.find("traceEvents"), nullptr);
   EXPECT_GT(events().size(), 0u);
 }
 
 TEST(Trace, EveryBeginHasMatchingEndPerTrack) {
   std::map<double, std::vector<std::string>> open;  // tid -> span-name stack
-  for (const JsonValue& e : events()) {
-    const std::string& ph = e.at("ph").str();
-    const double tid = e.at("tid").num();
+  for (const Json& e : events()) {
+    const std::string& ph = str(e, "ph");
+    const double tid = num(e, "tid");
     if (ph == "B") {
-      open[tid].push_back(e.at("name").str());
+      open[tid].push_back(str(e, "name"));
     } else if (ph == "E") {
       ASSERT_FALSE(open[tid].empty()) << "E without B on tid " << tid;
-      EXPECT_EQ(open[tid].back(), e.at("name").str()) << "tid " << tid;
+      EXPECT_EQ(open[tid].back(), str(e, "name")) << "tid " << tid;
       open[tid].pop_back();
     }
   }
@@ -350,14 +185,14 @@ TEST(Trace, EveryBeginHasMatchingEndPerTrack) {
 
 TEST(Trace, TimestampsMonotonicPerTrack) {
   std::map<double, double> last;
-  for (const JsonValue& e : events()) {
-    const std::string& ph = e.at("ph").str();
+  for (const Json& e : events()) {
+    const std::string& ph = str(e, "ph");
     if (ph == "M") continue;  // metadata carries no meaningful timestamp
-    const double tid = e.at("tid").num();
-    const double ts = e.at("ts").num();
+    const double tid = num(e, "tid");
+    const double ts = num(e, "ts");
     auto it = last.find(tid);
     if (it != last.end()) {
-      EXPECT_GE(ts, it->second) << "tid " << tid << " event " << e.at("name").str();
+      EXPECT_GE(ts, it->second) << "tid " << tid << " event " << str(e, "name");
     }
     last[tid] = ts;
   }
@@ -366,11 +201,11 @@ TEST(Trace, TimestampsMonotonicPerTrack) {
 TEST(Trace, WorkerTrackCountMatchesJobs) {
   int workers = 0;
   bool flow_track = false;
-  for (const JsonValue& e : events()) {
-    if (e.at("ph").str() != "M" || e.at("name").str() != "thread_name") {
+  for (const Json& e : events()) {
+    if (str(e, "ph") != "M" || str(e, "name") != "thread_name") {
       continue;
     }
-    const std::string& name = e.at("args").at("name").str();
+    const std::string& name = str(at(e, "args"), "name");
     if (name.rfind("worker-", 0) == 0) ++workers;
     if (name == "flow") flow_track = true;
   }
@@ -383,9 +218,10 @@ TEST(Trace, WorkerTrackCountMatchesJobs) {
 
 TEST(Trace, AllSevenPassesTraced) {
   std::vector<std::string> passes;
-  for (const JsonValue& e : events()) {
-    if (e.at("ph").str() == "B" && e.has("cat") && e.at("cat").str() == "pass") {
-      passes.push_back(e.at("name").str());
+  for (const Json& e : events()) {
+    if (str(e, "ph") == "B" && e.find("cat") != nullptr &&
+        str(e, "cat") == "pass") {
+      passes.push_back(str(e, "name"));
     }
   }
   const std::vector<std::string> expected = {
@@ -399,9 +235,9 @@ TEST(Trace, ParallelCacheAndCounterEventsPresent) {
   bool parallel_for = false, parallel_run = false, cache_probe = false,
        cache_store = false;
   std::vector<std::string> counters;
-  for (const JsonValue& e : events()) {
-    const std::string& name = e.at("name").str();
-    const std::string& ph = e.at("ph").str();
+  for (const Json& e : events()) {
+    const std::string& name = str(e, "name");
+    const std::string& ph = str(e, "ph");
     if (ph == "B" || ph == "E") {
       if (name == "parallel_for") parallel_for = true;
       if (name == "parallel_run") parallel_run = true;
@@ -431,8 +267,8 @@ TEST(Trace, SummaryCountsMatchFile) {
   const trace::Summary& s = fixture().summary_j4;
   EXPECT_TRUE(s.enabled);
   std::uint64_t non_meta = 0, begins = 0, counter_events = 0;
-  for (const JsonValue& e : events()) {
-    const std::string& ph = e.at("ph").str();
+  for (const Json& e : events()) {
+    const std::string& ph = str(e, "ph");
     if (ph != "M") ++non_meta;
     if (ph == "B") ++begins;
     if (ph == "C") ++counter_events;
@@ -454,4 +290,34 @@ TEST(Trace, OutputBytesIdenticalTracedVsUntraced) {
   EXPECT_EQ(fx.plain_j4.sdc, fx.plain_j1.sdc);
   EXPECT_FALSE(fx.plain_j1.verilog.empty());
   EXPECT_FALSE(fx.plain_j1.sdc.empty());
+}
+
+TEST(Trace, NamesWithQuotesBackslashesAndControlCharsRoundTrip) {
+  // Names reach the file escaped, never altered: parsing the written trace
+  // must give back exactly the track and span names that were recorded.
+  const std::string track_name = "track \"q\" \\ new\nline \x01";
+  const std::string span_name = "span \"q\" \\ new\nline \x01";
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("desync_trace_escape_" + std::to_string(static_cast<long>(::getpid())) +
+       ".json");
+  trace::start(path.string());
+  {
+    trace::TrackScope track(track_name);
+    trace::Span span(span_name, "test");
+  }
+  trace::finish();
+  const Json doc = Json::parse(readFile(path));
+  std::filesystem::remove(path);
+
+  bool track_found = false, span_found = false;
+  for (const Json& e : at(doc, "traceEvents").asArray()) {
+    if (str(e, "ph") == "M" && str(e, "name") == "thread_name" &&
+        str(at(e, "args"), "name") == track_name) {
+      track_found = true;
+    }
+    if (str(e, "ph") == "B" && str(e, "name") == span_name) span_found = true;
+  }
+  EXPECT_TRUE(track_found);
+  EXPECT_TRUE(span_found);
 }

@@ -31,6 +31,7 @@
 #include "fuzz/generator.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "util/json.h"
 
 using namespace desync;
 
@@ -120,14 +121,14 @@ void clientLoop(const std::string& socket_path,
     s.latency_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - begin)
                        .count();
-    const server::Json reply = server::Json::parse(reply_line);
+    const util::Json reply = util::Json::parse(reply_line);
     s.ok = reply.getBool("ok", false);
     if (!s.ok) {
       s.error = reply.getString("error", "(no error message)");
     } else if (keep_payloads) {
       s.verilog = reply.getString("verilog", "");
       s.sdc = reply.getString("sdc", "");
-      if (const server::Json* rep = reply.find("report")) {
+      if (const util::Json* rep = reply.find("report")) {
         s.report = rep->dump();
       }
     }
@@ -274,7 +275,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < items.size(); ++i) {
         server::Request req = items[i].request;
         req.id = i + 1;
-        const server::Json reply = reference.handle(req);
+        const util::Json reply = reference.handle(req);
         if (!reply.getBool("ok", false)) {
           std::fprintf(stderr,
                        "drdesync-bench: reference run of %s failed: %s\n",
@@ -284,10 +285,8 @@ int main(int argc, char** argv) {
         }
         ref_verilog[i] = reply.getString("verilog", "");
         ref_sdc[i] = reply.getString("sdc", "");
-        if (const server::Json* rep = reply.find("report")) {
-          // The reference report is a raw pre-serialized fragment; parse
-          // and re-dump it so both sides compare in dump() form.
-          ref_report[i] = server::Json::parse(rep->asString()).dump();
+        if (const util::Json* rep = reply.find("report")) {
+          ref_report[i] = rep->dump();
         }
       }
     }
@@ -353,42 +352,42 @@ int main(int argc, char** argv) {
     double latency_sum = 0.0;
     for (double l : latencies) latency_sum += l;
 
-    server::Json out = server::Json::object();
-    out.set("tool_version", server::Json::str(std::string(
+    util::Json out = util::Json::object();
+    out.set("tool_version", util::Json::str(std::string(
                                 core::kToolVersion)));
-    out.set("designs", server::Json::number(
+    out.set("designs", util::Json::number(
                            static_cast<double>(items.size())));
     out.set("requests",
-            server::Json::number(static_cast<double>(samples.size())));
-    out.set("failed", server::Json::number(static_cast<double>(failed)));
-    out.set("concurrency", server::Json::number(concurrency));
-    out.set("workers", server::Json::number(srv_opt.handlers));
-    out.set("jobs", server::Json::number(jobs));
-    out.set("elapsed_s", server::Json::number(elapsed_s));
+            util::Json::number(static_cast<double>(samples.size())));
+    out.set("failed", util::Json::number(static_cast<double>(failed)));
+    out.set("concurrency", util::Json::number(concurrency));
+    out.set("workers", util::Json::number(srv_opt.handlers));
+    out.set("jobs", util::Json::number(jobs));
+    out.set("elapsed_s", util::Json::number(elapsed_s));
     out.set("throughput_designs_per_sec",
-            server::Json::number(elapsed_s > 0.0
+            util::Json::number(elapsed_s > 0.0
                                      ? static_cast<double>(samples.size()) /
                                            elapsed_s
                                      : 0.0));
-    server::Json lat = server::Json::object();
-    lat.set("p50_ms", server::Json::number(percentile(latencies, 0.50)));
-    lat.set("p95_ms", server::Json::number(percentile(latencies, 0.95)));
-    lat.set("p99_ms", server::Json::number(percentile(latencies, 0.99)));
+    util::Json lat = util::Json::object();
+    lat.set("p50_ms", util::Json::number(percentile(latencies, 0.50)));
+    lat.set("p95_ms", util::Json::number(percentile(latencies, 0.95)));
+    lat.set("p99_ms", util::Json::number(percentile(latencies, 0.99)));
     lat.set("mean_ms",
-            server::Json::number(latencies.empty()
+            util::Json::number(latencies.empty()
                                      ? 0.0
                                      : latency_sum /
                                            static_cast<double>(
                                                latencies.size())));
-    lat.set("max_ms", server::Json::number(
+    lat.set("max_ms", util::Json::number(
                           latencies.empty() ? 0.0 : latencies.back()));
     out.set("latency", std::move(lat));
     if (verify) {
-      server::Json ver = server::Json::object();
-      ver.set("checked", server::Json::number(
+      util::Json ver = util::Json::object();
+      ver.set("checked", util::Json::number(
                              static_cast<double>(samples.size() - failed)));
       ver.set("mismatches",
-              server::Json::number(static_cast<double>(mismatches)));
+              util::Json::number(static_cast<double>(mismatches)));
       out.set("verify", std::move(ver));
     }
     std::ofstream(out_path) << out.dump() << "\n";

@@ -143,6 +143,10 @@ std::vector<std::vector<std::string>> parseGroups(const std::string& spec) {
   return groups;
 }
 
+void printReport(const util::Json& report) {
+  std::fputs((report.dump() + "\n").c_str(), stdout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -319,10 +323,10 @@ int main(int argc, char** argv) {
     }
 
     if (report) {
-      // Machine-readable run report (schema documented in the README).
+      // Machine-readable run report (docs/report-schema.md), one line.
       info.cells_out = module.numCells();
       info.nets_out = module.numNets();
-      std::fputs(core::runReportJson(info, result).c_str(), stdout);
+      printReport(core::runReport(info, result));
     }
     bool fe_failed = false;
     if (result.fe.ran) {
@@ -368,9 +372,7 @@ int main(int argc, char** argv) {
     // every pass that ran (with timings) plus the failure itself.
     trace::finish();
     if (report) {
-      std::fputs(
-          core::errorReportJson(info, e.what(), e.pass(), e.flow()).c_str(),
-          stdout);
+      printReport(core::errorReport(info, e.what(), e.pass(), e.flow()));
     }
     std::fprintf(stderr, "drdesync: error in pass %s: %s\n", e.pass().c_str(),
                  e.what());
@@ -379,8 +381,7 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     trace::finish();
     if (report) {
-      std::fputs(core::errorReportJson(info, e.what(), "", {}).c_str(),
-                 stdout);
+      printReport(core::errorReport(info, e.what(), "", {}));
     }
     std::fprintf(stderr, "drdesync: error: %s\n", e.what());
     core::shutdownParallel();
