@@ -195,7 +195,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
     sync_top = &netlist::snapshotModule(sync_snapshot, module);
   }
 
-  FlowSession session(design, module, gatefile, options, result);
+  FlowSession session(module, gatefile, options, result);
 
   // Reference periods of the synchronous circuit (before any mutation):
   // one STA per PVT corner, built concurrently over a shared binding.  The
@@ -317,10 +317,9 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 5a. Region timing: datapath re-buffering, delay-element stage
-  // characterization and per-region critical paths.  Deliberately keyed
-  // without the control knobs (margin, mux taps, controller kind, reset):
-  // changing any of those reuses this pass's cached STA results and only
-  // recomputes the cheap network construction below.
+  // characterization and per-region critical paths.  The requirements are
+  // margin-free (the margin is applied by the control network below), so
+  // the ECO tables restore them across a margin or mux-tap change.
   session.addPass("region_timing", nullptr, [&](ScopedPass& pass) {
     if (EcoContext* eco = session.eco()) {
       EcoContext::RegionTimingOutcome out =
@@ -336,12 +335,12 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
     pass.counter("cells", static_cast<std::int64_t>(module.numCells()));
   });
 
-  // 5b+6. Delay elements and control network.
+  // 5b+6. Delay elements and control network.  Margin, mux taps and the
+  // nominal tap only size the delay elements, applied after the
+  // margin-free region-requirement max and outside every proof obligation
+  // (arXiv 2004.10655), so they stay out of the ECO guard.
   auto control_fp = [&](util::KeyHasher& h) {
     h.u64(static_cast<std::uint64_t>(options.control.controller));
-    h.f64(options.control.margin);
-    h.u64(static_cast<std::uint64_t>(options.control.mux_taps));
-    h.u64(static_cast<std::uint64_t>(options.control.nominal_selection));
     h.str(options.control.reset_port);
     h.u64(options.control.reset_active_low ? 1 : 0);
   };
@@ -404,7 +403,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   if (want_prove) {
     runFeProve(*sync_top, module, gatefile, options, result, session.eco());
   }
-  session.ecoFinish();
+  session.finish();
   // Contention delta across the run: non-zero when another top-level
   // caller's parallel section serialized one of ours on the shared pool.
   // Thread-scoped, so the delta is exactly this run's waits even with

@@ -62,19 +62,16 @@ struct FeCheckOptions {
   std::uint64_t prove_max_conflicts = 200000;
 };
 
-/// FlowDB persistence knobs (`--cache-dir`, `--resume`, `--eco`).
+/// FlowDB persistence knobs (`--cache-dir`).
 struct FlowDbOptions {
-  /// Content-addressed pass cache directory; empty disables FlowDB
-  /// entirely (no snapshots, no checkpoints, zero overhead).
+  /// Cache directory holding the per-design ECO region tables
+  /// (docs/eco.md): the input is diffed against the previous run's
+  /// per-object records and only the dirty regions, endpoints and
+  /// registers are re-analyzed.  Output stays byte-identical to a cold
+  /// run.  Empty disables FlowDB entirely (zero overhead).
   std::string cache_dir;
-  /// Restore the last valid checkpoint found in cache_dir instead of
-  /// recomputing the passes leading up to it (`drdesync --resume`).
-  bool resume = false;
-  /// Incremental ECO recompute (`drdesync --eco`, docs/eco.md):
-  /// diff the input against the previous run's per-object record tables in
-  /// cache_dir and re-analyze only the dirty regions/endpoints/registers.
-  /// Output stays byte-identical to a cold run; requires cache_dir.
-  /// Supersedes whole-design caching and `resume` for the run.
+  /// Ignored: a non-empty cache_dir always runs incrementally.  Kept only
+  /// for source compatibility with callers that still set it.
   bool eco = false;
 };
 
@@ -88,7 +85,7 @@ struct DesyncOptions {
   /// come from these sequential-cell name-prefix groups instead of the
   /// automatic algorithm (group i+1 = prefixes[i]).
   std::vector<std::vector<std::string>> manual_seq_groups;
-  /// Pass caching and checkpoint/resume.
+  /// Incremental recompute against a cache directory.
   FlowDbOptions flowdb;
   /// Post-flow flow-equivalence self-check (disabled by default).
   FeCheckOptions fe;
@@ -99,7 +96,8 @@ struct DesyncResult {
   DependencyGraph ddg;
   SubstitutionResult substitution;
   /// STA products of the region_timing pass (delay-element stage delay,
-  /// per-region critical paths); cached independently of the control knobs.
+  /// per-region critical paths); margin-free, so the ECO tables reuse it
+  /// across control-knob changes.
   RegionTiming timing;
   ControlNetworkReport control;
   /// Backend constraints: ClkM/ClkS latch-enable clocks (Fig 4.2),
@@ -160,9 +158,9 @@ class FlowError : public std::runtime_error {
 /// Desynchronizes `module` in place.  `design` receives the helper modules
 /// (controllers, C-elements, delay elements) before they are flattened in.
 /// A pass failure is reported as FlowError.  With options.flowdb.cache_dir
-/// set, every pass first consults the FlowDB cache (and, under
-/// options.flowdb.resume, the checkpoint written by a previous run);
-/// restored and computed runs produce byte-identical results.
+/// set, the passes restore every region and proof the previous run's ECO
+/// tables still cover (core/eco.h); restored and computed runs produce
+/// byte-identical results.
 DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
                            const liberty::Gatefile& gatefile,
                            const DesyncOptions& options = {});

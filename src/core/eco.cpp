@@ -458,10 +458,16 @@ void EcoContext::diffAndClose(FlowReport& flow) {
     std::vector<std::uint8_t> timing_seen = net_seen;  // functional nets
                                                        // are already dirty
     std::vector<std::uint32_t> twork;
+    // Every dirty net, for the cleaning walk-back below.
+    std::vector<std::uint32_t> walk;
+    for (std::uint32_t ni = 0; ni < net_seen.size(); ++ni) {
+      if (net_seen[ni] != 0) walk.push_back(ni);
+    }
     const auto pushTiming = [&](NetId tn) {
       if (!tn.valid() || timing_seen[tn.index()] != 0) return;
       timing_seen[tn.index()] = 1;
       twork.push_back(tn.index());
+      walk.push_back(tn.index());
     };
     for (CellId c : changed_cells) {
       const ObjectDigest* stored =
@@ -488,6 +494,29 @@ void EcoContext::diffAndClose(FlowReport& flow) {
         timing_dirty_.insert(std::move(name));
       }
     };
+    // Logic cleaning (buffer removal, inverter-pair collapse) runs before
+    // region timing and splices nets across buffer/inverter chains, so an
+    // edit at a dirty net can move the load of the chain's root net
+    // upstream — and with it the arrival at every sibling sink of that
+    // root.  Cleaning preserves function, so the roots close over
+    // timing-only: walk back from every dirty net through buffer and
+    // inverter drivers.
+    const auto walkBack = [&] {
+      while (!walk.empty()) {
+        const NetId wn{walk.back()};
+        walk.pop_back();
+        const TermRef& d = m.net(wn).driver;
+        if (!d.isCellPin()) continue;
+        const std::string_view type = m.cellType(d.cell());
+        if (!gatefile_.isBuffer(type) && !gatefile_.isInverter(type)) {
+          continue;
+        }
+        for (const PinConn& pc : m.cell(d.cell()).pins) {
+          if (pc.dir == PortDir::kInput) pushTiming(pc.net);
+        }
+      }
+    };
+    walkBack();
     while (!twork.empty()) {
       const NetId tn{twork.back()};
       twork.pop_back();
@@ -513,6 +542,7 @@ void EcoContext::diffAndClose(FlowReport& flow) {
         // this net's arrival.
         if (isEndpointPin(c, s.pin)) markTiming(std::string(m.cellName(c)));
       }
+      if (twork.empty()) walkBack();
     }
 
     // Backward closure: the dirty endpoints' full combinational fan-in,
@@ -561,8 +591,16 @@ void EcoContext::diffAndClose(FlowReport& flow) {
     warm_ = false;
     return;
   }
-  stats_.dirty_endpoints = static_cast<std::int64_t>(
-      dirty_endpoints_.size() + timing_dirty_.size());
+  // Reported as documented: the registers the functional closure reached
+  // (dirtied output ports and timing-only endpoints keep their proofs or
+  // have none), i.e. exactly the registers a warm prove run re-proves.
+  for (const std::string& name : dirty_endpoints_) {
+    const CellId c = m.findCell(name);
+    if (c.valid() &&
+        gatefile_.kind(m.cellType(c)) == liberty::CellKind::kFlipFlop) {
+      ++stats_.dirty_endpoints;
+    }
+  }
 
   // Proofs that survive the edit: stored kProved verdicts of registers
   // that still exist, are still flip-flops and are not *functionally*

@@ -2,8 +2,9 @@
 //
 // An engineering change order touches a handful of cells; re-running the
 // whole flow repays none of the work already done for the untouched 99 %.
-// The ECO layer makes `drdesync --eco` warm runs pay only for what the
-// edit actually dirtied:
+// The ECO layer makes warm `drdesync --cache-dir` runs pay only for what
+// the edit actually dirtied (an identical rerun or an option-only change
+// dirties nothing):
 //
 //  * The input netlist is diffed against per-object record hashes stored
 //    from the previous run (no netlist snapshot is kept — only 16 bytes
@@ -41,9 +42,10 @@
 // network, SDC) re-runs unconditionally, so a warm ECO run writes
 // byte-identical Verilog and SDC to a cold run on the same edited design.
 // The tables live in one FlowDB slot per design, guarded by a
-// configuration key (tool/format version, library fingerprint, pass
-// options, FE mode); any mismatch or parse failure degrades to a cold run
-// with a note, never an error.
+// configuration key (tool version, library fingerprint, the pass options
+// the tables depend on, FE mode — not the delay-element sizing knobs, see
+// FlowSession); any mismatch or parse failure degrades to a cold run with
+// a note, never an error.
 #pragma once
 
 #include <array>
@@ -71,9 +73,9 @@ namespace desync::core {
 
 /// One flow run's incremental-recompute state: loads the previous run's
 /// tables, diffs the input module, and serves restore queries to the
-/// passes.  Constructed by FlowSession in --eco mode before any pass runs
-/// (the module must still be the unmodified input); finish() stores the
-/// updated tables after the FE passes complete.
+/// passes.  Constructed by FlowSession (cache directory set) before any
+/// pass runs (the module must still be the unmodified input); finish()
+/// stores the updated tables after the FE passes complete.
 class EcoContext {
  public:
   /// Fixed corner count of the reference STA (best/typical/worst).

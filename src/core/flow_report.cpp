@@ -95,7 +95,6 @@ util::Json FlowReport::toJson() const {
     Json pass = Json::object();
     pass.set("name", Json::str(p.name));
     pass.set("wall_ms", reportNumber(p.wall_ms));
-    pass.set("source", Json::str(p.source));
     if (p.work_ms > 0.0) {
       pass.set("work_ms", reportNumber(p.work_ms));
       if (p.wall_ms > 0.0) {
@@ -145,7 +144,6 @@ ScopedPass::~ScopedPass() {
   stat.wall_ms =
       std::chrono::duration<double, std::milli>(end - start_).count();
   stat.work_ms = work_ms_;
-  stat.source = std::move(source_);
   stat.counters = std::move(counters_);
 }
 

@@ -30,11 +30,6 @@ struct PassStat {
   /// ran serially).  work_ms / wall_ms is the realized speedup; toJson
   /// emits both so `--report` exposes the scaling at the current --jobs.
   double work_ms = 0.0;
-  /// How the pass's result was obtained: "computed" (ran), "cache"
-  /// (restored from a FlowDB cache entry) or "checkpoint" (restored via
-  /// `--resume`).  For restored passes wall_ms is the restore cost, so
-  /// `--report` exposes per-pass restore-vs-compute time directly.
-  std::string source = "computed";
   /// Pass-specific work counters, in insertion order (e.g. "cells",
   /// "nets", "ffs_replaced").
   std::vector<std::pair<std::string, std::int64_t>> counters;
@@ -52,11 +47,13 @@ struct PassStat {
 /// ran without --cache-dir).  Serialized as the top-level "cache" object.
 struct FlowCacheStats {
   bool enabled = false;
+  /// The design's ECO slot: 1/0 when its tables were usable (warm), 0/1
+  /// when the run was cold (absent, invalid or guard-mismatched tables).
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  /// Total time spent restoring cached state vs computing passes.
+  std::uint64_t bytes_written = 0;  ///< includes this run's table store
+  /// Time spent loading + diffing the ECO tables vs computing passes.
   double restore_ms = 0.0;
   double compute_ms = 0.0;
 };
@@ -124,7 +121,7 @@ class FlowReport {
   }
   [[nodiscard]] const SymfeSection& symfe() const { return symfe_; }
 
-  /// Incremental-recompute statistics of an `--eco` run (core/eco.h).
+  /// Incremental-recompute statistics of a `--cache-dir` run (core/eco.h).
   /// Serialized as the top-level "eco" object when the ECO layer ran.
   struct EcoSection {
     bool ran = false;   ///< gates the JSON object; set by setEco
@@ -136,7 +133,9 @@ class FlowReport {
     std::int64_t endpoints_restored = 0;  ///< reference-STA entries reused
     std::int64_t cells_changed = 0;  ///< diffed records (incl. removed)
     std::int64_t nets_changed = 0;
-    std::int64_t dirty_endpoints = 0;  ///< forward closure of the edit
+    /// Registers the edit's functional closure reached (re-proved by a
+    /// warm prove run).
+    std::int64_t dirty_endpoints = 0;
   };
   void setEco(EcoSection eco) {
     eco_ = eco;
@@ -173,10 +172,10 @@ class FlowReport {
 
   /// Serializes as a JSON object:
   ///   {"total_ms": 12.3, "jobs": 4,
-  ///    "cache": {"hits": 5, "misses": 2, "bytes_read": 1024,
+  ///    "cache": {"hits": 1, "misses": 0, "bytes_read": 1024,
   ///              "bytes_written": 2048, "restore_ms": 0.8,
   ///              "compute_ms": 11.5},
-  ///    "passes": [{"name": "...", "wall_ms": 1.2, "source": "computed",
+  ///    "passes": [{"name": "...", "wall_ms": 1.2,
   ///                "work_ms": 4.6, "speedup": 3.83, "cells": 42, ...}],
   ///    "notes": ["..."]}
   /// Counter keys become sibling fields of name/wall_ms within each pass
@@ -219,15 +218,12 @@ class ScopedPass {
   void counter(std::string key, std::int64_t value);
   /// Accumulates per-task time of the pass's parallel section.
   void work(double ms) { work_ms_ += ms; }
-  /// Overrides the pass source ("computed" by default).
-  void source(std::string s) { source_ = std::move(s); }
 
  private:
   FlowReport* report_;
   std::string name_;
   std::vector<std::pair<std::string, std::int64_t>> counters_;
   double work_ms_ = 0.0;
-  std::string source_ = "computed";
   std::chrono::steady_clock::time_point start_;
   /// "pass"-category trace span covering the pass body (declared last so
   /// its end event is recorded as the pass scope closes).

@@ -177,18 +177,27 @@ class Pool {
   Pool() = default;
 
   void ensureWorkers(int count) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (shutdown_) return;  // after shutdownParallel(): caller-only drain
     while (static_cast<int>(workers_.size()) < count) {
       const int index = static_cast<int>(workers_.size()) + 1;
       workers_.emplace_back([this, index] { workerLoop(index); });
     }
+    // New workers have named their trace tracks before the section runs,
+    // so a traced section at --jobs N always shows N tracks, however late
+    // a loaded host schedules the new threads.
+    started_cv_.wait(lock, [&] { return started_ == workers_.size(); });
   }
 
   void workerLoop(int index) {
     // One trace track per pool worker; the issuing thread is "flow", so a
     // section at --jobs N shows N executing tracks (flow + N-1 workers).
     trace::setThreadName("worker-" + std::to_string(index));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++started_;
+    }
+    started_cv_.notify_all();
     std::uint64_t seen_serial = 0;
     for (;;) {
       std::shared_ptr<Job> job;
@@ -216,7 +225,9 @@ class Pool {
   std::mutex run_mutex_;
   std::mutex mutex_;
   std::condition_variable wake_cv_;
+  std::condition_variable started_cv_;
   std::vector<std::thread> workers_;
+  std::size_t started_ = 0;  ///< workers that named their trace track
   std::shared_ptr<Job> job_;
   std::uint64_t job_serial_ = 0;
   bool shutdown_ = false;

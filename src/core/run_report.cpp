@@ -1,7 +1,7 @@
 #include "core/run_report.h"
 
 #include "core/version.h"
-#include "flowdb/snapshot.h"
+#include "flowdb/cache.h"
 #include "trace/trace.h"
 
 namespace desync::core {
@@ -19,8 +19,7 @@ Json openReport(const RunInfo& info) {
   Json out = Json::object();
   out.set("input", Json::str(info.input));
   out.set("tool_version", Json::str(std::string(kToolVersion)));
-  out.set("snapshot_format_version",
-          count(flowdb::kSnapshotFormatVersion));
+  out.set("cache_format_version", count(flowdb::kCacheFormatVersion));
   return out;
 }
 

@@ -1,10 +1,10 @@
 // `drdesync --report` JSON assembly.
 //
-// Two shapes, both stamped with the tool version and the FlowDB snapshot
-// format version (the identities that also participate in cache keys):
+// Two shapes, both stamped with the tool version and the FlowDB cache
+// format version (the identities that also gate cache reuse):
 //   - runReport: the full report of a successful run — design totals,
 //     per-region delay elements, per-corner reference periods and the
-//     nested FlowReport (per-pass timings, sources and cache traffic);
+//     nested FlowReport (per-pass timings and cache traffic);
 //   - errorReport: the partial report of a failed run — an "error"
 //     message, the "failed_pass" name, how long that pass ran before the
 //     failure ("failed_pass_ms"), the innermost trace span the exception

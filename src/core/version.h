@@ -1,9 +1,9 @@
 // Tool version identity.
 //
-// Stamped into `--report` JSON, printed by `drdesync --version`, embedded
-// in every FlowDB snapshot's provenance header and mixed into every FlowDB
-// cache key — so state produced by a different build of the tool is never
-// reused, it is recomputed and re-cached.
+// Stamped into `--report` JSON, printed by `drdesync --version` and mixed
+// into the guard key of every FlowDB ECO table — so state produced by a
+// different build of the tool is never reused, it is recomputed and
+// re-cached.
 #pragma once
 
 #include <string_view>

@@ -1,11 +1,11 @@
 // Byte-stream primitives for the FlowDB persistence layer.
 //
-// Every FlowDB artifact (design snapshots, cache entries, checkpoints) is a
-// flat byte string produced by a ByteWriter and consumed by a ByteReader.
+// Every FlowDB artifact (the ECO region tables of core/eco.h) is a flat
+// byte string produced by a ByteWriter and consumed by a ByteReader.
 // Multi-byte integers are encoded little-endian *explicitly* (byte shifts,
 // not memcpy), so files written on one host read identically on any other;
 // doubles travel as their IEEE-754 bit pattern, which makes serialization
-// exact — a value restored from a snapshot is bit-identical to the value
+// exact — a value restored from a table is bit-identical to the value
 // that was saved, a prerequisite for the flow's byte-identical-output
 // guarantee.
 //
@@ -51,13 +51,8 @@ inline double doubleOfBits(std::uint64_t b) { return std::bit_cast<double>(b); }
 class ByteWriter {
  public:
   // Multi-byte writes stage the shifted bytes in a stack buffer and append
-  // once: snapshots are built from millions of these calls, and a per-byte
-  // push_back chain dominates serialization time.
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) {
-    const char b[2] = {static_cast<char>(v), static_cast<char>(v >> 8)};
-    buf_.append(b, 2);
-  }
+  // once: tables are built from hundreds of thousands of these calls, and a
+  // per-byte push_back chain dominates serialization time.
   void u32(std::uint32_t v) {
     const char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
                        static_cast<char>(v >> 16),
@@ -70,7 +65,6 @@ class ByteWriter {
     buf_.append(b, 8);
   }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(bitsOfDouble(v)); }
   /// Length-prefixed byte string.
   void str(std::string_view s) {
@@ -82,7 +76,6 @@ class ByteWriter {
 
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
   std::string buf_;
@@ -95,18 +88,7 @@ class ByteReader {
   explicit ByteReader(std::string_view data) : data_(data) {}
 
   // Multi-byte reads bounds-check once and assemble with shifts (restore
-  // speed matters: a warm cache hit replays megabytes through these).
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  [[nodiscard]] std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        byteAt(0) | (static_cast<std::uint16_t>(byteAt(1)) << 8));
-    pos_ += 2;
-    return v;
-  }
+  // speed matters: a warm run replays its whole table through these).
   [[nodiscard]] std::uint32_t u32() {
     need(4);
     std::uint32_t v = 0;
@@ -122,7 +104,6 @@ class ByteReader {
     return v;
   }
   [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64() { return doubleOfBits(u64()); }
   [[nodiscard]] std::string_view str() {
     const std::uint32_t n = u32();
@@ -132,7 +113,6 @@ class ByteReader {
     return s;
   }
 
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool atEnd() const { return pos_ == data_.size(); }
 
  private:

@@ -48,8 +48,10 @@ namespace {
 
 namespace nl = netlist;
 
-core::DesyncOptions flowOptions(FaultKind fault) {
+core::DesyncOptions flowOptions(FaultKind fault,
+                                const std::string& cache_dir = {}) {
   core::DesyncOptions opt;
+  opt.flowdb.cache_dir = cache_dir;
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
   if (fault == FaultKind::kFullyDecoupled) {
@@ -85,15 +87,12 @@ struct FlowRun {
 /// Parses `text` and desynchronizes the top module.  Throws what the flow
 /// throws.
 FlowRun runConversion(const std::string& text,
-                      const liberty::Gatefile& gatefile, FaultKind fault,
-                      const std::string& cache_dir = {}, bool eco = false) {
+                      const liberty::Gatefile& gatefile,
+                      const core::DesyncOptions& opt) {
   FlowRun run;
   run.design = std::make_unique<nl::Design>();
   nl::readVerilog(*run.design, text, gatefile);
   run.module = &run.design->top();
-  core::DesyncOptions opt = flowOptions(fault);
-  opt.flowdb.cache_dir = cache_dir;
-  opt.flowdb.eco = eco;
   run.result = core::desynchronize(*run.design, *run.module, gatefile, opt);
   run.verilog = nl::writeVerilog(*run.module);
   run.sdc = run.result.sdc.toText();
@@ -250,7 +249,7 @@ OracleVerdict runOracle(const std::string& verilog,
   // 2. the seven-pass flow -------------------------------------------------
   FlowRun flow;
   try {
-    flow = runConversion(verilog, gatefile, options.fault);
+    flow = runConversion(verilog, gatefile, flowOptions(options.fault));
   } catch (const core::FlowError& e) {
     return fail("flow", "pass " + e.pass() + ": " + e.what());
   } catch (const std::exception& e) {
@@ -448,7 +447,10 @@ OracleVerdict runOracle(const std::string& verilog,
     return fail("sta", e.what());
   }
 
-  // 8. FlowDB: cold cached run and warm restored run are byte-identical ----
+  // 8. FlowDB: cold, warm and margin-changed cached runs are exact --------
+  // The warm rerun must use the ECO slot and restore every region; the
+  // margin-changed run reuses the same tables (the margin stays out of
+  // their guard) and must still match an uncached flow at that margin.
   if (options.check_flowdb) {
     const fs::path base = options.scratch_dir.empty()
                               ? fs::temp_directory_path()
@@ -460,25 +462,39 @@ OracleVerdict runOracle(const std::string& verilog,
     std::error_code ec;
     fs::remove_all(dir, ec);
     try {
+      const core::DesyncOptions cached =
+          flowOptions(options.fault, dir.string());
+      core::DesyncOptions moved = cached;
+      moved.control.margin += 0.10;
+      core::DesyncOptions moved_plain = moved;
+      moved_plain.flowdb.cache_dir.clear();
       core::setThreadJobs(options.cold_jobs);
-      FlowRun cold =
-          runConversion(verilog, gatefile, options.fault, dir.string());
+      FlowRun cold = runConversion(verilog, gatefile, cached);
+      FlowRun moved_ref = runConversion(verilog, gatefile, moved_plain);
       core::setThreadJobs(options.warm_jobs);
-      FlowRun warm =
-          runConversion(verilog, gatefile, options.fault, dir.string());
+      FlowRun warm = runConversion(verilog, gatefile, cached);
+      FlowRun moved_warm = runConversion(verilog, gatefile, moved);
       core::setThreadJobs(options.restore_jobs);
-      const std::size_t n_passes = flow.result.flow.passes().size();
+      const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
       if (cold.verilog != flow.verilog || cold.sdc != flow.sdc) {
         fail("flowdb", "cold cached run differs from the uncached run");
       } else if (warm.verilog != flow.verilog || warm.sdc != flow.sdc) {
         fail("flowdb",
-             "warm restored run differs from the uncached run at --jobs " +
+             "warm cached run differs from the uncached run at --jobs " +
                  std::to_string(options.warm_jobs));
-      } else if (warm.result.flow.cacheStats().hits != n_passes) {
+      } else if (warm.result.flow.cacheStats().hits != 1 ||
+                 eco.regions_restored != eco.regions_total) {
         fail("flowdb",
-             "warm run restored " +
+             "warm rerun hit " +
                  std::to_string(warm.result.flow.cacheStats().hits) +
-                 " of " + std::to_string(n_passes) + " passes");
+                 " slot(s) and restored " +
+                 std::to_string(eco.regions_restored) + " of " +
+                 std::to_string(eco.regions_total) + " regions");
+      } else if (moved_warm.verilog != moved_ref.verilog ||
+                 moved_warm.sdc != moved_ref.sdc) {
+        fail("flowdb",
+             "margin-changed cached run differs from the uncached run at "
+             "that margin");
       }
     } catch (const std::exception& e) {
       core::setThreadJobs(options.restore_jobs);
@@ -491,12 +507,12 @@ OracleVerdict runOracle(const std::string& verilog,
   // 9. incremental ECO: a seeded small edit re-flows byte-identically ------
   // The edit (cell swap, constant tie or net rename — docs/eco.md) is
   // applied structurally and serialized once, so the cold flow and the
-  // --eco flow consume the identical edited text.  The ECO tables are
+  // cached flow consume the identical edited text.  The ECO tables are
   // primed on the ORIGINAL design; the warm run then diffs the edit and
   // must reproduce the cold flow of the edited design byte for byte (a
-  // cold fallback inside --eco is fine — identity is the property, not
-  // warmth).  When the edit makes the design un-flowable, both paths must
-  // agree on failing.
+  // cold fallback inside the cached run is fine — identity is the
+  // property, not warmth).  When the edit makes the design un-flowable,
+  // both paths must agree on failing.
   if (options.check_eco) {
     std::string edited_text;
     try {
@@ -528,20 +544,21 @@ OracleVerdict runOracle(const std::string& verilog,
         std::string cold_error;
         FlowRun cold;
         try {
-          cold = runConversion(edited_text, gatefile, options.fault);
+          cold = runConversion(edited_text, gatefile,
+                               flowOptions(options.fault));
         } catch (const std::exception& e) {
           cold_failed = true;
           cold_error = e.what();
         }
-        runConversion(verilog, gatefile, options.fault, dir.string(),
-                      /*eco=*/true);
+        runConversion(verilog, gatefile,
+                      flowOptions(options.fault, dir.string()));
         core::setThreadJobs(options.warm_jobs);
         bool eco_failed = false;
         std::string eco_error;
         FlowRun eco;
         try {
-          eco = runConversion(edited_text, gatefile, options.fault,
-                              dir.string(), /*eco=*/true);
+          eco = runConversion(edited_text, gatefile,
+                              flowOptions(options.fault, dir.string()));
         } catch (const std::exception& e) {
           eco_failed = true;
           eco_error = e.what();
@@ -550,20 +567,21 @@ OracleVerdict runOracle(const std::string& verilog,
         if (cold_failed != eco_failed) {
           fail("eco", cold_failed
                           ? "cold flow of the edited design failed (" +
-                                cold_error + ") but the --eco re-flow "
+                                cold_error + ") but the cached re-flow "
                                 "succeeded [" + v.eco_edit + "]"
-                          : "--eco re-flow failed (" + eco_error +
+                          : "cached re-flow failed (" + eco_error +
                                 ") but the cold flow of the edited design "
                                 "succeeded [" + v.eco_edit + "]");
         } else if (!cold_failed &&
                    (nl::writeVerilog(*eco.design) !=
                         nl::writeVerilog(*cold.design) ||
                     eco.sdc != cold.sdc)) {
-          // Whole-design comparison: --eco must also reproduce the helper
-          // modules (delay elements, controllers) byte for byte, not just
-          // the top — the CLI writes the full design.
+          // Whole-design comparison: the cached re-flow must also
+          // reproduce the helper modules (delay elements, controllers)
+          // byte for byte, not just the top — the CLI writes the full
+          // design.
           fail("eco",
-               "--eco re-flow differs from the cold flow of the edited "
+               "cached re-flow differs from the cold flow of the edited "
                "design at --jobs " + std::to_string(options.warm_jobs) +
                    " [" + v.eco_edit + "]");
         }

@@ -25,13 +25,15 @@
 //                           netlist with the SDC loop cuts applied; vacuous
 //                           when the flow replaced no FF (no latch clocks
 //                           are generated then)
-//   8. "flowdb"           — a cold cached run and a warm restored run (at
+//   8. "flowdb"           — a cold cached run and a warm rerun (at
 //                           different --jobs counts) write byte-identical
-//                           Verilog + SDC, and the warm run restores every
-//                           pass from the cache
+//                           Verilog + SDC; the warm rerun hits the ECO
+//                           slot (hits == 1) and restores every region;
+//                           a third cached run at a different margin
+//                           matches an uncached flow at that margin
 //   9. "eco"              — a seeded small edit (cell swap, constant tie
 //                           or net rename) is applied to the design; the
-//                           incremental --eco re-flow over tables primed
+//                           incremental cached re-flow over tables primed
 //                           on the original must be byte-identical to a
 //                           cold flow of the edited design (docs/eco.md)
 //

@@ -82,7 +82,6 @@ Message parseMessage(const std::string& line) {
   }
   req.bus_heuristic = doc.getBool("bus_heuristic", true);
   req.clean_logic = doc.getBool("clean_logic", true);
-  req.eco = doc.getBool("eco", false);
 
   req.want_verilog = doc.getBool("verilog", true);
   req.want_sdc = doc.getBool("sdc", true);
@@ -114,7 +113,6 @@ std::string requestLine(const Request& req) {
   if (req.mux_taps != 0) doc.set("mux_taps", Json::number(req.mux_taps));
   if (!req.bus_heuristic) doc.set("bus_heuristic", Json::boolean(false));
   if (!req.clean_logic) doc.set("clean_logic", Json::boolean(false));
-  if (req.eco) doc.set("eco", Json::boolean(true));
   if (!req.want_verilog) doc.set("verilog", Json::boolean(false));
   if (!req.want_sdc) doc.set("sdc", Json::boolean(false));
   if (req.report != ReportMode::kFull) {

@@ -48,9 +48,6 @@ struct Request {
   int mux_taps = 0;
   bool bus_heuristic = true;
   bool clean_logic = true;
-  /// Incremental recompute against the daemon's cache directory (mirrors
-  /// `drdesync --eco`); ignored when the daemon runs without --cache-dir.
-  bool eco = false;
 
   // Reply shaping.
   bool want_verilog = true;

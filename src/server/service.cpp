@@ -57,7 +57,6 @@ core::DesyncOptions flowOptions(const Request& req,
   opt.grouping.false_path_nets = req.false_paths;
   opt.manual_seq_groups = parseGroups(req.group);
   opt.flowdb.cache_dir = cache_dir;
-  if (!cache_dir.empty()) opt.flowdb.eco = req.eco;
   return opt;
 }
 

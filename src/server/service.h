@@ -12,7 +12,7 @@
 //     handling thread for exactly the request's duration (the bug the old
 //     process-wide jobs override made impossible to fix);
 //   - the Design/Module being desynchronized are request-local; the
-//     library, gatefile and pass cache are shared and concurrent-safe.
+//     library, gatefile and cache directory are shared and concurrent-safe.
 //
 // handle() never throws for request-level failures: parse and flow errors
 // come back as ok=false replies carrying errorReport, exactly like the
@@ -32,7 +32,8 @@ namespace desync::server {
 struct ServiceOptions {
   /// Liberty library spec: a .lib path, "builtin:hs" or "builtin:ll".
   std::string lib = "builtin:hs";
-  /// Shared FlowDB pass-cache directory; empty disables caching.
+  /// Shared FlowDB cache directory (per-design ECO tables); empty
+  /// disables caching.
   std::string cache_dir;
   /// Default per-request worker budget when a request does not set `jobs`
   /// (0 = environment/hardware default).

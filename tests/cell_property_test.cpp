@@ -25,6 +25,13 @@ struct CellCase {
   std::string cell;
 };
 
+// Names the discovered ctest case after the library variant and cell.
+// Without it GoogleTest prints the raw bytes of CellCase, heap pointers
+// included, so the case names changed from build to build.
+void PrintTo(const CellCase& c, std::ostream* os) {
+  *os << (c.variant == lib::LibVariant::kHighSpeed ? "HS_" : "LL_") << c.cell;
+}
+
 std::vector<CellCase> combCells() {
   std::vector<CellCase> cases;
   for (lib::LibVariant v :
@@ -80,13 +87,8 @@ TEST_P(CombCellTruth, SimulatorMatchesLibertyFunction) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCombCells, CombCellTruth, ::testing::ValuesIn(combCells()),
-    [](const ::testing::TestParamInfo<CellCase>& info) {
-      return (info.param.variant == lib::LibVariant::kHighSpeed ? "HS_"
-                                                                : "LL_") +
-             info.param.cell;
-    });
+INSTANTIATE_TEST_SUITE_P(AllCombCells, CombCellTruth,
+                         ::testing::ValuesIn(combCells()));
 
 // ---- sequential hold property -------------------------------------------
 

@@ -301,7 +301,6 @@ TEST(Determinism, EcoWarmRunIdenticalAcrossJobs) {
     opt.control.reset_port = "rst_n";
     opt.control.reset_active_low = true;
     opt.flowdb.cache_dir = dir.string();
-    opt.flowdb.eco = true;
     return opt;
   };
 

@@ -2,10 +2,10 @@
 // the warm/cold lifecycle, dirtiness closures for every scripted edit
 // kind (cell insertion, constant tie, net rename, fanout reroute), the
 // byte-identity guarantee against cold flows of the edited design at
-// --jobs 1 and 4 on the DLX and ARM-class case studies, and every
+// --jobs 1 and 4 on the DLX and ARM-class case studies, option-only
+// changes (margin, mux taps) restoring every region and proof, and every
 // degradation path (corrupt slot, truncated slot, guard-key mismatch,
-// foreign design, --resume) falling back to a cold run — never a wrong
-// one.
+// foreign design) falling back to a cold run — never a wrong one.
 //
 // The TSan variant (eco_test_tsan, DESYNC_ECO_TEST_LIGHT) drops the two
 // CPU case studies and re-runs the whole-closure pipe2 tests with the
@@ -23,6 +23,7 @@
 #include "core/parallel.h"
 #include "designs/cpu.h"
 #include "designs/small.h"
+#include "flowdb/io.h"
 #include "liberty/stdlib90.h"
 #include "netlist/netlist.h"
 #include "netlist/verilog.h"
@@ -54,7 +55,6 @@ core::DesyncOptions ecoOptions(const std::string& cache_dir) {
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
   opt.flowdb.cache_dir = cache_dir;
-  opt.flowdb.eco = !cache_dir.empty();
   return opt;
 }
 
@@ -193,9 +193,9 @@ TEST(Eco, FirstRunIsColdAndStoresTheSlot) {
   EXPECT_EQ(eco.regions_restored, 0);
   EXPECT_EQ(eco.registers_restored, 0);
   EXPECT_FALSE(slotPath(dir).empty())
-      << "cold --eco run must store the region-table slot";
+      << "cold cached run must store the region-table slot";
 
-  // A cold --eco run must not change output vs the plain flow.
+  // A cold cached run must not change output vs the plain flow.
   const FlowOutput plain = runPipe2(ecoOptions(""));
   EXPECT_EQ(run.verilog, plain.verilog);
   EXPECT_EQ(run.sdc, plain.sdc);
@@ -357,14 +357,48 @@ TEST(Eco, ForeignDesignSlotIsIgnored) {
   EXPECT_TRUE(anyNoteContains(run.result.flow, "belong to design"));
 }
 
-TEST(Eco, ResumeIsIgnoredWithANote) {
-  const fs::path dir = scratchDir("resume");
-  core::DesyncOptions opt = ecoOptions(dir.string());
-  opt.flowdb.resume = true;
-  const FlowOutput run = runPipe2(opt);
-  EXPECT_TRUE(run.result.flow.eco().ran);
-  EXPECT_TRUE(anyNoteContains(run.result.flow,
-                              "--resume is ignored in --eco mode"));
+TEST(Eco, ControllerAndResetChangesStillRunCold) {
+  // Controller kind and reset wiring stay in the guard: the stored
+  // protocol verdict and the network's reset structure depend on them.
+  const fs::path dir = scratchDir("guard_control");
+  core::DesyncOptions simple = ecoOptions(dir.string());
+  simple.control.controller = desync::async::ControllerKind::kSimple;
+  core::DesyncOptions new_reset = ecoOptions(dir.string());
+  new_reset.control.reset_port.clear();  // a fresh active-high "rst" port
+  new_reset.control.reset_active_low = false;
+  for (const core::DesyncOptions& opt : {simple, new_reset}) {
+    runPipe2(ecoOptions(dir.string()));  // re-prime the default tables
+    const FlowOutput changed = runPipe2(opt);
+    EXPECT_FALSE(changed.result.flow.eco().warm);
+    EXPECT_EQ(changed.result.flow.cacheStats().hits, 0u);
+    EXPECT_TRUE(anyNoteContains(changed.result.flow,
+                                "different flow configuration"));
+    core::DesyncOptions plain = opt;
+    plain.flowdb.cache_dir.clear();
+    const FlowOutput reference = runPipe2(plain);
+    EXPECT_EQ(changed.verilog, reference.verilog);
+    EXPECT_EQ(changed.sdc, reference.sdc);
+  }
+}
+
+TEST(Eco, BytesWrittenCountsTheStoredTables) {
+  const fs::path dir = scratchDir("bytes_written");
+  const FlowOutput cold = runPipe2(ecoOptions(dir.string()));
+  const FlowOutput warm = runPipe2(ecoOptions(dir.string()));
+  const std::uint64_t slot_bytes = fs::file_size(slotPath(dir));
+
+  // The report is published after the tables are stored, so both runs
+  // account for the store; the slot on disk is the warm run's payload
+  // plus its envelope.
+  EXPECT_GT(cold.result.flow.cacheStats().bytes_written, 0u);
+  EXPECT_EQ(warm.result.flow.cacheStats().bytes_written +
+                desync::flowdb::kEnvelopeOverhead,
+            slot_bytes);
+  EXPECT_EQ(cold.result.flow.cacheStats().hits, 0u);
+  EXPECT_EQ(cold.result.flow.cacheStats().misses, 1u);
+  EXPECT_EQ(warm.result.flow.cacheStats().hits, 1u);
+  EXPECT_EQ(warm.result.flow.cacheStats().misses, 0u);
+  EXPECT_GT(warm.result.flow.cacheStats().bytes_read, 0u);
 }
 
 // --- jobs-independence and the CPU case studies ---------------------------
@@ -428,6 +462,67 @@ void expectEcoIdenticalAtJobs1And4(const designs::CpuConfig& config,
 }
 
 }  // namespace
+
+namespace {
+
+/// Per-register verdicts of a prove run, in report order.
+std::vector<std::pair<std::string, int>> verdicts(const FlowOutput& run) {
+  std::vector<std::pair<std::string, int>> out;
+  for (const auto& r : run.result.symfe.report.registers) {
+    out.emplace_back(r.name, static_cast<int>(r.verdict));
+  }
+  return out;
+}
+
+/// The ECO guard leaves out the delay-element sizing knobs: a margin
+/// change and then a mux-tap change, each through the cache, must restore
+/// every region and every proof and still match an uncached prove run at
+/// the new options byte for byte, verdict for verdict.
+void expectKnobChangesRestoreEverything(const designs::CpuConfig& config,
+                                        const std::string& tag) {
+  const fs::path dir = scratchDir(tag);
+  core::DesyncOptions opt = ecoOptions(dir.string());
+  opt.fe.mode = core::FeMode::kProve;
+  opt.control.margin = 1.15;
+  runCpu(config, opt, 0);  // prime
+
+  const auto change = [&](const char* what, auto&& apply) {
+    SCOPED_TRACE(what);
+    apply(opt);
+    const FlowOutput warm = runCpu(config, opt, 0);
+    core::DesyncOptions plain = opt;
+    plain.flowdb.cache_dir.clear();
+    const FlowOutput cold = runCpu(config, plain, 0);
+
+    EXPECT_EQ(warm.verilog, cold.verilog);
+    EXPECT_EQ(warm.sdc, cold.sdc);
+    EXPECT_EQ(verdicts(warm), verdicts(cold));
+    EXPECT_TRUE(cold.result.symfe.report.ok());
+    const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
+    EXPECT_TRUE(eco.warm);
+    EXPECT_GT(eco.regions_total, 0);
+    EXPECT_EQ(eco.regions_restored, eco.regions_total);
+    const auto& rep = warm.result.symfe.report;
+    EXPECT_GT(rep.registers.size(), 0u);
+    EXPECT_EQ(rep.restored, rep.registers.size()) << "registers re-proved";
+  };
+  change("margin 1.15 -> 1.25", [](core::DesyncOptions& o) {
+    o.control.margin = 1.25;
+  });
+  change("mux_taps 0 -> 4", [](core::DesyncOptions& o) {
+    o.control.mux_taps = 4;
+  });
+}
+
+}  // namespace
+
+TEST(EcoCpu, DlxMarginAndMuxTapChangesRestoreEveryRegionAndProof) {
+  expectKnobChangesRestoreEverything(designs::dlxConfig(), "dlx_knobs");
+}
+
+TEST(EcoCpu, ArmClassMarginAndMuxTapChangesRestoreEveryRegionAndProof) {
+  expectKnobChangesRestoreEverything(designs::armClassConfig(), "arm_knobs");
+}
 
 TEST(EcoCpu, DlxEditedRunByteIdenticalToColdAtJobs1And4) {
   expectEcoIdenticalAtJobs1And4(designs::dlxConfig(), "dlx_jobs", 5);

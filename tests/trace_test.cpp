@@ -123,7 +123,7 @@ Fixture& fixture() {
 
     // Traced --jobs 4 run first: pins the pool (and the trace's worker
     // tracks) to exactly kJobs - 1 workers.  A fresh cache dir makes the
-    // flowdb probe/store events appear in the trace.
+    // ECO table diff/store spans appear in the trace.
     const std::string trace_path = (dir / "j4.trace.json").string();
     trace::start(trace_path);
     fx->traced_j4 = runFlow(kJobs, (dir / "cache").string());
@@ -232,25 +232,31 @@ TEST(Trace, AllSevenPassesTraced) {
 }
 
 TEST(Trace, ParallelCacheAndCounterEventsPresent) {
-  bool parallel_for = false, parallel_run = false, cache_probe = false,
-       cache_store = false;
+  bool parallel_for = false, parallel_run = false, eco_diff = false,
+       eco_store = false;
   std::vector<std::string> counters;
+  double last_bytes_written = -1.0;
   for (const Json& e : events()) {
     const std::string& name = str(e, "name");
     const std::string& ph = str(e, "ph");
     if (ph == "B" || ph == "E") {
       if (name == "parallel_for") parallel_for = true;
       if (name == "parallel_run") parallel_run = true;
-      if (name == "cache_probe") cache_probe = true;
-      if (name == "cache_store") cache_store = true;
+      if (name == "eco_diff") eco_diff = true;
+      if (name == "eco_store") eco_store = true;
     } else if (ph == "C") {
       counters.push_back(name);
+      if (name == "cache_bytes_written") {
+        last_bytes_written = e.find("args")->getNumber("value", -1.0);
+      }
     }
   }
   EXPECT_TRUE(parallel_for);
   EXPECT_TRUE(parallel_run);
-  EXPECT_TRUE(cache_probe);   // fresh cache dir: probe ran (and missed)
-  EXPECT_TRUE(cache_store);   // ...so every pass was stored
+  EXPECT_TRUE(eco_diff);   // fresh cache dir: the tables were probed
+  EXPECT_TRUE(eco_store);  // ...and stored after the flow
+  // Sampled once more after the store: the last value counts the tables.
+  EXPECT_GT(last_bytes_written, 0.0);
   auto hasCounter = [&](std::string_view n) {
     for (const std::string& c : counters) {
       if (c == n) return true;

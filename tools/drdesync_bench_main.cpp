@@ -27,7 +27,7 @@
 
 #include "core/parallel.h"
 #include "core/version.h"
-#include "flowdb/snapshot.h"
+#include "flowdb/cache.h"
 #include "fuzz/generator.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -52,7 +52,7 @@ void usage() {
       "  --workers N        in-process server handler threads (default 2)\n"
       "  --socket PATH      in-process server socket path (default: a\n"
       "                     per-process path under /tmp)\n"
-      "  --cache-dir DIR    in-process server FlowDB pass cache\n"
+      "  --cache-dir DIR    in-process server FlowDB cache directory\n"
       "\n"
       "workload:\n"
       "  --designs N        generator designs, seeds S..S+N-1 (default 50)\n"
@@ -71,7 +71,7 @@ void usage() {
       "                     in-process reference run (byte-identical\n"
       "                     Verilog, SDC and canonical report)\n"
       "  --out FILE         results JSON (default BENCH_server.json)\n"
-      "  --version          print tool and snapshot-format versions\n"
+      "  --version          print tool and cache-format versions\n"
       "  --help, -h         this message\n",
       stderr);
 }
@@ -192,9 +192,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--version") {
-      std::printf("drdesync-bench %s (snapshot format %u)\n",
+      std::printf("drdesync-bench %s (cache format %u)\n",
                   std::string(core::kToolVersion).c_str(),
-                  flowdb::kSnapshotFormatVersion);
+                  flowdb::kCacheFormatVersion);
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       usage();

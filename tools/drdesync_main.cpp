@@ -25,7 +25,7 @@
 #include "core/parallel.h"
 #include "core/run_report.h"
 #include "core/version.h"
-#include "flowdb/snapshot.h"
+#include "flowdb/cache.h"
 #include "liberty/liberty_io.h"
 #include "liberty/stdlib90.h"
 #include "netlist/blif.h"
@@ -76,18 +76,10 @@ void usage() {
       "execution:\n"
       "  --jobs N           worker threads, 0 = auto (default: DESYNC_JOBS\n"
       "                     env or hardware concurrency)\n"
-      "  --cache-dir DIR    FlowDB pass cache: restore unchanged pipeline\n"
-      "                     prefixes instead of recomputing\n"
-      "  --resume           restart from the last valid checkpoint in\n"
-      "                     --cache-dir\n"
-      "  --eco              incremental recompute: diff the input against\n"
-      "                     the previous run's region tables in --cache-dir\n"
-      "                     and re-analyze only the dirty regions\n"
-      "                     (docs/eco.md); output is byte-identical to a\n"
-      "                     cold run\n"
-      "  --eco-base DIR     shorthand for '--cache-dir DIR --eco': DIR holds\n"
-      "                     the base run's tables and receives this run's\n"
-      "                     updated ones\n"
+      "  --cache-dir DIR    incremental recompute: diff the input against\n"
+      "                     the previous run's region tables in DIR and\n"
+      "                     re-analyze only the dirty regions (docs/eco.md);\n"
+      "                     output is byte-identical to a cold run\n"
       "\n"
       "diagnostics:\n"
       "  --report           print the run report JSON to stdout\n"
@@ -95,7 +87,7 @@ void usage() {
       "  --trace FILE       write a Chrome trace_event JSON of the run,\n"
       "                     loadable in Perfetto (docs/trace-format.md);\n"
       "                     DESYNC_TRACE env sets a default path\n"
-      "  --version          print tool and snapshot-format versions\n"
+      "  --version          print tool and cache-format versions\n"
       "  --help, -h         this message\n",
       stderr);
 }
@@ -151,7 +143,7 @@ void printReport(const util::Json& report) {
 
 int main(int argc, char** argv) {
   std::string lib_path, in_path, top, out_path, sdc_path, blif_path,
-      gatefile_path, group_spec, trace_path, eco_base;
+      gatefile_path, group_spec, trace_path;
   core::DesyncOptions opt;
   bool report = false;
 
@@ -231,20 +223,14 @@ int main(int argc, char** argv) {
       opt.grouping.clean_logic = false;
     } else if (arg == "--cache-dir") {
       opt.flowdb.cache_dir = next();
-    } else if (arg == "--resume") {
-      opt.flowdb.resume = true;
-    } else if (arg == "--eco") {
-      opt.flowdb.eco = true;
-    } else if (arg == "--eco-base") {
-      eco_base = next();
     } else if (arg == "--report") {
       report = true;
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--version") {
-      std::printf("drdesync %s (snapshot format %u)\n",
+      std::printf("drdesync %s (cache format %u)\n",
                   std::string(core::kToolVersion).c_str(),
-                  flowdb::kSnapshotFormatVersion);
+                  flowdb::kCacheFormatVersion);
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       usage();
@@ -257,22 +243,6 @@ int main(int argc, char** argv) {
   }
   if (lib_path.empty() || in_path.empty() || out_path.empty()) {
     usage();
-    return 2;
-  }
-  if (opt.flowdb.resume && opt.flowdb.cache_dir.empty()) {
-    std::fputs("drdesync: --resume requires --cache-dir\n", stderr);
-    return 2;
-  }
-  if (!eco_base.empty()) {
-    if (!opt.flowdb.cache_dir.empty() && opt.flowdb.cache_dir != eco_base) {
-      std::fputs("drdesync: --eco-base conflicts with --cache-dir\n", stderr);
-      return 2;
-    }
-    opt.flowdb.cache_dir = eco_base;
-    opt.flowdb.eco = true;
-  }
-  if (opt.flowdb.eco && opt.flowdb.cache_dir.empty()) {
-    std::fputs("drdesync: --eco requires --cache-dir\n", stderr);
     return 2;
   }
   opt.manual_seq_groups = parseGroups(group_spec);

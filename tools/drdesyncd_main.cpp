@@ -3,7 +3,7 @@
 // Loads the Liberty library once, then serves desynchronization requests
 // over a JSON-lines protocol (docs/server.md): one request object per
 // line, one reply per line.  Requests from every connection share the hot
-// library, one FlowDB pass cache and the deterministic parallel layer;
+// library, one FlowDB cache directory and the deterministic parallel layer;
 // each request runs under its own jobs budget and trace track.
 //
 //   drdesyncd --lib builtin:hs --socket /tmp/drdesync.sock --workers 4
@@ -15,7 +15,7 @@
 
 #include "core/parallel.h"
 #include "core/version.h"
-#include "flowdb/snapshot.h"
+#include "flowdb/cache.h"
 #include "server/server.h"
 #include "trace/trace.h"
 
@@ -36,12 +36,13 @@ void usage() {
       "  --stdio            serve one JSON-lines session on stdin/stdout\n"
       "  --workers N        handler threads serving requests (default 2)\n"
       "  --jobs N           default per-request worker budget, 0 = auto\n"
-      "  --cache-dir DIR    shared FlowDB pass cache for all requests\n"
+      "  --cache-dir DIR    shared FlowDB cache: every request recomputes\n"
+      "                     incrementally against its design's ECO tables\n"
       "\n"
       "diagnostics:\n"
       "  --trace FILE       write a Chrome trace_event JSON on exit; each\n"
       "                     request gets its own named track\n"
-      "  --version          print tool and snapshot-format versions\n"
+      "  --version          print tool and cache-format versions\n"
       "  --help, -h         this message\n",
       stderr);
 }
@@ -88,9 +89,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--version") {
-      std::printf("drdesyncd %s (snapshot format %u)\n",
+      std::printf("drdesyncd %s (cache format %u)\n",
                   std::string(core::kToolVersion).c_str(),
-                  flowdb::kSnapshotFormatVersion);
+                  flowdb::kCacheFormatVersion);
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       usage();
