@@ -192,10 +192,12 @@ RepeatedTiming measureRepeated(int repeats, Fn&& fn) {
 }
 
 /// Writes BENCH_<name>.json on one line: {"name", "build_type",
-/// "compiler", "nproc", "jobs", "repeats", "min_ms", "median_ms", extra
-/// numeric fields..., "runs_ms": [...]}.  build_type, compiler, nproc and
-/// jobs (the worker count the measurement ran with, --jobs / DESYNC_JOBS)
-/// are the provenance two trajectories need to be comparable.
+/// "commit", "compiler", "nproc", "jobs", "repeats", "min_ms",
+/// "median_ms", extra numeric fields..., "runs_ms": [...]}.  build_type,
+/// commit (`git describe --always --dirty` at configure time, "unknown"
+/// outside a checkout), compiler, nproc and jobs (the worker count the
+/// measurement ran with, --jobs / DESYNC_JOBS) are the provenance two
+/// trajectories need to be comparable.
 inline void writeBenchJson(
     const std::string& name, const RepeatedTiming& t,
     const std::vector<std::pair<std::string, double>>& extra = {}) {
@@ -203,6 +205,7 @@ inline void writeBenchJson(
   Json out = Json::object();
   out.set("name", Json::str(name));
   out.set("build_type", Json::str(DESYNC_BUILD_TYPE));
+  out.set("commit", Json::str(DESYNC_GIT_DESCRIBE));
   out.set("compiler", Json::str("gcc-compatible " __VERSION__));
   out.set("nproc", Json::number(std::thread::hardware_concurrency()));
   out.set("jobs", Json::number(core::effectiveJobs()));

@@ -21,9 +21,7 @@ double characterizeDelayStageNs(const liberty::Gatefile& gatefile) {
   // Elements of 1..100 levels are implemented and measured with STA
   // (thesis §3.1.4); one 16-level probe gives the per-stage rise delay.
   // The probe lives in a scratch design: it is a measurement artifact,
-  // and building it in the flow design would emit a dead helper module
-  // (and make cold vs ECO-warm output differ, since warm runs restore
-  // the characterized delay without re-measuring).
+  // and building it in the flow design would emit a dead helper module.
   async::DelayElementSpec probe;
   probe.levels = 16;
   Design scratch;

@@ -69,10 +69,10 @@ struct RegionTiming {
 
 /// Characterizes the rise delay of one AND stage of the asymmetric delay
 /// element under nominal conditions (thesis §3.1.4).  A pure function of
-/// the library — the probe element is built and measured in a scratch
-/// design so no helper module leaks into the flow output — so the ECO
-/// layer (core/eco.h) restores it from the region tables instead of
-/// re-characterizing on warm runs.
+/// the library; the probe element is built and measured in a scratch
+/// design so no helper module leaks into the flow output.  Cheap enough
+/// (well under a millisecond) that every run, cached or not, simply
+/// measures it.
 double characterizeDelayStageNs(const liberty::Gatefile& gatefile);
 
 /// Runs the timing prerequisites of control-network insertion: re-buffers

@@ -4,8 +4,8 @@
 #include <chrono>
 
 #include "core/eco.h"
-#include "core/flow_cache.h"
 #include "core/parallel.h"
+#include "liberty/library.h"
 #include "netlist/flatten.h"
 #include "sim/bitsim/bitsim.h"
 #include "sta/sta.h"
@@ -35,6 +35,26 @@ const char* feModeName(FeMode mode) {
 }
 
 namespace {
+
+/// Pass-boundary counter samples (`--trace` runs only): cumulative liberty
+/// lookup totals, FlowDB cache traffic and the process's peak RSS, so the
+/// trace shows which pass grew which resource (docs/trace-format.md).
+void tracePassBoundaryCounters(const liberty::Gatefile& gatefile,
+                               const EcoContext* eco) {
+  if (!trace::enabled()) return;
+  trace::counter("liberty_cell_lookups",
+                 static_cast<double>(gatefile.library().lookupCount()));
+  trace::counter("liberty_pin_lookups",
+                 static_cast<double>(liberty::detail::pinLookupCount()));
+  trace::counter("peak_rss_mb", static_cast<double>(trace::peakRssBytes()) /
+                                    (1024.0 * 1024.0));
+  if (eco != nullptr) {
+    trace::counter("cache_bytes_read",
+                   static_cast<double>(eco->cacheStats().bytes_read));
+    trace::counter("cache_bytes_written",
+                   static_cast<double>(eco->cacheStats().bytes_written));
+  }
+}
 
 /// Post-flow flow-equivalence self-check (`--fe-check`): golden batches
 /// from the pristine synchronous snapshot, desynchronized side free-running
@@ -126,27 +146,13 @@ void runFeProve(const netlist::Module& sync_top, const netlist::Module& module,
   pi.preds = result.ddg.preds;
   so.protocol = std::move(pi);
 
-  // ECO: clean registers reuse their stored proofs; the protocol check is
-  // skipped when its whole input (regions, DDG, controller) is
-  // fingerprint-identical to the stored report's.
-  const std::uint64_t protocol_fp = EcoContext::protocolFingerprint(
-      *so.protocol, static_cast<int>(so.controller));
-  bool protocol_restored = false;
-  if (eco != nullptr) {
-    so.restored_proofs = &eco->restoredProofs();
-    if (eco->protocolRestorable(protocol_fp)) {
-      so.check_protocol = false;
-      protocol_restored = true;
-    }
-  }
+  // ECO: clean registers reuse their stored proofs.
+  if (eco != nullptr) so.restored_proofs = &eco->restoredProofs();
 
   result.symfe.report = sim::symfe::proveFlowEquivalence(sync_bound,
                                                          desync_bound, so);
   result.symfe.ran = true;
-  if (protocol_restored) {
-    result.symfe.report.protocol = eco->restoredProtocol();
-  }
-  if (eco != nullptr) eco->recordSymfe(result.symfe.report, protocol_fp);
+  if (eco != nullptr) eco->recordSymfe(result.symfe.report);
 
   const sim::symfe::SymfeReport& rep = result.symfe.report;
   pass.counter("registers", static_cast<std::int64_t>(rep.registers.size()));
@@ -195,12 +201,30 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
     sync_top = &netlist::snapshotModule(sync_snapshot, module);
   }
 
-  FlowSession session(module, gatefile, options, result);
+  // With a cache directory, the ECO tables are loaded and the input diffed
+  // before any pass mutates the module; the passes then ask for restores.
+  const std::unique_ptr<EcoContext> eco =
+      EcoContext::open(options, module, gatefile, result.flow);
+
+  // The seven passes run in the paper's fixed order.  A failure is
+  // rethrown as FlowError carrying the report so far (~ScopedPass has
+  // already appended the failing pass's stat).
+  const auto runPass = [&](const char* name, const auto& body) {
+    try {
+      ScopedPass pass(result.flow, name);
+      body(pass);
+    } catch (const FlowError&) {
+      throw;
+    } catch (const std::exception& e) {
+      throw FlowError(name, result.flow, e.what());
+    }
+    tracePassBoundaryCounters(gatefile, eco.get());
+  };
 
   // Reference periods of the synchronous circuit (before any mutation):
   // one STA per PVT corner, built concurrently over a shared binding.  The
   // typical corner (delay_scale 1.0) is the flow's reference period.
-  session.addPass("reference_sta", nullptr, [&](ScopedPass& pass) {
+  runPass("reference_sta", [&](ScopedPass& pass) {
     const liberty::BoundModule bound(module, gatefile);
     const variability::Corner corners[] = {variability::Corner::kBest,
                                            variability::Corner::kTypical,
@@ -225,7 +249,6 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
                           .count();
       });
     };
-    EcoContext* eco = session.eco();
     const std::vector<std::uint8_t>* mask =
         eco != nullptr ? eco->refstaMask() : nullptr;
     buildAll(mask);
@@ -241,24 +264,17 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
         buildAll(nullptr);
       }
     }
+    std::vector<double> periods;
     if (eco != nullptr) {
-      const std::vector<double> periods =
-          eco->referencePeriods(module, analyses);
-      for (std::size_t i = 0; i < analyses.size(); ++i) {
-        const variability::CornerSpec spec =
-            variability::cornerSpec(corners[i]);
-        result.corner_periods.push_back(DesyncResult::CornerPeriod{
-            spec.name, spec.delay_scale, periods[i]});
-        pass.work(task_ms[i]);
-      }
+      periods = eco->referencePeriods(module, analyses);
     } else {
-      for (std::size_t i = 0; i < analyses.size(); ++i) {
-        const variability::CornerSpec spec =
-            variability::cornerSpec(corners[i]);
-        result.corner_periods.push_back(DesyncResult::CornerPeriod{
-            spec.name, spec.delay_scale, analyses[i]->minPeriodNs()});
-        pass.work(task_ms[i]);
-      }
+      for (const auto& a : analyses) periods.push_back(a->minPeriodNs());
+    }
+    for (std::size_t i = 0; i < analyses.size(); ++i) {
+      const variability::CornerSpec spec = variability::cornerSpec(corners[i]);
+      result.corner_periods.push_back(DesyncResult::CornerPeriod{
+          spec.name, spec.delay_scale, periods[i]});
+      pass.work(task_ms[i]);
     }
     result.sync_min_period_ns = result.corner_periods[1].min_period_ns;
     pass.counter("corners",
@@ -269,34 +285,19 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 1+2. Cleaning + region creation (automatic or designer-specified).
-  auto grouping_fp = [&](util::KeyHasher& h) {
-    h.u64(options.grouping.clean_logic ? 1 : 0);
-    h.u64(options.grouping.bus_heuristic ? 1 : 0);
-    h.u64(options.grouping.false_path_nets.size());
-    for (const std::string& s : options.grouping.false_path_nets) h.str(s);
-    h.str(options.clock_port);
-    h.u64(options.manual_seq_groups.size());
-    for (const auto& group : options.manual_seq_groups) {
-      h.u64(group.size());
-      for (const std::string& s : group) h.str(s);
-    }
-  };
-  session.addPass("region_grouping", grouping_fp, [&](ScopedPass& pass) {
+  runPass("region_grouping", [&](ScopedPass& pass) {
     if (options.manual_seq_groups.empty()) {
       result.regions = groupRegions(module, gatefile, options.grouping);
     } else {
       result.regions = groupRegionsBySeqPrefix(
           module, gatefile, options.manual_seq_groups, options.grouping);
     }
-    if (EcoContext* eco = session.eco()) {
-      eco->captureRegionKeys(module, result.regions);
-    }
     pass.counter("regions", result.regions.n_groups);
     pass.counter("cells", static_cast<std::int64_t>(module.numCells()));
   });
 
   // 3. Flip-flop substitution (latch pairs + extra-latch glue).
-  session.addPass("ff_substitution", nullptr, [&](ScopedPass& pass) {
+  runPass("ff_substitution", [&](ScopedPass& pass) {
     result.substitution =
         substituteFlipFlops(module, gatefile, result.regions);
     pass.counter("ffs_replaced",
@@ -307,7 +308,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 4. Data-dependency graph over the regions.
-  session.addPass("dependency_graph", nullptr, [&](ScopedPass& pass) {
+  runPass("dependency_graph", [&](ScopedPass& pass) {
     result.ddg = buildDependencyGraph(module, gatefile, result.regions);
     std::int64_t edges = 0;
     for (const auto& preds : result.ddg.preds) {
@@ -320,8 +321,8 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   // characterization and per-region critical paths.  The requirements are
   // margin-free (the margin is applied by the control network below), so
   // the ECO tables restore them across a margin or mux-tap change.
-  session.addPass("region_timing", nullptr, [&](ScopedPass& pass) {
-    if (EcoContext* eco = session.eco()) {
+  runPass("region_timing", [&](ScopedPass& pass) {
+    if (eco != nullptr) {
       EcoContext::RegionTimingOutcome out =
           eco->regionTiming(module, gatefile, result.regions);
       result.timing = std::move(out.timing);
@@ -335,16 +336,8 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
     pass.counter("cells", static_cast<std::int64_t>(module.numCells()));
   });
 
-  // 5b+6. Delay elements and control network.  Margin, mux taps and the
-  // nominal tap only size the delay elements, applied after the
-  // margin-free region-requirement max and outside every proof obligation
-  // (arXiv 2004.10655), so they stay out of the ECO guard.
-  auto control_fp = [&](util::KeyHasher& h) {
-    h.u64(static_cast<std::uint64_t>(options.control.controller));
-    h.str(options.control.reset_port);
-    h.u64(options.control.reset_active_low ? 1 : 0);
-  };
-  session.addPass("control_network", control_fp, [&](ScopedPass& pass) {
+  // 5b+6. Delay elements and control network.
+  runPass("control_network", [&](ScopedPass& pass) {
     result.control = insertControlNetwork(
         design, module, gatefile, result.regions, result.ddg,
         result.substitution, result.timing, options.control);
@@ -360,7 +353,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   // becomes two non-overlapping latch-enable clocks sourced at the
   // controllers' g drivers; the falling edge of the master coincides with
   // the rising edge of the slave at the original capture instant.
-  session.addPass("sdc_generation", nullptr, [&](ScopedPass& pass) {
+  runPass("sdc_generation", [&](ScopedPass& pass) {
     const double period = result.sync_min_period_ns;
     sta::SdcClock clk_m, clk_s;
     clk_m.name = "ClkM";
@@ -396,14 +389,17 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
                  static_cast<std::int64_t>(result.sdc.disabled.size()));
   });
 
-  session.run();
+  const double passes_ms = result.flow.totalMs();
   if (want_vector) {
     runFeCheck(*sync_top, module, gatefile, options, result);
   }
   if (want_prove) {
-    runFeProve(*sync_top, module, gatefile, options, result, session.eco());
+    runFeProve(*sync_top, module, gatefile, options, result, eco.get());
   }
-  session.finish();
+  if (eco != nullptr) {
+    eco->finish(result.flow, passes_ms);
+    tracePassBoundaryCounters(gatefile, eco.get());
+  }
   // Contention delta across the run: non-zero when another top-level
   // caller's parallel section serialized one of ours on the shared pool.
   // Thread-scoped, so the delta is exactly this run's waits even with

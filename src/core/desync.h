@@ -96,8 +96,8 @@ struct DesyncResult {
   DependencyGraph ddg;
   SubstitutionResult substitution;
   /// STA products of the region_timing pass (delay-element stage delay,
-  /// per-region critical paths); margin-free, so the ECO tables reuse it
-  /// across control-knob changes.
+  /// per-region critical paths); margin-free, so the ECO tables' latch
+  /// worsts stay valid across control-knob changes.
   RegionTiming timing;
   ControlNetworkReport control;
   /// Backend constraints: ClkM/ClkS latch-enable clocks (Fig 4.2),

@@ -1,11 +1,14 @@
 #include "core/eco.h"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <optional>
 
 #include "core/buffering.h"
+#include "core/version.h"
 #include "flowdb/io.h"
+#include "liberty/library.h"
 #include "trace/trace.h"
 
 namespace desync::core {
@@ -160,12 +163,65 @@ bool isOutPortName(const std::string& name) {
   return name.rfind("out:", 0) == 0;
 }
 
+/// The tables' guard: every option the stored analyses depend on.  The
+/// input design is absent (it is diffed against the stored records
+/// instead), and so are margin, mux taps and the nominal tap: they only
+/// size the delay elements, applied after the margin-free region
+/// requirement and outside every proof obligation (arXiv 2004.10655).
+/// --jobs never enters: the flow is deterministic across worker counts.
+util::CacheKey ecoGuardKey(const DesyncOptions& options,
+                           const liberty::Gatefile& gatefile) {
+  util::KeyHasher h;
+  h.str(kToolVersion);
+  h.str(gatefile.library().name);
+  h.u64(gatefile.library().contentHash());
+  const GroupingOptions& grouping = options.grouping;
+  h.u64(grouping.clean_logic ? 1 : 0);
+  h.u64(grouping.bus_heuristic ? 1 : 0);
+  h.u64(grouping.false_path_nets.size());
+  for (const std::string& s : grouping.false_path_nets) h.str(s);
+  h.str(options.clock_port);
+  h.u64(options.manual_seq_groups.size());
+  for (const auto& group : options.manual_seq_groups) {
+    h.u64(group.size());
+    for (const std::string& s : group) h.str(s);
+  }
+  h.u64(static_cast<std::uint64_t>(options.control.controller));
+  h.str(options.control.reset_port);
+  h.u64(options.control.reset_active_low ? 1 : 0);
+  h.u64(static_cast<std::uint64_t>(options.fe.mode));
+  h.u64(options.fe.prove_max_conflicts);
+  return h.key();
+}
+
 }  // namespace
 
-EcoContext::EcoContext(flowdb::PassCache& cache, const Module& module,
-                       const liberty::Gatefile& gatefile,
+std::unique_ptr<EcoContext> EcoContext::open(const DesyncOptions& options,
+                                             const Module& module,
+                                             const liberty::Gatefile& gatefile,
+                                             FlowReport& flow) {
+  if (options.flowdb.cache_dir.empty()) return nullptr;
+  std::unique_ptr<flowdb::PassCache> cache;
+  try {
+    cache = std::make_unique<flowdb::PassCache>(options.flowdb.cache_dir);
+  } catch (const flowdb::FlowDbError& e) {
+    flow.note(std::string("flowdb disabled: ") + e.what());
+    return nullptr;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::unique_ptr<EcoContext> eco(
+      new EcoContext(std::move(cache), module, gatefile,
+                     ecoGuardKey(options, gatefile), flow));
+  eco->open_ms_ = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  return eco;
+}
+
+EcoContext::EcoContext(std::unique_ptr<flowdb::PassCache> cache,
+                       const Module& module, const liberty::Gatefile& gatefile,
                        const util::CacheKey& guard, FlowReport& flow)
-    : cache_(cache),
+    : cache_(std::move(cache)),
       input_module_(module),
       gatefile_(gatefile),
       guard_(guard),
@@ -184,7 +240,7 @@ void EcoContext::loadTables(FlowReport& flow) {
   trace::Span span("eco_load", "eco");
   std::string diag;
   const std::optional<std::string> payload =
-      cache_.loadSlot(slot_name_, kSlotMagic, &diag);
+      cache_->loadSlot(slot_name_, kSlotMagic, &diag);
   if (!diag.empty()) flow.note("eco: " + diag);
   if (!payload.has_value()) return;  // first run: cold, tables stored later
   try {
@@ -232,34 +288,11 @@ void EcoContext::loadTables(FlowReport& flow) {
       stored_refsta_.emplace(name, vals);
     }
     if (refsta_broken) refsta_stored_usable_ = false;
-    has_stored_per_level_ = r.u32() != 0;
-    stored_per_level_ = r.f64();
-    const std::uint64_t n_regions = r.u64();
-    for (std::uint64_t i = 0; i < n_regions; ++i) {
-      const std::uint64_t hi = r.u64();
-      const std::uint64_t lo = r.u64();
-      stored_regions_.emplace(std::make_pair(hi, lo), r.f64());
-    }
     const std::uint64_t n_latches = r.u64();
     stored_latches_.reserve(static_cast<std::size_t>(n_latches) * 2);
     for (std::uint64_t i = 0; i < n_latches; ++i) {
       const std::string name(r.str());
       stored_latches_.emplace(name, r.f64());
-    }
-    has_stored_protocol_ = r.u32() != 0;
-    if (has_stored_protocol_) {
-      stored_protocol_fp_ = r.u64();
-      stored_protocol_.checked = true;
-      stored_protocol_.admissible = r.u32() != 0;
-      stored_protocol_.controller = std::string(r.str());
-      stored_protocol_.channels = r.i32();
-      stored_protocol_.states_explored =
-          static_cast<std::size_t>(r.u64());
-      stored_protocol_.violation = std::string(r.str());
-      const std::uint64_t n_trace = r.u64();
-      for (std::uint64_t i = 0; i < n_trace; ++i) {
-        stored_protocol_.trace.emplace_back(r.str());
-      }
     }
     const std::uint64_t n_symfe = r.u64();
     stored_symfe_.reserve(static_cast<std::size_t>(n_symfe) * 2);
@@ -280,11 +313,8 @@ void EcoContext::loadTables(FlowReport& flow) {
     stored_nets_.clear();
     stored_ports_.clear();
     stored_refsta_.clear();
-    stored_regions_.clear();
     stored_latches_.clear();
     stored_symfe_.clear();
-    has_stored_per_level_ = false;
-    has_stored_protocol_ = false;
     warm_ = false;
   }
 }
@@ -704,44 +734,10 @@ std::vector<double> EcoContext::referencePeriods(
   return periods;
 }
 
-void EcoContext::captureRegionKeys(const Module& m, const Regions& regions) {
-  trace::Span span("eco_region_keys", "eco");
-  // Membership only: the requirement restored under this key is a pure
-  // max over the member latches' stored worsts, and each of those is
-  // valid exactly when its register is not a dirty endpoint — content
-  // validity is the closure's job, the key only pins *which* registers
-  // the stored max was taken over.  Comb membership is irrelevant (only
-  // latch endpoints enter the max).  Sorted, so the key does not depend
-  // on member iteration order; nothing run-dependent (jobs, corners)
-  // enters it.
-  region_keys_.assign(static_cast<std::size_t>(regions.n_groups),
-                      util::CacheKey{});
-  std::vector<std::uint64_t> members;
-  for (int g = 0; g < regions.n_groups; ++g) {
-    members.clear();
-    members.reserve(regions.seq_cells[g].size());
-    for (CellId c : regions.seq_cells[g]) {
-      members.push_back(nameHash(m.cellName(c)));
-    }
-    std::sort(members.begin(), members.end());
-    util::KeyHasher h;
-    h.u64(members.size());
-    for (std::uint64_t v : members) h.u64(v);
-    region_keys_[static_cast<std::size_t>(g)] = h.key();
-  }
-}
-
 EcoContext::RegionTimingOutcome EcoContext::regionTiming(
     Module& m, const liberty::Gatefile& gatefile, const Regions& regions) {
   RegionTimingOutcome out;
-  // The stage delay is a pure function of the library, which the guard
-  // key already covers.
-  if (warm_ && has_stored_per_level_) {
-    out.timing.per_level_delay_ns = stored_per_level_;
-  } else {
-    out.timing.per_level_delay_ns = characterizeDelayStageNs(gatefile);
-  }
-  new_per_level_ = out.timing.per_level_delay_ns;
+  out.timing.per_level_delay_ns = characterizeDelayStageNs(gatefile);
 
   // Output mutation, never skipped: the emitted netlist must carry the
   // buffer trees whether or not any timing was restored.
@@ -760,25 +756,18 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
   // suffix test, exactly as regionWorstDelays() skips them.  A latch is
   // dirty when its register's timing can have moved (either closure) or
   // the previous run stored no worst for it (new register, or its
-  // arrival was unreached).
+  // arrival was unreached); a region is dirty when any member latch is.
   constexpr std::string_view kSuffix = "_Lm";
   struct Latch {
     CellId cell;
     std::string orig;  ///< original register name (the table key)
-    bool dirty = true;
+    bool dirty;
   };
   std::vector<std::vector<Latch>> latches(n);
-  std::vector<std::uint8_t> dirty(n, 1);
   std::size_t n_dirty = 0;
   std::size_t n_dirty_latches = 0;
-  const bool keyed = warm_ && region_keys_.size() == n;
   for (std::size_t g = 0; g < n; ++g) {
-    if (keyed) {
-      dirty[g] = stored_regions_.count(
-                     {region_keys_[g].hi, region_keys_[g].lo}) == 0
-                     ? 1
-                     : 0;
-    }
+    bool region_dirty = false;
     for (CellId c : regions.seq_cells[g]) {
       if (!m.isLiveCell(c)) continue;
       const std::string_view name = m.cellName(c);
@@ -789,16 +778,15 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
       Latch l;
       l.cell = c;
       l.orig = std::string(name.substr(0, name.size() - kSuffix.size()));
-      if (keyed) {
-        l.dirty = timingDirty(l.orig) || stored_latches_.count(l.orig) == 0;
-      }
+      l.dirty = !warm_ || timingDirty(l.orig) ||
+                stored_latches_.count(l.orig) == 0;
       if (l.dirty) {
-        dirty[g] = 1;
+        region_dirty = true;
         ++n_dirty_latches;
       }
       latches[g].push_back(std::move(l));
     }
-    n_dirty += dirty[g] != 0 ? 1 : 0;
+    n_dirty += region_dirty ? 1 : 0;
   }
 
   // Worst arrival+setup per endpoint cell.  Per-cell max over a cell's
@@ -815,10 +803,11 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
     return w;
   };
 
-  bool record_ok = region_keys_.size() == n;
+  // A full analysis that had to cut loops records no worsts: its arrivals
+  // depend on cut choices a later masked run would not see.
   const auto computeFull = [&] {
     sta::Sta sta(m, gatefile);
-    if (!sta.brokenArcs().empty()) record_ok = false;
+    const bool record_ok = sta.brokenArcs().empty();
     const std::unordered_map<std::uint32_t, double> w = cellWorsts(sta);
     for (std::size_t g = 0; g < n; ++g) {
       double req = 0.0;
@@ -831,7 +820,6 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
       out.timing.required_delay_ns[g] = req;
     }
     n_dirty = n;
-    std::fill(dirty.begin(), dirty.end(), std::uint8_t{1});
   };
 
   // The masked path pays off whenever most *latches* are clean — even
@@ -843,7 +831,7 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
   for (const std::vector<Latch>& list : latches) {
     n_latches_total += list.size();
   }
-  if (!keyed || n_latches_total == 0 ||
+  if (!warm_ || n_latches_total == 0 ||
       n_dirty_latches * 4 > n_latches_total) {
     computeFull();
   } else {
@@ -896,12 +884,6 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
     if (masked_ok) {
       trace::Span span("region_restore", "eco");
       for (std::size_t g = 0; g < n; ++g) {
-        if (dirty[g] == 0) {
-          // Clean region: same member set, every member clean — the
-          // stored max is this run's max.
-          out.timing.required_delay_ns[g] = stored_regions_.at(
-              {region_keys_[g].hi, region_keys_[g].lo});
-        }
         for (const Latch& l : latches[g]) {
           // A clean latch inside a dirty cone's mask gets recomputed to
           // the same value it stored; prefer the recomputed entry, fall
@@ -920,14 +902,11 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
           }
           if (!has) continue;
           new_latches_[l.orig] = v;
-          if (dirty[g] != 0) {
-            out.timing.required_delay_ns[g] =
-                std::max(out.timing.required_delay_ns[g], v);
-          }
+          out.timing.required_delay_ns[g] =
+              std::max(out.timing.required_delay_ns[g], v);
         }
       }
     } else {
-      new_latches_.clear();
       computeFull();
     }
   }
@@ -936,34 +915,10 @@ EcoContext::RegionTimingOutcome EcoContext::regionTiming(
   out.restored = static_cast<std::int64_t>(n - n_dirty);
   stats_.regions_dirty = out.dirty;
   stats_.regions_restored = out.restored;
-  if (record_ok) {
-    for (std::size_t g = 0; g < n; ++g) {
-      new_regions_[{region_keys_[g].hi, region_keys_[g].lo}] =
-          out.timing.required_delay_ns[g];
-    }
-  } else {
-    new_latches_.clear();
-  }
   return out;
 }
 
-std::uint64_t EcoContext::protocolFingerprint(
-    const sim::symfe::ProtocolInput& input, int controller_kind) {
-  util::Fnv64 h;
-  h.u64(static_cast<std::uint64_t>(controller_kind));
-  h.u64(static_cast<std::uint64_t>(input.n_groups));
-  h.u64(input.active.size());
-  for (const bool b : input.active) h.u64(b ? 1 : 0);
-  h.u64(input.preds.size());
-  for (const std::vector<int>& ps : input.preds) {
-    h.u64(ps.size());
-    for (const int p : ps) h.u64(static_cast<std::uint64_t>(p));
-  }
-  return h.digest();
-}
-
-void EcoContext::recordSymfe(const sim::symfe::SymfeReport& report,
-                             std::uint64_t protocol_fingerprint) {
+void EcoContext::recordSymfe(const sim::symfe::SymfeReport& report) {
   stats_.registers_restored = static_cast<std::int64_t>(report.restored);
   new_symfe_.clear();
   if (!report.comb_only) {
@@ -973,14 +928,9 @@ void EcoContext::recordSymfe(const sim::symfe::SymfeReport& report,
           sim::symfe::RestoredProof{p.trivial, p.conflicts, p.decisions};
     }
   }
-  if (report.protocol.checked) {
-    new_has_protocol_ = true;
-    new_protocol_fp_ = protocol_fingerprint;
-    new_protocol_ = report.protocol;
-  }
 }
 
-void EcoContext::finish(FlowReport& flow) {
+void EcoContext::finish(FlowReport& flow, double compute_ms) {
   trace::Span span("eco_store", "eco");
   flowdb::ByteWriter w;
   w.u64(guard_.hi);
@@ -1004,29 +954,10 @@ void EcoContext::finish(FlowReport& flow) {
     w.str(name);
     for (const double v : vals) w.f64(v);
   }
-  w.u32(1);
-  w.f64(new_per_level_);
-  w.u64(new_regions_.size());
-  for (const auto& [key, required] : new_regions_) {
-    w.u64(key.first);
-    w.u64(key.second);
-    w.f64(required);
-  }
   w.u64(new_latches_.size());
   for (const auto& [name, worst] : new_latches_) {
     w.str(name);
     w.f64(worst);
-  }
-  w.u32(new_has_protocol_ ? 1 : 0);
-  if (new_has_protocol_) {
-    w.u64(new_protocol_fp_);
-    w.u32(new_protocol_.admissible ? 1 : 0);
-    w.str(new_protocol_.controller);
-    w.i32(new_protocol_.channels);
-    w.u64(new_protocol_.states_explored);
-    w.str(new_protocol_.violation);
-    w.u64(new_protocol_.trace.size());
-    for (const std::string& t : new_protocol_.trace) w.str(t);
   }
   w.u64(new_symfe_.size());
   for (const auto& [name, p] : new_symfe_) {
@@ -1035,11 +966,22 @@ void EcoContext::finish(FlowReport& flow) {
     w.u64(p.conflicts);
     w.u64(p.decisions);
   }
-  if (!cache_.storeSlot(slot_name_, kSlotMagic, w.bytes())) {
+  if (!cache_->storeSlot(slot_name_, kSlotMagic, w.bytes())) {
     flow.note("eco: failed to store the region tables");
   }
   stats_.warm = warm_;
   flow.setEco(stats_);
+  // Published after the store, so bytes_written counts the tables.
+  const flowdb::CacheStats& cs = cache_->stats();
+  FlowCacheStats stats;
+  stats.enabled = true;
+  stats.hits = warm_ ? 1 : 0;
+  stats.misses = 1 - stats.hits;
+  stats.bytes_read = cs.bytes_read;
+  stats.bytes_written = cs.bytes_written;
+  stats.restore_ms = open_ms_;
+  stats.compute_ms = compute_ms;
+  flow.setCacheStats(stats);
 }
 
 }  // namespace desync::core

@@ -24,44 +24,39 @@
 //    endpoints (a net mask handed to sta::Sta); clean endpoints restore
 //    their stored per-corner contributions, and the merged per-endpoint
 //    max reproduces the full run's minimum period bit for bit.
-//  * region_timing keeps two tables: the worst arrival+setup at each
-//    master latch (keyed by the original register's name) and each
-//    region's matched-delay requirement (keyed by a membership key over
-//    the member registers' names).  A latch is clean exactly when its
-//    register is not a dirty endpoint — the requirement is a pure max
-//    over member-latch worsts, so a region whose membership key matches
-//    and whose members are all clean restores its requirement outright,
-//    and a dirty region re-times only its dirty latches' cones under a
-//    mask, merging the stored worsts of its clean members.
+//  * region_timing keeps one table: the worst arrival+setup at each
+//    master latch, keyed by the original register's name.  A latch is
+//    clean exactly when neither closure reached its register and the
+//    previous run stored its worst.  A region's requirement is the max
+//    over its member latches' worsts — a region's obligation is the
+//    composition of its registers' (arXiv 2004.10655) — so a region whose
+//    members are all clean restores it outright, whichever region those
+//    registers belonged to last run, and a dirty region re-times only its
+//    dirty latches' cones under a mask, merging the stored worsts of its
+//    clean members.
 //  * fe_prove restores the stored per-register proofs of clean registers
 //    (their cones are untouched, so the verdicts still hold) and re-proves
-//    only the dirty ones; the protocol admissibility check is restored
-//    when the region/DDG summary is fingerprint-identical.
+//    only the dirty ones.  The protocol admissibility check always runs.
 //
 // Everything mutating the netlist (substitution, buffering, control
 // network, SDC) re-runs unconditionally, so a warm ECO run writes
 // byte-identical Verilog and SDC to a cold run on the same edited design.
 // The tables live in one FlowDB slot per design, guarded by a
-// configuration key (tool version, library fingerprint, the pass options
-// the tables depend on, FE mode — not the delay-element sizing knobs, see
-// FlowSession); any mismatch or parse failure degrades to a cold run with
+// configuration key (tool version, library, grouping options, controller
+// and reset wiring, FE mode and prover budget — not the delay-element
+// sizing knobs); any mismatch or parse failure degrades to a cold run with
 // a note, never an error.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "core/control_network.h"
-#include "core/flow_report.h"
-#include "core/regions.h"
+#include "core/desync.h"
 #include "flowdb/cache.h"
 #include "liberty/gatefile.h"
 #include "netlist/netlist.h"
@@ -73,26 +68,34 @@ namespace desync::core {
 
 /// One flow run's incremental-recompute state: loads the previous run's
 /// tables, diffs the input module, and serves restore queries to the
-/// passes.  Constructed by FlowSession (cache directory set) before any
-/// pass runs (the module must still be the unmodified input); finish()
-/// stores the updated tables after the FE passes complete.
+/// passes.  Opened by desynchronize() before any pass runs (the module
+/// must still be the unmodified input); finish() stores the updated tables
+/// after the FE passes complete.
 class EcoContext {
  public:
   /// Fixed corner count of the reference STA (best/typical/worst).
   static constexpr std::size_t kCorners = 3;
 
-  /// Loads the design's slot from `cache`, checks `guard` (the
-  /// configuration key — see FlowSession), digests `module` and, when
-  /// warm, computes the dirty-endpoint closure.  Diagnostics go to `flow`
-  /// notes; the whole diff runs under an "eco_diff" trace span.
-  EcoContext(flowdb::PassCache& cache, const netlist::Module& module,
-             const liberty::Gatefile& gatefile, const util::CacheKey& guard,
-             FlowReport& flow);
+  /// Opens the cache directory, loads the design's slot, checks its guard
+  /// (the configuration key), digests `module` and, when warm, computes
+  /// the dirty-endpoint closure.  nullptr when options.flowdb.cache_dir is
+  /// empty, or when the directory cannot be opened ("flowdb disabled"
+  /// note).  Diagnostics go to `flow` notes; the diff runs under an
+  /// "eco_diff" trace span.
+  static std::unique_ptr<EcoContext> open(const DesyncOptions& options,
+                                          const netlist::Module& module,
+                                          const liberty::Gatefile& gatefile,
+                                          FlowReport& flow);
 
   /// Tables loaded, guard matched and the edit small enough to bound: the
   /// restore queries below may return stored results.  False = cold ECO
   /// run (everything recomputes, tables are still stored at finish()).
   [[nodiscard]] bool warm() const { return warm_; }
+
+  /// This run's cache traffic so far (pass-boundary trace counters).
+  [[nodiscard]] const flowdb::CacheStats& cacheStats() const {
+    return cache_->stats();
+  }
 
   // --- reference_sta ------------------------------------------------------
 
@@ -114,18 +117,7 @@ class EcoContext {
       const netlist::Module& module,
       const std::vector<std::unique_ptr<sta::Sta>>& analyses);
 
-  // --- region keys + region_timing ----------------------------------------
-
-  /// Captures each region's membership key on the cleaned,
-  /// pre-substitution module (the grouping pass calls this at the end of
-  /// its body): a sorted hash of the member registers' names.  The key
-  /// deliberately covers only *membership* — a register migrating between
-  /// regions re-keys both — because content validity is the dirty-endpoint
-  /// closure's job: the stored requirement is a pure max over member-latch
-  /// worsts, each valid exactly when its register is not dirty.  Nothing
-  /// run-dependent (jobs, corner order) enters the key.
-  void captureRegionKeys(const netlist::Module& module,
-                         const Regions& regions);
+  // --- region_timing ------------------------------------------------------
 
   struct RegionTimingOutcome {
     RegionTiming timing;
@@ -133,11 +125,11 @@ class EcoContext {
     std::int64_t restored = 0;
   };
 
-  /// ECO-aware replacement for computeRegionTiming(): restores the stage
-  /// delay and every clean region's requirement from the tables, always
-  /// re-inserts buffer trees (output mutation), and runs a masked STA over
-  /// the dirty latches' cones only, merging stored per-latch worsts for
-  /// the clean members of dirty regions.  Cold runs compute everything.
+  /// ECO-aware replacement for computeRegionTiming(): always re-inserts
+  /// buffer trees (output mutation) and characterizes the delay stage,
+  /// then runs a masked STA over the dirty latches' cones only and takes
+  /// each region's requirement as the max over its member latches'
+  /// worsts, recomputed or stored.  Cold runs compute everything.
   RegionTimingOutcome regionTiming(netlist::Module& module,
                                    const liberty::Gatefile& gatefile,
                                    const Regions& regions);
@@ -151,33 +143,22 @@ class EcoContext {
     return restorable_proofs_;
   }
 
-  /// Fingerprint of the protocol check's full input (region activity, DDG
-  /// edges, controller kind); the check is pure in it.
-  [[nodiscard]] static std::uint64_t protocolFingerprint(
-      const sim::symfe::ProtocolInput& input, int controller_kind);
-
-  /// True when the stored protocol report was produced from an identical
-  /// input and can replace the check.
-  [[nodiscard]] bool protocolRestorable(std::uint64_t fingerprint) const {
-    return warm_ && has_stored_protocol_ && stored_protocol_fp_ == fingerprint;
-  }
-  [[nodiscard]] const sim::symfe::ProtocolReport& restoredProtocol() const {
-    return stored_protocol_;
-  }
-
-  /// Records this run's proof results and protocol report for the next
-  /// run's tables (call with the final SymfeReport, restored proofs
-  /// included).
-  void recordSymfe(const sim::symfe::SymfeReport& report,
-                   std::uint64_t protocol_fingerprint);
+  /// Records this run's proof results for the next run's tables (call
+  /// with the final SymfeReport, restored proofs included).
+  void recordSymfe(const sim::symfe::SymfeReport& report);
 
   // ------------------------------------------------------------------------
 
-  /// Stores the updated tables into the cache slot and publishes the "eco"
-  /// report section.  Call once, after the FE passes.
-  void finish(FlowReport& flow);
+  /// Stores the updated tables into the cache slot, then publishes the
+  /// "eco" report section and the FlowCacheStats (`compute_ms`: the flow
+  /// passes' wall time).  Call once, after the FE passes.
+  void finish(FlowReport& flow, double compute_ms);
 
  private:
+  EcoContext(std::unique_ptr<flowdb::PassCache> cache,
+             const netlist::Module& module, const liberty::Gatefile& gatefile,
+             const util::CacheKey& guard, FlowReport& flow);
+
   void loadTables(FlowReport& flow);
   void diffAndClose(FlowReport& flow);
   [[nodiscard]] bool endpointLive(const netlist::Module& module,
@@ -197,13 +178,14 @@ class EcoContext {
     std::uint64_t type = 0;
   };
 
-  flowdb::PassCache& cache_;
+  std::unique_ptr<flowdb::PassCache> cache_;
   const netlist::Module& input_module_;
   const liberty::Gatefile& gatefile_;
   util::CacheKey guard_;
   std::string slot_name_;
   bool warm_ = false;
   bool refsta_stored_usable_ = true;
+  double open_ms_ = 0.0;  ///< load + diff time (FlowCacheStats::restore_ms)
 
   // Previous run's tables (loaded; digest arrays are sorted by key for
   // binary-search lookup and dropped after the diff).
@@ -211,14 +193,8 @@ class EcoContext {
   std::vector<ObjectDigest> stored_nets_;
   std::vector<ObjectDigest> stored_ports_;
   std::unordered_map<std::string, std::array<double, kCorners>> stored_refsta_;
-  bool has_stored_per_level_ = false;
-  double stored_per_level_ = 0.0;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, double> stored_regions_;
   std::unordered_map<std::string, double> stored_latches_;
   std::unordered_map<std::string, sim::symfe::RestoredProof> stored_symfe_;
-  bool has_stored_protocol_ = false;
-  std::uint64_t stored_protocol_fp_ = 0;
-  sim::symfe::ProtocolReport stored_protocol_;
 
   // This run's digests of the input module (stored at finish(), in module
   // iteration order).  Cells additionally carry a type hash: a cell
@@ -239,19 +215,11 @@ class EcoContext {
   std::unordered_map<std::string, sim::symfe::RestoredProof>
       restorable_proofs_;
 
-  // Region keys captured by the grouping pass, index-aligned with groups.
-  std::vector<util::CacheKey> region_keys_;
-
   // This run's table contents, accumulated by the restore queries.
   bool new_refsta_broken_ = false;  ///< arrivals depend on loop cuts
   std::unordered_map<std::string, std::array<double, kCorners>> new_refsta_;
-  double new_per_level_ = 0.0;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, double> new_regions_;
   std::unordered_map<std::string, double> new_latches_;
   std::unordered_map<std::string, sim::symfe::RestoredProof> new_symfe_;
-  bool new_has_protocol_ = false;
-  std::uint64_t new_protocol_fp_ = 0;
-  sim::symfe::ProtocolReport new_protocol_;
 
   FlowReport::EcoSection stats_;
 };

@@ -127,7 +127,8 @@ class FlowReport {
     bool ran = false;   ///< gates the JSON object; set by setEco
     bool warm = false;  ///< region tables loaded and guard key matched
     std::int64_t regions_total = 0;
-    std::int64_t regions_dirty = 0;     ///< regions whose key changed
+    /// Regions with a timing-dirty or unstored member latch (re-timed).
+    std::int64_t regions_dirty = 0;
     std::int64_t regions_restored = 0;  ///< timing restored, STA skipped
     std::int64_t registers_restored = 0;  ///< symfe proofs restored
     std::int64_t endpoints_restored = 0;  ///< reference-STA entries reused

@@ -84,6 +84,24 @@ struct FlowRun {
   std::string sdc;
 };
 
+/// Same prover outcome: per-register verdicts in report order and the
+/// protocol verdict.  Trivially true when neither flow ran the prover.
+bool sameProofVerdicts(const core::DesyncResult::SymfeCheck& a,
+                       const core::DesyncResult::SymfeCheck& b) {
+  if (a.ran != b.ran) return false;
+  if (a.report.registers.size() != b.report.registers.size()) return false;
+  for (std::size_t i = 0; i < a.report.registers.size(); ++i) {
+    const sim::symfe::RegisterProof& x = a.report.registers[i];
+    const sim::symfe::RegisterProof& y = b.report.registers[i];
+    if (x.name != y.name || x.verdict != y.verdict) return false;
+  }
+  const sim::symfe::ProtocolReport& p = a.report.protocol;
+  const sim::symfe::ProtocolReport& q = b.report.protocol;
+  return p.checked == q.checked && p.admissible == q.admissible &&
+         p.states_explored == q.states_explored &&
+         p.violation == q.violation && p.trace == q.trace;
+}
+
 /// Parses `text` and desynchronizes the top module.  Throws what the flow
 /// throws.
 FlowRun runConversion(const std::string& text,
@@ -511,8 +529,11 @@ OracleVerdict runOracle(const std::string& verilog,
   // primed on the ORIGINAL design; the warm run then diffs the edit and
   // must reproduce the cold flow of the edited design byte for byte (a
   // cold fallback inside the cached run is fine — identity is the
-  // property, not warmth).  When the edit makes the design un-flowable,
-  // both paths must agree on failing.
+  // property, not warmth).  All three flows run at the oracle's
+  // --fe-mode: with the prover on, the warm run restores the clean
+  // registers' proofs and must reach the cold flow's per-register and
+  // protocol verdicts.  When the edit makes the design un-flowable, both
+  // paths must agree on failing.
   if (options.check_eco) {
     std::string edited_text;
     try {
@@ -538,27 +559,28 @@ OracleVerdict runOracle(const std::string& verilog,
                   "-eco-cache");
       std::error_code ec;
       fs::remove_all(dir, ec);
+      core::DesyncOptions plain = flowOptions(options.fault);
+      plain.fe.mode = options.fe_mode;
+      core::DesyncOptions cached = plain;
+      cached.flowdb.cache_dir = dir.string();
       try {
         core::setThreadJobs(options.cold_jobs);
         bool cold_failed = false;
         std::string cold_error;
         FlowRun cold;
         try {
-          cold = runConversion(edited_text, gatefile,
-                               flowOptions(options.fault));
+          cold = runConversion(edited_text, gatefile, plain);
         } catch (const std::exception& e) {
           cold_failed = true;
           cold_error = e.what();
         }
-        runConversion(verilog, gatefile,
-                      flowOptions(options.fault, dir.string()));
+        runConversion(verilog, gatefile, cached);
         core::setThreadJobs(options.warm_jobs);
         bool eco_failed = false;
         std::string eco_error;
         FlowRun eco;
         try {
-          eco = runConversion(edited_text, gatefile,
-                              flowOptions(options.fault, dir.string()));
+          eco = runConversion(edited_text, gatefile, cached);
         } catch (const std::exception& e) {
           eco_failed = true;
           eco_error = e.what();
@@ -584,6 +606,13 @@ OracleVerdict runOracle(const std::string& verilog,
                "cached re-flow differs from the cold flow of the edited "
                "design at --jobs " + std::to_string(options.warm_jobs) +
                    " [" + v.eco_edit + "]");
+        } else if (!cold_failed &&
+                   !sameProofVerdicts(eco.result.symfe, cold.result.symfe)) {
+          fail("eco",
+               "cached re-flow's flow-equivalence proof verdicts differ "
+               "from the cold flow of the edited design at --jobs " +
+                   std::to_string(options.warm_jobs) + " [" + v.eco_edit +
+                   "]");
         }
       } catch (const std::exception& e) {
         core::setThreadJobs(options.restore_jobs);

@@ -35,7 +35,10 @@
 //                           or net rename) is applied to the design; the
 //                           incremental cached re-flow over tables primed
 //                           on the original must be byte-identical to a
-//                           cold flow of the edited design (docs/eco.md)
+//                           cold flow of the edited design (docs/eco.md);
+//                           both run at `fe_mode`, and with the prover on
+//                           their per-register and protocol verdicts
+//                           must match
 //
 // Fault injection (`drdesync-fuzz --fault`) deliberately mis-runs the flow
 // so the detection and shrinking machinery can be exercised end to end on
@@ -102,7 +105,9 @@ struct OracleOptions {
   /// route, the symbolic per-register prover, or both.  The prover is
   /// never vacuous — designs without replaced FFs get combinational
   /// output-port miters instead of a skip — but it is timing-blind, so the
-  /// short-margin fault is only caught by the vector route.
+  /// short-margin fault is only caught by the vector route.  Check 9's
+  /// flows also run at this mode, so a prove run exercises the ECO proof
+  /// restore.
   core::FeMode fe_mode = core::FeMode::kSim;
 };
 

@@ -493,7 +493,7 @@ SymfeReport proveFlowEquivalence(const liberty::BoundModule& sync_bound,
     rep.conflicts += p.conflicts;
     rep.decisions += p.decisions;
   }
-  if (options.check_protocol && options.protocol) {
+  if (options.protocol) {
     rep.protocol = checkProtocol(*options.protocol, options.controller);
   }
   rep.total_ms = msSince(t0);

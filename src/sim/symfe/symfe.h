@@ -112,7 +112,6 @@ struct SymfeOptions {
   /// "don't know"), never a silent pass.
   std::uint64_t max_conflicts = 200000;
   bool want_counterexample = true;
-  bool check_protocol = true;
   async::ControllerKind controller = async::ControllerKind::kSemiDecoupled;
   std::optional<ProtocolInput> protocol;
   /// ECO restore map (core/eco.h), keyed by register name: listed registers

@@ -2,8 +2,10 @@
 // the warm/cold lifecycle, dirtiness closures for every scripted edit
 // kind (cell insertion, constant tie, net rename, fanout reroute), the
 // byte-identity guarantee against cold flows of the edited design at
-// --jobs 1 and 4 on the DLX and ARM-class case studies, option-only
-// changes (margin, mux taps) restoring every region and proof, and every
+// --jobs 1 and 4 on the DLX and ARM-class case studies, a clean register
+// migrating between automatic regions, the protocol verdict of a
+// fully-decoupled prove run through the cache, option-only changes
+// (margin, mux taps) restoring every region and proof, and every
 // degradation path (corrupt slot, truncated slot, guard-key mismatch,
 // foreign design) falling back to a cold run — never a wrong one.
 //
@@ -23,6 +25,7 @@
 #include "core/parallel.h"
 #include "designs/cpu.h"
 #include "designs/small.h"
+#include "flowdb/cache.h"
 #include "flowdb/io.h"
 #include "liberty/stdlib90.h"
 #include "netlist/netlist.h"
@@ -179,6 +182,72 @@ bool anyNoteContains(const core::FlowReport& flow, const std::string& what) {
   return false;
 }
 
+/// Four independent clouds: register rK sits behind two NAND levels and
+/// its cloud has a NAND tail to output port oK.  `bridge` adds one NAND
+/// joining the tails of clouds 0 and 1 into a new port, which merges the
+/// two clouds into one automatic region: a register changes region while
+/// its own cone, and so its timing and next-state function, stay
+/// untouched.
+std::string migrationVerilog(bool bridge) {
+  std::string ports = "clk, rst_n";
+  std::string decls = "  input clk, rst_n;\n";
+  std::string body;
+  for (int k = 0; k < 4; ++k) {
+    const std::string s = std::to_string(k);
+    ports += ", a" + s + ", b" + s + ", c" + s + ", e" + s + ", o" + s +
+             ", q" + s;
+    decls += "  input a" + s + ", b" + s + ", c" + s + ", e" + s + ";\n" +
+             "  output o" + s + ", q" + s + ";\n  wire n" + s + ", d" + s +
+             ";\n";
+    body += "  ND2 g" + s + "a (.A(a" + s + "), .B(b" + s + "), .Z(n" + s +
+            "));\n  ND2 g" + s + "b (.A(n" + s + "), .B(c" + s + "), .Z(d" +
+            s + "));\n  ND2 g" + s + "c (.A(n" + s + "), .B(e" + s +
+            "), .Z(o" + s + "));\n  DFFR r" + s + " (.D(d" + s +
+            "), .CP(clk), .CDN(rst_n), .Q(q" + s + "));\n";
+  }
+  if (bridge) {
+    ports += ", ob";
+    decls += "  output ob;\n";
+    body += "  ND2 bridge (.A(o0), .B(o1), .Z(ob));\n";
+  }
+  return "module mig (" + ports + ");\n" + decls + body + "endmodule\n";
+}
+
+/// Desynchronizes `text`; `region_of` receives each original register's
+/// region (through its "<ff>_Lm" master latch).
+FlowOutput runText(const std::string& text, const core::DesyncOptions& opt,
+                   std::map<std::string, int>* region_of = nullptr) {
+  nl::Design design;
+  nl::readVerilog(design, text, gf());
+  nl::Module& m = design.top();
+  FlowOutput out;
+  out.result = core::desynchronize(design, m, gf(), opt);
+  out.verilog = nl::writeVerilog(design);
+  out.sdc = out.result.sdc.toText();
+  if (region_of != nullptr) {
+    const core::Regions& regions = out.result.regions;
+    for (int g = 0; g < regions.n_groups; ++g) {
+      for (nl::CellId c : regions.seq_cells[g]) {
+        if (!m.isLiveCell(c)) continue;
+        const std::string name(m.cellName(c));
+        if (name.size() > 3 && name.compare(name.size() - 3, 3, "_Lm") == 0) {
+          (*region_of)[name.substr(0, name.size() - 3)] = g;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void expectSameProtocol(const desync::sim::symfe::ProtocolReport& got,
+                        const desync::sim::symfe::ProtocolReport& want) {
+  EXPECT_EQ(got.checked, want.checked);
+  EXPECT_EQ(got.admissible, want.admissible);
+  EXPECT_EQ(got.states_explored, want.states_explored);
+  EXPECT_EQ(got.violation, want.violation);
+  EXPECT_EQ(got.trace, want.trace);
+}
+
 }  // namespace
 
 // --- lifecycle ------------------------------------------------------------
@@ -272,6 +341,72 @@ TEST(Eco, NetRenameEditMatchesCold) {
   EXPECT_GT(warm.result.flow.eco().cells_changed, 0);
 }
 
+TEST(Eco, CleanRegisterMigratingBetweenRegionsMatchesCold) {
+  const std::string pristine = migrationVerilog(false);
+  const std::string edited = migrationVerilog(true);
+  std::map<std::string, int> before;
+  std::map<std::string, int> after;
+  runText(pristine, ecoOptions(""), &before);
+  const FlowOutput cold = runText(edited, ecoOptions(""), &after);
+  ASSERT_EQ(before.size(), 4u);
+  ASSERT_EQ(after.size(), 4u);
+  ASSERT_NE(before.at("r0"), before.at("r1"));
+  ASSERT_EQ(after.at("r0"), after.at("r1"))
+      << "the bridge must merge the two clouds into one region";
+
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("--jobs " + std::to_string(jobs));
+    const fs::path dir = scratchDir("migration_j" + std::to_string(jobs));
+    runText(pristine, ecoOptions(dir.string()));  // prime
+    core::setThreadJobs(jobs);
+    const FlowOutput warm = runText(edited, ecoOptions(dir.string()));
+    core::setThreadJobs(0);
+
+    EXPECT_EQ(warm.verilog, cold.verilog);
+    EXPECT_EQ(warm.sdc, cold.sdc);
+    const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
+    EXPECT_TRUE(eco.warm);
+    EXPECT_EQ(eco.dirty_endpoints, 0) << "no register's cone was edited";
+    // Every member latch is clean and stored, so every region's
+    // requirement restores — the merged one included.
+    EXPECT_EQ(eco.regions_dirty, 0);
+    EXPECT_EQ(eco.regions_restored, eco.regions_total);
+  }
+}
+
+TEST(Eco, FullyDecoupledProtocolVerdictSurvivesTheCache) {
+  const fs::path dir = scratchDir("fd_protocol");
+  core::DesyncOptions cached = ecoOptions(dir.string());
+  cached.control.controller = desync::async::ControllerKind::kFullyDecoupled;
+  cached.fe.mode = core::FeMode::kProve;
+  core::DesyncOptions plain = cached;
+  plain.flowdb.cache_dir.clear();
+
+  const FlowOutput uncached = runPipe2(plain);
+  const auto& want = uncached.result.symfe.report.protocol;
+  ASSERT_TRUE(want.checked);
+  EXPECT_GT(want.states_explored, 0u);
+
+  const FlowOutput cold = runPipe2(cached);
+  const FlowOutput rerun = runPipe2(cached);
+  EXPECT_TRUE(rerun.result.flow.eco().warm);
+  EXPECT_GT(rerun.result.symfe.report.restored, 0u);
+  for (const FlowOutput* run : {&cold, &rerun}) {
+    expectSameProtocol(run->result.symfe.report.protocol, want);
+    EXPECT_EQ(run->verilog, uncached.verilog);
+  }
+
+  const auto edit = [](nl::Module& m) { ASSERT_TRUE(insertInverter(m)); };
+  const FlowOutput edited_plain = runPipe2(plain, edit);
+  const FlowOutput edited = runPipe2(cached, edit);
+  EXPECT_TRUE(edited.result.flow.eco().warm);
+  EXPECT_GT(edited.result.flow.eco().dirty_endpoints, 0);
+  expectSameProtocol(edited.result.symfe.report.protocol,
+                     edited_plain.result.symfe.report.protocol);
+  EXPECT_EQ(edited.verilog, edited_plain.verilog);
+  EXPECT_EQ(edited.sdc, edited_plain.sdc);
+}
+
 // --- degradation paths: cold, never wrong ---------------------------------
 
 TEST(Eco, CorruptSlotFallsBackToColdThenRecovers) {
@@ -315,6 +450,32 @@ TEST(Eco, TruncatedSlotFallsBackToCold) {
   EXPECT_TRUE(anyNoteContains(damaged.result.flow, "eco:"));
   EXPECT_EQ(damaged.verilog, cold.verilog);
   EXPECT_EQ(damaged.sdc, cold.sdc);
+}
+
+TEST(Eco, OlderFormatSlotIsRejectedOnceAndRewritten) {
+  const fs::path dir = scratchDir("old_format");
+  const FlowOutput cold = runPipe2(ecoOptions(dir.string()));
+  const fs::path slot = slotPath(dir);
+  ASSERT_FALSE(slot.empty());
+  {
+    // An intact slot sealed by the previous format version: a cache
+    // directory revisited after an upgrade.
+    const std::string sealed = desync::flowdb::sealEnvelope(
+        "DSYNCECO", desync::flowdb::kCacheFormatVersion - 1,
+        "previous-format tables");
+    std::ofstream f(slot, std::ios::binary | std::ios::trunc);
+    f.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
+  }
+
+  const FlowOutput rejected = runPipe2(ecoOptions(dir.string()));
+  EXPECT_FALSE(rejected.result.flow.eco().warm);
+  EXPECT_TRUE(anyNoteContains(rejected.result.flow, "version"));
+  EXPECT_EQ(rejected.verilog, cold.verilog);
+  EXPECT_EQ(rejected.sdc, cold.sdc);
+
+  const FlowOutput rewritten = runPipe2(ecoOptions(dir.string()));
+  EXPECT_TRUE(rewritten.result.flow.eco().warm);
+  EXPECT_EQ(rewritten.verilog, cold.verilog);
 }
 
 TEST(Eco, GuardKeyMismatchFallsBackToCold) {
