@@ -1,5 +1,5 @@
-// Incremental recompute bench: warm `--cache-dir` runs against the ECO
-// tables vs a cold flow, on edits, margin changes and identical reruns.
+// Incremental recompute bench: warm `--cache-dir` runs against the proof
+// table vs a cold flow, on edits, margin changes and identical reruns.
 //
 // Three kinds of warm run are measured per design, each against a cold
 // flow of the same input at the same options (FlowDB off, the
@@ -7,29 +7,30 @@
 //
 //   edit       — an engineering change order inverts the data inputs of
 //                1/5/50 registers (a scripted polarity fix, the classic
-//                metal-layer ECO); the tables are primed on the *unedited*
-//                design, so the rerun re-analyzes only the dirtied
-//                regions/endpoints/registers and restores the surviving
-//                proofs (docs/eco.md).  Prover on.
-//   margin     — the unedited design rerun at margin 1.25 over tables
-//                primed at 1.15: the margin stays out of the tables'
-//                guard, so every region and every proof restores and
-//                only the delay elements re-size.  Prover on and off.
+//                metal-layer ECO); the table is primed on the *unedited*
+//                design, so the rerun re-proves exactly the registers whose
+//                miters the edit changed and reuses every other proof
+//                (docs/eco.md).  Prover on.
+//   margin     — the unedited design rerun at margin 1.25 over a table
+//                primed at 1.15: the margin only sizes delay elements,
+//                which no miter reads, so every proof is reused.  Prover
+//                on and off.
 //   identical  — the unedited design rerun at the primed options.
 //                Prover on and off.
 //
 // The accept gate (`bench_eco_accept`) checks deterministic work counters
-// only, never wall-clock ratios: every warm run is byte-identical to its
-// cold reference and used the tables, every edit was fully applied, small
-// edits keep regions restorable, an edit re-proves exactly the registers
-// its dirty closure reports, and margin-change and identical reruns
-// restore every region and re-prove no register.  The cold/warm wall
-// ratios go to BENCH_eco.json as trajectory.
+// only, never wall-clock ratios: every warm run writes Verilog, SDC and
+// per-register proof records identical to its cold reference; with the
+// prover on it loaded the table, an edit of N registers (each inverts one
+// register's single-sink D net, so exactly that register's miter changes)
+// re-proves exactly N, and margin-change and identical reruns re-prove
+// none; with the prover off the cache directory is inert and nothing is
+// written.  The cold/warm wall ratios go to BENCH_eco.json as trajectory.
 //
 // Timed region: desynchronize() only (design construction stands in for
 // parsing and is paid identically by all runs).  Each primed cache
 // directory is copied before every warm repeat, so each repeat sees the
-// same tables.
+// same table.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -78,18 +79,17 @@ int applyEcoEdit(bench::nl::Module& m, const bench::lib::Gatefile& gf,
   return done;
 }
 
-/// What one flow produced and how much of it the ECO tables restored.
+/// What one flow produced and how much of it the proof table restored.
 struct Run {
   double ms = 0;  ///< desynchronize() wall time
   std::string verilog;
   std::string sdc;
+  std::string proofs;  ///< per-register proof records, one line each
   int edits = 0;  ///< sites the scripted edit actually found
   bool warm = false;
-  std::int64_t regions_total = 0;
-  std::int64_t regions_restored = 0;
   std::int64_t registers_restored = 0;
   std::int64_t registers_reproved = 0;  ///< prover verdicts not restored
-  std::int64_t dirty_endpoints = 0;
+  std::uint64_t bytes_written = 0;      ///< cache slot bytes stored
 };
 
 /// One desynchronization of `config` with `edits` ECO sites applied
@@ -119,13 +119,17 @@ Run runFlow(const bench::designs::CpuConfig& config, int edits, double margin,
   run.sdc = r.sdc.toText();
   const bench::core::FlowReport::EcoSection& eco = r.flow.eco();
   run.warm = eco.warm && r.flow.cacheStats().hits == 1;
-  run.regions_total = eco.regions_total;
-  run.regions_restored = eco.regions_restored;
   run.registers_restored = eco.registers_restored;
   run.registers_reproved =
       static_cast<std::int64_t>(r.symfe.report.registers.size()) -
       static_cast<std::int64_t>(r.symfe.report.restored);
-  run.dirty_endpoints = eco.dirty_endpoints;
+  run.bytes_written = r.flow.cacheStats().bytes_written;
+  for (const auto& p : r.symfe.report.registers) {
+    run.proofs += p.name + " " + std::to_string(static_cast<int>(p.verdict)) +
+                  " " + (p.trivial ? "1" : "0") + " " +
+                  std::to_string(p.conflicts) + " " +
+                  std::to_string(p.decisions) + "\n";
+  }
   if (std::getenv("DESYNC_ECO_DEBUG")) {
     std::printf("-- %s edits=%d margin=%.2f prove=%d cache=%d: %.1f ms\n",
                 config.name.c_str(), edits, margin, prove ? 1 : 0,
@@ -170,7 +174,7 @@ Case measure(const bench::designs::CpuConfig& config, const std::string& name,
     fs::copy(primed, dir, fs::copy_options::recursive);
     Run warm = runFlow(config, edits, margin, prove, dir.string());
     c.matches = c.matches && warm.verilog == c.cold.verilog &&
-                warm.sdc == c.cold.sdc;
+                warm.sdc == c.cold.sdc && warm.proofs == c.cold.proofs;
     const double ms = std::min(c.warm.ms, warm.ms);
     c.warm = std::move(warm);
     c.warm.ms = ms;
@@ -186,11 +190,13 @@ std::vector<Case> measureDesign(const bench::designs::CpuConfig& config,
                                 int repeats) {
   std::vector<Case> out;
   for (const bool prove : {true, false}) {
-    // Tables primed once per prover setting on the pristine design (the
-    // FE mode is part of the guard) and copied for every warm repeat.
+    // The table is primed once per prover setting on the pristine design
+    // and copied for every warm repeat (without the prover the directory
+    // stays empty).
     const fs::path primed = fs::temp_directory_path() /
                             ("bench_eco_" + config.name + "_primed");
     fs::remove_all(primed);
+    fs::create_directories(primed);
     runFlow(config, 0, kPrimeMargin, prove, primed.string());
     if (prove) {
       for (int size : {1, 5, 50}) {
@@ -212,16 +218,14 @@ bool isEdit(const Case& c) { return c.requested > 0; }
 /// The deterministic gate for one case; prints the reason when it fails.
 bool caseOk(const char* design, const Case& c) {
   std::string why;
-  if (!c.matches) why = "warm output differs from cold";
-  else if (!c.warm.warm) why = "the ECO tables were not used";
+  if (!c.matches) why = "warm output or proof records differ from cold";
+  else if (c.prove && !c.warm.warm) why = "the proof table was not loaded";
+  else if (!c.prove && c.warm.bytes_written != 0)
+    why = "the cache was written without the prover";
   else if (isEdit(c) && c.warm.edits != c.requested) why = "edit incomplete";
-  else if (isEdit(c) && c.requested <= 5 && c.warm.regions_restored == 0)
-    why = "a small edit restored no region";
-  else if (isEdit(c) && c.warm.registers_reproved != c.warm.dirty_endpoints)
-    why = "re-proved registers != dirty endpoints";
-  else if (!isEdit(c) && c.warm.regions_restored != c.warm.regions_total)
-    why = "not every region restored";
-  else if (!isEdit(c) && c.warm.registers_reproved != 0)
+  else if (isEdit(c) && c.warm.registers_reproved != c.warm.edits)
+    why = "re-proved registers != edited registers";
+  else if (!isEdit(c) && c.prove && c.warm.registers_reproved != 0)
     why = "registers re-proved";
   if (why.empty()) return true;
   bench::row("FAIL %s %s (%s): %s", design, c.name.c_str(),
@@ -231,14 +235,11 @@ bool caseOk(const char* design, const Case& c) {
 
 void printDesign(const char* design, const std::vector<Case>& cases) {
   for (const Case& c : cases) {
-    bench::row("%-5s %-9s %-5s %9.1f %9.1f %7.1fx %6s %5lld/%-5lld %8lld "
-               "%8lld",
-               design, c.name.c_str(), c.prove ? "on" : "off", c.cold.ms,
-               c.warm.ms, c.ratio(), c.matches ? "yes" : "NO",
-               static_cast<long long>(c.warm.regions_restored),
-               static_cast<long long>(c.warm.regions_total),
+    bench::row("%-5s %-9s %-5s %9.1f %9.1f %7.1fx %6s %8lld %9llu", design,
+               c.name.c_str(), c.prove ? "on" : "off", c.cold.ms, c.warm.ms,
+               c.ratio(), c.matches ? "yes" : "NO",
                static_cast<long long>(c.warm.registers_reproved),
-               static_cast<long long>(c.warm.dirty_endpoints));
+               static_cast<unsigned long long>(c.warm.bytes_written));
   }
 }
 
@@ -254,16 +255,12 @@ void addJson(std::vector<std::pair<std::string, double>>& kv,
     kv.emplace_back(p + "eco_ms", c.warm.ms);
     kv.emplace_back(p + "cold_over_eco", c.ratio());
     kv.emplace_back(p + "matches_cold", c.matches ? 1.0 : 0.0);
-    kv.emplace_back(p + "regions_total",
-                    static_cast<double>(c.warm.regions_total));
-    kv.emplace_back(p + "regions_restored",
-                    static_cast<double>(c.warm.regions_restored));
     kv.emplace_back(p + "registers_restored",
                     static_cast<double>(c.warm.registers_restored));
     kv.emplace_back(p + "registers_reproved",
                     static_cast<double>(c.warm.registers_reproved));
-    kv.emplace_back(p + "dirty_endpoints",
-                    static_cast<double>(c.warm.dirty_endpoints));
+    kv.emplace_back(p + "bytes_written",
+                    static_cast<double>(c.warm.bytes_written));
   }
 }
 
@@ -272,10 +269,10 @@ void addJson(std::vector<std::pair<std::string, double>>& kv,
 int main() {
   desync::trace::startFromEnv();
   const int repeats = bench::benchRepeats();
-  bench::header("Incremental recompute against the ECO tables vs cold");
-  bench::row("%-5s %-9s %-5s %9s %9s %8s %6s %11s %8s %8s", "design", "case",
-             "fe", "cold_ms", "eco_ms", "cold/eco", "match", "regions",
-             "reproved", "dirty");
+  bench::header("Incremental recompute against the proof table vs cold");
+  bench::row("%-5s %-9s %-5s %9s %9s %8s %6s %8s %9s", "design", "case",
+             "fe", "cold_ms", "eco_ms", "cold/eco", "match", "reproved",
+             "bytes_out");
 
   bench::RepeatedTiming total;
   const auto t0 = std::chrono::steady_clock::now();
@@ -299,10 +296,10 @@ int main() {
   bool ok = true;
   for (const Case& c : dlx) ok = caseOk("dlx", c) && ok;
   for (const Case& c : arm) ok = caseOk("arm", c) && ok;
-  bench::row("%s", ok ? "OK: byte-identical and warm everywhere; edits "
-                        "re-prove exactly their dirty endpoints; margin "
-                        "changes and identical reruns restore every region "
-                        "and re-prove nothing"
+  bench::row("%s", ok ? "OK: outputs and proof records identical to cold; "
+                        "edits re-prove exactly the edited registers; "
+                        "margin changes and identical reruns re-prove "
+                        "nothing; the prover-off cache writes nothing"
                       : "FAIL: see the lines above");
   desync::trace::finish();
   return ok ? 0 : 1;

@@ -17,6 +17,10 @@ using netlist::Module;
 using netlist::NetId;
 using netlist::PortDir;
 
+namespace {
+
+/// Rise delay of one AND stage of the asymmetric delay element under
+/// nominal conditions (thesis §3.1.4), a pure function of the library.
 double characterizeDelayStageNs(const liberty::Gatefile& gatefile) {
   // Elements of 1..100 levels are implemented and measured with STA
   // (thesis §3.1.4); one 16-level probe gives the per-stage rise delay.
@@ -30,6 +34,8 @@ double characterizeDelayStageNs(const liberty::Gatefile& gatefile) {
   double total = sta.portToPortNs("A", "Z", /*rising_out=*/true).value();
   return total / probe.levels;
 }
+
+}  // namespace
 
 RegionTiming computeRegionTiming(Module& m, const liberty::Gatefile& gatefile,
                                  const Regions& regions) {

@@ -67,14 +67,6 @@ struct RegionTiming {
   std::vector<double> required_delay_ns;
 };
 
-/// Characterizes the rise delay of one AND stage of the asymmetric delay
-/// element under nominal conditions (thesis §3.1.4).  A pure function of
-/// the library; the probe element is built and measured in a scratch
-/// design so no helper module leaks into the flow output.  Cheap enough
-/// (well under a millisecond) that every run, cached or not, simply
-/// measures it.
-double characterizeDelayStageNs(const liberty::Gatefile& gatefile);
-
 /// Runs the timing prerequisites of control-network insertion: re-buffers
 /// the datapath (the cleaning pass stripped the synthesis buffers, and the
 /// delay elements must be sized against the timing the backend netlist

@@ -40,7 +40,7 @@ namespace {
 /// lookup totals, FlowDB cache traffic and the process's peak RSS, so the
 /// trace shows which pass grew which resource (docs/trace-format.md).
 void tracePassBoundaryCounters(const liberty::Gatefile& gatefile,
-                               const EcoContext* eco) {
+                               const ProofCache* cache) {
   if (!trace::enabled()) return;
   trace::counter("liberty_cell_lookups",
                  static_cast<double>(gatefile.library().lookupCount()));
@@ -48,11 +48,11 @@ void tracePassBoundaryCounters(const liberty::Gatefile& gatefile,
                  static_cast<double>(liberty::detail::pinLookupCount()));
   trace::counter("peak_rss_mb", static_cast<double>(trace::peakRssBytes()) /
                                     (1024.0 * 1024.0));
-  if (eco != nullptr) {
+  if (cache != nullptr) {
     trace::counter("cache_bytes_read",
-                   static_cast<double>(eco->cacheStats().bytes_read));
+                   static_cast<double>(cache->cacheStats().bytes_read));
     trace::counter("cache_bytes_written",
-                   static_cast<double>(eco->cacheStats().bytes_written));
+                   static_cast<double>(cache->cacheStats().bytes_written));
   }
 }
 
@@ -128,7 +128,7 @@ void runFeCheck(const netlist::Module& sync_top, const netlist::Module& module,
 void runFeProve(const netlist::Module& sync_top, const netlist::Module& module,
                 const liberty::Gatefile& gatefile,
                 const DesyncOptions& options, DesyncResult& result,
-                EcoContext* eco) {
+                const ProofCache* cache) {
   ScopedPass pass(result.flow, "fe_prove");
 
   const liberty::BoundModule sync_bound(sync_top, gatefile);
@@ -146,13 +146,12 @@ void runFeProve(const netlist::Module& sync_top, const netlist::Module& module,
   pi.preds = result.ddg.preds;
   so.protocol = std::move(pi);
 
-  // ECO: clean registers reuse their stored proofs.
-  if (eco != nullptr) so.restored_proofs = &eco->restoredProofs();
+  // --cache-dir: registers whose miter was proved before reuse the proof.
+  if (cache != nullptr) so.proof_table = &cache->table();
 
   result.symfe.report = sim::symfe::proveFlowEquivalence(sync_bound,
                                                          desync_bound, so);
   result.symfe.ran = true;
-  if (eco != nullptr) eco->recordSymfe(result.symfe.report);
 
   const sim::symfe::SymfeReport& rep = result.symfe.report;
   pass.counter("registers", static_cast<std::int64_t>(rep.registers.size()));
@@ -197,14 +196,15 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
                            options.fe.mode != FeMode::kProve;
   const bool want_prove = options.fe.mode != FeMode::kSim;
   if (want_vector || want_prove) {
-    trace::Span span("sync_snapshot", "flow");
+    ScopedPass pass(result.flow, "sync_snapshot");
     sync_top = &netlist::snapshotModule(sync_snapshot, module);
   }
 
-  // With a cache directory, the ECO tables are loaded and the input diffed
-  // before any pass mutates the module; the passes then ask for restores.
-  const std::unique_ptr<EcoContext> eco =
-      EcoContext::open(options, module, gatefile, result.flow);
+  // With a cache directory and the prover on, the proofs of the previous
+  // run are loaded for fe_prove to reuse.
+  const std::unique_ptr<ProofCache> cache =
+      ProofCache::open(options, module.name(), result.flow);
+  const double setup_ms = result.flow.totalMs();
 
   // The seven passes run in the paper's fixed order.  A failure is
   // rethrown as FlowError carrying the report so far (~ScopedPass has
@@ -218,7 +218,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
     } catch (const std::exception& e) {
       throw FlowError(name, result.flow, e.what());
     }
-    tracePassBoundaryCounters(gatefile, eco.get());
+    tracePassBoundaryCounters(gatefile, cache.get());
   };
 
   // Reference periods of the synchronous circuit (before any mutation):
@@ -237,43 +237,18 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
     }
     std::vector<double> task_ms(corner_opts.size(), 0.0);
     std::vector<std::unique_ptr<sta::Sta>> analyses(corner_opts.size());
-    auto buildAll = [&](const std::vector<std::uint8_t>* mask) {
-      parallelFor(corner_opts.size(), [&](std::size_t i) {
-        trace::Span span("sta_corner", "sta");
-        const auto t0 = std::chrono::steady_clock::now();
-        sta::StaOptions so = corner_opts[i];
-        so.net_mask = mask;
-        analyses[i] = std::make_unique<sta::Sta>(bound, std::move(so));
-        task_ms[i] += std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      });
-    };
-    const std::vector<std::uint8_t>* mask =
-        eco != nullptr ? eco->refstaMask() : nullptr;
-    buildAll(mask);
-    if (mask != nullptr) {
-      // A masked analysis that had to cut loops is not comparable with the
-      // stored full-run arrivals; redo the pass unmasked (still exact).
-      bool broken = false;
-      for (const auto& a : analyses) {
-        if (!a->brokenArcs().empty()) broken = true;
-      }
-      if (broken) {
-        eco->dropStoredRefsta();
-        buildAll(nullptr);
-      }
-    }
-    std::vector<double> periods;
-    if (eco != nullptr) {
-      periods = eco->referencePeriods(module, analyses);
-    } else {
-      for (const auto& a : analyses) periods.push_back(a->minPeriodNs());
-    }
+    parallelFor(corner_opts.size(), [&](std::size_t i) {
+      trace::Span span("sta_corner", "sta");
+      const auto t0 = std::chrono::steady_clock::now();
+      analyses[i] = std::make_unique<sta::Sta>(bound, corner_opts[i]);
+      task_ms[i] = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    });
     for (std::size_t i = 0; i < analyses.size(); ++i) {
       const variability::CornerSpec spec = variability::cornerSpec(corners[i]);
       result.corner_periods.push_back(DesyncResult::CornerPeriod{
-          spec.name, spec.delay_scale, periods[i]});
+          spec.name, spec.delay_scale, analyses[i]->minPeriodNs()});
       pass.work(task_ms[i]);
     }
     result.sync_min_period_ns = result.corner_periods[1].min_period_ns;
@@ -318,19 +293,10 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 5a. Region timing: datapath re-buffering, delay-element stage
-  // characterization and per-region critical paths.  The requirements are
-  // margin-free (the margin is applied by the control network below), so
-  // the ECO tables restore them across a margin or mux-tap change.
+  // characterization and per-region critical paths (margin-free; the
+  // margin is applied by the control network below).
   runPass("region_timing", [&](ScopedPass& pass) {
-    if (eco != nullptr) {
-      EcoContext::RegionTimingOutcome out =
-          eco->regionTiming(module, gatefile, result.regions);
-      result.timing = std::move(out.timing);
-      pass.counter("regions_dirty", out.dirty);
-      pass.counter("regions_restored", out.restored);
-    } else {
-      result.timing = computeRegionTiming(module, gatefile, result.regions);
-    }
+    result.timing = computeRegionTiming(module, gatefile, result.regions);
     pass.counter("regions", static_cast<std::int64_t>(
                                 result.timing.required_delay_ns.size()));
     pass.counter("cells", static_cast<std::int64_t>(module.numCells()));
@@ -389,16 +355,16 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
                  static_cast<std::int64_t>(result.sdc.disabled.size()));
   });
 
-  const double passes_ms = result.flow.totalMs();
+  const double passes_ms = result.flow.totalMs() - setup_ms;
   if (want_vector) {
     runFeCheck(*sync_top, module, gatefile, options, result);
   }
   if (want_prove) {
-    runFeProve(*sync_top, module, gatefile, options, result, eco.get());
+    runFeProve(*sync_top, module, gatefile, options, result, cache.get());
   }
-  if (eco != nullptr) {
-    eco->finish(result.flow, passes_ms);
-    tracePassBoundaryCounters(gatefile, eco.get());
+  if (cache != nullptr) {
+    cache->finish(result.symfe.report, result.flow, passes_ms);
+    tracePassBoundaryCounters(gatefile, cache.get());
   }
   // Contention delta across the run: non-zero when another top-level
   // caller's parallel section serialized one of ours on the shared pool.

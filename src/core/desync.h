@@ -64,11 +64,11 @@ struct FeCheckOptions {
 
 /// FlowDB persistence knobs (`--cache-dir`).
 struct FlowDbOptions {
-  /// Cache directory holding the per-design ECO region tables
-  /// (docs/eco.md): the input is diffed against the previous run's
-  /// per-object records and only the dirty regions, endpoints and
-  /// registers are re-analyzed.  Output stays byte-identical to a cold
-  /// run.  Empty disables FlowDB entirely (zero overhead).
+  /// Cache directory holding each design's proof table (docs/eco.md): a
+  /// prover run reuses the proof of every register whose miter is
+  /// unchanged since the previous run.  Output stays byte-identical to an
+  /// uncached run.  Inert without the prover (`--fe-mode sim`); empty
+  /// disables FlowDB entirely (zero overhead).
   std::string cache_dir;
   /// Ignored: a non-empty cache_dir always runs incrementally.  Kept only
   /// for source compatibility with callers that still set it.
@@ -85,7 +85,7 @@ struct DesyncOptions {
   /// come from these sequential-cell name-prefix groups instead of the
   /// automatic algorithm (group i+1 = prefixes[i]).
   std::vector<std::vector<std::string>> manual_seq_groups;
-  /// Incremental recompute against a cache directory.
+  /// Proof reuse through a cache directory.
   FlowDbOptions flowdb;
   /// Post-flow flow-equivalence self-check (disabled by default).
   FeCheckOptions fe;
@@ -96,8 +96,7 @@ struct DesyncResult {
   DependencyGraph ddg;
   SubstitutionResult substitution;
   /// STA products of the region_timing pass (delay-element stage delay,
-  /// per-region critical paths); margin-free, so the ECO tables' latch
-  /// worsts stay valid across control-knob changes.
+  /// per-region critical paths); margin-free.
   RegionTiming timing;
   ControlNetworkReport control;
   /// Backend constraints: ClkM/ClkS latch-enable clocks (Fig 4.2),
@@ -158,8 +157,8 @@ class FlowError : public std::runtime_error {
 /// Desynchronizes `module` in place.  `design` receives the helper modules
 /// (controllers, C-elements, delay elements) before they are flattened in.
 /// A pass failure is reported as FlowError.  With options.flowdb.cache_dir
-/// set, the passes restore every region and proof the previous run's ECO
-/// tables still cover (core/eco.h); restored and computed runs produce
+/// set and the prover on, fe_prove reuses the stored proof of every
+/// unchanged miter (core/eco.h); restored and computed proofs produce
 /// byte-identical results.
 DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
                            const liberty::Gatefile& gatefile,

@@ -70,16 +70,10 @@ util::Json FlowReport::toJson() const {
   if (eco_.ran) {
     out.set("eco", Json::object()
                        .set("warm", Json::boolean(eco_.warm))
-                       .set("regions_total", count(eco_.regions_total))
-                       .set("regions_dirty", count(eco_.regions_dirty))
-                       .set("regions_restored", count(eco_.regions_restored))
+                       .set("proofs_loaded", count(eco_.proofs_loaded))
                        .set("registers_restored",
                             count(eco_.registers_restored))
-                       .set("endpoints_restored",
-                            count(eco_.endpoints_restored))
-                       .set("cells_changed", count(eco_.cells_changed))
-                       .set("nets_changed", count(eco_.nets_changed))
-                       .set("dirty_endpoints", count(eco_.dirty_endpoints)));
+                       .set("proofs_stored", count(eco_.proofs_stored)));
   }
   if (cache_.enabled) {
     out.set("cache", Json::object()

@@ -47,13 +47,13 @@ struct PassStat {
 /// ran without --cache-dir).  Serialized as the top-level "cache" object.
 struct FlowCacheStats {
   bool enabled = false;
-  /// The design's ECO slot: 1/0 when its tables were usable (warm), 0/1
-  /// when the run was cold (absent, invalid or guard-mismatched tables).
+  /// The design's proof-table slot: 1/0 when a valid table was loaded
+  /// (warm), 0/1 when the run was cold (absent or invalid slot).
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;  ///< includes this run's table store
-  /// Time spent loading + diffing the ECO tables vs computing passes.
+  /// Time spent loading the proof table vs computing the seven passes.
   double restore_ms = 0.0;
   double compute_ms = 0.0;
 };
@@ -107,7 +107,7 @@ class FlowReport {
     std::int64_t proved = 0;
     std::int64_t refuted = 0;
     std::int64_t skipped = 0;
-    std::int64_t restored = 0;    ///< subset of proved: ECO-restored
+    std::int64_t restored = 0;    ///< subset of proved: reused proofs
     std::int64_t conflicts = 0;   ///< total solver conflicts
     std::int64_t decisions = 0;   ///< total solver decisions
     std::int64_t protocol_states = 0;  ///< markings explored (fully dec.)
@@ -121,22 +121,20 @@ class FlowReport {
   }
   [[nodiscard]] const SymfeSection& symfe() const { return symfe_; }
 
-  /// Incremental-recompute statistics of a `--cache-dir` run (core/eco.h).
-  /// Serialized as the top-level "eco" object when the ECO layer ran.
+  /// Proof-cache statistics of a `--cache-dir` prover run (core/eco.h).
+  /// Serialized as the top-level "eco" object when the cache ran.
   struct EcoSection {
     bool ran = false;   ///< gates the JSON object; set by setEco
-    bool warm = false;  ///< region tables loaded and guard key matched
+    bool warm = false;  ///< a valid proof table was loaded
+    std::int64_t proofs_loaded = 0;       ///< entries of the loaded table
+    std::int64_t registers_restored = 0;  ///< proofs reused, SAT skipped
+    std::int64_t proofs_stored = 0;       ///< entries this run stored
+    /// Always 0 and not serialized: the ECO diff that counted these is
+    /// gone, but perfbench still reads the members.
     std::int64_t regions_total = 0;
-    /// Regions with a timing-dirty or unstored member latch (re-timed).
-    std::int64_t regions_dirty = 0;
-    std::int64_t regions_restored = 0;  ///< timing restored, STA skipped
-    std::int64_t registers_restored = 0;  ///< symfe proofs restored
-    std::int64_t endpoints_restored = 0;  ///< reference-STA entries reused
-    std::int64_t cells_changed = 0;  ///< diffed records (incl. removed)
-    std::int64_t nets_changed = 0;
-    /// Registers the edit's functional closure reached (re-proved by a
-    /// warm prove run).
-    std::int64_t dirty_endpoints = 0;
+    std::int64_t regions_restored = 0;
+    std::int64_t endpoints_restored = 0;
+    std::int64_t cells_changed = 0;
   };
   void setEco(EcoSection eco) {
     eco_ = eco;

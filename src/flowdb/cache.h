@@ -1,7 +1,7 @@
 // FlowDB cache directory: atomically written, validated named slots.
 //
 // A PassCache is one directory of named slots — well-known single files
-// whose payloads the caller defines (the ECO region tables of core/eco.h
+// whose payloads the caller defines (the proof tables of core/eco.h
 // live in one slot per design).  Slots are written atomically — the
 // payload is sealed in an envelope, written to a process-unique temp file
 // and renamed into place — so a killed run can never leave a half-written
@@ -27,7 +27,7 @@ namespace desync::flowdb {
 /// Format version of every slot in a cache directory.  A slot sealed by
 /// another version is rejected as a version mismatch, not as corruption;
 /// files other than the requested slot are never read.
-inline constexpr std::uint32_t kCacheFormatVersion = 5;
+inline constexpr std::uint32_t kCacheFormatVersion = 6;
 
 /// Traffic counters for one PassCache instance.
 struct CacheStats {

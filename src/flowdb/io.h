@@ -1,6 +1,6 @@
 // Byte-stream primitives for the FlowDB persistence layer.
 //
-// Every FlowDB artifact (the ECO region tables of core/eco.h) is a flat
+// Every FlowDB artifact (the proof tables of core/eco.h) is a flat
 // byte string produced by a ByteWriter and consumed by a ByteReader.
 // Multi-byte integers are encoded little-endian *explicitly* (byte shifts,
 // not memcpy), so files written on one host read identically on any other;

@@ -84,16 +84,22 @@ struct FlowRun {
   std::string sdc;
 };
 
-/// Same prover outcome: per-register verdicts in report order and the
-/// protocol verdict.  Trivially true when neither flow ran the prover.
-bool sameProofVerdicts(const core::DesyncResult::SymfeCheck& a,
-                       const core::DesyncResult::SymfeCheck& b) {
+/// Same prover outcome: per-register proof records (verdict, trivial,
+/// conflicts, decisions) in report order and the protocol verdict — a
+/// reused proof must be exactly what a fresh one reports.  Trivially true
+/// when neither flow ran the prover.
+bool sameProofs(const core::DesyncResult::SymfeCheck& a,
+                const core::DesyncResult::SymfeCheck& b) {
   if (a.ran != b.ran) return false;
   if (a.report.registers.size() != b.report.registers.size()) return false;
   for (std::size_t i = 0; i < a.report.registers.size(); ++i) {
     const sim::symfe::RegisterProof& x = a.report.registers[i];
     const sim::symfe::RegisterProof& y = b.report.registers[i];
-    if (x.name != y.name || x.verdict != y.verdict) return false;
+    if (x.name != y.name || x.verdict != y.verdict ||
+        x.trivial != y.trivial || x.conflicts != y.conflicts ||
+        x.decisions != y.decisions) {
+      return false;
+    }
   }
   const sim::symfe::ProtocolReport& p = a.report.protocol;
   const sim::symfe::ProtocolReport& q = b.report.protocol;
@@ -466,9 +472,12 @@ OracleVerdict runOracle(const std::string& verilog,
   }
 
   // 8. FlowDB: cold, warm and margin-changed cached runs are exact --------
-  // The warm rerun must use the ECO slot and restore every region; the
-  // margin-changed run reuses the same tables (the margin stays out of
-  // their guard) and must still match an uncached flow at that margin.
+  // All three cached flows run at the oracle's --fe-mode.  With the prover
+  // on, the warm rerun must load the proof table and reuse every proof,
+  // and the margin change must re-prove nothing either (the margin sizes
+  // delay elements, which no miter reads); every proof record must equal
+  // the cold cached run's.  With the prover off the cache directory is
+  // inert: no slot is written and every run says so in a note.
   if (options.check_flowdb) {
     const fs::path base = options.scratch_dir.empty()
                               ? fs::temp_directory_path()
@@ -480,8 +489,8 @@ OracleVerdict runOracle(const std::string& verilog,
     std::error_code ec;
     fs::remove_all(dir, ec);
     try {
-      const core::DesyncOptions cached =
-          flowOptions(options.fault, dir.string());
+      core::DesyncOptions cached = flowOptions(options.fault, dir.string());
+      cached.fe.mode = options.fe_mode;
       core::DesyncOptions moved = cached;
       moved.control.margin += 0.10;
       core::DesyncOptions moved_plain = moved;
@@ -493,26 +502,47 @@ OracleVerdict runOracle(const std::string& verilog,
       FlowRun warm = runConversion(verilog, gatefile, cached);
       FlowRun moved_warm = runConversion(verilog, gatefile, moved);
       core::setThreadJobs(options.restore_jobs);
-      const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
+      const bool prove = options.fe_mode != core::FeMode::kSim;
+      const auto reproved = [](const FlowRun& run) {
+        const sim::symfe::SymfeReport& rep = run.result.symfe.report;
+        return rep.registers.size() - rep.restored;
+      };
+      const auto inertNote = [](const FlowRun& run) {
+        for (const std::string& n : run.result.flow.notes()) {
+          if (n.find("nothing was loaded or stored") != std::string::npos) {
+            return true;
+          }
+        }
+        return false;
+      };
       if (cold.verilog != flow.verilog || cold.sdc != flow.sdc) {
         fail("flowdb", "cold cached run differs from the uncached run");
       } else if (warm.verilog != flow.verilog || warm.sdc != flow.sdc) {
         fail("flowdb",
              "warm cached run differs from the uncached run at --jobs " +
                  std::to_string(options.warm_jobs));
-      } else if (warm.result.flow.cacheStats().hits != 1 ||
-                 eco.regions_restored != eco.regions_total) {
-        fail("flowdb",
-             "warm rerun hit " +
-                 std::to_string(warm.result.flow.cacheStats().hits) +
-                 " slot(s) and restored " +
-                 std::to_string(eco.regions_restored) + " of " +
-                 std::to_string(eco.regions_total) + " regions");
       } else if (moved_warm.verilog != moved_ref.verilog ||
                  moved_warm.sdc != moved_ref.sdc) {
         fail("flowdb",
              "margin-changed cached run differs from the uncached run at "
              "that margin");
+      } else if (prove && (warm.result.flow.cacheStats().hits != 1 ||
+                           reproved(warm) != 0 || reproved(moved_warm) != 0)) {
+        fail("flowdb",
+             "warm rerun hit " +
+                 std::to_string(warm.result.flow.cacheStats().hits) +
+                 " slot(s) and re-proved " + std::to_string(reproved(warm)) +
+                 " register(s); the margin change re-proved " +
+                 std::to_string(reproved(moved_warm)));
+      } else if (prove && (!sameProofs(warm.result.symfe, cold.result.symfe) ||
+                           !sameProofs(moved_warm.result.symfe,
+                                       moved_ref.result.symfe))) {
+        fail("flowdb", "reused proof records differ from fresh proofs");
+      } else if (!prove && fs::exists(dir)) {
+        fail("flowdb", "--cache-dir wrote " + dir.string() +
+                           " although the prover is off");
+      } else if (!prove && (!inertNote(cold) || !inertNote(warm))) {
+        fail("flowdb", "prover-off cached run lacks the inert-cache note");
       }
     } catch (const std::exception& e) {
       core::setThreadJobs(options.restore_jobs);
@@ -525,14 +555,14 @@ OracleVerdict runOracle(const std::string& verilog,
   // 9. incremental ECO: a seeded small edit re-flows byte-identically ------
   // The edit (cell swap, constant tie or net rename — docs/eco.md) is
   // applied structurally and serialized once, so the cold flow and the
-  // cached flow consume the identical edited text.  The ECO tables are
-  // primed on the ORIGINAL design; the warm run then diffs the edit and
-  // must reproduce the cold flow of the edited design byte for byte (a
-  // cold fallback inside the cached run is fine — identity is the
-  // property, not warmth).  All three flows run at the oracle's
-  // --fe-mode: with the prover on, the warm run restores the clean
-  // registers' proofs and must reach the cold flow's per-register and
-  // protocol verdicts.  When the edit makes the design un-flowable, both
+  // cached flow consume the identical edited text.  The proof table is
+  // primed on the ORIGINAL design; the cached run of the edited design
+  // must reproduce its cold flow byte for byte.  All three flows run at
+  // the oracle's --fe-mode: with the prover on, the cached run reuses the
+  // proofs of every unchanged miter and its per-register proof records
+  // (verdict, trivial, conflicts, decisions) and protocol verdict must
+  // equal the cold flow's — a key that misses a miter input shows up as
+  // a record mismatch.  When the edit makes the design un-flowable, both
   // paths must agree on failing.
   if (options.check_eco) {
     std::string edited_text;
@@ -607,9 +637,9 @@ OracleVerdict runOracle(const std::string& verilog,
                "design at --jobs " + std::to_string(options.warm_jobs) +
                    " [" + v.eco_edit + "]");
         } else if (!cold_failed &&
-                   !sameProofVerdicts(eco.result.symfe, cold.result.symfe)) {
+                   !sameProofs(eco.result.symfe, cold.result.symfe)) {
           fail("eco",
-               "cached re-flow's flow-equivalence proof verdicts differ "
+               "cached re-flow's flow-equivalence proof records differ "
                "from the cold flow of the edited design at --jobs " +
                    std::to_string(options.warm_jobs) + " [" + v.eco_edit +
                    "]");

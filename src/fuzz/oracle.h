@@ -27,18 +27,22 @@
 //                           are generated then)
 //   8. "flowdb"           — a cold cached run and a warm rerun (at
 //                           different --jobs counts) write byte-identical
-//                           Verilog + SDC; the warm rerun hits the ECO
-//                           slot (hits == 1) and restores every region;
-//                           a third cached run at a different margin
-//                           matches an uncached flow at that margin
+//                           Verilog + SDC, and a cached run at a different
+//                           margin matches an uncached flow at that margin;
+//                           all at `fe_mode`.  With the prover on, the warm
+//                           rerun loads the proof table (hits == 1), both
+//                           warm runs re-prove no register and every reused
+//                           proof record equals a fresh one; with it off,
+//                           no slot is written and each run notes it
 //   9. "eco"              — a seeded small edit (cell swap, constant tie
 //                           or net rename) is applied to the design; the
-//                           incremental cached re-flow over tables primed
-//                           on the original must be byte-identical to a
+//                           cached re-flow over a proof table primed on
+//                           the original must be byte-identical to a
 //                           cold flow of the edited design (docs/eco.md);
 //                           both run at `fe_mode`, and with the prover on
-//                           their per-register and protocol verdicts
-//                           must match
+//                           their per-register proof records (verdict,
+//                           trivial, conflicts, decisions) and protocol
+//                           verdicts must match
 //
 // Fault injection (`drdesync-fuzz --fault`) deliberately mis-runs the flow
 // so the detection and shrinking machinery can be exercised end to end on
@@ -105,9 +109,8 @@ struct OracleOptions {
   /// route, the symbolic per-register prover, or both.  The prover is
   /// never vacuous — designs without replaced FFs get combinational
   /// output-port miters instead of a skip — but it is timing-blind, so the
-  /// short-margin fault is only caught by the vector route.  Check 9's
-  /// flows also run at this mode, so a prove run exercises the ECO proof
-  /// restore.
+  /// short-margin fault is only caught by the vector route.  Checks 8
+  /// and 9 also run at this mode, so a prove run exercises proof reuse.
   core::FeMode fe_mode = core::FeMode::kSim;
 };
 

@@ -1,15 +1,17 @@
 // Cone walk (see cones.h for the substitution-glue rules).
 #include "sim/symfe/cones.h"
 
+#include <algorithm>
 #include <cctype>
+#include <span>
+#include <vector>
+
+#include "sim/symfe/encoder.h"
+#include "sim/symfe/proof_key.h"
 
 namespace desync::sim::symfe {
 
 namespace {
-
-// Deep enough for any real comb path (the levelizer sees tens of levels on
-// the ARM-class core); a guard, not a tuning knob.
-constexpr int kMaxDepth = 20000;
 
 bool endsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -30,101 +32,141 @@ bool isRawEnableNet(std::string_view name) {
          (name[i + 2] == 'm' || name[i + 2] == 's');
 }
 
-sat::Lit ConeExtractor::walk(netlist::NetId net, int depth) {
-  if (depth > kMaxDepth) {
-    throw ConeError("symfe: combinational cone too deep at net " +
-                    std::string(module_.netName(net)));
+template <typename Builder>
+typename ConeWalker<Builder>::Lit ConeWalker<Builder>::literalFor(
+    netlist::NetId net) {
+  const Entry e = walk(net, 0);
+  if (e.height > kMaxConeDepth) {
+    return builder_.failed("symfe: combinational cone too deep at net " +
+                           std::string(module_.netName(net)));
   }
-  if (const auto it = memo_.find(net.value); it != memo_.end()) {
-    return it->second;
-  }
-  if (!expanding_.insert(net.value).second) {
-    throw ConeError("symfe: combinational cycle through net " +
-                    std::string(module_.netName(net)));
-  }
-  const sat::Lit lit = compute(net, depth);
-  expanding_.erase(net.value);
-  memo_.emplace(net.value, lit);
-  return lit;
+  return e.lit;
 }
 
-sat::Lit ConeExtractor::compute(netlist::NetId id, int depth) {
+template <typename Builder>
+typename ConeWalker<Builder>::Entry ConeWalker<Builder>::walk(
+    netlist::NetId net, std::uint32_t depth) {
+  if (depth > kMaxConeDepth) {
+    return Entry{builder_.failed("symfe: combinational cone too deep at net " +
+                                 std::string(module_.netName(net))),
+                 depth};
+  }
+  Entry& slot = memo(net);  // stable: dense_ is pre-sized, sparse_ nodal
+  if (slot.state == State::kDone) return slot;
+  if (slot.state == State::kExpanding) {
+    return Entry{builder_.failed("symfe: combinational cycle through net " +
+                                 std::string(module_.netName(net))),
+                 0};
+  }
+  slot.state = State::kExpanding;
+  slot = compute(net, depth);
+  slot.state = State::kDone;
+  return slot;
+}
+
+template <typename Builder>
+typename ConeWalker<Builder>::Entry ConeWalker<Builder>::compute(
+    netlist::NetId id, std::uint32_t depth) {
   const netlist::Net& n = module_.net(id);
-  const std::string name(module_.netName(id));
-  if (desync_side_ && isRawEnableNet(name)) return enc_.constLit(true);
+  const std::string_view name = module_.netName(id);
+  const auto leaf = [&](Lit lit) { return Entry{lit, 0}; };
+  const auto fail = [&](const std::string& why) {
+    return Entry{builder_.failed(why), 0};
+  };
+  if (desync_side_ && isRawEnableNet(name)) {
+    return leaf(builder_.constLit(true));
+  }
 
   switch (n.driver.kind) {
     case netlist::TermKind::kConst0:
-      return enc_.constLit(false);
+      return leaf(builder_.constLit(false));
     case netlist::TermKind::kConst1:
-      return enc_.constLit(true);
+      return leaf(builder_.constLit(true));
     case netlist::TermKind::kPort:
-      return enc_.leaf("in:" + name);
+      return leaf(builder_.leaf("in:" + std::string(name)));
     case netlist::TermKind::kNone:
-      return enc_.leaf("net:" + name);
+      return leaf(builder_.leaf("net:" + std::string(name)));
     case netlist::TermKind::kCellPin:
       break;
   }
 
   const netlist::CellId cid = n.driver.cell();
-  const std::string cname(module_.cellName(cid));
+  const std::string_view cname = module_.cellName(cid);
   const liberty::BoundType* bt = bound_.typeOf(cid);
   if (bt == nullptr) {
-    throw ConeError("symfe: unbound cell type " +
-                    std::string(module_.cellType(cid)) + " driving net " +
-                    name);
+    return fail("symfe: unbound cell type " +
+                std::string(module_.cellType(cid)) + " driving net " +
+                std::string(name));
   }
 
   switch (bt->kind) {
     case liberty::CellKind::kCombinational: {
       for (const liberty::BoundOutput& o : bt->outputs) {
         if (bound_.pinNet(cid, o.pin) != id) continue;
-        std::vector<sat::Lit> ins;
-        ins.reserve(o.inputs.size());
+        // This node's inputs go on top of the scratch stack; every walk()
+        // leaves the stack as it found it.
+        const std::size_t base = inputs_.size();
+        std::uint32_t height = 0;
         for (const std::uint16_t p : o.inputs) {
           const netlist::NetId in_net = bound_.pinNet(cid, p);
           if (!in_net.valid()) {
-            throw ConeError("symfe: unconnected input on " + cname);
+            inputs_.resize(base);
+            return fail("symfe: unconnected input on " + std::string(cname));
           }
-          ins.push_back(walk(in_net, depth + 1));
+          const Entry in = walk(in_net, depth + 1);
+          inputs_.push_back(in.lit);
+          height = std::max(height, in.height + 1);
         }
-        return enc_.table(o.table, std::move(ins));
+        const Lit lit = builder_.table(
+            o.table, std::span<const Lit>(inputs_).subspan(base));
+        inputs_.resize(base);
+        return Entry{lit, height};
       }
-      throw ConeError("symfe: no output function of " + cname +
-                      " drives net " + name);
+      return fail("symfe: no output function of " + std::string(cname) +
+                  " drives net " + std::string(name));
     }
     case liberty::CellKind::kFlipFlop: {
       const liberty::BoundSeqPins& bp = bt->seq_pins;
-      const sat::Lit l = enc_.leaf("reg:" + cname);
-      if (bound_.rolePinNet(cid, bp.q) == id) return l;
-      if (bp.qn >= 0 && bound_.rolePinNet(cid, bp.qn) == id) return ~l;
-      throw ConeError("symfe: unexpected flip-flop output pin on " + cname);
+      const Lit l = builder_.leaf("reg:" + std::string(cname));
+      if (bound_.rolePinNet(cid, bp.q) == id) return leaf(l);
+      if (bp.qn >= 0 && bound_.rolePinNet(cid, bp.qn) == id) return leaf(~l);
+      return fail("symfe: unexpected flip-flop output pin on " +
+                  std::string(cname));
     }
     case liberty::CellKind::kLatch: {
       if (!desync_side_) {
-        throw ConeError("symfe: transparent latch " + cname +
-                        " in a synchronous cone");
+        return fail("symfe: transparent latch " + std::string(cname) +
+                    " in a synchronous cone");
       }
       const liberty::BoundSeqPins& bp = bt->seq_pins;
       if (endsWith(cname, "_Ls")) {
-        const sat::Lit l =
-            enc_.leaf("reg:" + cname.substr(0, cname.size() - 3));
-        if (bound_.rolePinNet(cid, bp.q) == id) return l;
-        if (bp.qn >= 0 && bound_.rolePinNet(cid, bp.qn) == id) return ~l;
-        throw ConeError("symfe: unexpected latch output pin on " + cname);
+        const Lit l = builder_.leaf(
+            "reg:" + std::string(cname.substr(0, cname.size() - 3)));
+        if (bound_.rolePinNet(cid, bp.q) == id) return leaf(l);
+        if (bp.qn >= 0 && bound_.rolePinNet(cid, bp.qn) == id) {
+          return leaf(~l);
+        }
+        return fail("symfe: unexpected latch output pin on " +
+                    std::string(cname));
       }
       // Master / enable latches (_Lm, _cenLm, _cenLs) are transparent at
       // the settled pre-capture instant: value = data cone.
       const netlist::NetId d = bound_.rolePinNet(cid, bp.data);
       if (!d.valid()) {
-        throw ConeError("symfe: latch " + cname + " has no data cone");
+        return fail("symfe: latch " + std::string(cname) +
+                    " has no data cone");
       }
-      return walk(d, depth + 1);
+      const Entry in = walk(d, depth + 1);
+      return Entry{in.lit, in.height + 1};
     }
     case liberty::CellKind::kClockGate:
-      throw ConeError("symfe: clock gate " + cname + " in a data cone");
+      return fail("symfe: clock gate " + std::string(cname) +
+                  " in a data cone");
   }
-  throw ConeError("symfe: unclassified cell " + cname);
+  return fail("symfe: unclassified cell " + std::string(cname));
 }
+
+template class ConeWalker<Encoder>;
+template class ConeWalker<KeyBuilder>;
 
 }  // namespace desync::sim::symfe

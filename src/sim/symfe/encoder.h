@@ -16,16 +16,21 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "sat/solver.h"
+#include "sim/symfe/cones.h"
 
 namespace desync::sim::symfe {
 
 class Encoder {
  public:
+  using Lit = sat::Lit;
+  static constexpr bool kModuleWide = false;  ///< one ConeWalker per proof
+
   explicit Encoder(sat::Solver& solver) : solver_(solver) {}
 
   /// Constant literal (lazily reserves one variable fixed true).
@@ -41,6 +46,9 @@ class Encoder {
 
   /// Canonicalized node for `table` over `inputs` (n <= 6).
   sat::Lit table(std::uint64_t table, std::vector<sat::Lit> inputs);
+  sat::Lit table(std::uint64_t t, std::span<const sat::Lit> inputs) {
+    return table(t, std::vector<sat::Lit>(inputs.begin(), inputs.end()));
+  }
 
   sat::Lit andLit(sat::Lit a, sat::Lit b) { return table(0x8, {a, b}); }
   sat::Lit orLit(sat::Lit a, sat::Lit b) { return table(0xE, {a, b}); }
@@ -48,6 +56,12 @@ class Encoder {
   /// s ? t : e  (inputs s,t,e at row-bit positions 0,1,2 -> table 0xD8).
   sat::Lit iteLit(sat::Lit s, sat::Lit t, sat::Lit e) {
     return table(0xD8, {s, t, e});
+  }
+
+  /// A cone that cannot be encoded (ConeWalker's failure hook): the
+  /// register's proof is skipped with `why` as the reason.
+  [[noreturn]] sat::Lit failed(const std::string& why) {
+    throw ConeError(why);
   }
 
   /// Leaf keys -> variables, ordered by key (deterministic model decode).

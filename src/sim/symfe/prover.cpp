@@ -17,16 +17,19 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/parallel.h"
+#include "core/version.h"
 #include "sim/bitsim/bitsim.h"
 #include "sim/simulator.h"
 #include "sim/symfe/cones.h"
 #include "sim/symfe/encoder.h"
+#include "sim/symfe/proof_key.h"
 #include "sim/symfe/symfe.h"
 #include "trace/trace.h"
 
@@ -61,7 +64,7 @@ netlist::NetId portNetOf(const netlist::Module& m, std::string_view port) {
 }
 
 /// Independent scalar evaluation of a desync-side net under a decoded
-/// model.  Same classification rules as ConeExtractor, but in the value
+/// model.  Same classification rules as ConeWalker, but in the value
 /// domain with sim/value.h primitives — no CNF involved, so agreement with
 /// the solver model cross-checks the whole Tseitin pipeline.
 class DesyncEval {
@@ -232,13 +235,152 @@ void finishMiter(RegisterProof& proof, sat::Solver& solver, Encoder& enc,
   proof.cex = std::move(cex);
 }
 
+/// One register's miter over builder `b`: the Encoder's literals for a
+/// proof, the KeyBuilder's for the register's content key.  Building both
+/// through this one function is what makes equal keys mean equal CNF.
+template <typename Lit>
+struct Miter {
+  std::string skip;  ///< non-empty: the register has no miter (reason)
+  Lit vs;            ///< register value after the sync cycle
+  Lit vd;            ///< slave latch value after the handshake
+  Lit clear_active;
+  Lit preset_active;
+  Lit es;                 ///< sync capture enable
+  netlist::NetId g_net;   ///< slave latch G (scalar recheck)
+  netlist::NetId sd_net;  ///< slave latch D
+  /// Which optional inputs the miter has and the FF type's polarity
+  /// flags: part of the content key.
+  std::uint64_t shape = 0;
+};
+
+template <typename B>
+Miter<typename B::Lit> registerMiter(B& b, ConeWalker<B>& sync_cone,
+                                     ConeWalker<B>& desync_cone,
+                                     const liberty::BoundModule& sb,
+                                     const liberty::BoundModule& db,
+                                     const Task& task,
+                                     netlist::NetId sync_clk) {
+  Miter<typename B::Lit> m;
+  const netlist::Module& sm = sb.module();
+  const liberty::BoundType& bt = sb.typeOrThrow(task.sync_cell);
+  const liberty::SeqClass& sc = *bt.seq;
+  const liberty::BoundSeqPins& bp = bt.seq_pins;
+  m.shape = (sc.sync_active_low ? 1u : 0u) | (sc.sync_is_set ? 2u : 0u) |
+            (sc.async_clear_active_low ? 4u : 0u) |
+            (sc.async_preset_active_low ? 8u : 0u);
+
+  const auto q_old = b.leaf("reg:" + task.name);
+
+  // Next-state function: data, scan mux on top, synchronous set/reset on
+  // top of that — the engines apply them in exactly this order.
+  const netlist::NetId d_net = sb.rolePinNet(task.sync_cell, bp.data);
+  if (!d_net.valid()) {
+    m.skip = "unconnected data pin";
+    return m;
+  }
+  auto next = sync_cone.literalFor(d_net);
+  if (bp.scan_en >= 0) {
+    const netlist::NetId se_net = sb.rolePinNet(task.sync_cell, bp.scan_en);
+    if (se_net.valid()) {
+      const netlist::NetId si_net = sb.rolePinNet(task.sync_cell, bp.scan_in);
+      if (!si_net.valid()) {
+        m.skip = "scan enable connected but scan input is not";
+        return m;
+      }
+      next = b.iteLit(sync_cone.literalFor(se_net),
+                      sync_cone.literalFor(si_net), next);
+      m.shape |= 16;
+    }
+  }
+  if (bp.sync >= 0) {
+    const netlist::NetId sn = sb.rolePinNet(task.sync_cell, bp.sync);
+    if (sn.valid()) {
+      auto active = sync_cone.literalFor(sn);
+      if (sc.sync_active_low) active = ~active;
+      next = b.iteLit(active, b.constLit(sc.sync_is_set), next);
+      m.shape |= 32;
+    }
+  }
+
+  // Capture enable: constant true for a root-clocked FF, the E cone of the
+  // driving ICG otherwise (one gating level, same contract as the bitsim
+  // plan compiler).
+  const netlist::NetId clk_net = sb.rolePinNet(task.sync_cell, bp.clock);
+  if (!clk_net.valid() || !sync_clk.valid()) {
+    m.skip = "register clock does not resolve to the clock port";
+    return m;
+  }
+  m.es = b.constLit(true);
+  if (clk_net != sync_clk) {
+    const netlist::Net& cn = sm.net(clk_net);
+    const liberty::BoundType* it =
+        cn.driver.isCellPin() ? sb.typeOf(cn.driver.cell()) : nullptr;
+    if (it == nullptr || it->kind != liberty::CellKind::kClockGate) {
+      m.skip = "register clock does not resolve to the clock port";
+      return m;
+    }
+    const netlist::CellId icg = cn.driver.cell();
+    if (sb.rolePinNet(icg, it->seq_pins.clock) != sync_clk) {
+      m.skip = "multi-level clock gating is out of scope";
+      return m;
+    }
+    const netlist::NetId e_net = sb.rolePinNet(icg, it->seq_pins.data);
+    if (!e_net.valid()) {
+      m.skip = "clock gate has no enable cone";
+      return m;
+    }
+    m.es = sync_cone.literalFor(e_net);
+    m.shape |= 64;
+  }
+
+  m.vs = b.iteLit(m.es, next, q_old);
+  m.clear_active = b.constLit(false);
+  if (bp.clear >= 0) {
+    const netlist::NetId n = sb.rolePinNet(task.sync_cell, bp.clear);
+    if (n.valid()) {
+      m.clear_active = sync_cone.literalFor(n);
+      if (sc.async_clear_active_low) m.clear_active = ~m.clear_active;
+      m.shape |= 128;
+    }
+  }
+  m.preset_active = b.constLit(false);
+  if (bp.preset >= 0) {
+    const netlist::NetId n = sb.rolePinNet(task.sync_cell, bp.preset);
+    if (n.valid()) {
+      m.preset_active = sync_cone.literalFor(n);
+      if (sc.async_preset_active_low) m.preset_active = ~m.preset_active;
+      m.shape |= 256;
+    }
+  }
+  // Async dominates everything (both engines branch clear before preset).
+  m.vs = b.iteLit(m.preset_active, b.constLit(true), m.vs);
+  m.vs = b.iteLit(m.clear_active, b.constLit(false), m.vs);
+
+  // Desync side: the slave latch after the handshake — its G cone cut at
+  // the raw enables (granted => transparent), data through the master.
+  const liberty::BoundType* lt = db.typeOf(task.desync_cell);
+  if (lt == nullptr || lt->kind != liberty::CellKind::kLatch) {
+    m.skip = "desynchronized counterpart is not a latch";
+    return m;
+  }
+  m.g_net = db.rolePinNet(task.desync_cell, lt->seq_pins.clock);
+  m.sd_net = db.rolePinNet(task.desync_cell, lt->seq_pins.data);
+  if (!m.g_net.valid() || !m.sd_net.valid()) {
+    m.skip = "slave latch missing enable or data connection";
+    return m;
+  }
+  const auto ed = desync_cone.literalFor(m.g_net);
+  const auto sd = desync_cone.literalFor(m.sd_net);
+  m.vd = b.iteLit(ed, sd, q_old);
+  return m;
+}
+
 RegisterProof proveRegister(const liberty::BoundModule& sb,
                             const liberty::BoundModule& db, const Task& task,
                             netlist::NetId sync_clk,
                             const SymfeOptions& opt) {
   RegisterProof proof;
   proof.name = task.name;
-  const netlist::Module& sm = sb.module();
 
   if (!task.desync_cell.valid()) {
     proof.reason =
@@ -248,119 +390,20 @@ RegisterProof proveRegister(const liberty::BoundModule& sb,
 
   sat::Solver solver;
   Encoder enc(solver);
-  ConeExtractor sync_cone(sb, enc, /*desync_side=*/false);
-  ConeExtractor desync_cone(db, enc, /*desync_side=*/true);
-
-  const liberty::BoundType& bt = sb.typeOrThrow(task.sync_cell);
-  const liberty::SeqClass& sc = *bt.seq;
-  const liberty::BoundSeqPins& bp = bt.seq_pins;
-
-  const sat::Lit q_old = enc.leaf("reg:" + task.name);
-
-  // Next-state function: data, scan mux on top, synchronous set/reset on
-  // top of that — the engines apply them in exactly this order.
-  const netlist::NetId d_net = sb.rolePinNet(task.sync_cell, bp.data);
-  if (!d_net.valid()) {
-    proof.reason = "unconnected data pin";
+  ConeWalker<Encoder> sync_cone(sb, enc, /*desync_side=*/false);
+  ConeWalker<Encoder> desync_cone(db, enc, /*desync_side=*/true);
+  const Miter<sat::Lit> m =
+      registerMiter(enc, sync_cone, desync_cone, sb, db, task, sync_clk);
+  if (!m.skip.empty()) {
+    proof.reason = m.skip;
     return proof;
   }
-  sat::Lit next = sync_cone.literalFor(d_net);
-  if (bp.scan_en >= 0) {
-    const netlist::NetId se_net = sb.rolePinNet(task.sync_cell, bp.scan_en);
-    if (se_net.valid()) {
-      const netlist::NetId si_net = sb.rolePinNet(task.sync_cell, bp.scan_in);
-      if (!si_net.valid()) {
-        proof.reason = "scan enable connected but scan input is not";
-        return proof;
-      }
-      next = enc.iteLit(sync_cone.literalFor(se_net),
-                        sync_cone.literalFor(si_net), next);
-    }
-  }
-  if (bp.sync >= 0) {
-    const netlist::NetId sn = sb.rolePinNet(task.sync_cell, bp.sync);
-    if (sn.valid()) {
-      sat::Lit active = sync_cone.literalFor(sn);
-      if (sc.sync_active_low) active = ~active;
-      next = enc.iteLit(active, enc.constLit(sc.sync_is_set), next);
-    }
-  }
 
-  // Capture enable: constant true for a root-clocked FF, the E cone of the
-  // driving ICG otherwise (one gating level, same contract as the bitsim
-  // plan compiler).
-  const netlist::NetId clk_net = sb.rolePinNet(task.sync_cell, bp.clock);
-  if (!clk_net.valid() || !sync_clk.valid()) {
-    proof.reason = "register clock does not resolve to the clock port";
-    return proof;
-  }
-  sat::Lit es = enc.constLit(true);
-  if (clk_net != sync_clk) {
-    const netlist::Net& cn = sm.net(clk_net);
-    const liberty::BoundType* it =
-        cn.driver.isCellPin() ? sb.typeOf(cn.driver.cell()) : nullptr;
-    if (it == nullptr || it->kind != liberty::CellKind::kClockGate) {
-      proof.reason = "register clock does not resolve to the clock port";
-      return proof;
-    }
-    const netlist::CellId icg = cn.driver.cell();
-    if (sb.rolePinNet(icg, it->seq_pins.clock) != sync_clk) {
-      proof.reason = "multi-level clock gating is out of scope";
-      return proof;
-    }
-    const netlist::NetId e_net = sb.rolePinNet(icg, it->seq_pins.data);
-    if (!e_net.valid()) {
-      proof.reason = "clock gate has no enable cone";
-      return proof;
-    }
-    es = sync_cone.literalFor(e_net);
-  }
-
-  sat::Lit vs = enc.iteLit(es, next, q_old);
-  sat::Lit clear_active = enc.constLit(false);
-  if (bp.clear >= 0) {
-    const netlist::NetId n = sb.rolePinNet(task.sync_cell, bp.clear);
-    if (n.valid()) {
-      clear_active = sync_cone.literalFor(n);
-      if (sc.async_clear_active_low) clear_active = ~clear_active;
-    }
-  }
-  sat::Lit preset_active = enc.constLit(false);
-  if (bp.preset >= 0) {
-    const netlist::NetId n = sb.rolePinNet(task.sync_cell, bp.preset);
-    if (n.valid()) {
-      preset_active = sync_cone.literalFor(n);
-      if (sc.async_preset_active_low) preset_active = ~preset_active;
-    }
-  }
-  // Async dominates everything (both engines branch clear before preset).
-  vs = enc.iteLit(preset_active, enc.constLit(true), vs);
-  vs = enc.iteLit(clear_active, enc.constLit(false), vs);
-
-  // Desync side: the slave latch after the handshake — its G cone cut at
-  // the raw enables (granted => transparent), data through the master.
-  const liberty::BoundType* lt = db.typeOf(task.desync_cell);
-  if (lt == nullptr || lt->kind != liberty::CellKind::kLatch) {
-    proof.reason = "desynchronized counterpart is not a latch";
-    return proof;
-  }
-  const netlist::NetId g_net = db.rolePinNet(task.desync_cell,
-                                             lt->seq_pins.clock);
-  const netlist::NetId sd_net = db.rolePinNet(task.desync_cell,
-                                              lt->seq_pins.data);
-  if (!g_net.valid() || !sd_net.valid()) {
-    proof.reason = "slave latch missing enable or data connection";
-    return proof;
-  }
-  const sat::Lit ed = desync_cone.literalFor(g_net);
-  const sat::Lit sd = desync_cone.literalFor(sd_net);
-  const sat::Lit vd = enc.iteLit(ed, sd, q_old);
-
-  finishMiter(proof, solver, enc, vs, vd, clear_active, preset_active, es,
-              opt, [&](const Counterexample& cex) {
+  finishMiter(proof, solver, enc, m.vs, m.vd, m.clear_active,
+              m.preset_active, m.es, opt, [&](const Counterexample& cex) {
                 DesyncEval ev(db, cex);
-                const Val g = ev.net(g_net);
-                if (g == Val::k1) return ev.net(sd_net);
+                const Val g = ev.net(m.g_net);
+                if (g == Val::k1) return ev.net(m.sd_net);
                 if (g == Val::k0) return ev.leaf("reg:" + task.name);
                 return Val::kX;
               });
@@ -378,8 +421,8 @@ RegisterProof proveOutput(const liberty::BoundModule& sb,
   }
   sat::Solver solver;
   Encoder enc(solver);
-  ConeExtractor sync_cone(sb, enc, /*desync_side=*/false);
-  ConeExtractor desync_cone(db, enc, /*desync_side=*/true);
+  ConeWalker<Encoder> sync_cone(sb, enc, /*desync_side=*/false);
+  ConeWalker<Encoder> desync_cone(db, enc, /*desync_side=*/true);
   const sat::Lit vs = sync_cone.literalFor(task.sync_net);
   const sat::Lit vd = desync_cone.literalFor(task.desync_net);
   finishMiter(proof, solver, enc, vs, vd, enc.constLit(false),
@@ -411,6 +454,59 @@ RegisterProof proveTask(const liberty::BoundModule& sb,
   }
   proof.ms = msSince(t0);
   return proof;
+}
+
+/// Content key of every task's miter (docs/eco.md), or nullopt where a
+/// miter has none (skipped register, failed cone).  The walkers are shared
+/// by all tasks, so every net of each module is hashed once.  The guard
+/// holds what the miter reads besides the netlists: the tool version, the
+/// library's cells, the clock port and the conflict budget.
+std::vector<std::optional<util::CacheKey>> proofKeys(
+    const liberty::BoundModule& sb, const liberty::BoundModule& db,
+    const std::vector<Task>& tasks, netlist::NetId sync_clk,
+    const SymfeOptions& opt) {
+  util::KeyHasher guard;
+  guard.str(core::kToolVersion);
+  guard.u64(sb.library().contentHash());
+  guard.str(opt.clock_port);
+  guard.u64(opt.max_conflicts);
+  KeyBuilder b;
+  ConeWalker<KeyBuilder> sync_cone(sb, b, /*desync_side=*/false);
+  ConeWalker<KeyBuilder> desync_cone(db, b, /*desync_side=*/true);
+  std::vector<std::optional<util::CacheKey>> keys(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Task& task = tasks[i];
+    KeyLit vs;
+    KeyLit vd;
+    std::uint64_t shape = 0;
+    if (task.comb_output) {
+      if (!task.desync_net.valid()) continue;
+      vs = sync_cone.literalFor(task.sync_net);
+      vd = desync_cone.literalFor(task.desync_net);
+      shape = 512;
+    } else {
+      if (!task.desync_cell.valid()) continue;
+      try {
+        const Miter<KeyLit> m = registerMiter(b, sync_cone, desync_cone, sb,
+                                              db, task, sync_clk);
+        if (!m.skip.empty()) continue;
+        vs = m.vs;
+        vd = m.vd;
+        shape = m.shape;
+      } catch (const std::exception&) {
+        continue;  // the proof reports it; an unkeyed miter is re-proved
+      }
+    }
+    if (!vs.usable || !vd.usable) continue;
+    util::KeyHasher h;
+    h.absorb(guard.key());
+    h.str(task.name);
+    h.u64(shape);
+    h.absorb(vs.key);
+    h.absorb(vd.key);
+    keys[i] = h.key();
+  }
+  return keys;
 }
 
 }  // namespace
@@ -457,24 +553,32 @@ SymfeReport proveFlowEquivalence(const liberty::BoundModule& sync_bound,
     }
   }
 
+  std::vector<std::optional<util::CacheKey>> keys(tasks.size());
+  if (options.proof_table != nullptr) {
+    trace::Span span("symfe_keys", "sim");
+    keys = proofKeys(sync_bound, desync_bound, tasks, sync_clk, options);
+  }
   rep.registers = core::parallelMap(tasks.size(), [&](std::size_t i) {
-    const Task& task = tasks[i];
-    if (options.restored_proofs != nullptr && !task.comb_output) {
-      const auto it = options.restored_proofs->find(task.name);
-      if (it != options.restored_proofs->end()) {
-        // ECO restore: the caller vouches that this register's cone is
-        // untouched, so the stored verdict stands without a miter.
+    const std::optional<util::CacheKey>& key = keys[i];
+    if (key.has_value()) {
+      const auto it = options.proof_table->find(*key);
+      if (it != options.proof_table->end()) {
+        // An identical miter was proved before: same CNF, same proof.
         RegisterProof p;
-        p.name = task.name;
+        p.name = tasks[i].name;
         p.verdict = RegVerdict::kProved;
         p.trivial = it->second.trivial;
         p.restored = true;
         p.conflicts = it->second.conflicts;
         p.decisions = it->second.decisions;
+        p.key = key;
         return p;
       }
     }
-    return proveTask(sync_bound, desync_bound, task, sync_clk, options);
+    RegisterProof p =
+        proveTask(sync_bound, desync_bound, tasks[i], sync_clk, options);
+    p.key = key;
+    return p;
   });
 
   for (const RegisterProof& p : rep.registers) {

@@ -30,6 +30,7 @@
 #include "async/controllers.h"
 #include "liberty/bound.h"
 #include "sim/value.h"
+#include "util/hash.h"
 
 namespace desync::sim::symfe {
 
@@ -52,14 +53,16 @@ struct RegisterProof {
   RegVerdict verdict = RegVerdict::kSkipped;
   std::string reason;   ///< skip reason or refutation description
   bool trivial = false;  ///< cones hash-consed to one literal; no SAT call
-  /// Verdict restored by the ECO layer (SymfeOptions::restored_proofs): the
-  /// register's cone is untouched by the edit, so the stored proof stands;
-  /// conflicts/decisions are the statistics of the run that produced it.
+  /// Proof reused from SymfeOptions::proof_table: an identical miter was
+  /// proved before, and trivial/conflicts/decisions are that proof's.
   bool restored = false;
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
   double ms = 0.0;
   std::optional<Counterexample> cex;  ///< present on kRefuted
+  /// Content key of the miter (docs/eco.md); computed only when a proof
+  /// table is given, absent when a cone of the miter has no key.
+  std::optional<util::CacheKey> key;
 };
 
 /// Token-flow admissibility of the handshake protocol over the region DDG.
@@ -79,7 +82,7 @@ struct SymfeReport {
   std::size_t proved = 0;
   std::size_t refuted = 0;
   std::size_t skipped = 0;
-  std::size_t restored = 0;  ///< subset of proved: ECO-restored, not re-run
+  std::size_t restored = 0;  ///< subset of proved: reused, not re-run
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
   double total_ms = 0.0;
@@ -98,13 +101,22 @@ struct ProtocolInput {
   std::vector<std::vector<int>> preds;  ///< DDG predecessors per group
 };
 
-/// A previously proved register the ECO layer vouches for: its fan-in cone
-/// is untouched by the current edit, so the stored verdict still holds.
-struct RestoredProof {
+/// A stored proof: what a fresh proof of an identical miter reports.
+struct StoredProof {
   bool trivial = false;
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
 };
+
+struct ProofKeyHash {
+  std::size_t operator()(const util::CacheKey& k) const {
+    return static_cast<std::size_t>(k.lo);
+  }
+};
+
+/// Proved miters by content key (core/eco.h keeps one per design).
+using ProofTable =
+    std::unordered_map<util::CacheKey, StoredProof, ProofKeyHash>;
 
 struct SymfeOptions {
   std::string clock_port = "clk";
@@ -114,12 +126,13 @@ struct SymfeOptions {
   bool want_counterexample = true;
   async::ControllerKind controller = async::ControllerKind::kSemiDecoupled;
   std::optional<ProtocolInput> protocol;
-  /// ECO restore map (core/eco.h), keyed by register name: listed registers
-  /// get a synthesized kProved RegisterProof instead of a miter + SAT run.
-  /// The caller guarantees validity (clean fan-in cone under the current
-  /// edit); must outlive the prover call.  nullptr: prove everything.
-  const std::unordered_map<std::string, RestoredProof>* restored_proofs =
-      nullptr;
+  /// Content-addressed proof reuse (docs/eco.md).  When set, every task's
+  /// miter key is computed (RegisterProof::key) and a task whose key is in
+  /// the table reuses the stored proof instead of running SAT.  Equal keys
+  /// mean identical miter CNF, so the reused proof is exactly what a fresh
+  /// one would report.  nullptr: no keys are computed.  Must outlive the
+  /// prover call.
+  const ProofTable* proof_table = nullptr;
 };
 
 /// Proves projection equivalence for every replaced register (per-register

@@ -98,14 +98,6 @@ void Sta::buildGraph() {
     disabled_pins.emplace_back(cid.index(), static_cast<std::uint16_t>(j));
   }
 
-  // ECO net mask: arcs and endpoints off the mask never enter the graph.
-  // The mask is backward-closed by contract (StaOptions::net_mask), so a
-  // masked endpoint sees exactly the arcs the full graph would feed it.
-  const std::vector<std::uint8_t>* mask = options_.net_mask;
-  auto masked = [mask](std::uint32_t net) {
-    return mask == nullptr || (*mask)[net] != 0;
-  };
-
   m.forEachCell([&](netlist::CellId cid) {
     const netlist::Cell& cell = m.cell(cid);
     const liberty::BoundType* bt = bound.typeOf(cid);
@@ -120,12 +112,12 @@ void Sta::buildGraph() {
     if (bt->kind == liberty::CellKind::kCombinational) {
       for (const liberty::BoundOutput& o : bt->outputs) {
         netlist::NetId out_net = bound.pinNet(cid, o.pin);
-        if (!out_net.valid() || !masked(out_net.value)) continue;
+        if (!out_net.valid()) continue;
         const double cap = load[out_net.value];
         const liberty::LibPin& out = bt->cell->pins[o.pin];
         for (std::size_t v = 0; v < o.inputs.size(); ++v) {
           netlist::NetId in_net = bound.pinNet(cid, o.inputs[v]);
-          if (!in_net.valid() || !masked(in_net.value)) continue;
+          if (!in_net.valid()) continue;
           bool pin_disabled = cell_disabled;
           if (!pin_disabled) {
             for (const auto& [dc, dp] : disabled_pins) {
@@ -171,7 +163,7 @@ void Sta::buildGraph() {
     auto addEndpoint = [&](std::int16_t lib_pin) {
       if (lib_pin < 0) return;
       netlist::NetId net = bound.rolePinNet(cid, lib_pin);
-      if (!net.valid() || !masked(net.value)) return;
+      if (!net.valid()) return;
       double setup = 0.0;
       const liberty::LibPin& lp =
           bt->cell->pins[static_cast<std::size_t>(lib_pin)];
@@ -195,8 +187,7 @@ void Sta::buildGraph() {
 
   // Output ports are endpoints too.
   for (const netlist::Port& p : m.ports()) {
-    if (p.dir != netlist::PortDir::kInput && p.net.valid() &&
-        masked(p.net.value)) {
+    if (p.dir != netlist::PortDir::kInput && p.net.valid()) {
       Endpoint e;
       e.net = p.net.value;
       e.is_port = true;
@@ -502,17 +493,6 @@ double Sta::worstSetupSlackNs(double period_ns) const {
 }
 
 double Sta::minPeriodNs() const { return worst_; }
-
-std::vector<Sta::EndpointWorst> Sta::endpointWorsts() const {
-  std::vector<EndpointWorst> out;
-  out.reserve(endpoints_.size());
-  for (const Endpoint& e : endpoints_) {
-    const double a = std::max(arr_rise_[e.net], arr_fall_[e.net]);
-    if (a == kNegInf) continue;
-    out.push_back(EndpointWorst{e.cell, e.net, e.is_port, a + e.setup});
-  }
-  return out;
-}
 
 std::vector<double> Sta::regionWorstDelays(
     const std::vector<std::vector<netlist::CellId>>& region_cells,

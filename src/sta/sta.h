@@ -51,13 +51,6 @@ struct StaOptions {
   /// Per-instance delay multiplier (intra-die variation for SSTA-style
   /// Monte-Carlo analysis), keyed by cell name; unset = 1.0 everywhere.
   std::function<double(std::string_view)> cell_scale;
-  /// ECO masking (core/eco.h): when set (sized >= netCapacity, nonzero =
-  /// in mask), only combinational arcs with both nets in the mask and only
-  /// endpoints on masked nets enter the graph.  The caller must pass a
-  /// *backward-closed* mask (every net with an arc into a masked net is
-  /// itself masked) so arrivals at masked endpoints equal the unmasked
-  /// run's bit for bit; the mask must outlive the Sta.
-  const std::vector<std::uint8_t>* net_mask = nullptr;
 };
 
 /// One step of a reported path.
@@ -134,20 +127,6 @@ class Sta {
 
   /// Smallest period with non-negative setup slack.
   [[nodiscard]] double minPeriodNs() const;
-
-  /// One timing endpoint with its worst (arrival + setup) contribution to
-  /// the min period; endpoints no path reaches are skipped.  Cell
-  /// endpoints carry the sequential cell, port endpoints its net (the
-  /// caller maps nets back to port names).  Used by the ECO layer to
-  /// persist per-endpoint contributions so a warm run can take the max of
-  /// restored and recomputed values.
-  struct EndpointWorst {
-    netlist::CellId cell;      ///< invalid for output-port endpoints
-    std::uint32_t net = 0;
-    bool is_port = false;
-    double worst = 0.0;        ///< arrival + setup, in ns
-  };
-  [[nodiscard]] std::vector<EndpointWorst> endpointWorsts() const;
 
   /// Worst combinational arrival into the master latches (cells whose name
   /// ends in `seq_suffix`) of each listed region, index-aligned with

@@ -63,11 +63,8 @@ class Fnv64 {
     }
     state_ = h;
   }
-  void u64(std::uint64_t v) {
-    char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-    update(std::string_view(b, 8));
-  }
+  /// Same digest as update() over v's eight little-endian bytes.
+  void u64(std::uint64_t v) { state_ = (state_ ^ v) * kPrime; }
   /// Length-prefixed, so ("ab","c") never collides with ("a","bc").
   void str(std::string_view s) {
     u64(s.size());

@@ -286,10 +286,10 @@ TEST(Determinism, GoldenSyncBatchesIdenticalAcrossEnginesAndJobs) {
       << "bitsim digest depends on --jobs";
 }
 
-// The incremental ECO path fans the masked re-analysis and the region
-// splice out over the same parallel layer; a warm re-flow over primed
-// region tables must stay byte-identical at any worker count (and both
-// runs must actually take the warm path).
+// The cached prover path fans proofs and proof reuse out over the same
+// parallel layer; a warm re-flow over a primed proof table must stay
+// byte-identical, proof records included, at any worker count (and both
+// runs must actually load the table).
 TEST(Determinism, EcoWarmRunIdenticalAcrossJobs) {
   namespace fs = std::filesystem;
   const fs::path primed = fs::path(::testing::TempDir()) / "det_eco_primed";
@@ -300,11 +300,12 @@ TEST(Determinism, EcoWarmRunIdenticalAcrossJobs) {
     core::DesyncOptions opt;
     opt.control.reset_port = "rst_n";
     opt.control.reset_active_low = true;
+    opt.fe.mode = core::FeMode::kProve;
     opt.flowdb.cache_dir = dir.string();
     return opt;
   };
 
-  {  // Prime the region tables on the pristine design.
+  {  // Prime the proof table on the pristine design.
     nl::Design d;
     designs::buildPipe2(d, gf(), 6);
     core::desynchronize(d, *d.findModule("pipe2"), gf(), optionsFor(primed));
@@ -312,7 +313,7 @@ TEST(Determinism, EcoWarmRunIdenticalAcrossJobs) {
 
   int invocation = 0;
   const auto run = [&] {
-    // Each run gets its own copy of the primed tables: the warm run
+    // Each run gets its own copy of the primed table: the warm run
     // re-stores the slot, and both jobs settings must read identical
     // inputs.
     const fs::path dir =
@@ -340,7 +341,16 @@ TEST(Determinism, EcoWarmRunIdenticalAcrossJobs) {
     EXPECT_TRUE(edited);
     core::DesyncResult r = core::desynchronize(d, m, gf(), optionsFor(dir));
     EXPECT_TRUE(r.flow.eco().warm) << "run " << invocation;
-    return nl::writeVerilog(d) + "\n====\n" + r.sdc.toText();
+    EXPECT_GT(r.symfe.report.restored, 0u) << "run " << invocation;
+    std::string proofs;
+    for (const auto& p : r.symfe.report.registers) {
+      proofs += p.name + " " + std::to_string(static_cast<int>(p.verdict)) +
+                " " + std::to_string(p.trivial) + " " +
+                std::to_string(p.conflicts) + " " +
+                std::to_string(p.decisions) + "\n";
+    }
+    return nl::writeVerilog(d) + "\n====\n" + r.sdc.toText() + "\n====\n" +
+           proofs;
   };
   auto [serial, parallel] = runBoth(run);
   EXPECT_FALSE(serial.empty());

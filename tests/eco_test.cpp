@@ -1,17 +1,19 @@
-// Incremental ECO recompute (docs/eco.md): table storage and
-// the warm/cold lifecycle, dirtiness closures for every scripted edit
-// kind (cell insertion, constant tie, net rename, fanout reroute), the
-// byte-identity guarantee against cold flows of the edited design at
-// --jobs 1 and 4 on the DLX and ARM-class case studies, a clean register
-// migrating between automatic regions, the protocol verdict of a
-// fully-decoupled prove run through the cache, option-only changes
-// (margin, mux taps) restoring every region and proof, and every
-// degradation path (corrupt slot, truncated slot, guard-key mismatch,
-// foreign design) falling back to a cold run — never a wrong one.
+// Content-addressed proof cache (docs/eco.md): slot storage and the
+// warm/cold lifecycle, which registers each scripted edit kind re-proves
+// (cell insertion, constant tie, net rename, multi-fanout reroute — exactly
+// the registers an independent forward walk reaches), the byte-identity
+// guarantee for Verilog, SDC and per-register proof records against
+// uncached flows at --jobs 1 and 4 on the DLX and ARM-class case studies,
+// a register migrating between automatic regions, the protocol verdict of
+// a fully-decoupled prove run through the cache, option-only changes
+// (margin, mux taps, controller, reset wiring) reusing every proof, the
+// inert prover-off cache, and every degradation path (corrupt slot,
+// truncated slot, older format, another conflict budget, foreign design)
+// re-proving — never reusing a wrong proof.
 //
-// The TSan variant (eco_test_tsan, DESYNC_ECO_TEST_LIGHT) drops the two
-// CPU case studies and re-runs the whole-closure pipe2 tests with the
-// flow's parallel sections race-checked.
+// The TSan variant (eco_test_tsan, DESYNC_ECO_TEST_LIGHT) drops the CPU
+// case studies and re-runs the pipe2 tests with the flow's parallel
+// sections race-checked.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -19,6 +21,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/desync.h"
@@ -35,6 +38,7 @@ namespace core = desync::core;
 namespace designs = desync::designs;
 namespace lib = desync::liberty;
 namespace nl = desync::netlist;
+namespace symfe = desync::sim::symfe;
 namespace fs = std::filesystem;
 
 namespace {
@@ -53,10 +57,12 @@ fs::path scratchDir(const std::string& name) {
   return dir;
 }
 
+/// The cache only holds proofs, so every cached run here proves.
 core::DesyncOptions ecoOptions(const std::string& cache_dir) {
   core::DesyncOptions opt;
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
+  opt.fe.mode = core::FeMode::kProve;
   opt.flowdb.cache_dir = cache_dir;
   return opt;
 }
@@ -87,10 +93,42 @@ FlowOutput runPipe2(const core::DesyncOptions& opt) {
   return runPipe2(opt, [](nl::Module&) {});
 }
 
+using ProofRecord =
+    std::tuple<std::string, int, bool, std::uint64_t, std::uint64_t>;
+
+/// Per-register proof records in report order: what a reused proof must
+/// reproduce exactly.
+std::vector<ProofRecord> records(const FlowOutput& run) {
+  std::vector<ProofRecord> out;
+  for (const symfe::RegisterProof& r : run.result.symfe.report.registers) {
+    out.emplace_back(r.name, static_cast<int>(r.verdict), r.trivial,
+                     r.conflicts, r.decisions);
+  }
+  return out;
+}
+
+/// Registers the run proved afresh instead of reusing a stored proof.
+std::set<std::string> reproved(const FlowOutput& run) {
+  std::set<std::string> out;
+  for (const symfe::RegisterProof& r : run.result.symfe.report.registers) {
+    if (!r.restored) out.insert(r.name);
+  }
+  return out;
+}
+
+/// Outputs and proof records of `got` equal those of `want`.
+void expectSameFlow(const FlowOutput& got, const FlowOutput& want) {
+  EXPECT_EQ(got.verilog, want.verilog);
+  EXPECT_EQ(got.sdc, want.sdc);
+  EXPECT_EQ(records(got), records(want));
+  EXPECT_TRUE(want.result.symfe.ran);
+}
+
 /// Inserts an inverter in front of the data pin of the `skip`-th eligible
-/// flip-flop (single-sink D net with a combinational driver).  Returns
-/// false when no such site exists.
-bool insertInverter(nl::Module& m, int skip = 0) {
+/// flip-flop (single-sink D net with a combinational driver) and names
+/// that flip-flop in `*ff_name`.  Returns false when no such site exists.
+bool insertInverter(nl::Module& m, int skip = 0,
+                    std::string* ff_name = nullptr) {
   const std::string tag = "eco_fix" + std::to_string(skip);
   std::vector<nl::CellId> ffs;
   m.forEachCell([&](nl::CellId c) {
@@ -116,13 +154,68 @@ bool insertInverter(nl::Module& m, int skip = 0) {
               {{"A", nl::PortDir::kInput, d},
                {"Z", nl::PortDir::kOutput, out}});
     m.connectPin(ff, m.findPin(ff, sc->data_pin), out);
+    if (ff_name != nullptr) *ff_name = std::string(m.cellName(ff));
     return true;
   }
   return false;
 }
 
-/// Ties the first combinational input pin found to constant `value`.
-bool tieFirstCombInput(nl::Module& m, bool value) {
+/// Registers whose miter reads `start`, by an independent forward walk:
+/// through combinational cells to every flip-flop input, and through a
+/// clock gate's enable to the flip-flops its gated clock drives.
+std::set<std::string> registersReached(const nl::Module& m,
+                                       nl::NetId start) {
+  std::set<std::string> regs;
+  std::set<std::uint32_t> seen{start.value};
+  std::vector<nl::NetId> work{start};
+  const auto push = [&](nl::NetId n) {
+    if (n.valid() && seen.insert(n.value).second) work.push_back(n);
+  };
+  while (!work.empty()) {
+    const nl::NetId net = work.back();
+    work.pop_back();
+    for (const nl::TermRef& s : m.net(net).sinks) {
+      if (!s.isCellPin()) continue;
+      const nl::CellId c = s.cell();
+      const lib::CellKind kind = gf().kind(m.cellType(c));
+      if (kind == lib::CellKind::kFlipFlop) {
+        regs.insert(std::string(m.cellName(c)));
+        continue;
+      }
+      if (kind == lib::CellKind::kClockGate) {
+        for (const nl::PinConn& p : m.cell(c).pins) {
+          if (p.dir != nl::PortDir::kOutput || !p.net.valid()) continue;
+          for (const nl::TermRef& g : m.net(p.net).sinks) {
+            if (g.isCellPin() && gf().isFlipFlop(m.cellType(g.cell()))) {
+              regs.insert(std::string(m.cellName(g.cell())));
+            }
+          }
+        }
+        continue;
+      }
+      if (kind != lib::CellKind::kCombinational) continue;
+      for (const nl::PinConn& p : m.cell(c).pins) {
+        if (p.dir == nl::PortDir::kOutput) push(p.net);
+      }
+    }
+  }
+  return regs;
+}
+
+/// Reroutes every sink of `net` through a fresh cell of `type` (IV or BF).
+void rerouteThrough(nl::Module& m, nl::NetId net, const std::string& type) {
+  const nl::NetId out = m.addNet("eco_reroute_z");
+  m.redistributeSinks(net,
+                      std::vector<nl::NetId>(m.net(net).sinks.size(), out));
+  m.addCell("eco_reroute", type,
+            {{"A", nl::PortDir::kInput, net},
+             {"Z", nl::PortDir::kOutput, out}});
+}
+
+/// Ties the first combinational input pin found to constant `value`; the
+/// registers the tied cell's outputs reach go to `*reached`.
+bool tieFirstCombInput(nl::Module& m, bool value,
+                       std::set<std::string>* reached) {
   bool done = false;
   m.forEachCell([&](nl::CellId c) {
     if (done ||
@@ -134,7 +227,13 @@ bool tieFirstCombInput(nl::Module& m, bool value) {
       if (pins[p].dir == nl::PortDir::kInput && pins[p].net.valid()) {
         m.connectPin(c, p, m.constNet(value));
         done = true;
-        return;
+        break;
+      }
+    }
+    if (!done) return;
+    for (const nl::PinConn& pc : m.cell(c).pins) {
+      if (pc.dir == nl::PortDir::kOutput && pc.net.valid()) {
+        reached->merge(registersReached(m, pc.net));
       }
     }
   });
@@ -259,15 +358,16 @@ TEST(Eco, FirstRunIsColdAndStoresTheSlot) {
   const core::FlowReport::EcoSection& eco = run.result.flow.eco();
   EXPECT_TRUE(eco.ran);
   EXPECT_FALSE(eco.warm);
-  EXPECT_EQ(eco.regions_restored, 0);
+  EXPECT_EQ(eco.proofs_loaded, 0);
   EXPECT_EQ(eco.registers_restored, 0);
+  EXPECT_EQ(eco.proofs_stored,
+            static_cast<std::int64_t>(run.result.symfe.report.proved));
+  EXPECT_GT(eco.proofs_stored, 0);
   EXPECT_FALSE(slotPath(dir).empty())
-      << "cold cached run must store the region-table slot";
+      << "cold cached run must store the proof-table slot";
 
   // A cold cached run must not change output vs the plain flow.
-  const FlowOutput plain = runPipe2(ecoOptions(""));
-  EXPECT_EQ(run.verilog, plain.verilog);
-  EXPECT_EQ(run.sdc, plain.sdc);
+  expectSameFlow(run, runPipe2(ecoOptions("")));
 }
 
 TEST(Eco, UneditedWarmRerunRestoresEverything) {
@@ -275,53 +375,70 @@ TEST(Eco, UneditedWarmRerunRestoresEverything) {
   const FlowOutput cold = runPipe2(ecoOptions(dir.string()));
   const FlowOutput warm = runPipe2(ecoOptions(dir.string()));
 
-  EXPECT_EQ(warm.verilog, cold.verilog);
-  EXPECT_EQ(warm.sdc, cold.sdc);
+  expectSameFlow(warm, cold);
   const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
   EXPECT_TRUE(eco.warm);
-  EXPECT_EQ(eco.cells_changed, 0);
-  EXPECT_EQ(eco.nets_changed, 0);
-  EXPECT_EQ(eco.dirty_endpoints, 0);
-  EXPECT_EQ(eco.regions_dirty, 0);
-  EXPECT_GT(eco.regions_total, 0);
-  EXPECT_EQ(eco.regions_restored, eco.regions_total);
-  EXPECT_GT(eco.endpoints_restored, 0);
+  EXPECT_EQ(eco.proofs_loaded, cold.result.flow.eco().proofs_stored);
+  EXPECT_EQ(eco.registers_restored,
+            static_cast<std::int64_t>(warm.result.symfe.report.registers
+                                          .size()));
+  EXPECT_TRUE(reproved(warm).empty());
 }
 
-// --- key invalidation per edit kind ---------------------------------------
+TEST(Eco, ProverOffCacheDirIsInert) {
+  const fs::path dir = scratchDir("prover_off") / "cache";
+  core::DesyncOptions opt = ecoOptions(dir.string());
+  opt.fe.mode = core::FeMode::kSim;
+  const FlowOutput run = runPipe2(opt);
+  core::DesyncOptions plain = opt;
+  plain.flowdb.cache_dir.clear();
+  const FlowOutput reference = runPipe2(plain);
+
+  EXPECT_EQ(run.verilog, reference.verilog);
+  EXPECT_EQ(run.sdc, reference.sdc);
+  EXPECT_FALSE(fs::exists(dir)) << "nothing is stored without the prover";
+  EXPECT_FALSE(run.result.flow.eco().ran);
+  EXPECT_FALSE(run.result.flow.cacheStats().enabled);
+  EXPECT_EQ(run.result.flow.find("eco_load"), nullptr);
+  EXPECT_EQ(run.result.flow.notes().size(), 1u);
+  EXPECT_TRUE(anyNoteContains(run.result.flow, "prover is off"));
+}
+
+// --- which registers an edit re-proves ------------------------------------
 
 TEST(Eco, SingleCellEditDirtiesOnlyItsClosureAndMatchesCold) {
   const fs::path dir = scratchDir("cell_edit");
   runPipe2(ecoOptions(dir.string()));  // prime on the pristine design
 
-  const auto edit = [](nl::Module& m) { ASSERT_TRUE(insertInverter(m)); };
+  std::string edited_ff;
+  const auto edit = [&edited_ff](nl::Module& m) {
+    ASSERT_TRUE(insertInverter(m, 0, &edited_ff));
+  };
   const FlowOutput cold = runPipe2(ecoOptions(""), edit);
   const FlowOutput warm = runPipe2(ecoOptions(dir.string()), edit);
 
-  EXPECT_EQ(warm.verilog, cold.verilog);
-  EXPECT_EQ(warm.sdc, cold.sdc);
-  const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
-  EXPECT_TRUE(eco.warm);
-  EXPECT_GT(eco.cells_changed, 0);
-  EXPECT_GT(eco.dirty_endpoints, 0);
-  // The edit sits in one register's input cone: most endpoints stay clean.
-  EXPECT_GT(eco.endpoints_restored, 0);
+  expectSameFlow(warm, cold);
+  EXPECT_TRUE(warm.result.flow.eco().warm);
+  // The inverter sits on the register's single-sink D net: its miter is
+  // the only one that changed.
+  EXPECT_EQ(reproved(warm), std::set<std::string>{edited_ff});
 }
 
 TEST(Eco, ConstantTieEditMatchesCold) {
   const fs::path dir = scratchDir("const_tie");
   runPipe2(ecoOptions(dir.string()));
 
-  const auto edit = [](nl::Module& m) {
-    ASSERT_TRUE(tieFirstCombInput(m, true));
+  std::set<std::string> reached;
+  const auto edit = [&reached](nl::Module& m) {
+    ASSERT_TRUE(tieFirstCombInput(m, true, &reached));
   };
   const FlowOutput cold = runPipe2(ecoOptions(""), edit);
   const FlowOutput warm = runPipe2(ecoOptions(dir.string()), edit);
 
-  EXPECT_EQ(warm.verilog, cold.verilog);
-  EXPECT_EQ(warm.sdc, cold.sdc);
+  expectSameFlow(warm, cold);
   EXPECT_TRUE(warm.result.flow.eco().warm);
-  EXPECT_GT(warm.result.flow.eco().dirty_endpoints, 0);
+  EXPECT_FALSE(reached.empty());
+  EXPECT_EQ(reproved(warm), reached);
 }
 
 TEST(Eco, NetRenameEditMatchesCold) {
@@ -332,13 +449,60 @@ TEST(Eco, NetRenameEditMatchesCold) {
   const FlowOutput cold = runPipe2(ecoOptions(""), edit);
   const FlowOutput warm = runPipe2(ecoOptions(dir.string()), edit);
 
-  EXPECT_EQ(warm.verilog, cold.verilog);
-  EXPECT_EQ(warm.sdc, cold.sdc);
+  expectSameFlow(warm, cold);
   EXPECT_TRUE(warm.result.flow.eco().warm);
-  // The rename changes the net's own record plus the records of every
-  // cell whose pin list names the net.
-  EXPECT_GT(warm.result.flow.eco().nets_changed, 0);
-  EXPECT_GT(warm.result.flow.eco().cells_changed, 0);
+  // Internal net names are not part of any miter.
+  EXPECT_TRUE(reproved(warm).empty());
+}
+
+TEST(Eco, MultiFanoutEditReprovesExactlyTheReachedRegisters) {
+  // Pick a comb-driven net whose forward cone reaches several registers
+  // but not all, and reroute all its sinks through an inverter: every
+  // reached register's miter changes, no other one does.
+  std::string target_name;
+  std::set<std::string> reached;
+  std::size_t n_regs = 0;
+  {
+    nl::Design design;
+    designs::buildPipe2(design, gf(), 8);
+    const nl::Module& m = *design.findModule("pipe2");
+    m.forEachCell([&](nl::CellId c) {
+      if (gf().isFlipFlop(m.cellType(c))) ++n_regs;
+    });
+    m.forEachNet([&](nl::NetId id) {
+      if (!target_name.empty()) return;
+      const nl::Net& n = m.net(id);
+      if (!n.driver.isCellPin() || n.sinks.size() < 2) return;
+      if (gf().kind(m.cellType(n.driver.cell())) !=
+          lib::CellKind::kCombinational) {
+        return;
+      }
+      const std::set<std::string> regs = registersReached(m, id);
+      if (regs.size() >= 2 && regs.size() < n_regs) {
+        target_name = std::string(m.netName(id));
+        reached = regs;
+      }
+    });
+  }
+  ASSERT_FALSE(target_name.empty())
+      << "pipe2 must have a multi-sink net reaching some registers";
+
+  const fs::path dir = scratchDir("multi_fanout");
+  runPipe2(ecoOptions(dir.string()));
+  const auto edit = [&target_name](nl::Module& m) {
+    rerouteThrough(m, m.findNet(target_name), "IV");
+  };
+  const FlowOutput cold = runPipe2(ecoOptions(""), edit);
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("--jobs " + std::to_string(jobs));
+    const fs::path copy = scratchDir("multi_fanout_j" + std::to_string(jobs));
+    fs::copy(dir, copy, fs::copy_options::recursive);
+    core::setThreadJobs(jobs);
+    const FlowOutput warm = runPipe2(ecoOptions(copy.string()), edit);
+    core::setThreadJobs(0);
+    expectSameFlow(warm, cold);
+    EXPECT_EQ(reproved(warm), reached);
+  }
 }
 
 TEST(Eco, CleanRegisterMigratingBetweenRegionsMatchesCold) {
@@ -362,15 +526,11 @@ TEST(Eco, CleanRegisterMigratingBetweenRegionsMatchesCold) {
     const FlowOutput warm = runText(edited, ecoOptions(dir.string()));
     core::setThreadJobs(0);
 
-    EXPECT_EQ(warm.verilog, cold.verilog);
-    EXPECT_EQ(warm.sdc, cold.sdc);
-    const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
-    EXPECT_TRUE(eco.warm);
-    EXPECT_EQ(eco.dirty_endpoints, 0) << "no register's cone was edited";
-    // Every member latch is clean and stored, so every region's
-    // requirement restores — the merged one included.
-    EXPECT_EQ(eco.regions_dirty, 0);
-    EXPECT_EQ(eco.regions_restored, eco.regions_total);
+    expectSameFlow(warm, cold);
+    EXPECT_TRUE(warm.result.flow.eco().warm);
+    // A region enable is cut to true in every miter, so changing region
+    // changes no register's miter.
+    EXPECT_TRUE(reproved(warm).empty());
   }
 }
 
@@ -378,7 +538,6 @@ TEST(Eco, FullyDecoupledProtocolVerdictSurvivesTheCache) {
   const fs::path dir = scratchDir("fd_protocol");
   core::DesyncOptions cached = ecoOptions(dir.string());
   cached.control.controller = desync::async::ControllerKind::kFullyDecoupled;
-  cached.fe.mode = core::FeMode::kProve;
   core::DesyncOptions plain = cached;
   plain.flowdb.cache_dir.clear();
 
@@ -393,18 +552,63 @@ TEST(Eco, FullyDecoupledProtocolVerdictSurvivesTheCache) {
   EXPECT_GT(rerun.result.symfe.report.restored, 0u);
   for (const FlowOutput* run : {&cold, &rerun}) {
     expectSameProtocol(run->result.symfe.report.protocol, want);
-    EXPECT_EQ(run->verilog, uncached.verilog);
+    expectSameFlow(*run, uncached);
   }
 
-  const auto edit = [](nl::Module& m) { ASSERT_TRUE(insertInverter(m)); };
+  std::string edited_ff;
+  const auto edit = [&edited_ff](nl::Module& m) {
+    ASSERT_TRUE(insertInverter(m, 0, &edited_ff));
+  };
   const FlowOutput edited_plain = runPipe2(plain, edit);
   const FlowOutput edited = runPipe2(cached, edit);
   EXPECT_TRUE(edited.result.flow.eco().warm);
-  EXPECT_GT(edited.result.flow.eco().dirty_endpoints, 0);
+  EXPECT_EQ(reproved(edited), std::set<std::string>{edited_ff});
   expectSameProtocol(edited.result.symfe.report.protocol,
                      edited_plain.result.symfe.report.protocol);
-  EXPECT_EQ(edited.verilog, edited_plain.verilog);
-  EXPECT_EQ(edited.sdc, edited_plain.sdc);
+  expectSameFlow(edited, edited_plain);
+}
+
+// --- option changes -------------------------------------------------------
+
+TEST(Eco, ControllerAndResetChangesReuseEveryProof) {
+  // Neither the controller kind nor the reset wiring reaches a miter: the
+  // controllers sit behind the region enables, which every miter cuts to
+  // true.  Their proofs are reused; outputs still match uncached runs.
+  const fs::path dir = scratchDir("guard_control");
+  core::DesyncOptions simple = ecoOptions(dir.string());
+  simple.control.controller = desync::async::ControllerKind::kSimple;
+  core::DesyncOptions new_reset = ecoOptions(dir.string());
+  new_reset.control.reset_port.clear();  // a fresh active-high "rst" port
+  new_reset.control.reset_active_low = false;
+  for (const core::DesyncOptions& opt : {simple, new_reset}) {
+    runPipe2(ecoOptions(dir.string()));  // re-prime the default table
+    const FlowOutput changed = runPipe2(opt);
+    EXPECT_TRUE(changed.result.flow.eco().warm);
+    EXPECT_EQ(changed.result.flow.cacheStats().hits, 1u);
+    EXPECT_TRUE(reproved(changed).empty());
+    core::DesyncOptions plain = opt;
+    plain.flowdb.cache_dir.clear();
+    expectSameFlow(changed, runPipe2(plain));
+  }
+}
+
+TEST(Eco, GuardKeyMismatchFallsBackToCold) {
+  // The conflict budget is part of every key: under another budget no
+  // stored proof matches, and every register is proved afresh.
+  const fs::path dir = scratchDir("guard");
+  const FlowOutput primed = runPipe2(ecoOptions(dir.string()));
+
+  core::DesyncOptions opt = ecoOptions(dir.string());
+  opt.fe.prove_max_conflicts = 12345;
+  const FlowOutput mismatched = runPipe2(opt);
+  EXPECT_TRUE(mismatched.result.flow.eco().warm);
+  EXPECT_EQ(mismatched.result.flow.eco().registers_restored, 0);
+  EXPECT_EQ(reproved(mismatched).size(),
+            mismatched.result.symfe.report.registers.size());
+
+  core::DesyncOptions plain = opt;
+  plain.flowdb.cache_dir.clear();
+  expectSameFlow(mismatched, runPipe2(plain));
 }
 
 // --- degradation paths: cold, never wrong ---------------------------------
@@ -428,13 +632,13 @@ TEST(Eco, CorruptSlotFallsBackToColdThenRecovers) {
   const FlowOutput damaged = runPipe2(ecoOptions(dir.string()));
   EXPECT_FALSE(damaged.result.flow.eco().warm);
   EXPECT_TRUE(anyNoteContains(damaged.result.flow, "eco:"));
-  EXPECT_EQ(damaged.verilog, cold.verilog);
-  EXPECT_EQ(damaged.sdc, cold.sdc);
+  EXPECT_EQ(damaged.result.flow.eco().registers_restored, 0);
+  expectSameFlow(damaged, cold);
 
   // The damaged run rewrote the slot: the next run is warm again.
   const FlowOutput recovered = runPipe2(ecoOptions(dir.string()));
   EXPECT_TRUE(recovered.result.flow.eco().warm);
-  EXPECT_EQ(recovered.verilog, cold.verilog);
+  expectSameFlow(recovered, cold);
 }
 
 TEST(Eco, TruncatedSlotFallsBackToCold) {
@@ -448,8 +652,7 @@ TEST(Eco, TruncatedSlotFallsBackToCold) {
   const FlowOutput damaged = runPipe2(ecoOptions(dir.string()));
   EXPECT_FALSE(damaged.result.flow.eco().warm);
   EXPECT_TRUE(anyNoteContains(damaged.result.flow, "eco:"));
-  EXPECT_EQ(damaged.verilog, cold.verilog);
-  EXPECT_EQ(damaged.sdc, cold.sdc);
+  expectSameFlow(damaged, cold);
 }
 
 TEST(Eco, OlderFormatSlotIsRejectedOnceAndRewritten) {
@@ -470,30 +673,11 @@ TEST(Eco, OlderFormatSlotIsRejectedOnceAndRewritten) {
   const FlowOutput rejected = runPipe2(ecoOptions(dir.string()));
   EXPECT_FALSE(rejected.result.flow.eco().warm);
   EXPECT_TRUE(anyNoteContains(rejected.result.flow, "version"));
-  EXPECT_EQ(rejected.verilog, cold.verilog);
-  EXPECT_EQ(rejected.sdc, cold.sdc);
+  expectSameFlow(rejected, cold);
 
   const FlowOutput rewritten = runPipe2(ecoOptions(dir.string()));
   EXPECT_TRUE(rewritten.result.flow.eco().warm);
-  EXPECT_EQ(rewritten.verilog, cold.verilog);
-}
-
-TEST(Eco, GuardKeyMismatchFallsBackToCold) {
-  const fs::path dir = scratchDir("guard");
-  runPipe2(ecoOptions(dir.string()));  // primed with fe.mode = sim-off
-
-  core::DesyncOptions opt = ecoOptions(dir.string());
-  opt.fe.mode = core::FeMode::kProve;  // guard covers the FE mode
-  const FlowOutput mismatched = runPipe2(opt);
-  EXPECT_FALSE(mismatched.result.flow.eco().warm);
-  EXPECT_TRUE(anyNoteContains(mismatched.result.flow,
-                              "different flow configuration"));
-
-  core::DesyncOptions plain = ecoOptions("");
-  plain.fe.mode = core::FeMode::kProve;
-  const FlowOutput reference = runPipe2(plain);
-  EXPECT_EQ(mismatched.verilog, reference.verilog);
-  EXPECT_EQ(mismatched.sdc, reference.sdc);
+  expectSameFlow(rewritten, cold);
 }
 
 TEST(Eco, ForeignDesignSlotIsIgnored) {
@@ -515,31 +699,9 @@ TEST(Eco, ForeignDesignSlotIsIgnored) {
 
   const FlowOutput run = runPipe2(ecoOptions(dir.string()));
   EXPECT_FALSE(run.result.flow.eco().warm);
-  EXPECT_TRUE(anyNoteContains(run.result.flow, "belong to design"));
-}
-
-TEST(Eco, ControllerAndResetChangesStillRunCold) {
-  // Controller kind and reset wiring stay in the guard: the stored
-  // protocol verdict and the network's reset structure depend on them.
-  const fs::path dir = scratchDir("guard_control");
-  core::DesyncOptions simple = ecoOptions(dir.string());
-  simple.control.controller = desync::async::ControllerKind::kSimple;
-  core::DesyncOptions new_reset = ecoOptions(dir.string());
-  new_reset.control.reset_port.clear();  // a fresh active-high "rst" port
-  new_reset.control.reset_active_low = false;
-  for (const core::DesyncOptions& opt : {simple, new_reset}) {
-    runPipe2(ecoOptions(dir.string()));  // re-prime the default tables
-    const FlowOutput changed = runPipe2(opt);
-    EXPECT_FALSE(changed.result.flow.eco().warm);
-    EXPECT_EQ(changed.result.flow.cacheStats().hits, 0u);
-    EXPECT_TRUE(anyNoteContains(changed.result.flow,
-                                "different flow configuration"));
-    core::DesyncOptions plain = opt;
-    plain.flowdb.cache_dir.clear();
-    const FlowOutput reference = runPipe2(plain);
-    EXPECT_EQ(changed.verilog, reference.verilog);
-    EXPECT_EQ(changed.sdc, reference.sdc);
-  }
+  EXPECT_EQ(run.result.flow.eco().registers_restored, 0);
+  EXPECT_TRUE(anyNoteContains(run.result.flow, "belongs to design"));
+  expectSameFlow(run, runPipe2(ecoOptions("")));
 }
 
 TEST(Eco, BytesWrittenCountsTheStoredTables) {
@@ -548,7 +710,7 @@ TEST(Eco, BytesWrittenCountsTheStoredTables) {
   const FlowOutput warm = runPipe2(ecoOptions(dir.string()));
   const std::uint64_t slot_bytes = fs::file_size(slotPath(dir));
 
-  // The report is published after the tables are stored, so both runs
+  // The report is published after the table is stored, so both runs
   // account for the store; the slot on disk is the warm run's payload
   // plus its envelope.
   EXPECT_GT(cold.result.flow.cacheStats().bytes_written, 0u);
@@ -564,22 +726,25 @@ TEST(Eco, BytesWrittenCountsTheStoredTables) {
 
 // --- jobs-independence and the CPU case studies ---------------------------
 // The instrumented TSan variant (DESYNC_ECO_TEST_LIGHT) keeps the pipe2
-// closure tests above — which already exercise every restore query — and
-// drops the minutes-long CPU flows.
+// tests above — which already exercise every cache path — and drops the
+// minutes-long CPU flows.
 
 #ifndef DESYNC_ECO_TEST_LIGHT
 
 namespace {
 
-/// Builds the CPU `config`, applies `edits` inverter insertions and
-/// desynchronizes.
+/// Builds the CPU `config`, applies `edits` inverter insertions (their
+/// registers go to `*edited`) and desynchronizes.
 FlowOutput runCpu(const designs::CpuConfig& config,
-                  const core::DesyncOptions& base, int edits) {
+                  const core::DesyncOptions& base, int edits,
+                  std::set<std::string>* edited = nullptr) {
   nl::Design design;
   designs::buildCpu(design, gf(), config);
   nl::Module& m = *design.findModule(config.name);
   for (int i = 0; i < edits; ++i) {
-    EXPECT_TRUE(insertInverter(m, i)) << "edit site " << i;
+    std::string ff;
+    EXPECT_TRUE(insertInverter(m, i, &ff)) << "edit site " << i;
+    if (edited != nullptr) edited->insert(ff);
   }
   FlowOutput out;
   core::DesyncOptions opt = base;
@@ -599,7 +764,9 @@ void expectEcoIdenticalAtJobs1And4(const designs::CpuConfig& config,
   runCpu(config, ecoOptions(dir.string()), 0);  // prime on pristine
   fs::copy(dir, primed, fs::copy_options::recursive);
 
-  const FlowOutput cold = runCpu(config, ecoOptions(""), edits);
+  std::set<std::string> edited;
+  const FlowOutput cold = runCpu(config, ecoOptions(""), edits, &edited);
+  ASSERT_EQ(edited.size(), static_cast<std::size_t>(edits));
 
   core::setThreadJobs(1);
   const FlowOutput warm1 = runCpu(config, ecoOptions(dir.string()), edits);
@@ -609,41 +776,23 @@ void expectEcoIdenticalAtJobs1And4(const designs::CpuConfig& config,
   const FlowOutput warm4 = runCpu(config, ecoOptions(dir.string()), edits);
   core::setThreadJobs(0);
 
-  EXPECT_EQ(warm1.verilog, cold.verilog);
-  EXPECT_EQ(warm1.sdc, cold.sdc);
-  EXPECT_EQ(warm4.verilog, cold.verilog);
-  EXPECT_EQ(warm4.sdc, cold.sdc);
+  expectSameFlow(warm1, cold);
+  expectSameFlow(warm4, cold);
   EXPECT_TRUE(warm1.result.flow.eco().warm);
   EXPECT_TRUE(warm4.result.flow.eco().warm);
-  EXPECT_GT(warm1.result.flow.eco().regions_restored, 0);
-  EXPECT_EQ(warm1.result.flow.eco().regions_restored,
-            warm4.result.flow.eco().regions_restored);
-  EXPECT_EQ(warm1.result.flow.eco().dirty_endpoints,
-            warm4.result.flow.eco().dirty_endpoints);
+  // Each edit inverts one register's single-sink D net.
+  EXPECT_EQ(reproved(warm1), edited);
+  EXPECT_EQ(reproved(warm4), edited);
 }
 
-}  // namespace
-
-namespace {
-
-/// Per-register verdicts of a prove run, in report order.
-std::vector<std::pair<std::string, int>> verdicts(const FlowOutput& run) {
-  std::vector<std::pair<std::string, int>> out;
-  for (const auto& r : run.result.symfe.report.registers) {
-    out.emplace_back(r.name, static_cast<int>(r.verdict));
-  }
-  return out;
-}
-
-/// The ECO guard leaves out the delay-element sizing knobs: a margin
-/// change and then a mux-tap change, each through the cache, must restore
-/// every region and every proof and still match an uncached prove run at
-/// the new options byte for byte, verdict for verdict.
+/// A margin change and then a mux-tap change, each through the cache,
+/// re-prove nothing (they only size delay elements, which no miter
+/// reads) and still match an uncached prove run at the new options byte
+/// for byte, record for record.
 void expectKnobChangesRestoreEverything(const designs::CpuConfig& config,
                                         const std::string& tag) {
   const fs::path dir = scratchDir(tag);
   core::DesyncOptions opt = ecoOptions(dir.string());
-  opt.fe.mode = core::FeMode::kProve;
   opt.control.margin = 1.15;
   runCpu(config, opt, 0);  // prime
 
@@ -655,14 +804,9 @@ void expectKnobChangesRestoreEverything(const designs::CpuConfig& config,
     plain.flowdb.cache_dir.clear();
     const FlowOutput cold = runCpu(config, plain, 0);
 
-    EXPECT_EQ(warm.verilog, cold.verilog);
-    EXPECT_EQ(warm.sdc, cold.sdc);
-    EXPECT_EQ(verdicts(warm), verdicts(cold));
+    expectSameFlow(warm, cold);
     EXPECT_TRUE(cold.result.symfe.report.ok());
-    const core::FlowReport::EcoSection& eco = warm.result.flow.eco();
-    EXPECT_TRUE(eco.warm);
-    EXPECT_GT(eco.regions_total, 0);
-    EXPECT_EQ(eco.regions_restored, eco.regions_total);
+    EXPECT_TRUE(warm.result.flow.eco().warm);
     const auto& rep = warm.result.symfe.report;
     EXPECT_GT(rep.registers.size(), 0u);
     EXPECT_EQ(rep.restored, rep.registers.size()) << "registers re-proved";
@@ -693,48 +837,15 @@ TEST(EcoCpu, ArmClassEditedRunByteIdenticalToColdAtJobs1And4) {
   expectEcoIdenticalAtJobs1And4(designs::armClassConfig(), "arm_jobs", 5);
 }
 
-namespace {
-
-/// Regions reached by the forward combinational cone of `start`:
-/// regions of every flip-flop fed (transitively through comb cells) by
-/// the net, per the primed run's partition keyed by register name.
-std::set<int> regionsInCone(const nl::Module& m, nl::NetId start,
-                            const std::map<std::string, int>& region_of_ff) {
-  std::set<int> regions;
-  std::set<std::uint32_t> seen_cells;
-  std::vector<nl::NetId> work{start};
-  while (!work.empty()) {
-    const nl::NetId net = work.back();
-    work.pop_back();
-    for (const nl::TermRef& s : m.net(net).sinks) {
-      if (!s.isCellPin() || !seen_cells.insert(s.index).second) continue;
-      const nl::CellId c = s.cell();
-      if (gf().isFlipFlop(m.cellType(c))) {
-        const auto it = region_of_ff.find(std::string(m.cellName(c)));
-        if (it != region_of_ff.end()) regions.insert(it->second);
-        continue;  // registers end the combinational cone
-      }
-      if (gf().kind(m.cellType(c)) != lib::CellKind::kCombinational) continue;
-      for (const nl::PinConn& p : m.cell(c).pins) {
-        if (p.dir == nl::PortDir::kOutput && p.net.valid()) {
-          work.push_back(p.net);
-        }
-      }
-    }
-  }
-  return regions;
-}
-
-}  // namespace
-
 TEST(EcoCpu, CrossRegionRippleClosesOverDownstreamRegions) {
+  // A comb net of the DLX whose forward cone reaches registers in at least
+  // two regions (per the primed run's partition).  Rerouting its sinks
+  // through a buffer changes no miter (the Encoder collapses buffers, and
+  // so does the key); through an inverter it changes exactly the reached
+  // registers' miters, across both regions.
   const designs::CpuConfig config = designs::dlxConfig();
   const fs::path dir = scratchDir("ripple");
-
-  // Prime on the pristine design and keep its latch-region partition:
-  // member latches are named "<ff>_Lm", mapping every original register
-  // to its region.
-  std::map<std::string, int> region_of_ff;
+  std::map<std::string, int> region_of;
   {
     nl::Design design;
     designs::buildCpu(design, gf(), config);
@@ -750,16 +861,14 @@ TEST(EcoCpu, CrossRegionRippleClosesOverDownstreamRegions) {
             name.substr(name.size() - kSuffix.size()) != kSuffix) {
           continue;
         }
-        region_of_ff.emplace(name.substr(0, name.size() - kSuffix.size()), g);
+        region_of.emplace(name.substr(0, name.size() - kSuffix.size()), g);
       }
     }
   }
-  ASSERT_GT(region_of_ff.size(), 0u);
+  ASSERT_GT(region_of.size(), 0u);
 
-  // Pick (on a fresh pristine copy, by walking the comb fanout) a
-  // comb-driven net whose cone provably reaches registers in at least
-  // two regions; reroute all of its sinks through a fresh inverter.
   std::string target_name;
+  std::set<std::string> reached;
   {
     nl::Design design;
     designs::buildCpu(design, gf(), config);
@@ -772,55 +881,47 @@ TEST(EcoCpu, CrossRegionRippleClosesOverDownstreamRegions) {
           lib::CellKind::kCombinational) {
         return;
       }
-      for (const nl::TermRef& s : n.sinks) {
-        if (!s.isCellPin()) return;
+      const std::set<std::string> regs = registersReached(m, id);
+      std::set<int> regions;
+      for (const std::string& r : regs) {
+        const auto it = region_of.find(r);
+        if (it != region_of.end()) regions.insert(it->second);
       }
-      if (regionsInCone(m, id, region_of_ff).size() >= 2) {
+      if (regions.size() >= 2) {
         target_name = std::string(m.netName(id));
+        reached = regs;
       }
     });
   }
   ASSERT_FALSE(target_name.empty())
       << "DLX must have a comb net whose cone spans two regions";
 
-  // A buffer, not an inverter: region grouping strips buffers
-  // (clean_logic), so the partition itself is unchanged and the two
-  // regions stay distinct — the ECO diff still sees the edit and must
-  // dirty both downstream cones.
-  const auto edit = [&target_name](nl::Module& m) {
-    const nl::NetId target = m.findNet(target_name);
-    ASSERT_TRUE(target.valid());
-    const nl::NetId out = m.addNet("eco_ripple_z");
-    m.redistributeSinks(target,
-                        std::vector<nl::NetId>(m.net(target).sinks.size(),
-                                               out));
-    m.addCell("eco_ripple_buf", "BF",
-              {{"A", nl::PortDir::kInput, target},
-               {"Z", nl::PortDir::kOutput, out}});
-  };
-
-  nl::Design cold_design;
-  designs::buildCpu(cold_design, gf(), config);
-  nl::Module& cold_m = *cold_design.findModule(config.name);
-  edit(cold_m);
-  core::DesyncResult cold_r =
-      core::desynchronize(cold_design, cold_m, gf(), ecoOptions(""));
-
-  nl::Design warm_design;
-  designs::buildCpu(warm_design, gf(), config);
-  nl::Module& warm_m = *warm_design.findModule(config.name);
-  edit(warm_m);
-  core::DesyncResult warm_r = core::desynchronize(warm_design, warm_m, gf(),
-                                                  ecoOptions(dir.string()));
-
-  EXPECT_EQ(nl::writeVerilog(warm_design), nl::writeVerilog(cold_design));
-  EXPECT_EQ(warm_r.sdc.toText(), cold_r.sdc.toText());
-  const core::FlowReport::EcoSection& eco = warm_r.flow.eco();
-  EXPECT_TRUE(eco.warm);
-  EXPECT_GE(eco.regions_dirty, 2) << "multi-fanout edit must ripple across "
-                                     "region boundaries";
-  EXPECT_GT(eco.regions_restored, 0) << "the rest of the design must still "
-                                        "restore";
+  for (const char* type : {"BF", "IV"}) {
+    SCOPED_TRACE(type);
+    const fs::path copy = scratchDir(std::string("ripple_") + type);
+    fs::copy(dir, copy, fs::copy_options::recursive);
+    const auto edit = [&](nl::Design& design) {
+      nl::Module& m = *design.findModule(config.name);
+      rerouteThrough(m, m.findNet(target_name), type);
+      return &m;
+    };
+    FlowOutput cold;
+    FlowOutput warm;
+    for (auto [out, cache] : {std::pair{&cold, std::string()},
+                              std::pair{&warm, copy.string()}}) {
+      nl::Design design;
+      designs::buildCpu(design, gf(), config);
+      nl::Module* m = edit(design);
+      out->result = core::desynchronize(design, *m, gf(), ecoOptions(cache));
+      out->verilog = nl::writeVerilog(design);
+      out->sdc = out->result.sdc.toText();
+    }
+    expectSameFlow(warm, cold);
+    EXPECT_TRUE(warm.result.flow.eco().warm);
+    EXPECT_EQ(reproved(warm), std::string(type) == "BF"
+                                  ? std::set<std::string>{}
+                                  : reached);
+  }
 }
 
 #endif  // DESYNC_ECO_TEST_LIGHT

@@ -1,5 +1,5 @@
-// FlowDB: named-slot validation, cache-directory runs (warm == cold byte
-// for byte at any --jobs, an option-only change restoring every region),
+// FlowDB: named-slot validation, cache-directory prover runs (warm == cold
+// byte for byte at any --jobs, an option-only change reusing every proof),
 // corrupt-slot fallback and flow failure reporting.
 #include <gtest/gtest.h>
 
@@ -61,21 +61,25 @@ FlowOutput runCpuFlow(const designs::CpuConfig& config,
   return out;
 }
 
+/// Prover on: the cache directory holds proofs only.
 core::DesyncOptions cpuOptions(const std::string& cache_dir = {}) {
   core::DesyncOptions opt;
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
+  opt.fe.mode = core::FeMode::kProve;
   opt.flowdb.cache_dir = cache_dir;
   return opt;
 }
 
-/// True when the warm run restored every region from the ECO tables.
-void expectEveryRegionRestored(const FlowOutput& run) {
+/// The warm run reused every proof from the proof table.
+void expectEveryProofRestored(const FlowOutput& run) {
   const core::FlowReport::EcoSection& eco = run.result.flow.eco();
+  const auto& rep = run.result.symfe.report;
   EXPECT_TRUE(eco.warm);
-  EXPECT_GT(eco.regions_total, 0);
-  EXPECT_EQ(eco.regions_restored, eco.regions_total);
-  EXPECT_EQ(eco.regions_dirty, 0);
+  EXPECT_GT(rep.registers.size(), 0u);
+  EXPECT_EQ(rep.restored, rep.registers.size());
+  EXPECT_EQ(eco.registers_restored,
+            static_cast<std::int64_t>(rep.registers.size()));
 }
 
 }  // namespace
@@ -97,7 +101,7 @@ TEST(FlowCache, WarmRunIsByteIdenticalToColdOnDlx) {
   EXPECT_EQ(warm.verilog, plain.verilog);
   EXPECT_EQ(warm.sdc, plain.sdc);
 
-  // hits/misses count the design's ECO slot.
+  // hits/misses count the design's proof-table slot.
   const core::FlowCacheStats& cold_stats = cold.result.flow.cacheStats();
   EXPECT_TRUE(cold_stats.enabled);
   EXPECT_EQ(cold_stats.hits, 0u);
@@ -110,7 +114,7 @@ TEST(FlowCache, WarmRunIsByteIdenticalToColdOnDlx) {
   EXPECT_EQ(warm_stats.misses, 0u);
   EXPECT_GT(warm_stats.bytes_read, 0u);
   EXPECT_GT(warm_stats.bytes_written, 0u);
-  expectEveryRegionRestored(warm);
+  expectEveryProofRestored(warm);
 }
 
 TEST(FlowCache, WarmRunIsByteIdenticalToColdOnArmClass) {
@@ -122,7 +126,7 @@ TEST(FlowCache, WarmRunIsByteIdenticalToColdOnArmClass) {
   EXPECT_EQ(warm.verilog, cold.verilog);
   EXPECT_EQ(warm.sdc, cold.sdc);
   EXPECT_EQ(warm.result.flow.cacheStats().hits, 1u);
-  expectEveryRegionRestored(warm);
+  expectEveryProofRestored(warm);
 }
 
 TEST(FlowCache, RestoredStateIsIdenticalAcrossJobsSettings) {
@@ -144,9 +148,11 @@ TEST(FlowCache, RestoredStateIsIdenticalAcrossJobsSettings) {
   EXPECT_EQ(warm_auto.verilog, cold.verilog);
   EXPECT_EQ(warm8.sdc, cold.sdc);
   EXPECT_EQ(warm_auto.sdc, cold.sdc);
+  expectEveryProofRestored(warm8);
+  expectEveryProofRestored(warm_auto);
 }
 
-TEST(FlowCache, PostSubstitutionKnobChangeReusesTimingPass) {
+TEST(FlowCache, PostSubstitutionKnobChangeReusesEveryProof) {
   const auto dir = scratchDir("dlx_margin");
   const designs::CpuConfig config = designs::dlxConfig();
 
@@ -155,13 +161,10 @@ TEST(FlowCache, PostSubstitutionKnobChangeReusesTimingPass) {
   changed.control.margin = 1.25;
   const FlowOutput warm = runCpuFlow(config, changed);
 
-  // The margin stays out of the ECO guard: every region's margin-free
-  // requirement restores, and only the control network re-sizes.
+  // The margin only sizes delay elements, which no miter reads: every
+  // proof is reused.
   EXPECT_EQ(warm.result.flow.cacheStats().hits, 1u);
-  expectEveryRegionRestored(warm);
-  const core::PassStat* timing = warm.result.flow.find("region_timing");
-  ASSERT_NE(timing, nullptr);
-  EXPECT_EQ(timing->counter("regions_dirty"), 0);
+  expectEveryProofRestored(warm);
 
   // And the changed run matches a cold run at the same margin exactly.
   core::DesyncOptions reference = cpuOptions();
@@ -196,7 +199,7 @@ TEST(FlowCache, CorruptEntriesFallBackToColdRunWithDiagnostics) {
   EXPECT_FALSE(fallback.result.flow.eco().warm);
   EXPECT_FALSE(fallback.result.flow.notes().empty());
 
-  // The fallback re-stored valid tables: the next run is warm again.
+  // The fallback re-stored a valid table: the next run is warm again.
   const FlowOutput rewarm = runCpuFlow(config, cpuOptions(dir.string()));
   EXPECT_EQ(rewarm.result.flow.cacheStats().hits, 1u);
   EXPECT_EQ(rewarm.verilog, cold.verilog);

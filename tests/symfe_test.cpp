@@ -3,8 +3,11 @@
 // skipped), determinism across --jobs, corpus replays through the fuzz
 // oracle in prove/both mode, both-route agreement over generator seeds, a
 // deliberately broken slave-latch cone that must be refuted with a
-// counterexample replaying identically on both simulation engines, and the
-// combinational-only / vacuous-report honesty paths.
+// counterexample replaying identically on both simulation engines, the
+// combinational-only / vacuous-report honesty paths, and content-keyed
+// proof reuse: reused proofs equal fresh ones, and a change confined to
+// one gate's function or to the scan-enable, clock-gate-enable or
+// slave-latch-enable cone re-proves exactly its register.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -376,6 +379,157 @@ TEST(Symfe, VacuousVectorCheckIsReportedNotSilent) {
   EXPECT_TRUE(vp.ok) << vp.check << ": " << vp.detail;
   EXPECT_FALSE(vp.fe_vacuous);
   EXPECT_GT(vp.registers_proved, 0u);
+}
+
+// ------------------------------------------------ content-keyed reuse
+
+const char* kKeyed = R"(
+module keyed (clk, rst_n, a, b, si, se, en, q1, q2, q3);
+  input clk, rst_n, a, b, si, se, en;
+  output q1, q2, q3;
+  wire n1, n2, gck;
+  ND2  g1 (.A(a), .B(q1), .Z(n1));
+  SDFF r1 (.D(n1), .SI(si), .SE(se), .CP(clk), .Q(q1));
+  CGL  cg (.E(en), .CP(clk), .Z(gck));
+  NR2  g2 (.A(b), .B(q2), .Z(n2));
+  DFFR r2 (.D(n2), .CP(gck), .CDN(rst_n), .Q(q2));
+  DFFR r3 (.D(q2), .CP(clk), .CDN(rst_n), .Q(q3));
+endmodule
+)";
+
+/// kKeyed flowed: a scan register (r1), a clock-gated register (r2) and a
+/// plain one (r3).
+FlowedPair keyedPair() {
+  nl::Design d;
+  nl::readVerilog(d, kKeyed, gf());
+  return runFlow(std::move(d), "keyed");
+}
+
+/// The proof table a cached run would store from `rep`.
+symfe::ProofTable tableOf(const symfe::SymfeReport& rep) {
+  symfe::ProofTable table;
+  for (const symfe::RegisterProof& r : rep.registers) {
+    if (r.key.has_value() && r.verdict == symfe::RegVerdict::kProved) {
+      table.emplace(*r.key, symfe::StoredProof{r.trivial, r.conflicts,
+                                               r.decisions});
+    }
+  }
+  return table;
+}
+
+symfe::SymfeReport prove(const nl::Module& sync, const nl::Module& desync,
+                         const symfe::ProofTable* table) {
+  const lib::BoundModule sb(sync, gf());
+  const lib::BoundModule db(desync, gf());
+  symfe::SymfeOptions so;
+  so.proof_table = table;
+  return symfe::proveFlowEquivalence(sb, db, so);
+}
+
+const symfe::RegisterProof& proofOf(const symfe::SymfeReport& rep,
+                                    const std::string& name) {
+  for (const symfe::RegisterProof& r : rep.registers) {
+    if (r.name == name) return r;
+  }
+  ADD_FAILURE() << "no proof for " << name;
+  static const symfe::RegisterProof none;
+  return none;
+}
+
+/// Proves `p`, applies `mutate` to one side, and proves again with the
+/// first run's table: `victim`'s miter changed, so it must be proved
+/// afresh (and refuted — the mutation breaks it) while every other
+/// register reuses its proof.  A key that leaves out the mutated cone
+/// would restore the stale proof instead.
+template <typename Mutate>
+void expectMutationReproves(const std::string& victim, Mutate&& mutate) {
+  FlowedPair p = keyedPair();
+  nl::Module& sync = p.sync.top();
+  nl::Module& desync = *p.desync.findModule(p.top);
+  symfe::ProofTable empty;
+  const symfe::SymfeReport cold = prove(sync, desync, &empty);
+  ASSERT_TRUE(cold.ok());
+  const symfe::ProofTable table = tableOf(cold);
+  ASSERT_EQ(table.size(), 3u) << "r1, r2 and r3 must all be keyed";
+
+  mutate(sync, desync);
+  const symfe::SymfeReport fresh = prove(sync, desync, nullptr);
+  const symfe::SymfeReport reused = prove(sync, desync, &table);
+  EXPECT_EQ(proofOf(fresh, victim).verdict, symfe::RegVerdict::kRefuted);
+  EXPECT_FALSE(proofOf(reused, victim).restored);
+  EXPECT_EQ(proofOf(reused, victim).verdict, symfe::RegVerdict::kRefuted);
+  for (const symfe::RegisterProof& r : reused.registers) {
+    if (r.name != victim) {
+      EXPECT_TRUE(r.restored) << r.name;
+    }
+  }
+}
+
+TEST(Symfe, ProofTableReuseEqualsFreshProofs) {
+  FlowedPair p = keyedPair();
+  const nl::Module& sync = p.sync.top();
+  const nl::Module& desync = *p.desync.findModule(p.top);
+  const symfe::SymfeReport plain = prove(sync, desync, nullptr);
+  symfe::ProofTable empty;
+  const symfe::SymfeReport cold = prove(sync, desync, &empty);
+  const symfe::ProofTable table = tableOf(cold);
+  const symfe::SymfeReport warm = prove(sync, desync, &table);
+  ASSERT_EQ(plain.registers.size(), 3u);
+  EXPECT_TRUE(plain.ok());
+  EXPECT_EQ(warm.restored, 3u);
+  for (std::size_t i = 0; i < plain.registers.size(); ++i) {
+    const symfe::RegisterProof& x = plain.registers[i];
+    for (const symfe::SymfeReport* rep : {&cold, &warm}) {
+      const symfe::RegisterProof& y = rep->registers[i];
+      EXPECT_EQ(y.name, x.name);
+      EXPECT_EQ(y.verdict, x.verdict);
+      EXPECT_EQ(y.trivial, x.trivial);
+      EXPECT_EQ(y.conflicts, x.conflicts);
+      EXPECT_EQ(y.decisions, x.decisions);
+    }
+    EXPECT_FALSE(x.key.has_value()) << "no table, no keys";
+    EXPECT_TRUE(cold.registers[i].key.has_value());
+    EXPECT_EQ(warm.registers[i].key, cold.registers[i].key);
+  }
+}
+
+TEST(Symfe, ProofKeySeesTheScanEnableCone) {
+  expectMutationReproves("r1", [](nl::Module& sync, nl::Module&) {
+    const nl::CellId r1 = sync.findCell("r1");
+    sync.connectPin(r1, sync.findPin(r1, "SE"), sync.constNet(true));
+  });
+}
+
+TEST(Symfe, ProofKeySeesTheClockGateEnableCone) {
+  expectMutationReproves("r2", [](nl::Module& sync, nl::Module&) {
+    const nl::CellId cg = sync.findCell("cg");
+    sync.connectPin(cg, sync.findPin(cg, "E"), sync.constNet(false));
+  });
+}
+
+TEST(Symfe, ProofKeySeesGateFunctions) {
+  // Same pins and nets, another function: r1's data gate g1 becomes an
+  // AND on the desynchronized side only.
+  expectMutationReproves("r1", [](nl::Module&, nl::Module& desync) {
+    const nl::CellId g1 = desync.findCell("g1");
+    ASSERT_TRUE(g1.valid());
+    const nl::NetId a = desync.pinNet(g1, "A");
+    const nl::NetId b = desync.pinNet(g1, "B");
+    const nl::NetId z = desync.pinNet(g1, "Z");
+    desync.removeCell(g1);
+    desync.addCell("g1", "AN2",
+                   {{"A", nl::PortDir::kInput, a},
+                    {"B", nl::PortDir::kInput, b},
+                    {"Z", nl::PortDir::kOutput, z}});
+  });
+}
+
+TEST(Symfe, ProofKeySeesTheSlaveLatchEnableCone) {
+  expectMutationReproves("r2", [](nl::Module&, nl::Module& desync) {
+    const nl::CellId ls = desync.findCell("r2_Ls");
+    ASSERT_TRUE(ls.valid());
+    desync.connectPin(ls, desync.findPin(ls, "G"), desync.constNet(false));
+  });
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 //   - the emitted file is well-formed Chrome trace_event JSON: every "B"
 //     has a matching same-name "E" on the same track, timestamps are
 //     monotonic per track, the worker-track count equals --jobs - 1 (the
-//     caller is the "flow" track), all seven passes appear as
-//     "pass"-category spans and the cache / counter events exist;
+//     caller is the "flow" track), every report entry (the seven passes,
+//     the snapshot, the proof-cache load and store, fe_prove) appears as a
+//     "pass"-category span, no top-level span on the flow track falls
+//     outside a report entry, and the cache / counter events exist;
 //   - tracing never changes flow output: the Verilog and SDC text is
 //     byte-identical across all four runs.
 // A separate test checks the writer's escaping: track and span names with
@@ -84,9 +86,11 @@ const lib::Gatefile& gf() {
 struct FlowOutput {
   std::string verilog;
   std::string sdc;
+  std::vector<std::string> entries;  ///< report entry names, in order
 };
 
-/// Builds a fresh pipe2 and runs the full flow under the given settings.
+/// Builds a fresh pipe2 and runs the full flow under the given settings;
+/// a cached run proves (the cache holds proofs only).
 FlowOutput runFlow(int jobs, const std::string& cache_dir) {
   nl::Design design;
   designs::buildPipe2(design, gf(), 6);
@@ -95,10 +99,15 @@ FlowOutput runFlow(int jobs, const std::string& cache_dir) {
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
   opt.flowdb.cache_dir = cache_dir;
+  if (!cache_dir.empty()) opt.fe.mode = core::FeMode::kProve;
   core::setThreadJobs(jobs);
   core::DesyncResult result = core::desynchronize(design, module, gf(), opt);
   core::setThreadJobs(0);
-  return FlowOutput{nl::writeVerilog(design), result.sdc.toText()};
+  FlowOutput out{nl::writeVerilog(design), result.sdc.toText(), {}};
+  for (const core::PassStat& p : result.flow.passes()) {
+    out.entries.push_back(p.name);
+  }
+  return out;
 }
 
 struct Fixture {
@@ -123,7 +132,7 @@ Fixture& fixture() {
 
     // Traced --jobs 4 run first: pins the pool (and the trace's worker
     // tracks) to exactly kJobs - 1 workers.  A fresh cache dir makes the
-    // ECO table diff/store spans appear in the trace.
+    // proof-table load/store entries appear in the trace.
     const std::string trace_path = (dir / "j4.trace.json").string();
     trace::start(trace_path);
     fx->traced_j4 = runFlow(kJobs, (dir / "cache").string());
@@ -225,14 +234,48 @@ TEST(Trace, AllSevenPassesTraced) {
     }
   }
   const std::vector<std::string> expected = {
+      "sync_snapshot",   "eco_load",
       "reference_sta",   "region_grouping", "ff_substitution",
       "dependency_graph", "region_timing",  "control_network",
-      "sdc_generation"};
+      "sdc_generation",  "fe_prove",        "eco_store"};
   EXPECT_EQ(passes, expected);
+  EXPECT_EQ(fixture().traced_j4.entries, expected);
+}
+
+TEST(Trace, EveryTopLevelFlowSpanIsAReportEntry) {
+  // Nothing desynchronize() does on the caller's track may run outside a
+  // report entry: the top-level spans of the "flow" track are exactly the
+  // report's entries, in order — so the entries account for the flow's
+  // wall time.
+  double flow_tid = -1.0;
+  for (const Json& e : events()) {
+    if (str(e, "ph") == "M" && str(e, "name") == "thread_name" &&
+        str(at(e, "args"), "name") == "flow") {
+      flow_tid = num(e, "tid");
+    }
+  }
+  ASSERT_GE(flow_tid, 0.0);
+  std::vector<std::string> top;
+  int depth = 0;
+  for (const Json& e : events()) {
+    if (num(e, "tid") != flow_tid) continue;
+    const std::string& ph = str(e, "ph");
+    if (ph == "B") {
+      if (depth == 0) {
+        EXPECT_EQ(str(e, "cat"), "pass") << str(e, "name");
+        top.push_back(str(e, "name"));
+      }
+      ++depth;
+    } else if (ph == "E") {
+      --depth;
+    }
+  }
+  EXPECT_EQ(depth, 0);
+  EXPECT_EQ(top, fixture().traced_j4.entries);
 }
 
 TEST(Trace, ParallelCacheAndCounterEventsPresent) {
-  bool parallel_for = false, parallel_run = false, eco_diff = false,
+  bool parallel_for = false, parallel_run = false, eco_load = false,
        eco_store = false;
   std::vector<std::string> counters;
   double last_bytes_written = -1.0;
@@ -242,7 +285,7 @@ TEST(Trace, ParallelCacheAndCounterEventsPresent) {
     if (ph == "B" || ph == "E") {
       if (name == "parallel_for") parallel_for = true;
       if (name == "parallel_run") parallel_run = true;
-      if (name == "eco_diff") eco_diff = true;
+      if (name == "eco_load") eco_load = true;
       if (name == "eco_store") eco_store = true;
     } else if (ph == "C") {
       counters.push_back(name);
@@ -253,9 +296,9 @@ TEST(Trace, ParallelCacheAndCounterEventsPresent) {
   }
   EXPECT_TRUE(parallel_for);
   EXPECT_TRUE(parallel_run);
-  EXPECT_TRUE(eco_diff);   // fresh cache dir: the tables were probed
+  EXPECT_TRUE(eco_load);   // fresh cache dir: the table was probed
   EXPECT_TRUE(eco_store);  // ...and stored after the flow
-  // Sampled once more after the store: the last value counts the tables.
+  // Sampled once more after the store: the last value counts the table.
   EXPECT_GT(last_bytes_written, 0.0);
   auto hasCounter = [&](std::string_view n) {
     for (const std::string& c : counters) {
@@ -282,7 +325,7 @@ TEST(Trace, SummaryCountsMatchFile) {
   EXPECT_EQ(s.events, non_meta);
   EXPECT_EQ(s.spans, begins);
   EXPECT_EQ(s.counter_events, counter_events);
-  EXPECT_EQ(s.pass_self_ms.size(), 7u);
+  EXPECT_EQ(s.pass_self_ms.size(), fixture().traced_j4.entries.size());
 }
 
 TEST(Trace, OutputBytesIdenticalTracedVsUntraced) {

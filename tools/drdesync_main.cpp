@@ -76,10 +76,10 @@ void usage() {
       "execution:\n"
       "  --jobs N           worker threads, 0 = auto (default: DESYNC_JOBS\n"
       "                     env or hardware concurrency)\n"
-      "  --cache-dir DIR    incremental recompute: diff the input against\n"
-      "                     the previous run's region tables in DIR and\n"
-      "                     re-analyze only the dirty regions (docs/eco.md);\n"
-      "                     output is byte-identical to a cold run\n"
+      "  --cache-dir DIR    proof cache: reuse the proof of every register\n"
+      "                     whose miter is unchanged since the previous run\n"
+      "                     (docs/eco.md); output is byte-identical to an\n"
+      "                     uncached run; inert with --fe-mode sim\n"
       "\n"
       "diagnostics:\n"
       "  --report           print the run report JSON to stdout\n"

@@ -36,8 +36,8 @@ void usage() {
       "  --stdio            serve one JSON-lines session on stdin/stdout\n"
       "  --workers N        handler threads serving requests (default 2)\n"
       "  --jobs N           default per-request worker budget, 0 = auto\n"
-      "  --cache-dir DIR    shared FlowDB cache: every request recomputes\n"
-      "                     incrementally against its design's ECO tables\n"
+      "  --cache-dir DIR    shared proof cache: a prover request reuses the\n"
+      "                     proofs its design's table holds (docs/eco.md)\n"
       "\n"
       "diagnostics:\n"
       "  --trace FILE       write a Chrome trace_event JSON on exit; each\n"
