@@ -6,18 +6,20 @@
 // The two routes answer the same question with different strength: the
 // vector route samples stored-value sequences over stimulus batches, the
 // prover covers the whole input space per register (plus the token-flow
-// protocol admissibility check) but is timing-blind.  The bench measures
-// the wall time of each route on an already-flowed pair and FAILS (exit 1)
-// when the prover leaves any register refuted or skipped, or when the
-// vector route disagrees — the PR's acceptance bar for the case studies.
-// Timings go to BENCH_symfe.json; CI publishes registers-proved and
-// solver-conflict counts to the step summary.
+// protocol admissibility check) but is timing-blind.  Each repeat runs the
+// flow with `--fe-mode both --fe-check 8` and reads the fe_check and
+// fe_prove report entries: their wall times and their verdicts.  The bench
+// FAILS (exit 1) when the prover leaves any register refuted or skipped,
+// or when the vector route disagrees — the acceptance bar for the case
+// studies.  Timings go to BENCH_symfe.json; CI publishes registers-proved
+// and solver-conflict counts to the step summary.
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dft/scan.h"
 #include "harness.h"
-#include "sim/stimulus.h"
 #include "sim/symfe/symfe.h"
 
 namespace dft = desync::dft;
@@ -28,51 +30,32 @@ namespace {
 
 constexpr std::size_t kBatches = 8;
 
-struct Pair {
-  std::string name;
-  nl::Design sync_design;
-  nl::Design desync_design;
-  std::string top;
-  const lib::Gatefile* gf = nullptr;
-  core::DesyncResult res;
-};
-
-Pair makeDlx() {
-  Pair p;
-  p.name = "dlx";
-  p.top = "dlx";
-  p.gf = &gatefileHs();
-  designs::buildCpu(p.desync_design, *p.gf, designs::dlxConfig());
-  nl::cloneModule(p.sync_design, *p.desync_design.findModule("dlx"));
-  p.sync_design.setTop("dlx");
+core::DesyncOptions feOptions() {
   core::DesyncOptions opt;
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
-  opt.manual_seq_groups = dlxStageRegions();
-  p.res = core::desynchronize(p.desync_design,
-                              *p.desync_design.findModule("dlx"), *p.gf,
-                              opt);
-  return p;
+  opt.fe.mode = core::FeMode::kBoth;
+  opt.fe.batches = kBatches;
+  return opt;
 }
 
-Pair makeArmPair() {
-  Pair p;
-  p.name = "arm_class";
-  p.top = "armlike";
-  p.gf = &gatefileLl();
-  designs::buildCpu(p.desync_design, *p.gf, designs::armClassConfig());
-  dft::insertScan(*p.desync_design.findModule("armlike"), *p.gf);
-  nl::cloneModule(p.sync_design, *p.desync_design.findModule("armlike"));
-  p.sync_design.setTop("armlike");
-  core::DesyncOptions opt;
-  opt.control.reset_port = "rst_n";
-  opt.control.reset_active_low = true;
+core::DesyncResult flowDlx() {
+  nl::Design d;
+  designs::buildCpu(d, gatefileHs(), designs::dlxConfig());
+  core::DesyncOptions opt = feOptions();
+  opt.manual_seq_groups = dlxStageRegions();
+  return core::desynchronize(d, *d.findModule("dlx"), gatefileHs(), opt);
+}
+
+core::DesyncResult flowArm() {
+  nl::Design d;
+  designs::buildCpu(d, gatefileLl(), designs::armClassConfig());
+  nl::Module& top = *d.findModule("armlike");
+  dft::insertScan(top, gatefileLl());
+  core::DesyncOptions opt = feOptions();
   opt.manual_seq_groups = {{""}};  // single group, as in the paper (§5.3)
   opt.grouping.false_path_nets = {"scan_en"};
-  p.res = core::desynchronize(p.desync_design,
-                              *p.desync_design.findModule("armlike"), *p.gf,
-                              opt);
-  return p;
+  return core::desynchronize(d, top, gatefileLl(), opt);
 }
 
 struct RouteResult {
@@ -85,55 +68,24 @@ struct RouteResult {
   bool prove_ok = false;
   bool vector_ok = false;
   std::size_t values_compared = 0;
-  double vector_ms = 0.0;
-  double prove_ms = 0.0;
+  double vector_ms = std::numeric_limits<double>::infinity();
+  double prove_ms = std::numeric_limits<double>::infinity();
 };
 
-RouteResult runDesign(Pair& p, int repeats) {
+/// Runs the flow `repeats` times: the verdicts are repeat-independent, the
+/// route times are the minimum over repeats.
+template <typename Flow>
+RouteResult runDesign(const Flow& flow, int repeats) {
   RouteResult r;
-  const nl::Module& sync_top = p.sync_design.top();
-  const nl::Module& converted = *p.desync_design.findModule(p.top);
-  const lib::BoundModule sync_bound(sync_top, *p.gf);
-  const lib::BoundModule desync_bound(converted, *p.gf);
-
-  // Vector route: golden synchronous batches on the bit-parallel engine,
-  // desynchronized side event-simulated per batch — the fe_check pass's
-  // exact workload (core/desync.cpp).
-  sim::SyncStimulus st;
-  st.half_period_ns = std::max(p.res.sync_min_period_ns, 0.1);
-  st.cycles = 10;
-  auto run_desync = [&](std::size_t b) {
-    auto s = std::make_unique<sim::Simulator>(desync_bound);
-    s->setInput(st.clock_port, sim::Val::k0);
-    s->setInput(st.reset_port, sim::Val::k0);
-    s->run(s->now() + sim::nsToPs(2 * st.reset_ns));
-    s->setInput(st.reset_port, sim::Val::k1);
-    s->run(s->now() + sim::nsToPs(sim::feBatch(st, b).window_ns));
-    return s;
-  };
-  sim::FlowEqBatchReport vec;
-  r.vector_ms = measureRepeated(repeats, [&] {
-    const std::vector<std::vector<sim::CaptureLog>> sync_batches =
-        sim::goldenSyncBatches(sync_bound, st, kBatches,
-                               sim::SyncEngine::kBitsim);
-    vec = sim::checkFlowEquivalenceBatches(sync_batches, run_desync);
-  }).min_ms;
-  r.vector_ok = vec.equivalent;
-  r.values_compared = vec.values_compared;
-
-  // Prove route: per-register projection miters + protocol check.
-  symfe::SymfeOptions so;
-  symfe::ProtocolInput pi;
-  pi.n_groups = p.res.regions.n_groups;
-  for (const auto& cells : p.res.regions.seq_cells) {
-    pi.active.push_back(!cells.empty());
+  core::DesyncResult res;
+  for (int i = 0; i < repeats; ++i) {
+    res = flow();
+    r.vector_ms = std::min(r.vector_ms, res.flow.find("fe_check")->wall_ms);
+    r.prove_ms = std::min(r.prove_ms, res.flow.find("fe_prove")->wall_ms);
   }
-  pi.preds = p.res.ddg.preds;
-  so.protocol = std::move(pi);
-  symfe::SymfeReport rep;
-  r.prove_ms = measureRepeated(repeats, [&] {
-    rep = symfe::proveFlowEquivalence(sync_bound, desync_bound, so);
-  }).min_ms;
+  r.vector_ok = res.fe.report.equivalent;
+  r.values_compared = res.fe.report.values_compared;
+  const symfe::SymfeReport& rep = res.symfe.report;
   r.registers = rep.registers.size();
   r.proved = rep.proved;
   r.refuted = rep.refuted;
@@ -163,11 +115,8 @@ int main() {
   row("  %zu vector batches vs full per-register proofs; repeats: %d",
       kBatches, repeats);
 
-  Pair dlx_pair = makeDlx();
-  Pair arm_pair = makeArmPair();
-
-  RouteResult dlx = runDesign(dlx_pair, repeats);
-  RouteResult arm = runDesign(arm_pair, repeats);
+  const RouteResult dlx = runDesign(flowDlx, repeats);
+  const RouteResult arm = runDesign(flowArm, repeats);
 
   row("  %-10s %9s %8s %9s %9s %12s %12s", "design", "registers", "proved",
       "conflicts", "values", "vector (ms)", "prove (ms)");

@@ -25,6 +25,7 @@
 #include "sim/flow_equivalence.h"
 #include "sim/power.h"
 #include "sim/simulator.h"
+#include "sim/stimulus.h"
 #include "sta/sta.h"
 #include "util/json.h"
 #include "variability/variability.h"
@@ -128,8 +129,6 @@ inline DesyncRun runDesync(const nl::Module& m, const lib::Gatefile& gf,
   s.watchNet("G1_gm", [&](sim::Time t, sim::Val v) {
     if (v == sim::Val::k1) rises.push_back(t);
   });
-  s.setInput("clk", sim::Val::k0);
-  s.setInput("rst_n", sim::Val::k0);
   if (dsel >= 0) {
     for (int b = 0; b < 3; ++b) {
       if (s.portNet("dsel" + std::to_string(b)).valid()) {
@@ -138,8 +137,7 @@ inline DesyncRun runDesync(const nl::Module& m, const lib::Gatefile& gf,
       }
     }
   }
-  s.run(sim::nsToPs(20));
-  s.setInput("rst_n", sim::Val::k1);
+  sim::resetDesyncStimulus(s, sim::SyncStimulus{});
   s.run(s.now() + sim::nsToPs(window_ns));
   run.cycles = static_cast<int>(rises.size());
   if (rises.size() > 4) {

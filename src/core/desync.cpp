@@ -57,12 +57,13 @@ void tracePassBoundaryCounters(const liberty::Gatefile& gatefile,
 }
 
 /// Post-flow flow-equivalence self-check (`--fe-check`): golden batches
-/// from the pristine synchronous snapshot, desynchronized side free-running
-/// on the event engine, stored-value sequences compared per batch.
-void runFeCheck(const netlist::Module& sync_top, const netlist::Module& module,
+/// from the pristine synchronous snapshot, desynchronized side on the event
+/// engine until it has its captures (sim/stimulus.h), stored-value
+/// sequences compared per batch.
+void runFeCheck(ScopedPass& pass, const netlist::Module& sync_top,
+                const netlist::Module& module,
                 const liberty::Gatefile& gatefile,
                 const DesyncOptions& options, DesyncResult& result) {
-  ScopedPass pass(result.flow, "fe_check");
   const sim::bitsim::BitsimStats before = sim::bitsim::bitsimStats();
 
   sim::SyncStimulus st;
@@ -74,19 +75,14 @@ void runFeCheck(const netlist::Module& sync_top, const netlist::Module& module,
 
   const liberty::BoundModule sync_bound(sync_top, gatefile);
   const std::vector<std::vector<sim::CaptureLog>> sync_batches =
-      sim::goldenSyncBatches(sync_bound, st, options.fe.batches,
-                             options.fe.engine);
+      sim::goldenSyncBatches(sync_bound, st, options.fe.batches);
 
   const liberty::BoundModule desync_bound(module, gatefile);
   auto run_desync = [&](std::size_t b) {
     auto s = std::make_unique<sim::Simulator>(desync_bound);
-    const sim::Val active = st.reset_active_low ? sim::Val::k0 : sim::Val::k1;
-    const sim::Val inactive = st.reset_active_low ? sim::Val::k1 : sim::Val::k0;
-    s->setInput(st.clock_port, sim::Val::k0);
-    if (!st.reset_port.empty()) s->setInput(st.reset_port, active);
-    s->run(s->now() + sim::nsToPs(2 * st.reset_ns));
-    if (!st.reset_port.empty()) s->setInput(st.reset_port, inactive);
-    s->run(s->now() + sim::nsToPs(sim::feBatch(st, b).window_ns));
+    sim::SyncStimulus batch = st;
+    batch.cycles = sim::feBatchCycles(st, b);
+    sim::runDesyncStimulus(*s, batch, sync_batches[b]);
     return s;
   };
   result.fe.report = sim::checkFlowEquivalenceBatches(sync_batches, run_desync);
@@ -125,12 +121,11 @@ void runFeCheck(const netlist::Module& sync_top, const netlist::Module& module,
 /// Post-flow symbolic route (`--fe-mode prove|both`): per-register
 /// projection-equivalence miters over the pristine snapshot plus the
 /// token-flow protocol admissibility check (sim/symfe).
-void runFeProve(const netlist::Module& sync_top, const netlist::Module& module,
+void runFeProve(ScopedPass& pass, const netlist::Module& sync_top,
+                const netlist::Module& module,
                 const liberty::Gatefile& gatefile,
                 const DesyncOptions& options, DesyncResult& result,
                 const ProofCache* cache) {
-  ScopedPass pass(result.flow, "fe_prove");
-
   const liberty::BoundModule sync_bound(sync_top, gatefile);
   const liberty::BoundModule desync_bound(module, gatefile);
 
@@ -206,9 +201,9 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
       ProofCache::open(options, module.name(), result.flow);
   const double setup_ms = result.flow.totalMs();
 
-  // The seven passes run in the paper's fixed order.  A failure is
-  // rethrown as FlowError carrying the report so far (~ScopedPass has
-  // already appended the failing pass's stat).
+  // The seven passes run in the paper's fixed order, then the FE checks.
+  // A failure is rethrown as FlowError carrying the report so far
+  // (~ScopedPass has already appended the failing pass's stat).
   const auto runPass = [&](const char* name, const auto& body) {
     try {
       ScopedPass pass(result.flow, name);
@@ -357,10 +352,15 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
 
   const double passes_ms = result.flow.totalMs() - setup_ms;
   if (want_vector) {
-    runFeCheck(*sync_top, module, gatefile, options, result);
+    runPass("fe_check", [&](ScopedPass& pass) {
+      runFeCheck(pass, *sync_top, module, gatefile, options, result);
+    });
   }
   if (want_prove) {
-    runFeProve(*sync_top, module, gatefile, options, result, cache.get());
+    runPass("fe_prove", [&](ScopedPass& pass) {
+      runFeProve(pass, *sync_top, module, gatefile, options, result,
+                 cache.get());
+    });
   }
   if (cache != nullptr) {
     cache->finish(result.symfe.report, result.flow, passes_ms);

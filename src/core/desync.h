@@ -40,20 +40,18 @@ enum class FeMode : std::uint8_t { kSim, kProve, kBoth };
 FeMode parseFeMode(const std::string& text);
 const char* feModeName(FeMode mode);
 
-/// Post-flow flow-equivalence self-check knobs (`--fe-check`,
-/// `--fe-engine`): after the seven passes, the converted module is
-/// simulated against a pristine snapshot of the synchronous input over
-/// independent stimulus batches (sim/stimulus.h's feBatch derivation) and
-/// the stored-value sequences are compared (thesis §2.1).
+/// Post-flow flow-equivalence self-check knobs (`--fe-check`, `--fe-mode`):
+/// after the seven passes, the converted module is simulated against a
+/// pristine snapshot of the synchronous input over independent stimulus
+/// batches (sim/stimulus.h's protocol: the desynchronized side runs until
+/// it has its captures) and the stored-value sequences are compared
+/// (thesis §2.1).
 struct FeCheckOptions {
   /// Number of stimulus batches; 0 disables the check entirely (no
   /// snapshot is taken, zero overhead).
   std::size_t batches = 0;
   /// Batch-0 synchronous cycle count (batch b adds 2*b cycles).
   int base_cycles = 10;
-  /// Golden-side engine: the bit-parallel simulator packs 64 batches per
-  /// pass; verdicts are byte-identical to the event engine.
-  sim::SyncEngine engine = sim::SyncEngine::kBitsim;
   /// Route selection: kSim runs the vector check gated on `batches`; kProve
   /// runs the symbolic prover (fe_prove pass) regardless of `batches`;
   /// kBoth runs whichever of the two are enabled plus the prover.
@@ -156,10 +154,10 @@ class FlowError : public std::runtime_error {
 
 /// Desynchronizes `module` in place.  `design` receives the helper modules
 /// (controllers, C-elements, delay elements) before they are flattened in.
-/// A pass failure is reported as FlowError.  With options.flowdb.cache_dir
-/// set and the prover on, fe_prove reuses the stored proof of every
-/// unchanged miter (core/eco.h); restored and computed proofs produce
-/// byte-identical results.
+/// A pass failure, fe_check and fe_prove included, is reported as
+/// FlowError.  With options.flowdb.cache_dir set and the prover on,
+/// fe_prove reuses the stored proof of every unchanged miter (core/eco.h);
+/// restored and computed proofs produce byte-identical results.
 DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
                            const liberty::Gatefile& gatefile,
                            const DesyncOptions& options = {});

@@ -56,9 +56,9 @@ Json designFacts(const RunInfo& info, const DesyncResult& result) {
 Json runReport(const RunInfo& info, const DesyncResult& result) {
   Json out = designFacts(info, result);
   if (result.fe.ran) {
-    // Engine-independent by construction: both engines produce identical
-    // capture sequences (tests/bitsim_test.cpp), so this object never
-    // depends on --fe-engine.
+    // Engine-independent by construction: the golden batches are
+    // byte-identical whether bitsim or its event fallback produced them
+    // (tests/bitsim_test.cpp).
     const sim::FlowEqBatchReport& fe = result.fe.report;
     // "vacuous" is the honesty bit: with no flip-flop replaced there are
     // no capture sequences to compare, and "equivalent: true" alone would

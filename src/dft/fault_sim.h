@@ -36,10 +36,10 @@ struct FaultSimOptions {
   /// Cap on simulated faults (0 = all); faults beyond the cap are sampled
   /// deterministically.
   std::size_t max_faults = 0;
-  /// Campaign engine (`--fe-engine`): kBitsim simulates 63 faults plus the
-  /// golden machine per pass (one fault forced per lane) and falls back to
-  /// the event engine on designs outside the cycle model.  The detected
-  /// flags are byte-identical between engines.
+  /// Campaign engine: kBitsim simulates 63 faults plus the golden machine
+  /// per pass (one fault forced per lane) and falls back to the event
+  /// engine on designs outside the cycle model.  The detected flags are
+  /// byte-identical between engines.
   sim::SyncEngine engine = sim::SyncEngine::kBitsim;
 };
 

@@ -13,9 +13,6 @@
 #include "core/parallel.h"
 #include "liberty/bound.h"
 #include "netlist/verilog.h"
-#include "sim/flow_equivalence.h"
-#include "sim/simulator.h"
-#include "sim/stimulus.h"
 #include "sim/symfe/symfe.h"
 #include "sta/sta.h"
 #include "util/rng.h"
@@ -270,11 +267,23 @@ OracleVerdict runOracle(const std::string& verilog,
   }
   v.cells = golden.top().numCells();
 
-  // 2. the seven-pass flow -------------------------------------------------
+  // 2. the seven-pass flow, with its own FE checks at `fe_mode` ------------
+  // One vector batch of exactly `cycles` cycles; check 4 reads the verdicts.
+  // A throw inside fe_check or fe_prove is a flow-equivalence failure.
   FlowRun flow;
   try {
-    flow = runConversion(verilog, gatefile, flowOptions(options.fault));
+    core::DesyncOptions opt = flowOptions(options.fault);
+    opt.fe.mode = options.fe_mode;
+    opt.fe.batches = 1;
+    opt.fe.base_cycles = options.cycles;
+    flow = runConversion(verilog, gatefile, opt);
   } catch (const core::FlowError& e) {
+    if (e.pass() == "fe_check") {
+      return fail("flow-equivalence", std::string("simulation: ") + e.what());
+    }
+    if (e.pass() == "fe_prove") {
+      return fail("flow-equivalence", std::string("prove: ") + e.what());
+    }
     return fail("flow", "pass " + e.pass() + ": " + e.what());
   } catch (const std::exception& e) {
     return fail("flow", e.what());
@@ -292,7 +301,7 @@ OracleVerdict runOracle(const std::string& verilog,
     }
   }
 
-  // 4. flow equivalence against the synchronous golden run -----------------
+  // 4. flow equivalence: the verdicts of the flow's fe_check / fe_prove -----
   // Two routes (`--fe-mode`): the sampling vector route simulates both
   // sides and compares capture sequences; the symbolic route proves
   // per-register projection equivalence with the SAT core.  The vector
@@ -301,59 +310,25 @@ OracleVerdict runOracle(const std::string& verilog,
   // never a silent pass (the shrinker could otherwise "preserve" an FE
   // failure by deleting every register).  The prove route is never
   // vacuous: comb-only designs get output-port miters instead.
-  const bool run_vector = options.fe_mode != core::FeMode::kProve;
-  const bool run_prove = options.fe_mode != core::FeMode::kSim;
-  const double half_ns = std::max(flow.result.sync_min_period_ns, 0.1);
-  if (run_vector && v.ffs_replaced == 0) {
+  if (flow.result.fe.ran && v.ffs_replaced == 0) {
     v.fe_vacuous = true;
     v.note = "flow-equivalence vector check vacuous: no flip-flops replaced";
-  }
-  if (run_vector && v.ffs_replaced > 0) try {
-    const liberty::BoundModule bound(golden.top(), gatefile);
-    sim::SyncStimulus st;
-    st.half_period_ns = half_ns;
-    st.cycles = options.cycles;
-    const std::vector<sim::CaptureLog> sync_caps =
-        sim::goldenSyncRun(bound, st, options.fe_engine);
-
-    sim::Simulator desync_sim(*flow.module, gatefile);
-    desync_sim.setInput("clk", sim::Val::k0);
-    desync_sim.setInput("rst_n", sim::Val::k0);
-    desync_sim.run(sim::nsToPs(20));
-    desync_sim.setInput("rst_n", sim::Val::k1);
-    desync_sim.run(desync_sim.now() +
-                   sim::nsToPs(options.cycles * 4.0 * half_ns));
-
-    sim::FlowEqReport fe = sim::checkFlowEquivalence(sync_caps, desync_sim);
+  } else if (flow.result.fe.ran) {
+    const sim::FlowEqBatchReport& fe = flow.result.fe.report;
     v.values_compared = fe.values_compared;
     if (!fe.equivalent) {
+      const std::vector<std::string>& details = fe.per_batch.front().details;
       return fail("flow-equivalence",
-                  fe.details.empty() ? "mismatch" : fe.details.front());
+                  details.empty() ? "mismatch" : details.front());
     }
-    if (v.ffs_replaced > 0 && fe.elements_compared == 0) {
+    if (fe.elements_compared == 0) {
       return fail("flow-equivalence",
                   "no sequential element produced comparable captures");
     }
-  } catch (const std::exception& e) {
-    return fail("flow-equivalence", std::string("simulation: ") + e.what());
   }
 
-  if (run_prove) try {
-    const liberty::BoundModule sync_bound(golden.top(), gatefile);
-    const liberty::BoundModule desync_bound(*flow.module, gatefile);
-    sim::symfe::SymfeOptions so;
-    so.controller = options.fault == FaultKind::kFullyDecoupled
-                        ? async::ControllerKind::kFullyDecoupled
-                        : async::ControllerKind::kSemiDecoupled;
-    sim::symfe::ProtocolInput pi;
-    pi.n_groups = flow.result.regions.n_groups;
-    for (const auto& cells : flow.result.regions.seq_cells) {
-      pi.active.push_back(!cells.empty());
-    }
-    pi.preds = flow.result.ddg.preds;
-    so.protocol = std::move(pi);
-    const sim::symfe::SymfeReport rep =
-        sim::symfe::proveFlowEquivalence(sync_bound, desync_bound, so);
+  if (flow.result.symfe.ran) try {
+    const sim::symfe::SymfeReport& rep = flow.result.symfe.report;
     v.registers_proved = rep.proved;
     if (!rep.ok()) {
       for (const sim::symfe::RegisterProof& p : rep.registers) {
@@ -364,9 +339,9 @@ OracleVerdict runOracle(const std::string& verilog,
           // Every refutation must round-trip: the decoded vector replayed
           // on both engines must reproduce exactly the solver's verdict —
           // a divergence is an encoder/solver bug, reported as such.
+          const liberty::BoundModule sync_bound(golden.top(), gatefile);
           const sim::symfe::ReplayResult rr =
-              sim::symfe::replayCounterexample(sync_bound, p.name, *p.cex,
-                                              so);
+              sim::symfe::replayCounterexample(sync_bound, p.name, *p.cex);
           if (!rr.ran || !rr.matches_solver) {
             detail += " [internal: counterexample replay disagrees with "
                       "the solver model: " +

@@ -7,13 +7,18 @@
 // a verdict's `check` name is stable and the shrinker can preserve it):
 //
 //   1. "parse"            — the input parses and passes checkInvariants()
-//   2. "flow"             — desynchronize() completes without FlowError
+//   2. "flow"             — desynchronize() completes without FlowError;
+//                           it runs its own fe_check / fe_prove passes at
+//                           `fe_mode`, and a throw in one of those is a
+//                           "flow-equivalence" failure
 //   3. "self-test"        — (fault injection only, see FaultKind::kSelfTest)
-//   4. "flow-equivalence" — the desynchronized circuit stores exactly the
-//                           value sequences of the synchronous golden
-//                           simulation (thesis §2.1); vacuous when the flow
-//                           replaced no FF (a design without storage has no
-//                           flow to preserve)
+//   4. "flow-equivalence" — the flow's verdicts: the desynchronized circuit
+//                           stores exactly the value sequences of the
+//                           synchronous golden simulation (thesis §2.1),
+//                           and/or every register's miter is proved; the
+//                           vector route is vacuous when the flow replaced
+//                           no FF (a design without storage has no flow to
+//                           preserve)
 //   5. "netlist"          — the converted module passes checkInvariants()
 //                           and latch counts match the substitution report
 //   6. "verilog-fixpoint" — write -> read -> write reaches a byte-stable
@@ -55,7 +60,6 @@
 
 #include "core/desync.h"
 #include "liberty/gatefile.h"
-#include "sim/stimulus.h"
 
 namespace desync::fuzz {
 
@@ -68,8 +72,9 @@ enum class FaultKind {
                     ///< data captured before it settled (Fig 5.3's dashed
                     ///< region)
   kSelfTest,        ///< machinery check: report failure whenever the
-                    ///< converted design still holds a latch pair, without
-                    ///< simulating — monotone under shrinking, so the
+                    ///< converted design still holds a latch pair, before
+                    ///< check 4 reads any FE verdict — monotone under
+                    ///< shrinking, so the
                     ///< shrinker must converge to a minimal register
 };
 
@@ -78,8 +83,8 @@ std::string faultKindName(FaultKind kind);
 
 struct OracleOptions {
   FaultKind fault = FaultKind::kNone;
-  /// Synchronous clock cycles simulated (the desynchronized version
-  /// free-runs for a comparable span).
+  /// Synchronous clock cycles of check 4's one vector batch (the
+  /// desynchronized version runs until it has the matching captures).
   int cycles = 16;
   /// Worker counts for the FlowDB cold / warm runs.
   int cold_jobs = 1;
@@ -101,10 +106,6 @@ struct OracleOptions {
   /// headers so a replay applies the identical edit; kept fixed by the
   /// shrinker so the preserved failure stays the same edit.
   std::uint64_t eco_seed = 1;
-  /// Engine for the golden synchronous side of check 4 (`--fe-engine`).
-  /// Verdicts are byte-identical either way; kBitsim is faster and falls
-  /// back to the event engine on designs outside the cycle model.
-  sim::SyncEngine fe_engine = sim::SyncEngine::kBitsim;
   /// Flow-equivalence route for check 4 (`--fe-mode`): the sampling vector
   /// route, the symbolic per-register prover, or both.  The prover is
   /// never vacuous — designs without replaced FFs get combinational

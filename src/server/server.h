@@ -1,10 +1,10 @@
 // drdesyncd server core: fair scheduling of concurrent flow requests.
 //
-// One Server owns one FlowService (one hot library + one FlowDB cache) and
-// a pool of handler threads draining a single FIFO queue.  Every transport
-// feeds the same queue, so requests are served strictly in arrival order
-// regardless of which connection they came in on — a client opening ten
-// connections gets no more than its share of the handlers.
+// One Server owns one FlowService (one hot library) and a pool of handler
+// threads draining a single FIFO queue.  Every transport feeds the same
+// queue, so requests are served strictly in arrival order regardless of
+// which connection they came in on — a client opening ten connections gets
+// no more than its share of the handlers.
 //
 // Transports:
 //   - Unix-domain socket (options.socket_path): an accept loop spawns one

@@ -45,8 +45,7 @@ std::vector<std::vector<std::string>> parseGroups(const std::string& spec) {
   return groups;
 }
 
-core::DesyncOptions flowOptions(const Request& req,
-                                const std::string& cache_dir) {
+core::DesyncOptions flowOptions(const Request& req) {
   core::DesyncOptions opt;
   opt.control.reset_port = req.reset_port;
   opt.control.reset_active_low = req.reset_active_low;
@@ -56,7 +55,6 @@ core::DesyncOptions flowOptions(const Request& req,
   opt.grouping.clean_logic = req.clean_logic;
   opt.grouping.false_path_nets = req.false_paths;
   opt.manual_seq_groups = parseGroups(req.group);
-  opt.flowdb.cache_dir = cache_dir;
   return opt;
 }
 
@@ -71,7 +69,6 @@ double msSince(std::chrono::steady_clock::time_point begin) {
 FlowService::FlowService(const ServiceOptions& options)
     : library_(loadLibrary(options.lib)),
       gatefile_(library_),
-      cache_dir_(options.cache_dir),
       default_jobs_(options.default_jobs) {}
 
 Json FlowService::handle(const Request& req) {
@@ -123,7 +120,7 @@ Json FlowService::handle(const Request& req) {
 
     info.cells_in = module->numCells();
     core::DesyncResult result = core::desynchronize(
-        design, *module, gatefile_, flowOptions(req, cache_dir_));
+        design, *module, gatefile_, flowOptions(req));
     info.cells_out = module->numCells();
     info.nets_out = module->numNets();
 

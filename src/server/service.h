@@ -1,8 +1,8 @@
 // FlowService: the part of drdesyncd that actually runs the flow.
 //
 // One FlowService holds the daemon's shared hot state — the resolved
-// Liberty library/gatefile and the FlowDB cache directory — and turns one
-// parsed Request into one reply object.  Requests are isolated through
+// Liberty library/gatefile — and turns one parsed Request into one reply
+// object.  Requests are isolated through
 // scoped state only:
 //
 //   - trace::TrackScope gives the request its own named trace track, so a
@@ -12,7 +12,7 @@
 //     handling thread for exactly the request's duration (the bug the old
 //     process-wide jobs override made impossible to fix);
 //   - the Design/Module being desynchronized are request-local; the
-//     library, gatefile and cache directory are shared and concurrent-safe.
+//     library and gatefile are shared and concurrent-safe.
 //
 // handle() never throws for request-level failures: parse and flow errors
 // come back as ok=false replies carrying errorReport, exactly like the
@@ -32,9 +32,6 @@ namespace desync::server {
 struct ServiceOptions {
   /// Liberty library spec: a .lib path, "builtin:hs" or "builtin:ll".
   std::string lib = "builtin:hs";
-  /// Shared FlowDB cache directory (per-design ECO tables); empty
-  /// disables caching.
-  std::string cache_dir;
   /// Default per-request worker budget when a request does not set `jobs`
   /// (0 = environment/hardware default).
   int default_jobs = 0;
@@ -60,7 +57,6 @@ class FlowService {
  private:
   liberty::Library library_;  ///< must outlive gatefile_
   liberty::Gatefile gatefile_;
-  std::string cache_dir_;
   int default_jobs_ = 0;
 };
 

@@ -7,6 +7,20 @@
 
 namespace desync::sim {
 
+std::string mappedElementName(const std::string& element,
+                              const FlowEqOptions& options) {
+  return options.map_name ? options.map_name(element) : element + "_Ls";
+}
+
+std::size_t firstKnownCapture(const std::vector<Val>& values,
+                              const FlowEqOptions& options) {
+  std::size_t i = 0;
+  if (options.skip_leading_x) {
+    while (i < values.size() && values[i] == Val::kX) ++i;
+  }
+  return i;
+}
+
 FlowEqReport checkFlowEquivalence(const Simulator& sync_sim,
                                   const Simulator& desync_sim,
                                   const FlowEqOptions& options) {
@@ -17,26 +31,16 @@ FlowEqReport checkFlowEquivalence(const std::vector<CaptureLog>& sync_logs,
                                   const Simulator& desync_sim,
                                   const FlowEqOptions& options) {
   FlowEqReport report;
-  auto mapName = options.map_name
-                     ? options.map_name
-                     : [](const std::string& n) { return n + "_Ls"; };
-
   for (const CaptureLog& sync_log : sync_logs) {
-    const CaptureLog* desync_log = desync_sim.captureOf(mapName(sync_log.element));
+    const CaptureLog* desync_log =
+        desync_sim.captureOf(mappedElementName(sync_log.element, options));
     if (desync_log == nullptr) {
       ++report.skipped;
       continue;
     }
     // Strip leading X captures on both sides (pre-reset garbage).
-    auto firstKnown = [&](const std::vector<Val>& v) {
-      std::size_t i = 0;
-      if (options.skip_leading_x) {
-        while (i < v.size() && v[i] == Val::kX) ++i;
-      }
-      return i;
-    };
-    std::size_t si = firstKnown(sync_log.values);
-    const std::size_t di0 = firstKnown(desync_log->values);
+    std::size_t si = firstKnownCapture(sync_log.values, options);
+    const std::size_t di0 = firstKnownCapture(desync_log->values, options);
     if (std::min(sync_log.values.size() - si,
                  desync_log->values.size() - di0) < options.min_common) {
       ++report.skipped;

@@ -43,6 +43,16 @@ struct FlowEqOptions {
   std::size_t max_details = 8;
 };
 
+/// Name of the desynchronized counterpart of synchronous element `element`
+/// under `options.map_name`.
+std::string mappedElementName(const std::string& element,
+                              const FlowEqOptions& options);
+
+/// Index of the first capture the comparison uses: past the leading X
+/// captures when `options.skip_leading_x` is set, else 0.
+std::size_t firstKnownCapture(const std::vector<Val>& values,
+                              const FlowEqOptions& options);
+
 /// Compares the stored-value sequences of every sequential element of
 /// `sync_sim` against the mapped element of `desync_sim`.
 FlowEqReport checkFlowEquivalence(const Simulator& sync_sim,
@@ -51,7 +61,7 @@ FlowEqReport checkFlowEquivalence(const Simulator& sync_sim,
 
 /// Engine-independent variant: the synchronous side is a list of capture
 /// logs, whichever engine produced them (the event-driven Simulator or the
-/// bit-parallel sim/bitsim engine — see sim/stimulus.h's golden helpers).
+/// bit-parallel sim/bitsim engine — see sim/stimulus.h's goldenSyncBatches).
 /// The (Simulator, Simulator) overload delegates here.
 FlowEqReport checkFlowEquivalence(const std::vector<CaptureLog>& sync_logs,
                                   const Simulator& desync_sim,
@@ -99,11 +109,10 @@ FlowEqBatchReport checkFlowEquivalenceBatches(
     const SimFactory& run_desync, const FlowEqOptions& options = {});
 
 /// Variant over precomputed per-batch golden capture logs (one entry per
-/// batch; sim/stimulus.h's goldenSyncBatches produces them with either
-/// engine, the bit-parallel one 64 batches per pass).  Only the
-/// desynchronized/timed side still event-simulates, concurrently on the
-/// parallel layer.  `sync_batches` is read concurrently and must outlive
-/// the call.
+/// batch; sim/stimulus.h's goldenSyncBatches produces them, 64 batches per
+/// bit-parallel pass).  Only the desynchronized/timed side still
+/// event-simulates, concurrently on the parallel layer.  `sync_batches` is
+/// read concurrently and must outlive the call.
 FlowEqBatchReport checkFlowEquivalenceBatches(
     const std::vector<std::vector<CaptureLog>>& sync_batches,
     const SimFactory& run_desync, const FlowEqOptions& options = {});

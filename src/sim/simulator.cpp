@@ -210,6 +210,7 @@ void Simulator::build() {
       }
     }
     s.capture_idx = static_cast<std::uint32_t>(captures_.size());
+    capture_index_.emplace(cell_name, s.capture_idx);
     captures_.push_back(CaptureLog{cell_name, {}, {}});
     const std::uint32_t si = static_cast<std::uint32_t>(seqs_.size());
     seqs_.push_back(s);
@@ -547,10 +548,8 @@ Val Simulator::netValue(netlist::NetId id) const {
 }
 
 const CaptureLog* Simulator::captureOf(std::string_view cell) const {
-  for (const CaptureLog& log : captures_) {
-    if (log.element == cell) return &log;
-  }
-  return nullptr;
+  const auto it = capture_index_.find(std::string(cell));
+  return it == capture_index_.end() ? nullptr : &captures_[it->second];
 }
 
 std::uint64_t Simulator::totalToggles() const {

@@ -187,6 +187,8 @@ class Simulator {
   void processOne();
 
   std::unordered_map<std::string, std::uint32_t> net_index_;
+  /// captureOf's index: cell name -> captures_ position.
+  std::unordered_map<std::string, std::uint32_t> capture_index_;
 };
 
 }  // namespace desync::sim

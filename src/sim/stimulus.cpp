@@ -1,7 +1,6 @@
 #include "sim/stimulus.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/parallel.h"
 #include "sim/bitsim/bitsim.h"
@@ -9,24 +8,8 @@
 
 namespace desync::sim {
 
-SyncEngine parseSyncEngine(const std::string& name) {
-  if (name == "event") return SyncEngine::kEvent;
-  if (name == "bitsim") return SyncEngine::kBitsim;
-  throw std::invalid_argument("unknown sync engine: " + name +
-                              " (expected event or bitsim)");
-}
-
-const char* syncEngineName(SyncEngine engine) {
-  return engine == SyncEngine::kEvent ? "event" : "bitsim";
-}
-
-FeBatchPlan feBatch(const SyncStimulus& base, std::size_t batch) {
-  FeBatchPlan plan;
-  plan.cycles = base.cycles + 2 * static_cast<int>(batch);
-  // The desynchronized side free-runs; six extra periods absorb the
-  // controller start-up so it produces at least as many captures.
-  plan.window_ns = 2.0 * base.half_period_ns * (plan.cycles + 6);
-  return plan;
+int feBatchCycles(const SyncStimulus& base, std::size_t batch) {
+  return base.cycles + 2 * static_cast<int>(batch);
 }
 
 void runSyncStimulus(Simulator& s, const SyncStimulus& st) {
@@ -77,71 +60,79 @@ void runSyncStimulus(bitsim::BitSim& s, const SyncStimulus& st,
   }
 }
 
-namespace {
-
-std::vector<std::vector<CaptureLog>> goldenSyncBatchesEvent(
+std::vector<std::vector<CaptureLog>> goldenSyncBatches(
     const liberty::BoundModule& bound, const SyncStimulus& base,
     std::size_t n_batches) {
+  try {
+    bitsim::PlanOptions po;
+    po.clock_port = base.clock_port;
+    const bitsim::BitPlan plan = bitsim::compilePlan(bound, po);
+    std::vector<std::vector<CaptureLog>> out(n_batches);
+    for (std::size_t g0 = 0; g0 < n_batches; g0 += kLanes) {
+      trace::Span span("bitsim_run", "sim");
+      const std::size_t cnt = std::min<std::size_t>(kLanes, n_batches - g0);
+      bitsim::BitSim s(plan);
+      std::vector<int> lane_cycles(cnt);
+      for (std::size_t j = 0; j < cnt; ++j) {
+        lane_cycles[j] = feBatchCycles(base, g0 + j);
+      }
+      runSyncStimulus(s, base, lane_cycles);
+      for (std::size_t j = 0; j < cnt; ++j) {
+        out[g0 + j] = s.captures(static_cast<unsigned>(j));
+      }
+    }
+    return out;
+  } catch (const bitsim::BitSimError&) {
+    // Design outside the cycle model: the event engine is the answer.
+  }
   return core::parallelMap(n_batches, [&](std::size_t b) {
     trace::Span span("fe_golden", "sim");
     Simulator sync_sim(bound);
     SyncStimulus st = base;
-    st.cycles = feBatch(base, b).cycles;
+    st.cycles = feBatchCycles(base, b);
     runSyncStimulus(sync_sim, st);
     return sync_sim.captures();
   });
 }
 
-}  // namespace
-
-std::vector<std::vector<CaptureLog>> goldenSyncBatches(
-    const liberty::BoundModule& bound, const SyncStimulus& base,
-    std::size_t n_batches, SyncEngine engine) {
-  if (engine == SyncEngine::kBitsim) {
-    try {
-      bitsim::PlanOptions po;
-      po.clock_port = base.clock_port;
-      const bitsim::BitPlan plan = bitsim::compilePlan(bound, po);
-      std::vector<std::vector<CaptureLog>> out(n_batches);
-      for (std::size_t g0 = 0; g0 < n_batches; g0 += kLanes) {
-        trace::Span span("bitsim_run", "sim");
-        const std::size_t cnt = std::min<std::size_t>(kLanes, n_batches - g0);
-        bitsim::BitSim s(plan);
-        std::vector<int> lane_cycles(cnt);
-        for (std::size_t j = 0; j < cnt; ++j) {
-          lane_cycles[j] = feBatch(base, g0 + j).cycles;
-        }
-        runSyncStimulus(s, base, lane_cycles);
-        for (std::size_t j = 0; j < cnt; ++j) {
-          out[g0 + j] = s.captures(static_cast<unsigned>(j));
-        }
-      }
-      return out;
-    } catch (const bitsim::BitSimError&) {
-      // Design outside the cycle model: the event engine is the answer.
-    }
-  }
-  return goldenSyncBatchesEvent(bound, base, n_batches);
+void resetDesyncStimulus(Simulator& s, const SyncStimulus& st) {
+  const Val active = st.reset_active_low ? Val::k0 : Val::k1;
+  const Val inactive = st.reset_active_low ? Val::k1 : Val::k0;
+  s.setInput(st.clock_port, Val::k0);
+  if (!st.reset_port.empty()) s.setInput(st.reset_port, active);
+  s.run(s.now() + nsToPs(2 * st.reset_ns));
+  if (!st.reset_port.empty()) s.setInput(st.reset_port, inactive);
 }
 
-std::vector<CaptureLog> goldenSyncRun(const liberty::BoundModule& bound,
-                                      const SyncStimulus& base,
-                                      SyncEngine engine) {
-  if (engine == SyncEngine::kBitsim) {
-    try {
-      bitsim::PlanOptions po;
-      po.clock_port = base.clock_port;
-      const bitsim::BitPlan plan = bitsim::compilePlan(bound, po);
-      trace::Span span("bitsim_run", "sim");
-      bitsim::BitSim s(plan);
-      runSyncStimulus(s, base, {});
-      return s.captures(0);
-    } catch (const bitsim::BitSimError&) {
-    }
+void runDesyncStimulus(Simulator& s, const SyncStimulus& st,
+                       const std::vector<CaptureLog>& golden,
+                       const FlowEqOptions& fe) {
+  resetDesyncStimulus(s, st);
+
+  // Desync capture log and known-capture target per usable element (the
+  // simulator's log list is fixed at construction, so the pointers hold).
+  std::vector<std::pair<const CaptureLog*, std::size_t>> targets;
+  for (const CaptureLog& g : golden) {
+    const std::size_t known = g.values.size() - firstKnownCapture(g.values, fe);
+    if (known < fe.min_common) continue;
+    const CaptureLog* d = s.captureOf(mappedElementName(g.element, fe));
+    if (d != nullptr) targets.emplace_back(d, known + fe.max_initial_skip);
   }
-  Simulator sync_sim(bound);
-  runSyncStimulus(sync_sim, base);
-  return sync_sim.captures();
+  const auto done = [&] {
+    for (const auto& [log, need] : targets) {
+      if (log->values.size() - firstKnownCapture(log->values, fe) < need) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  const Time step = nsToPs(st.half_period_ns);
+  const Time span = step * (1 + 2 * static_cast<Time>(st.cycles));
+  const Time guard = s.now() + kDesyncGuardSpans * span;
+  while (s.now() < guard && !done()) {
+    s.run(std::min(guard, s.now() + step));
+  }
 }
 
 }  // namespace desync::sim

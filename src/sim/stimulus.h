@@ -1,24 +1,26 @@
-// Shared synchronous-stimulus derivation and golden-run helpers.
+// The flow-equivalence stimulus protocol, both sides.
 //
-// Flow-equivalence checking needs the same clocked protocol in four places
-// (the flow's --fe-check batches, the fuzz oracle, determinism_test and the
-// benches): hold the clock low, assert reset, release it, then run N full
-// clock cycles.  This header is the single definition of that protocol and
-// of the per-batch derivation (batch index -> cycle count -> desync-side
-// free-run window), so every caller derives byte-identical stimulus.
+// Synchronous side: hold the clock low, assert reset, release it, then run
+// N full clock cycles.  Desynchronized side: hold the (disconnected) clock
+// low, assert reset, release it, then let the controllers free-run until
+// every element has produced the captures the comparison needs.  The
+// flow's fe_check pass (core/desync.cpp) is the one user of both halves;
+// the fuzz oracle and the benches read its verdict, and the engine
+// cross-checks in the tests drive the event Simulator through
+// runSyncStimulus, the reference.
 //
-// The golden (synchronous, delay-free) side can be produced by either
-// engine: `kEvent` runs one event-driven Simulator per batch, `kBitsim`
-// packs 64 batches into one bit-parallel pass (sim/bitsim).  Both produce
-// byte-identical capture sequences; bitsim falls back to the event engine
-// silently when the plan compiler rejects the design, so verdicts never
-// depend on the engine selection.
+// The golden (synchronous, delay-free) batches run on the bit-parallel
+// engine, 64 batches per pass (sim/bitsim), and fall back to the event
+// engine when the plan compiler rejects the design.  Both engines produce
+// byte-identical capture sequences, so verdicts never depend on which one
+// ran.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "liberty/bound.h"
+#include "sim/flow_equivalence.h"
 #include "sim/simulator.h"
 
 namespace desync::sim {
@@ -27,15 +29,11 @@ namespace bitsim {
 class BitSim;
 }
 
-/// Synchronous-side engine selection (`--fe-engine`).
+/// Simulation engine of a stuck-at campaign (dft/fault_sim.h).
 enum class SyncEngine {
   kEvent,   ///< event-driven reference (sim::Simulator)
   kBitsim,  ///< compiled 64-lane cycle engine (sim::bitsim), the default
 };
-
-/// Parses "event" / "bitsim"; throws std::invalid_argument otherwise.
-[[nodiscard]] SyncEngine parseSyncEngine(const std::string& name);
-[[nodiscard]] const char* syncEngineName(SyncEngine engine);
 
 /// One synchronous run: clk low, reset asserted for `reset_ns`, released,
 /// one half-period of settling, then `cycles` full clock cycles of
@@ -50,15 +48,9 @@ struct SyncStimulus {
   int cycles = 16;
 };
 
-/// FE batch derivation (shared by core/desync.cpp's --fe-check, the fuzz
-/// oracle and determinism_test): batch b runs the base protocol with two
-/// extra cycles per index, and the desynchronized counterpart free-runs
-/// long enough to produce at least as many captures.
-struct FeBatchPlan {
-  int cycles = 0;
-  double window_ns = 0.0;  ///< desync free-run span after reset release
-};
-[[nodiscard]] FeBatchPlan feBatch(const SyncStimulus& base, std::size_t batch);
+/// FE batch derivation: batch b runs the base protocol with two extra
+/// cycles per index.
+[[nodiscard]] int feBatchCycles(const SyncStimulus& base, std::size_t batch);
 
 /// Drives the event-driven simulator through the protocol.
 void runSyncStimulus(Simulator& s, const SyncStimulus& st);
@@ -69,19 +61,37 @@ void runSyncStimulus(Simulator& s, const SyncStimulus& st);
 void runSyncStimulus(bitsim::BitSim& s, const SyncStimulus& st,
                      const std::vector<int>& lane_cycles = {});
 
-/// Golden synchronous capture logs for `n_batches` FE batches (batch b =
-/// feBatch(base, b)), produced by the selected engine.  kEvent runs the
-/// batches concurrently on the parallel layer; kBitsim packs 64 batches
-/// per pass.  Results are byte-identical between engines and at any
-/// --jobs.  BitSimError falls back to kEvent silently.
+/// Golden synchronous capture logs for `n_batches` FE batches (batch b
+/// runs feBatchCycles(base, b) cycles): bit-parallel, 64 batches per pass,
+/// or one event Simulator per batch on the parallel layer when the plan
+/// compiler rejects the design.  Byte-identical either way and at any
+/// --jobs.
 [[nodiscard]] std::vector<std::vector<CaptureLog>> goldenSyncBatches(
     const liberty::BoundModule& bound, const SyncStimulus& base,
-    std::size_t n_batches, SyncEngine engine);
+    std::size_t n_batches);
 
-/// Single golden synchronous run (the fuzz oracle's FE check): the batch-0
-/// protocol with exactly `base.cycles` cycles.
-[[nodiscard]] std::vector<CaptureLog> goldenSyncRun(
-    const liberty::BoundModule& bound, const SyncStimulus& base,
-    SyncEngine engine);
+/// Bound on the desynchronized free run, in golden spans (the synchronous
+/// run after reset release: one half-period plus `cycles` periods).  A
+/// guard, not a tuning knob: it only ends runs in which some element never
+/// produces all of its captures (a deadlock, or a clock-gated register
+/// that stops before its reset-epoch extra is matched).
+inline constexpr int kDesyncGuardSpans = 8;
+
+/// Desynchronized-side reset: clk held low (the converted design no longer
+/// uses it), reset asserted for 2 * reset_ns, then released.  The
+/// controllers free-run from there.
+void resetDesyncStimulus(Simulator& s, const SyncStimulus& st);
+
+/// Desynchronized side of one FE batch: resetDesyncStimulus, then
+/// free-running until every element of `golden` that the comparison can
+/// use (a mapped counterpart exists and the golden log has at least
+/// `fe.min_common` known captures) has at least its golden known-capture
+/// count plus `fe.max_initial_skip` known captures, so
+/// checkFlowEquivalence can try every alignment over the whole golden
+/// sequence.  Stops after kDesyncGuardSpans golden spans of `st`
+/// otherwise.
+void runDesyncStimulus(Simulator& s, const SyncStimulus& st,
+                       const std::vector<CaptureLog>& golden,
+                       const FlowEqOptions& fe = {});
 
 }  // namespace desync::sim

@@ -228,20 +228,9 @@ TEST(ValueOps, LaneHelpersMatchScalar) {
 TEST(ValueOps, FeBatchDerivation) {
   sim::SyncStimulus base;
   base.cycles = 10;
-  base.half_period_ns = 2.0;
   for (std::size_t b : {0u, 1u, 7u}) {
-    const sim::FeBatchPlan plan = sim::feBatch(base, b);
-    EXPECT_EQ(plan.cycles, 10 + 2 * static_cast<int>(b));
-    EXPECT_DOUBLE_EQ(plan.window_ns, 2.0 * 2.0 * (plan.cycles + 6));
+    EXPECT_EQ(sim::feBatchCycles(base, b), 10 + 2 * static_cast<int>(b));
   }
-}
-
-TEST(ValueOps, EngineNames) {
-  EXPECT_EQ(sim::parseSyncEngine("event"), sim::SyncEngine::kEvent);
-  EXPECT_EQ(sim::parseSyncEngine("bitsim"), sim::SyncEngine::kBitsim);
-  EXPECT_THROW((void)sim::parseSyncEngine("fast"), std::invalid_argument);
-  EXPECT_STREQ(sim::syncEngineName(sim::SyncEngine::kBitsim), "bitsim");
-  EXPECT_STREQ(sim::syncEngineName(sim::SyncEngine::kEvent), "event");
 }
 
 // --- cross-engine golden equality -----------------------------------------
@@ -332,17 +321,19 @@ TEST(BitSim, GoldenBatchesIdenticalBetweenEngines) {
   base.half_period_ns = 10.0;
   base.cycles = 8;
 
-  const std::string event_digest = batchDigest(
-      sim::goldenSyncBatches(bound, base, 70, sim::SyncEngine::kEvent));
-  const std::string bitsim_digest = batchDigest(
-      sim::goldenSyncBatches(bound, base, 70, sim::SyncEngine::kBitsim));
-  EXPECT_EQ(event_digest, bitsim_digest);
+  // Reference: one event Simulator per batch driven by runSyncStimulus.
+  std::vector<std::vector<sim::CaptureLog>> event_batches;
+  for (std::size_t b = 0; b < 70; ++b) {
+    sim::Simulator es(bound);
+    sim::SyncStimulus st = base;
+    st.cycles = sim::feBatchCycles(base, b);
+    sim::runSyncStimulus(es, st);
+    event_batches.push_back(es.captures());
+  }
+  const std::string event_digest = batchDigest(event_batches);
+  EXPECT_EQ(event_digest,
+            batchDigest(sim::goldenSyncBatches(bound, base, 70)));
   EXPECT_FALSE(event_digest.empty());
-
-  const std::string single =
-      digest(sim::goldenSyncRun(bound, base, sim::SyncEngine::kBitsim));
-  EXPECT_EQ(single,
-            digest(sim::goldenSyncRun(bound, base, sim::SyncEngine::kEvent)));
 }
 
 TEST(BitSim, AllSequentialCellFamiliesMatchEventEngine) {
@@ -483,7 +474,7 @@ TEST(BitSim, RejectsLatchesAndFallsBackToEventEngine) {
   st.cycles = 12;
   sim::Simulator es(bound);
   sim::runSyncStimulus(es, st);
-  EXPECT_EQ(digest(sim::goldenSyncRun(bound, st, sim::SyncEngine::kBitsim)),
+  EXPECT_EQ(digest(sim::goldenSyncBatches(bound, st, 1).front()),
             digest(es.captures()));
 }
 

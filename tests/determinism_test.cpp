@@ -247,9 +247,9 @@ TEST(Determinism, FlowEquivalenceBatchesIdenticalAcrossJobs) {
 }
 
 TEST(Determinism, GoldenSyncBatchesIdenticalAcrossEnginesAndJobs) {
-  // The --fe-check golden side must be byte-identical whichever engine
-  // produced it (event runs batches on the parallel layer, bitsim packs 64
-  // batches per pass) and at any worker count.
+  // The --fe-check golden side (bitsim, 64 batches per pass) must be
+  // byte-identical to the event-engine reference — one Simulator per batch
+  // driven by runSyncStimulus — at any worker count.
   Fixture& fx = fixture();
   const lib::BoundModule bound(fx.syncModule(), gf());
   sim::SyncStimulus base;
@@ -270,11 +270,16 @@ TEST(Determinism, GoldenSyncBatchesIdenticalAcrossEnginesAndJobs) {
     return d;
   };
   auto run = [&] {
-    return std::make_pair(
-        digestAll(sim::goldenSyncBatches(bound, base, 6,
-                                         sim::SyncEngine::kEvent)),
-        digestAll(sim::goldenSyncBatches(bound, base, 6,
-                                         sim::SyncEngine::kBitsim)));
+    const std::vector<std::vector<sim::CaptureLog>> event =
+        core::parallelMap(6, [&](std::size_t b) {
+          sim::Simulator es(bound);
+          sim::SyncStimulus st = base;
+          st.cycles = sim::feBatchCycles(base, b);
+          sim::runSyncStimulus(es, st);
+          return es.captures();
+        });
+    return std::make_pair(digestAll(event),
+                          digestAll(sim::goldenSyncBatches(bound, base, 6)));
   };
   auto [serial, parallel] = runBoth(run);
   EXPECT_FALSE(serial.first.empty());

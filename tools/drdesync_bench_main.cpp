@@ -52,7 +52,6 @@ void usage() {
       "  --workers N        in-process server handler threads (default 2)\n"
       "  --socket PATH      in-process server socket path (default: a\n"
       "                     per-process path under /tmp)\n"
-      "  --cache-dir DIR    in-process server FlowDB cache directory\n"
       "\n"
       "workload:\n"
       "  --designs N        generator designs, seeds S..S+N-1 (default 50)\n"
@@ -167,8 +166,6 @@ int main(int argc, char** argv) {
       srv_opt.handlers = std::atoi(next().c_str());
     } else if (arg == "--socket") {
       socket_path = next();
-    } else if (arg == "--cache-dir") {
-      srv_opt.service.cache_dir = next();
     } else if (arg == "--designs") {
       n_designs = std::atoi(next().c_str());
     } else if (arg == "--seed") {
@@ -213,7 +210,7 @@ int main(int argc, char** argv) {
   try {
     // The workload is generated locally, so the bench needs its own view
     // of the library even against an external daemon (--lib must match).
-    server::FlowService reference({srv_opt.service.lib, "", 0});
+    server::FlowService reference({srv_opt.service.lib, 0});
 
     std::vector<WorkItem> items;
     for (int d = 0; d < n_designs; ++d) {

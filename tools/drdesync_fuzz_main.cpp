@@ -54,9 +54,6 @@ void usage() {
       "  --no-eco           skip the incremental-ECO differential check\n"
       "  --eco-seed S       seed of the ECO check's scripted edit (default:\n"
       "                     the design seed in generation mode, 1 otherwise)\n"
-      "  --fe-engine E      golden-side simulator for the flow-equivalence\n"
-      "                     check: 'bitsim' (bit-parallel, default) or\n"
-      "                     'event' (reference); verdicts are identical\n"
       "  --fe-mode M        flow-equivalence route: 'sim' (vector batches,\n"
       "                     default), 'prove' (per-register SAT proof), or\n"
       "                     'both' — the two routes must agree\n"
@@ -169,13 +166,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--eco-seed") {
       oracle.eco_seed = static_cast<std::uint64_t>(parseIntFlag(arg, next()));
       eco_seed_fixed = true;
-    } else if (arg == "--fe-engine") {
-      try {
-        oracle.fe_engine = sim::parseSyncEngine(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "drdesync-fuzz: %s\n", e.what());
-        return 2;
-      }
     } else if (arg == "--fe-mode") {
       try {
         oracle.fe_mode = core::parseFeMode(next());

@@ -64,10 +64,9 @@ void usage() {
       "  --no-clean         skip netlist cleaning before grouping\n"
       "  --fe-check N       after the flow, simulate N stimulus batches\n"
       "                     and check flow equivalence of the converted\n"
-      "                     netlist against the input (0 = off, default)\n"
-      "  --fe-engine E      golden-side simulator for --fe-check: 'bitsim'\n"
-      "                     (bit-parallel, 64 batches per pass, default)\n"
-      "                     or 'event' (reference); verdicts are identical\n"
+      "                     netlist against the input (0 = off, default);\n"
+      "                     the converted side runs until it has its\n"
+      "                     captures\n"
       "  --fe-mode M        flow-equivalence route: 'sim' (vector batches,\n"
       "                     default), 'prove' (per-register SAT proof of\n"
       "                     projection equivalence + protocol check), or\n"
@@ -203,13 +202,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opt.fe.batches = static_cast<std::size_t>(batches);
-    } else if (arg == "--fe-engine") {
-      try {
-        opt.fe.engine = sim::parseSyncEngine(next());
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
     } else if (arg == "--fe-mode") {
       try {
         opt.fe.mode = core::parseFeMode(next());

@@ -3,8 +3,8 @@
 // Loads the Liberty library once, then serves desynchronization requests
 // over a JSON-lines protocol (docs/server.md): one request object per
 // line, one reply per line.  Requests from every connection share the hot
-// library, one FlowDB cache directory and the deterministic parallel layer;
-// each request runs under its own jobs budget and trace track.
+// library and the deterministic parallel layer; each request runs under its
+// own jobs budget and trace track.
 //
 //   drdesyncd --lib builtin:hs --socket /tmp/drdesync.sock --workers 4
 //   drdesyncd --lib builtin:hs --stdio < requests.jsonl > replies.jsonl
@@ -36,8 +36,6 @@ void usage() {
       "  --stdio            serve one JSON-lines session on stdin/stdout\n"
       "  --workers N        handler threads serving requests (default 2)\n"
       "  --jobs N           default per-request worker budget, 0 = auto\n"
-      "  --cache-dir DIR    shared proof cache: a prover request reuses the\n"
-      "                     proofs its design's table holds (docs/eco.md)\n"
       "\n"
       "diagnostics:\n"
       "  --trace FILE       write a Chrome trace_event JSON on exit; each\n"
@@ -84,8 +82,6 @@ int main(int argc, char** argv) {
         std::fputs("--jobs must be in 0..1024\n", stderr);
         return 2;
       }
-    } else if (arg == "--cache-dir") {
-      opt.service.cache_dir = next();
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--version") {
