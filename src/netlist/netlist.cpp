@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
+#include <utility>
 
 namespace desync::netlist {
 
@@ -21,32 +21,36 @@ const NameTable& Module::names() const { return design_->names(); }
 
 std::string_view Module::name() const { return names().str(name_); }
 
-NetId Module::addNet(std::string_view name) {
-  NameId nid = names().intern(name);
-  if (net_by_name_.count(nid) != 0) {
-    fail("duplicate net name: " + std::string(name));
-  }
+NetId Module::addNet(NameId name, BusRef bus) {
   NetId id{static_cast<std::uint32_t>(nets_.size())};
+  if (!net_by_name_.insert(name, id.value)) {
+    fail("duplicate net name: " + std::string(names().str(name)));
+  }
   Net n;
-  n.name = nid;
+  n.name = name;
+  n.bus = bus;
   nets_.push_back(std::move(n));
-  net_by_name_.emplace(nid, id);
   ++live_nets_;
   return id;
 }
 
+NetId Module::addNet(std::string_view name) {
+  return addNet(names().intern(name));
+}
+
 NetId Module::addNet(std::string_view name, std::string_view bus_name,
                      std::int32_t bit) {
-  NetId id = addNet(name);
-  nets_[id.index()].bus = BusRef{names().intern(bus_name), bit};
-  return id;
+  const NameId nid = names().intern(name);
+  return addNet(nid, BusRef{names().intern(bus_name), bit});
+}
+
+NetId Module::findNet(NameId name) const {
+  return NetId{net_by_name_.find(name)};
 }
 
 NetId Module::findNet(std::string_view name) const {
   NameId nid = names().find(name);
-  if (!nid.valid()) return NetId{};
-  auto it = net_by_name_.find(nid);
-  return it == net_by_name_.end() ? NetId{} : it->second;
+  return nid.valid() ? findNet(nid) : NetId{};
 }
 
 NetId Module::constNet(bool value) {
@@ -120,34 +124,46 @@ std::string_view Module::netName(NetId id) const {
   return names().str(net(id).name);
 }
 
-CellId Module::addCell(std::string_view name, std::string_view type,
-                       const std::vector<PinInit>& pins) {
-  NameId nid = names().intern(name);
-  if (cell_by_name_.count(nid) != 0) {
-    fail("duplicate cell name: " + std::string(name));
-  }
+CellId Module::addCell(NameId name, NameId type,
+                       std::span<const PinConn> pins) {
   CellId id{static_cast<std::uint32_t>(cells_.size())};
-  Cell c;
-  c.name = nid;
-  c.type = names().intern(type);
-  c.pins.reserve(pins.size());
-  for (const PinInit& p : pins) {
-    c.pins.push_back(PinConn{names().intern(p.name), p.dir, NetId{}});
+  if (!cell_by_name_.insert(name, id.value)) {
+    fail("duplicate cell name: " + std::string(names().str(name)));
   }
-  cells_.push_back(std::move(c));
-  cell_by_name_.emplace(nid, id);
+  Cell& c = cells_.emplace_back();
+  c.name = name;
+  c.type = type;
+  c.pins.assign(pins.begin(), pins.end());
   ++live_cells_;
+  // Each pin is connected once it is attached, so a failed attach (a
+  // second driver) leaves no pin pointing at a net that does not list it.
   for (std::size_t i = 0; i < pins.size(); ++i) {
-    if (pins[i].net.valid()) connectPin(id, i, pins[i].net);
+    c.pins[i].net = NetId{};
+    if (!pins[i].net.valid()) continue;
+    attachTerm(pins[i].net,
+               TermRef{TermKind::kCellPin, id.value,
+                       static_cast<std::uint16_t>(i)},
+               pins[i].dir);
+    c.pins[i].net = pins[i].net;
   }
   return id;
 }
 
+CellId Module::addCell(std::string_view name, std::string_view type,
+                       const std::vector<PinInit>& pins) {
+  const NameId nid = names().intern(name);
+  const NameId tid = names().intern(type);
+  std::vector<PinConn> conns;
+  conns.reserve(pins.size());
+  for (const PinInit& p : pins) {
+    conns.push_back(PinConn{names().intern(p.name), p.dir, p.net});
+  }
+  return addCell(nid, tid, conns);
+}
+
 CellId Module::findCell(std::string_view name) const {
   NameId nid = names().find(name);
-  if (!nid.valid()) return CellId{};
-  auto it = cell_by_name_.find(nid);
-  return it == cell_by_name_.end() ? CellId{} : it->second;
+  return nid.valid() ? CellId{cell_by_name_.find(nid)} : CellId{};
 }
 
 void Module::removeCell(CellId id) {
@@ -262,22 +278,20 @@ std::string_view Module::cellType(CellId id) const {
 void Module::renameCell(CellId id, std::string_view new_name) {
   Cell& c = cell(id);
   NameId nid = names().intern(new_name);
-  if (cell_by_name_.count(nid) != 0) {
+  if (!cell_by_name_.insert(nid, id.value)) {
     fail("duplicate cell name on rename: " + std::string(new_name));
   }
   cell_by_name_.erase(c.name);
   c.name = nid;
-  cell_by_name_.emplace(nid, id);
 }
 
 PortId Module::addPort(std::string_view name, PortDir dir, NetId net_id) {
   NameId nid = names().intern(name);
-  if (port_by_name_.count(nid) != 0) {
+  PortId id{static_cast<std::uint32_t>(ports_.size())};
+  if (!port_by_name_.insert(nid, id.value)) {
     fail("duplicate port name: " + std::string(name));
   }
-  PortId id{static_cast<std::uint32_t>(ports_.size())};
   ports_.push_back(Port{nid, dir, NetId{}, BusRef{}});
-  port_by_name_.emplace(nid, id);
   if (net_id.valid()) {
     ports_.back().net = net_id;
     TermRef term{TermKind::kPort, id.value, 0};
@@ -297,9 +311,7 @@ PortId Module::addPort(std::string_view name, PortDir dir, NetId net_id,
 
 PortId Module::findPort(std::string_view name) const {
   NameId nid = names().find(name);
-  if (!nid.valid()) return PortId{};
-  auto it = port_by_name_.find(nid);
-  return it == port_by_name_.end() ? PortId{} : it->second;
+  return nid.valid() ? PortId{port_by_name_.find(nid)} : PortId{};
 }
 
 std::vector<CellId> Module::cellIds() const {
@@ -360,7 +372,7 @@ void Module::restoreRawState(RawState state) {
   live_cells_ = 0;
   for (std::uint32_t i = 0; i < nets_.size(); ++i) {
     if (!nets_[i].valid) continue;
-    if (!net_by_name_.emplace(nets_[i].name, NetId{i}).second) {
+    if (!net_by_name_.insert(nets_[i].name, i)) {
       fail("restoreRawState: duplicate net name: " +
            std::string(names().str(nets_[i].name)));
     }
@@ -368,14 +380,14 @@ void Module::restoreRawState(RawState state) {
   }
   for (std::uint32_t i = 0; i < cells_.size(); ++i) {
     if (!cells_[i].valid) continue;
-    if (!cell_by_name_.emplace(cells_[i].name, CellId{i}).second) {
+    if (!cell_by_name_.insert(cells_[i].name, i)) {
       fail("restoreRawState: duplicate cell name: " +
            std::string(names().str(cells_[i].name)));
     }
     ++live_cells_;
   }
   for (std::uint32_t i = 0; i < ports_.size(); ++i) {
-    if (!port_by_name_.emplace(ports_[i].name, PortId{i}).second) {
+    if (!port_by_name_.insert(ports_[i].name, i)) {
       fail("restoreRawState: duplicate port name: " +
            std::string(names().str(ports_[i].name)));
     }
@@ -454,29 +466,25 @@ std::vector<std::string> Module::checkInvariants() const {
 // ---------------------------------------------------------------- Design
 
 Module& Design::addModule(std::string_view name) {
-  NameId nid = names_.intern(name);
-  if (module_by_name_.count(nid) != 0) {
+  NameId nid = names().intern(name);
+  if (!module_by_name_.insert(nid,
+                              static_cast<std::uint32_t>(modules_.size()))) {
     fail("duplicate module name: " + std::string(name));
   }
-  modules_.emplace_back(*this, nid);
-  Module& m = modules_.back();
-  module_by_name_.emplace(nid, &m);
+  Module& m = modules_.emplace_back(*this, nid);
   if (top_ == nullptr) top_ = &m;
   return m;
 }
 
 Module* Design::findModule(std::string_view name) {
-  NameId nid = names_.find(name);
-  if (!nid.valid()) return nullptr;
-  auto it = module_by_name_.find(nid);
-  return it == module_by_name_.end() ? nullptr : it->second;
+  return const_cast<Module*>(std::as_const(*this).findModule(name));
 }
 
 const Module* Design::findModule(std::string_view name) const {
-  NameId nid = names_.find(name);
-  if (!nid.valid()) return nullptr;
-  auto it = module_by_name_.find(nid);
-  return it == module_by_name_.end() ? nullptr : it->second;
+  const NameId nid = names().find(name);
+  const std::uint32_t at =
+      nid.valid() ? module_by_name_.find(nid) : NameIndex::kNone;
+  return at == NameIndex::kNone ? nullptr : &modules_[at];
 }
 
 void Design::setTop(std::string_view name) {

@@ -16,10 +16,10 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/ids.h"
@@ -134,8 +134,12 @@ class Module {
   /// "bus[bit]" but any unique name is accepted).
   NetId addNet(std::string_view name, std::string_view bus_name,
                std::int32_t bit);
+  /// Same over an interned name (and bus membership, if any); the string
+  /// overloads intern and call this one.
+  NetId addNet(NameId name, BusRef bus = {});
   /// Returns the net named `name`, or an invalid id.
   [[nodiscard]] NetId findNet(std::string_view name) const;
+  [[nodiscard]] NetId findNet(NameId name) const;
   /// Lazily creates and returns the module's constant-0 / constant-1 net.
   NetId constNet(bool value);
   /// Removes a net.  All connected pins/ports are disconnected first.
@@ -164,8 +168,13 @@ class Module {
 
   /// Creates a cell instance of `type` and wires its pins.  Output pins
   /// become drivers of their nets (double drive throws), inputs become sinks.
+  /// Interns the names (instance, type, then each pin) and calls the
+  /// id-taking overload.
   CellId addCell(std::string_view name, std::string_view type,
                  const std::vector<PinInit>& pins);
+  /// Same over interned names: `pins` gives each pin's name, direction and
+  /// net (invalid = unconnected).
+  CellId addCell(NameId name, NameId type, std::span<const PinConn> pins);
   [[nodiscard]] CellId findCell(std::string_view name) const;
   /// Disconnects and tombstones the cell.
   void removeCell(CellId id);
@@ -294,9 +303,9 @@ class Module {
   std::vector<Net> nets_;
   std::vector<Cell> cells_;
   std::vector<Port> ports_;
-  std::unordered_map<NameId, NetId> net_by_name_;
-  std::unordered_map<NameId, CellId> cell_by_name_;
-  std::unordered_map<NameId, PortId> port_by_name_;
+  NameIndex net_by_name_;
+  NameIndex cell_by_name_;
+  NameIndex port_by_name_;
   std::size_t live_nets_ = 0;
   std::size_t live_cells_ = 0;
   NetId const_net_[2];  // lazily created constant 0 / 1 nets
@@ -379,7 +388,7 @@ class Design {
   NameTable names_;
   NameTable* shared_names_ = nullptr;  // see shareNames()
   std::deque<Module> modules_;  // deque: stable addresses
-  std::unordered_map<NameId, Module*> module_by_name_;
+  NameIndex module_by_name_;    // module name -> index into modules_
   Module* top_ = nullptr;
 };
 

@@ -1,37 +1,87 @@
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
-#include <sstream>
-#include <variant>
+#include <unordered_map>
 
 #include "netlist/verilog.h"
+#include "netlist/verilog_chars.h"
 
 namespace desync::netlist {
 namespace {
 
+namespace chars = verilog_chars;
+
 // ------------------------------------------------------------------ Lexer
 
-enum class TokKind {
+enum class TokKind : std::uint8_t {
   kEof,
   kIdent,    // plain or escaped identifier (text holds the raw name)
   kNumber,   // sized or unsized constant (text holds full literal)
   kPunct,    // single-char punctuation, kind in `punct`
 };
 
+/// Keyword an identifier spells.  Escaped identifiers are classified too,
+/// so `\wire ` reads as the keyword, and every keyword is still accepted
+/// where the grammar takes a plain name.
+enum class Kw : std::uint8_t {
+  kNone,
+  kModule,
+  kEndmodule,
+  kInput,
+  kOutput,
+  kInout,
+  kWire,
+  kTri,
+  kReg,
+  kSupply0,
+  kSupply1,
+  kAssign,
+};
+
+Kw keyword(std::string_view s) {
+  // Every keyword is 3-9 lowercase letters starting with one of these.
+  if (s.size() < 3 || s.size() > 9 ||
+      std::string_view("aeimorstw").find(s.front()) == std::string_view::npos) {
+    return Kw::kNone;
+  }
+  static constexpr std::array<std::pair<std::string_view, Kw>, 11> kWords{{
+      {"module", Kw::kModule},
+      {"endmodule", Kw::kEndmodule},
+      {"input", Kw::kInput},
+      {"output", Kw::kOutput},
+      {"inout", Kw::kInout},
+      {"wire", Kw::kWire},
+      {"tri", Kw::kTri},
+      {"reg", Kw::kReg},
+      {"supply0", Kw::kSupply0},
+      {"supply1", Kw::kSupply1},
+      {"assign", Kw::kAssign},
+  }};
+  for (const auto& [word, kw] : kWords) {
+    if (word == s) return kw;
+  }
+  return Kw::kNone;
+}
+
+/// A token is a view into the source; the lexer holds one of lookahead.
 struct Token {
+  std::string_view text;
   TokKind kind = TokKind::kEof;
-  std::string text;
+  Kw kw = Kw::kNone;
   char punct = 0;
-  int line = 0;
   bool escaped = false;  // identifier came from a \escaped form
 };
 
 class Lexer {
  public:
-  explicit Lexer(std::string_view src) : src_(src) {}
+  explicit Lexer(std::string_view src)
+      : p_(src.data()), end_(src.data() + src.size()) {}
 
   const Token& peek() {
     if (!have_) {
@@ -47,6 +97,7 @@ class Lexer {
     return t;
   }
 
+  /// Line of the last token lexed (the lookahead, once peeked).
   [[nodiscard]] int line() const { return line_; }
 
  private:
@@ -54,90 +105,93 @@ class Lexer {
     throw VerilogError("verilog:" + std::to_string(line_) + ": " + msg);
   }
 
+  /// True when the two bytes at p are `a` `b`.
+  [[nodiscard]] bool startsWith(const char* p, char a, char b) const {
+    return end_ - p >= 2 && p[0] == a && p[1] == b;
+  }
+
+  [[nodiscard]] const char* endOfLine(const char* p) const {
+    const void* nl = std::memchr(p, '\n', static_cast<std::size_t>(end_ - p));
+    return nl != nullptr ? static_cast<const char*>(nl) : end_;
+  }
+
   void skipSpaceAndComments() {
+    const char* p = p_;
     for (;;) {
-      while (pos_ < src_.size() &&
-             std::isspace(static_cast<unsigned char>(src_[pos_]))) {
-        if (src_[pos_] == '\n') ++line_;
-        ++pos_;
+      while (p < end_ && chars::is(*p, chars::kSpace)) {
+        line_ += *p == '\n' ? 1 : 0;
+        ++p;
       }
-      if (pos_ + 1 < src_.size() && src_[pos_] == '/' && src_[pos_ + 1] == '/') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
+      if (startsWith(p, '/', '/')) {
+        p = endOfLine(p);
         continue;
       }
-      if (pos_ + 1 < src_.size() && src_[pos_] == '/' && src_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < src_.size() &&
-               !(src_[pos_] == '*' && src_[pos_ + 1] == '/')) {
-          if (src_[pos_] == '\n') ++line_;
-          ++pos_;
+      if (startsWith(p, '/', '*')) {
+        p += 2;
+        while (end_ - p >= 2 && !(p[0] == '*' && p[1] == '/')) {
+          line_ += *p == '\n' ? 1 : 0;
+          ++p;
         }
-        if (pos_ + 1 >= src_.size()) fail("unterminated block comment");
-        pos_ += 2;
+        if (end_ - p < 2) fail("unterminated block comment");
+        p += 2;
         continue;
       }
       // Compiler directives (`timescale etc.): skip to end of line.
-      if (pos_ < src_.size() && src_[pos_] == '`') {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
+      if (p < end_ && *p == '`') {
+        p = endOfLine(p);
         continue;
       }
       break;
     }
+    p_ = p;
+  }
+
+  /// Advances past the run of bytes in class `cls` (or, with `until`, not
+  /// in it) and returns the text from `start`.
+  std::string_view scan(const char* start, std::uint8_t cls, bool until) {
+    const char* p = p_;
+    while (p < end_ && chars::is(*p, cls) != until) ++p;
+    p_ = p;
+    return {start, static_cast<std::size_t>(p - start)};
   }
 
   Token lex() {
     skipSpaceAndComments();
     Token t;
-    t.line = line_;
-    if (pos_ >= src_.size()) return t;
-    char c = src_[pos_];
+    if (p_ == end_) return t;
+    const char* const start = p_;
+    const char c = *p_;
     if (c == '\\') {
       // Escaped identifier: up to next whitespace, backslash dropped.
-      ++pos_;
-      std::size_t start = pos_;
-      while (pos_ < src_.size() &&
-             !std::isspace(static_cast<unsigned char>(src_[pos_]))) {
-        ++pos_;
-      }
+      ++p_;
       t.kind = TokKind::kIdent;
-      t.text = std::string(src_.substr(start, pos_ - start));
+      t.text = scan(start + 1, chars::kSpace, /*until=*/true);
+      t.kw = keyword(t.text);
       t.escaped = true;
       return t;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t start = pos_;
-      while (pos_ < src_.size() &&
-             (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
-              src_[pos_] == '_' || src_[pos_] == '$')) {
-        ++pos_;
-      }
+    if (chars::is(c, chars::kIdentStart)) {
       t.kind = TokKind::kIdent;
-      t.text = std::string(src_.substr(start, pos_ - start));
+      t.text = scan(start, chars::kIdentCont, /*until=*/false);
+      t.kw = keyword(t.text);
       return t;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) || c == '\'') {
+    if (chars::is(c, chars::kDigit) || c == '\'') {
       // Number: [size]'[base]digits or plain decimal.
-      std::size_t start = pos_;
-      while (pos_ < src_.size() &&
-             std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        ++pos_;
-      }
-      if (pos_ < src_.size() && src_[pos_] == '\'') {
-        ++pos_;
-        if (pos_ < src_.size()) ++pos_;  // base char
-        while (pos_ < src_.size() &&
-               (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
-                src_[pos_] == '_' || src_[pos_] == 'x' || src_[pos_] == 'z')) {
-          ++pos_;
+      scan(start, chars::kDigit, /*until=*/false);
+      if (p_ < end_ && *p_ == '\'') {
+        ++p_;
+        if (p_ < end_) ++p_;  // base char
+        while (p_ < end_ && (chars::is(*p_, chars::kAlnum) || *p_ == '_')) {
+          ++p_;
         }
       }
       t.kind = TokKind::kNumber;
-      t.text = std::string(src_.substr(start, pos_ - start));
+      t.text = {start, static_cast<std::size_t>(p_ - start)};
       return t;
     }
-    static constexpr std::string_view kPunct = "()[]{},;:.=#*";
-    if (kPunct.find(c) != std::string_view::npos) {
-      ++pos_;
+    if (chars::is(c, chars::kPunct)) {
+      ++p_;
       t.kind = TokKind::kPunct;
       t.punct = c;
       return t;
@@ -145,8 +199,8 @@ class Lexer {
     fail(std::string("unexpected character '") + c + "'");
   }
 
-  std::string_view src_;
-  std::size_t pos_ = 0;
+  const char* p_;  // next byte to lex
+  const char* end_;
   int line_ = 1;
   Token cur_;
   bool have_ = false;
@@ -165,6 +219,40 @@ struct BusDecl {
   std::int32_t lsb = 0;
 };
 
+/// A cell type as the current module's instances see it, resolved once
+/// per type rather than per instance: the design module it names (if
+/// any), each pin used so far with its direction and MSB-first bit names,
+/// and the positional pin order.  Names are interned the first time an
+/// instance needs them, which is where per-instance interning put them.
+struct CellTypeInfo {
+  struct Bit {
+    std::string_view name;  // into the source, `order` or the NameTable
+    NameId id;              // interned on first use
+  };
+  struct Pin {
+    std::string_view name;
+    PortDir dir = PortDir::kInput;
+    std::uint32_t first = 0;  // into bits
+    std::uint32_t width = 0;
+  };
+
+  std::string_view name;
+  NameId id;  // interned on first use
+  const Module* sub = nullptr;
+  std::vector<Pin> pins;
+  std::vector<Bit> bits;
+  std::optional<std::vector<std::string>> order;
+};
+
+/// What the current module's parse knows about one name: the net it
+/// names and the bus it declares.  Stamped with the module's sequence
+/// number, so a stale entry from an earlier module reads as empty.
+struct LocalName {
+  std::uint32_t module = 0;
+  NetId net;
+  std::uint32_t bus = NameIndex::kNone;  // index into bus_decls_
+};
+
 class Parser {
  public:
   Parser(Design& design, std::string_view src, const CellTypeProvider& types,
@@ -173,7 +261,7 @@ class Parser {
 
   void parseFile() {
     while (lex_.peek().kind != TokKind::kEof) {
-      expectIdent("module");
+      expectKeyword(Kw::kModule, "module");
       parseModule();
     }
   }
@@ -185,24 +273,25 @@ class Parser {
     throw VerilogError("verilog:" + std::to_string(lex_.line()) + ": " + msg);
   }
 
+  NameTable& names() { return design_.names(); }
+
   Token expect(TokKind kind, const char* what) {
     Token t = lex_.next();
     if (t.kind != kind) fail(std::string("expected ") + what);
     return t;
   }
 
-  Token expectPunct(char p) {
+  void expectPunct(char p) {
     Token t = lex_.next();
     if (t.kind != TokKind::kPunct || t.punct != p) {
       fail(std::string("expected '") + p + "'");
     }
-    return t;
   }
 
-  void expectIdent(std::string_view kw) {
+  void expectKeyword(Kw kw, std::string_view text) {
     Token t = lex_.next();
-    if (t.kind != TokKind::kIdent || t.text != kw) {
-      fail("expected keyword '" + std::string(kw) + "'");
+    if (t.kind != TokKind::kIdent || t.kw != kw) {
+      fail("expected keyword '" + std::string(text) + "'");
     }
   }
 
@@ -211,32 +300,35 @@ class Parser {
     return t.kind == TokKind::kPunct && t.punct == p;
   }
 
-  bool peekIdent(std::string_view kw) {
+  bool peekKeyword(Kw kw) {
     const Token& t = lex_.peek();
-    return t.kind == TokKind::kIdent && t.text == kw;
+    return t.kind == TokKind::kIdent && t.kw == kw;
+  }
+
+  /// Consumes a `,` and returns true when one follows.
+  bool nextComma() {
+    if (!peekPunct(',')) return false;
+    lex_.next();
+    return true;
   }
 
   /// Maps possibly-escaped identifiers to the module-local simple name.
-  std::string canonName(const Token& t) {
+  std::string_view canonName(const Token& t) {
     if (!t.escaped || !options_.simplify_escaped_names) return t.text;
     auto it = escaped_map_.find(t.text);
-    if (it != escaped_map_.end()) return it->second;
+    if (it != escaped_map_.end()) return names().str(it->second);
     std::string simple;
     simple.reserve(t.text.size() + 4);
     for (char c : t.text) {
-      simple.push_back(std::isalnum(static_cast<unsigned char>(c)) != 0
-                           ? c
-                           : '_');
+      simple.push_back(chars::is(c, chars::kAlnum) ? c : '_');
     }
-    if (simple.empty() ||
-        std::isdigit(static_cast<unsigned char>(simple.front()))) {
+    if (simple.empty() || chars::is(simple.front(), chars::kDigit)) {
       simple.insert(simple.begin(), 'n');
     }
     // Ensure the substitution does not collide with an existing name.
-    simple =
-        std::string(design_.names().str(design_.names().makeUnique(simple)));
-    escaped_map_.emplace(t.text, simple);
-    return simple;
+    const NameId id = names().makeUnique(simple);
+    escaped_map_.emplace(t.text, id);
+    return names().str(id);
   }
 
   // --- range / declarations ------------------------------------------
@@ -255,40 +347,87 @@ class Parser {
   std::int32_t parseInt() {
     Token t = expect(TokKind::kNumber, "integer");
     std::int32_t v = 0;
-    auto [p, ec] = std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
-    if (ec != std::errc() || p != t.text.data() + t.text.size()) {
-      fail("bad integer '" + t.text + "'");
+    const char* end = t.text.data() + t.text.size();
+    auto [p, ec] = std::from_chars(t.text.data(), end, v);
+    if (ec != std::errc() || p != end) {
+      fail("bad integer '" + std::string(t.text) + "'");
     }
     return v;
   }
 
-  /// Returns/creates the scalar net for bit `bit` of `base` (or the scalar
-  /// net `base` itself when scalar).
-  NetId netForBit(const std::string& base, std::optional<std::int32_t> bit) {
-    std::string name = base;
-    if (bit) name += "[" + std::to_string(*bit) + "]";
-    NetId id = module_->findNet(name);
-    if (id.valid()) return id;
-    if (bit) return module_->addNet(name, base, *bit);
-    return module_->addNet(name);
+  /// Calls f(bit) for each bit of `range`, MSB first.
+  template <typename F>
+  static void forEachBit(const BusDecl& range, F&& f) {
+    const std::int32_t step = range.msb >= range.lsb ? -1 : 1;
+    for (std::int32_t b = range.msb;; b += step) {
+      f(b);
+      if (b == range.lsb) break;
+    }
   }
 
-  void declareNets(const std::string& base, std::optional<BusDecl> range) {
+  /// "base[bit]", built in a reused buffer.
+  std::string_view bitName(std::string_view base, std::int32_t bit) {
+    bit_name_.assign(base);
+    bit_name_ += '[';
+    char digits[16];
+    bit_name_.append(digits,
+                     std::to_chars(digits, digits + sizeof digits, bit).ptr);
+    bit_name_ += ']';
+    return bit_name_;
+  }
+
+  LocalName& local(NameId name) {
+    if (name.index() >= local_.size()) local_.resize(names().size());
+    LocalName& entry = local_[name.index()];
+    if (entry.module != module_seq_) {
+      entry = LocalName{module_seq_, NetId{}, NameIndex::kNone};
+    }
+    return entry;
+  }
+
+  /// The net named `name`.  The module's own index is only asked the first
+  /// time (a net the parse did not create, a constant net, may exist).
+  NetId netNamed(NameId name) {
+    LocalName& entry = local(name);
+    if (!entry.net.valid()) {
+      entry.net = module_->findNet(name);
+      if (!entry.net.valid()) entry.net = module_->addNet(name);
+    }
+    return entry.net;
+  }
+
+  /// The net for bit `bit` of `base`, created as a bus bit when absent.
+  NetId bitNet(std::string_view base, std::int32_t bit) {
+    const NameId name = names().intern(bitName(base, bit));
+    LocalName& entry = local(name);
+    if (!entry.net.valid()) {
+      entry.net = module_->findNet(name);
+      if (!entry.net.valid()) {
+        entry.net = module_->addNet(name, BusRef{names().intern(base), bit});
+      }
+    }
+    return entry.net;
+  }
+
+  void declareNets(std::string_view base, std::optional<BusDecl> range) {
     if (!range) {
-      if (!module_->findNet(base).valid()) module_->addNet(base);
-      buses_.erase(base);
+      const NameId name = names().intern(base);
+      netNamed(name);
+      local(name).bus = NameIndex::kNone;
       return;
     }
-    buses_[base] = *range;
-    const std::int32_t step = range->msb >= range->lsb ? -1 : 1;
-    for (std::int32_t b = range->msb;; b += step) {
-      std::string name = base + "[" + std::to_string(b) + "]";
-      if (!module_->findNet(name).valid()) module_->addNet(name, base, b);
-      if (b == range->lsb) break;
+    forEachBit(*range, [&](std::int32_t b) { bitNet(base, b); });
+    // Interned by the bits above, unless every one of them existed already.
+    LocalName& entry = local(names().intern(base));
+    if (entry.bus != NameIndex::kNone) {
+      bus_decls_[entry.bus] = *range;
+    } else {
+      entry.bus = static_cast<std::uint32_t>(bus_decls_.size());
+      bus_decls_.push_back(*range);
     }
   }
 
-  void declarePorts(const std::string& base, std::optional<BusDecl> range,
+  void declarePorts(std::string_view base, std::optional<BusDecl> range,
                     PortDir dir) {
     declareNets(base, range);
     if (!range) {
@@ -297,83 +436,70 @@ class Parser {
       }
       return;
     }
-    const std::int32_t step = range->msb >= range->lsb ? -1 : 1;
-    for (std::int32_t b = range->msb;; b += step) {
-      std::string name = base + "[" + std::to_string(b) + "]";
+    forEachBit(*range, [&](std::int32_t b) {
+      const std::string_view name = bitName(base, b);
       if (!module_->findPort(name).valid()) {
         module_->addPort(name, dir, module_->findNet(name), base, b);
       }
-      if (b == range->lsb) break;
-    }
+    });
   }
 
   // --- expressions -----------------------------------------------------
 
-  /// Elaborates an expression to a MSB-first vector of bits.
-  std::vector<BitRef> parseExpr() {
+  /// Elaborates an expression and appends its bits, MSB first, to bits_.
+  void parseExpr() {
     if (peekPunct('{')) {
       lex_.next();
-      std::vector<BitRef> bits;
-      for (;;) {
-        auto part = parseExpr();
-        bits.insert(bits.end(), part.begin(), part.end());
-        if (peekPunct(',')) {
-          lex_.next();
-          continue;
-        }
-        expectPunct('}');
-        break;
-      }
-      return bits;
+      do {
+        parseExpr();
+      } while (nextComma());
+      expectPunct('}');
+      return;
     }
     const Token& p = lex_.peek();
     if (p.kind == TokKind::kNumber) {
-      Token t = lex_.next();
-      return constBits(t.text);
+      constBits(lex_.next().text);
+      return;
     }
     if (p.kind == TokKind::kIdent) {
-      Token t = lex_.next();
-      std::string base = canonName(t);
+      const std::string_view base = canonName(lex_.next());
       if (peekPunct('[')) {
         lex_.next();
-        std::int32_t hi = parseInt();
-        std::int32_t lo = hi;
+        BusDecl range;
+        range.msb = parseInt();
+        range.lsb = range.msb;
         if (peekPunct(':')) {
           lex_.next();
-          lo = parseInt();
+          range.lsb = parseInt();
         }
         expectPunct(']');
-        std::vector<BitRef> bits;
-        const std::int32_t step = hi >= lo ? -1 : 1;
-        for (std::int32_t b = hi;; b += step) {
-          bits.push_back(BitRef{netForBit(base, b), false});
-          if (b == lo) break;
-        }
-        return bits;
+        forEachBit(range, [&](std::int32_t b) {
+          bits_.push_back(BitRef{bitNet(base, b), false});
+        });
+        return;
       }
-      auto bus = buses_.find(base);
-      if (bus != buses_.end()) {
-        std::vector<BitRef> bits;
-        const BusDecl& d = bus->second;
-        const std::int32_t step = d.msb >= d.lsb ? -1 : 1;
-        for (std::int32_t b = d.msb;; b += step) {
-          bits.push_back(BitRef{netForBit(base, b), false});
-          if (b == d.lsb) break;
-        }
-        return bits;
+      const NameId name = names().intern(base);
+      const std::uint32_t bus = local(name).bus;
+      if (bus != NameIndex::kNone) {
+        forEachBit(bus_decls_[bus], [&](std::int32_t b) {
+          bits_.push_back(BitRef{bitNet(base, b), false});
+        });
+        return;
       }
-      return {BitRef{netForBit(base, std::nullopt), false}};
+      bits_.push_back(BitRef{netNamed(name), false});
+      return;
     }
     fail("expected expression");
   }
 
-  std::vector<BitRef> constBits(const std::string& literal) {
+  void constBits(std::string_view literal_view) {
     // Parse [size]'[base]digits; unsized plain decimal treated as 32-bit
     // truncated to the needed width by the caller via width matching.
     // Gate-level netlists carry only small control constants, so the value
     // must fit 64 bits; widths are capped to keep a typo like 1000000'b0
     // from allocating a million nets.
     constexpr int kMaxWidth = 4096;
+    const std::string literal(literal_view);
     std::size_t tick = literal.find('\'');
     std::uint64_t value = 0;
     int width = 32;
@@ -439,16 +565,13 @@ class Parser {
         value = next;
       }
     }
-    std::vector<BitRef> bits(static_cast<std::size_t>(width));
     for (int i = 0; i < width; ++i) {
       // Bits beyond the 64-bit value (wide zero-padded constants) are 0;
-      // width - 1 - i >= 64 would be UB on the shift.
+      // width - 1 - i >= 64 would be UB on the shift.  MSB first.
       const int pos = width - 1 - i;
-      BitRef b;
-      b.const_val = pos < 64 && ((value >> pos) & 1u) != 0;
-      bits[static_cast<std::size_t>(i)] = b;  // MSB first
+      bits_.push_back(
+          BitRef{NetId{}, pos < 64 && ((value >> pos) & 1u) != 0});
     }
-    return bits;
   }
 
   // --- module ----------------------------------------------------------
@@ -457,9 +580,10 @@ class Parser {
     Token name = expect(TokKind::kIdent, "module name");
     module_ = &design_.addModule(name.text);
     last_module_ = name.text;
-    buses_.clear();
+    ++module_seq_;
+    bus_decls_.clear();
     escaped_map_.clear();
-    header_ports_.clear();
+    type_info_.clear();
     pending_assigns_.clear();
 
     if (peekPunct('(')) {
@@ -469,7 +593,7 @@ class Parser {
     }
     expectPunct(';');
 
-    while (!peekIdent("endmodule")) {
+    while (!peekKeyword(Kw::kEndmodule)) {
       parseItem();
     }
     lex_.next();  // endmodule
@@ -477,31 +601,33 @@ class Parser {
     resolveAssigns();
   }
 
-  void parsePortHeader() {
-    for (;;) {
-      const Token& p = lex_.peek();
-      if (p.kind == TokKind::kIdent &&
-          (p.text == "input" || p.text == "output" || p.text == "inout")) {
-        // ANSI style: direction [range] name {, [direction [range]] name}
-        parseAnsiPortGroup();
-      } else {
-        Token t = expect(TokKind::kIdent, "port name");
-        header_ports_.push_back(canonName(t));
-      }
-      if (peekPunct(',')) {
-        lex_.next();
-        continue;
-      }
-      break;
+  static std::optional<PortDir> portDir(Kw kw) {
+    switch (kw) {
+      case Kw::kInput: return PortDir::kInput;
+      case Kw::kOutput: return PortDir::kOutput;
+      case Kw::kInout: return PortDir::kInout;
+      default: return std::nullopt;
     }
   }
 
+  void parsePortHeader() {
+    do {
+      const Token& p = lex_.peek();
+      if (p.kind == TokKind::kIdent && portDir(p.kw)) {
+        // ANSI style: direction [range] name {, [direction [range]] name}
+        parseAnsiPortGroup();
+      } else {
+        // A non-ANSI header only names the ports; their declarations
+        // follow.  Escaped names still get their simple name here, in
+        // header order.
+        canonName(expect(TokKind::kIdent, "port name"));
+      }
+    } while (nextComma());
+  }
+
   void parseAnsiPortGroup() {
-    Token dir_tok = lex_.next();
-    PortDir dir = dir_tok.text == "input"    ? PortDir::kInput
-                  : dir_tok.text == "output" ? PortDir::kOutput
-                                             : PortDir::kInout;
-    if (peekIdent("wire") || peekIdent("reg")) lex_.next();
+    const PortDir dir = *portDir(lex_.next().kw);
+    if (peekKeyword(Kw::kWire) || peekKeyword(Kw::kReg)) lex_.next();
     auto range = parseOptionalRange();
     Token name = expect(TokKind::kIdent, "port name");
     declarePorts(canonName(name), range, dir);
@@ -510,82 +636,75 @@ class Parser {
   void parseItem() {
     Token t = lex_.next();
     if (t.kind != TokKind::kIdent) fail("expected module item");
-    if (t.text == "input" || t.text == "output" || t.text == "inout") {
-      PortDir dir = t.text == "input"    ? PortDir::kInput
-                    : t.text == "output" ? PortDir::kOutput
-                                         : PortDir::kInout;
-      if (peekIdent("wire") || peekIdent("reg")) lex_.next();
+    if (const std::optional<PortDir> dir = portDir(t.kw)) {
+      if (peekKeyword(Kw::kWire) || peekKeyword(Kw::kReg)) lex_.next();
       auto range = parseOptionalRange();
-      for (;;) {
+      do {
         Token name = expect(TokKind::kIdent, "port name");
-        declarePorts(canonName(name), range, dir);
-        if (peekPunct(',')) {
-          lex_.next();
-          continue;
-        }
-        break;
-      }
+        declarePorts(canonName(name), range, *dir);
+      } while (nextComma());
       expectPunct(';');
       return;
     }
-    if (t.text == "wire" || t.text == "tri" || t.text == "reg") {
-      auto range = parseOptionalRange();
-      for (;;) {
-        Token name = expect(TokKind::kIdent, "net name");
-        declareNets(canonName(name), range);
-        if (peekPunct(',')) {
-          lex_.next();
-          continue;
-        }
-        break;
+    switch (t.kw) {
+      case Kw::kWire:
+      case Kw::kTri:
+      case Kw::kReg: {
+        auto range = parseOptionalRange();
+        do {
+          Token name = expect(TokKind::kIdent, "net name");
+          declareNets(canonName(name), range);
+        } while (nextComma());
+        expectPunct(';');
+        return;
       }
-      expectPunct(';');
-      return;
+      case Kw::kSupply0:
+      case Kw::kSupply1: {
+        const bool one = t.kw == Kw::kSupply1;
+        do {
+          Token name = expect(TokKind::kIdent, "net name");
+          NetId id = netNamed(names().intern(canonName(name)));
+          module_->net(id).driver =
+              TermRef{one ? TermKind::kConst1 : TermKind::kConst0, 0, 0};
+        } while (nextComma());
+        expectPunct(';');
+        return;
+      }
+      case Kw::kAssign:
+        parseAssign();
+        return;
+      default:
+        // Otherwise: an instance.  t.text is the cell/module type name.
+        parseInstance(t.text);
     }
-    if (t.text == "supply0" || t.text == "supply1") {
-      bool one = t.text == "supply1";
-      for (;;) {
-        Token name = expect(TokKind::kIdent, "net name");
-        NetId id = netForBit(canonName(name), std::nullopt);
-        module_->net(id).driver =
-            TermRef{one ? TermKind::kConst1 : TermKind::kConst0, 0, 0};
-        if (peekPunct(',')) {
-          lex_.next();
-          continue;
-        }
-        break;
-      }
-      expectPunct(';');
-      return;
-    }
-    if (t.text == "assign") {
-      auto lhs = parseExpr();
-      expectPunct('=');
-      auto rhs = parseExpr();
-      expectPunct(';');
-      if (rhs.size() > lhs.size()) {
-        // Drop excess MSBs of an (unsized) constant.
-        rhs.erase(rhs.begin(),
-                  rhs.begin() + static_cast<std::ptrdiff_t>(rhs.size() - lhs.size()));
-      }
-      if (lhs.size() != rhs.size()) fail("assign width mismatch");
-      for (std::size_t i = 0; i < lhs.size(); ++i) {
-        if (!lhs[i].net.valid()) fail("assign to constant");
-        pending_assigns_.push_back({lhs[i].net, rhs[i]});
-      }
-      return;
-    }
-    // Otherwise: an instance.  t.text is the cell/module type name.
-    parseInstance(t.text);
   }
 
-  struct PinBinding {
-    std::string pin;       // empty for positional
-    std::vector<BitRef> bits;
+  void parseAssign() {
+    bits_.clear();
+    parseExpr();
+    const std::size_t width = bits_.size();  // the lhs is bits_[0, width)
+    expectPunct('=');
+    parseExpr();
+    expectPunct(';');
+    // Drop excess MSBs of an (unsized) constant.
+    const std::size_t rhs_first = std::max(width, bits_.size() - width);
+    if (bits_.size() - rhs_first != width) fail("assign width mismatch");
+    for (std::size_t i = 0; i < width; ++i) {
+      if (!bits_[i].net.valid()) fail("assign to constant");
+      pending_assigns_.push_back({bits_[i].net, bits_[rhs_first + i]});
+    }
+  }
+
+  /// One `.pin(expr)` (or positional) connection: its bits are
+  /// bits_[first, first + count).
+  struct Binding {
+    std::string_view pin;  // empty for positional until resolved
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
     bool explicit_empty = false;  // .pin() with no expression
   };
 
-  void parseInstance(const std::string& type) {
+  void parseInstance(std::string_view type) {
     // Skip parameter lists: #( ... )
     if (peekPunct('#')) {
       lex_.next();
@@ -599,150 +718,178 @@ class Parser {
       }
     }
     Token inst = expect(TokKind::kIdent, "instance name");
-    std::string inst_name = canonName(inst);
+    const std::string_view inst_name = canonName(inst);
     expectPunct('(');
-    std::vector<PinBinding> bindings;
-    bool named = peekPunct('.');
+    bindings_.clear();
+    bits_.clear();
+    const bool named = peekPunct('.');
     if (!peekPunct(')')) {
-      for (;;) {
-        PinBinding b;
+      do {
+        Binding b;
+        b.first = static_cast<std::uint32_t>(bits_.size());
         if (named) {
           expectPunct('.');
-          Token pin = expect(TokKind::kIdent, "pin name");
-          b.pin = pin.text;
+          b.pin = expect(TokKind::kIdent, "pin name").text;
           expectPunct('(');
           if (peekPunct(')')) {
             b.explicit_empty = true;
           } else {
-            b.bits = parseExpr();
+            parseExpr();
           }
           expectPunct(')');
         } else {
-          b.bits = parseExpr();
+          parseExpr();
         }
-        bindings.push_back(std::move(b));
-        if (peekPunct(',')) {
-          lex_.next();
-          continue;
-        }
-        break;
-      }
+        b.count = static_cast<std::uint32_t>(bits_.size()) - b.first;
+        bindings_.push_back(b);
+      } while (nextComma());
     }
     expectPunct(')');
     expectPunct(';');
-    makeInstance(type, inst_name, named, bindings);
+    makeInstance(type, inst_name, named);
   }
 
-  /// Width and direction of a pin of `type`; consults module definitions
-  /// first, then the external provider.
-  struct PinMeta {
-    PortDir dir = PortDir::kInput;
-    std::vector<std::string> bit_names;  // MSB-first scalar pin names
-  };
+  /// The type record for `type`.  A module instantiating itself sees its
+  /// own ports as declared so far, so its record is rebuilt every time.
+  CellTypeInfo& typeInfo(std::string_view type) {
+    auto [it, fresh] = type_info_.try_emplace(type);
+    CellTypeInfo& info = it->second;
+    if (fresh) {
+      info.name = type;
+      info.sub = design_.findModule(type);
+    }
+    if (info.sub == module_) {
+      info = CellTypeInfo{};
+      info.name = type;
+      info.sub = module_;
+    }
+    return info;
+  }
 
-  std::optional<PinMeta> pinMeta(const std::string& type,
-                                 const std::string& pin) {
-    if (const Module* sub = design_.findModule(type)) {
-      // Scalar port?
-      PortId pid = sub->findPort(pin);
-      if (pid.valid()) {
-        PinMeta m;
-        m.dir = sub->port(pid).dir;
-        m.bit_names = {pin};
-        return m;
-      }
-      // Bus port: collect bits, order by descending bit index (MSB first).
-      NameId bus_id = design_.names().find(pin);
-      if (bus_id.valid()) {
-        std::map<std::int32_t, std::pair<std::string, PortDir>, std::greater<>>
-            bits;
+  /// Width and direction of a pin of the type; consults the module
+  /// definition first, then the external provider.  nullptr when unknown.
+  const CellTypeInfo::Pin* resolvePin(CellTypeInfo& info,
+                                      std::string_view pin) {
+    for (const CellTypeInfo::Pin& p : info.pins) {
+      if (p.name == pin) return &p;
+    }
+    CellTypeInfo::Pin out{pin, PortDir::kInput,
+                          static_cast<std::uint32_t>(info.bits.size()), 1};
+    if (const Module* sub = info.sub) {
+      const PortId pid = sub->findPort(pin);
+      if (pid.valid()) {  // scalar port
+        out.dir = sub->port(pid).dir;
+        info.bits.push_back({pin, sub->port(pid).name});
+      } else {
+        // Bus port: its bits by descending bit index (MSB first); the
+        // first port declared for a bit wins, and the MSB's direction is
+        // the pin's.
+        const NameId bus = names().find(pin);
+        std::vector<std::pair<std::int32_t, const Port*>> ports;
         for (const Port& p : sub->ports()) {
-          if (p.bus.valid() && p.bus.bus == bus_id) {
-            bits.emplace(p.bus.bit,
-                         std::make_pair(
-                             std::string(design_.names().str(p.name)), p.dir));
+          if (bus.valid() && p.bus.valid() && p.bus.bus == bus) {
+            ports.emplace_back(p.bus.bit, &p);
           }
         }
-        if (!bits.empty()) {
-          PinMeta m;
-          m.dir = bits.begin()->second.second;
-          for (auto& [bit, np] : bits) m.bit_names.push_back(np.first);
-          return m;
+        if (ports.empty()) return nullptr;
+        std::stable_sort(ports.begin(), ports.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first > b.first;
+                         });
+        ports.erase(std::unique(ports.begin(), ports.end(),
+                                [](const auto& a, const auto& b) {
+                                  return a.first == b.first;
+                                }),
+                    ports.end());
+        out.dir = ports.front().second->dir;
+        out.width = static_cast<std::uint32_t>(ports.size());
+        for (const auto& [bit, p] : ports) {
+          info.bits.push_back({names().str(p->name), p->name});
         }
       }
-      return std::nullopt;
+    } else if (const auto dir = types_.pinDir(info.name, pin)) {
+      out.dir = *dir;
+      info.bits.push_back({pin, NameId{}});
+    } else {
+      return nullptr;
     }
-    if (auto dir = types_.pinDir(type, pin)) {
-      PinMeta m;
-      m.dir = *dir;
-      m.bit_names = {pin};
-      return m;
-    }
-    return std::nullopt;
+    info.pins.push_back(out);
+    return &info.pins.back();
   }
 
-  void makeInstance(const std::string& type, const std::string& inst_name,
-                    bool named, std::vector<PinBinding>& bindings) {
-    if (!named && !bindings.empty()) {
-      std::vector<std::string> order;
-      if (design_.findModule(type) != nullptr) {
-        // Positional connection to a submodule: reconstruct header order.
-        // We use declaration order of scalar ports / bus groups.
-        order = modulePinOrder(type);
-      } else {
-        order = types_.pinOrder(type);
+  void makeInstance(std::string_view type, std::string_view inst_name,
+                    bool named) {
+    CellTypeInfo& info = typeInfo(type);
+    if (!named && !bindings_.empty()) {
+      if (!info.order) {
+        // Positional connection to a submodule: reconstruct header order
+        // from the declaration order of scalar ports / bus groups.
+        info.order = info.sub != nullptr ? modulePinOrder(*info.sub)
+                                         : types_.pinOrder(type);
       }
-      if (order.size() < bindings.size()) {
-        fail("positional connection count exceeds pins of " + type);
+      if (info.order->size() < bindings_.size()) {
+        fail("positional connection count exceeds pins of " +
+             std::string(type));
       }
-      for (std::size_t i = 0; i < bindings.size(); ++i) {
-        bindings[i].pin = order[i];
+      for (std::size_t i = 0; i < bindings_.size(); ++i) {
+        bindings_[i].pin = (*info.order)[i];
       }
     }
-    std::vector<Module::PinInit> pins;
-    for (PinBinding& b : bindings) {
-      auto meta = pinMeta(type, b.pin);
-      if (!meta) {
-        fail("unknown pin '" + b.pin + "' on cell type '" + type + "'");
+    // Each pin bit's direction and net, and its index into info.bits; the
+    // names are interned below, after the constant nets, as addCell would.
+    pins_.clear();
+    pin_bits_.clear();
+    for (Binding& b : bindings_) {
+      const CellTypeInfo::Pin* pin = resolvePin(info, b.pin);
+      if (pin == nullptr) {
+        fail("unknown pin '" + std::string(b.pin) + "' on cell type '" +
+             std::string(type) + "'");
       }
       if (b.explicit_empty) {
-        for (const std::string& bit_name : meta->bit_names) {
-          pins.push_back(Module::PinInit{bit_name, meta->dir, NetId{}});
+        for (std::uint32_t i = 0; i < pin->width; ++i) {
+          pins_.push_back(PinConn{NameId{}, pin->dir, NetId{}});
+          pin_bits_.push_back(pin->first + i);
         }
         continue;
       }
-      if (b.bits.size() > meta->bit_names.size()) {
-        b.bits.erase(b.bits.begin(),
-                     b.bits.begin() + static_cast<std::ptrdiff_t>(
-                                          b.bits.size() - meta->bit_names.size()));
+      if (b.count > pin->width) {
+        b.first += b.count - pin->width;
+        b.count = pin->width;
       }
-      if (b.bits.size() != meta->bit_names.size()) {
-        fail("width mismatch on pin '" + b.pin + "' of '" + type + "'");
+      if (b.count != pin->width) {
+        fail("width mismatch on pin '" + std::string(b.pin) + "' of '" +
+             std::string(type) + "'");
       }
-      for (std::size_t i = 0; i < b.bits.size(); ++i) {
-        NetId net = b.bits[i].net;
-        if (!net.valid()) {
-          net = module_->constNet(b.bits[i].const_val);
-        }
-        pins.push_back(Module::PinInit{meta->bit_names[i], meta->dir, net});
+      for (std::uint32_t i = 0; i < b.count; ++i) {
+        const BitRef& bit = bits_[b.first + i];
+        const NetId net =
+            bit.net.valid() ? bit.net : module_->constNet(bit.const_val);
+        pins_.push_back(PinConn{NameId{}, pin->dir, net});
+        pin_bits_.push_back(pin->first + i);
       }
     }
-    module_->addCell(inst_name, type, pins);
+    const NameId inst = names().intern(inst_name);
+    if (!info.id.valid()) info.id = names().intern(type);
+    for (std::size_t i = 0; i < pins_.size(); ++i) {
+      CellTypeInfo::Bit& bit = info.bits[pin_bits_[i]];
+      if (!bit.id.valid()) bit.id = names().intern(bit.name);
+      pins_[i].name = bit.id;
+    }
+    module_->addCell(inst, info.id, pins_);
   }
 
-  std::vector<std::string> modulePinOrder(const std::string& type) {
+  std::vector<std::string> modulePinOrder(const Module& sub) {
     std::vector<std::string> order;
-    const Module* sub = design_.findModule(type);
     std::string last_bus;
-    for (const Port& p : sub->ports()) {
+    for (const Port& p : sub.ports()) {
       if (p.bus.valid()) {
-        std::string bus(design_.names().str(p.bus.bus));
+        std::string bus(names().str(p.bus.bus));
         if (bus != last_bus) {
           order.push_back(bus);
           last_bus = bus;
         }
       } else {
-        order.push_back(std::string(design_.names().str(p.name)));
+        order.emplace_back(names().str(p.name));
         last_bus.clear();
       }
     }
@@ -811,10 +958,21 @@ class Parser {
 
   Module* module_ = nullptr;
   std::string last_module_;
-  std::map<std::string, BusDecl> buses_;
-  std::map<std::string, std::string> escaped_map_;
-  std::vector<std::string> header_ports_;
+  // Per module: nets and declared buses by name (local_ is indexed by
+  // NameId and stamped with module_seq_), escaped-name substitutions and
+  // cell type records.
+  std::vector<LocalName> local_;
+  std::uint32_t module_seq_ = 0;
+  std::vector<BusDecl> bus_decls_;
+  std::unordered_map<std::string_view, NameId> escaped_map_;
+  std::unordered_map<std::string_view, CellTypeInfo> type_info_;
   std::vector<PendingAssign> pending_assigns_;
+  // Per statement, reused so an instance allocates nothing of its own.
+  std::vector<BitRef> bits_;
+  std::vector<Binding> bindings_;
+  std::vector<PinConn> pins_;
+  std::vector<std::uint32_t> pin_bits_;
+  std::string bit_name_;
 };
 
 }  // namespace
@@ -836,11 +994,20 @@ void readVerilogFile(Design& design, const std::string& path,
                      const CellTypeProvider& types,
                      const VerilogReadOptions& options,
                      std::string_view top_hint) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw VerilogError("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  readVerilog(design, ss.str(), types, options, top_hint);
+  std::string text;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    // Not a regular file (a pipe, say): read it to its end.
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  } else {
+    text.resize(size);
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  }
+  readVerilog(design, text, types, options, top_hint);
 }
 
 }  // namespace desync::netlist

@@ -11,6 +11,7 @@
 #include "netlist/verilog.h"
 #include "sim/flow_equivalence.h"
 #include "sim/simulator.h"
+#include "sim/stimulus.h"
 
 namespace nl = desync::netlist;
 namespace lib = desync::liberty;
@@ -311,7 +312,8 @@ struct FlowResult {
 
 /// Clones, desynchronizes, simulates both versions and checks
 /// flow-equivalence.  `cycles` synchronous clock cycles at 2x the minimum
-/// period; the desynchronized version free-runs for a comparable span.
+/// period; the desynchronized version free-runs until every register has
+/// the captures the comparison needs (sim::runDesyncStimulus).
 FlowResult runFlow(nl::Design& d, const std::string& top, int cycles,
                    core::DesyncOptions opt = {}) {
   nl::Design dsync;
@@ -322,30 +324,18 @@ FlowResult runFlow(nl::Design& d, const std::string& top, int cycles,
   FlowResult out;
   out.desync = core::desynchronize(d, *d.findModule(top), gf(), opt);
 
-  const double half_ns = out.desync.sync_min_period_ns;  // period = 2x min
+  sim::SyncStimulus st;
+  st.half_period_ns = out.desync.sync_min_period_ns;  // period = 2x min
+  st.cycles = cycles;
   sim::Simulator ss(dsync.top(), gf());
-  ss.setInput("clk", Val::k0);
-  ss.setInput("rst_n", Val::k0);
-  ss.run(sim::nsToPs(10));
-  ss.setInput("rst_n", Val::k1);
-  ss.run(ss.now() + sim::nsToPs(half_ns));
-  for (int i = 0; i < cycles; ++i) {
-    ss.setInput("clk", Val::k1);
-    ss.run(ss.now() + sim::nsToPs(half_ns));
-    ss.setInput("clk", Val::k0);
-    ss.run(ss.now() + sim::nsToPs(half_ns));
-  }
+  sim::runSyncStimulus(ss, st);
 
   sim::Simulator sd(*d.findModule(top), gf());
   std::vector<sim::Time> rises;
   sd.watchNet("G1_gm", [&](sim::Time t, Val v) {
     if (v == Val::k1) rises.push_back(t);
   });
-  sd.setInput("clk", Val::k0);
-  sd.setInput("rst_n", Val::k0);
-  sd.run(sim::nsToPs(20));
-  sd.setInput("rst_n", Val::k1);
-  sd.run(sd.now() + sim::nsToPs(cycles * 4.0 * half_ns));
+  sim::runDesyncStimulus(sd, st, ss.captures());
   if (rises.size() > 3) {
     out.eff_period_ns =
         static_cast<double>(rises.back() - rises[2]) /

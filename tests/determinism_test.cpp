@@ -192,40 +192,37 @@ TEST(Determinism, TracingDoesNotChangeFlowOutput) {
 
 TEST(Determinism, FlowEquivalenceBatchesIdenticalAcrossJobs) {
   Fixture& fx = fixture();
-  const double half_ns = fx.report.sync_min_period_ns;
+  constexpr std::size_t kBatches = 4;
 
   // Batch b: the synchronous reference runs 10+2*b clock cycles; the
-  // desynchronized side free-runs a matching window.  Stimulus derives
-  // from the batch index alone, per the SimFactory contract.
+  // desynchronized side free-runs until it has the captures batch b's
+  // golden run needs.  Stimulus derives from the batch index alone, per
+  // the SimFactory contract; the golden logs are computed up front and
+  // only read by the factories.
+  auto stimulus = [&](std::size_t b) {
+    sim::SyncStimulus st;
+    st.half_period_ns = fx.report.sync_min_period_ns;
+    st.cycles = 10 + 2 * static_cast<int>(b);
+    return st;
+  };
   auto runSyncBatch = [&](std::size_t b) {
     auto s = std::make_unique<sim::Simulator>(fx.syncModule(), gf());
-    s->setInput("clk", sim::Val::k0);
-    s->setInput("rst_n", sim::Val::k0);
-    s->run(sim::nsToPs(10));
-    s->setInput("rst_n", sim::Val::k1);
-    s->run(s->now() + sim::nsToPs(half_ns));
-    const int cycles = 10 + 2 * static_cast<int>(b);
-    for (int i = 0; i < cycles; ++i) {
-      s->setInput("clk", sim::Val::k1);
-      s->run(s->now() + sim::nsToPs(half_ns));
-      s->setInput("clk", sim::Val::k0);
-      s->run(s->now() + sim::nsToPs(half_ns));
-    }
+    sim::runSyncStimulus(*s, stimulus(b));
     return s;
   };
+  std::vector<std::vector<sim::CaptureLog>> golden;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    golden.push_back(runSyncBatch(b)->captures());
+  }
   auto runDesyncBatch = [&](std::size_t b) {
     auto s = std::make_unique<sim::Simulator>(fx.desyncModule(), gf());
-    s->setInput("clk", sim::Val::k0);
-    s->setInput("rst_n", sim::Val::k0);
-    s->run(sim::nsToPs(10));
-    s->setInput("rst_n", sim::Val::k1);
-    const int cycles = 10 + 2 * static_cast<int>(b);
-    s->run(s->now() + sim::nsToPs(half_ns * 2 * (cycles + 6)));
+    sim::runDesyncStimulus(*s, stimulus(b), golden[b]);
     return s;
   };
 
   auto run = [&] {
-    return sim::checkFlowEquivalenceBatches(4, runSyncBatch, runDesyncBatch);
+    return sim::checkFlowEquivalenceBatches(kBatches, runSyncBatch,
+                                            runDesyncBatch);
   };
   auto [serial, parallel] = runBoth(run);
 

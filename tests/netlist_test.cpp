@@ -1,6 +1,8 @@
 // Unit tests for the netlist database, Verilog IO, cleaning and flattening.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "liberty/gatefile.h"
 #include "liberty/stdlib90.h"
 #include "netlist/blif.h"
@@ -8,6 +10,7 @@
 #include "netlist/flatten.h"
 #include "netlist/netlist.h"
 #include "netlist/verilog.h"
+#include "util/rng.h"
 
 namespace nl = desync::netlist;
 namespace lib = desync::liberty;
@@ -40,6 +43,49 @@ TEST(NameTable, ManyNamesStayStable) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(t.str(ids[static_cast<std::size_t>(i)]),
               "n" + std::to_string(i));
+  }
+}
+
+TEST(NameTable, ViewsSurviveGrowthAndMoves) {
+  // str() points into fixed arena blocks: a view stays valid, with the same
+  // bytes at the same address, however far the table grows or wherever it
+  // is moved.  The ASan twin of this suite catches a view into freed
+  // storage.
+  nl::NameTable t;
+  const nl::NameId first = t.intern("first_name_longer_than_any_sso_buffer");
+  const std::string_view view = t.str(first);
+  for (int i = 0; i < 100000; ++i) t.intern("grow_" + std::to_string(i));
+  EXPECT_EQ(view, "first_name_longer_than_any_sso_buffer");
+  EXPECT_EQ(t.str(first).data(), view.data());
+  EXPECT_EQ(t.size(), 100001u);
+  const nl::NameTable moved = std::move(t);
+  EXPECT_EQ(view, "first_name_longer_than_any_sso_buffer");
+  EXPECT_EQ(moved.find("grow_99999"), nl::NameId{100000});
+}
+
+TEST(NameIndex, MatchesAMapUnderInsertAndErase) {
+  // Deterministic mix of inserts and erases (the erase path shifts later
+  // entries of a probe run back), checked against std::map after each step.
+  nl::NameIndex index;
+  std::map<std::uint32_t, std::uint32_t> ref;
+  desync::util::Rng rng{12345};
+  for (std::uint32_t step = 0; step < 20000; ++step) {
+    const nl::NameId key{static_cast<std::uint32_t>(rng.below(3000))};
+    if (rng.chance(33)) {
+      index.erase(key);
+      ref.erase(key.value);
+    } else {
+      EXPECT_EQ(index.insert(key, step), ref.emplace(key.value, step).second);
+    }
+    const nl::NameId probe{static_cast<std::uint32_t>(rng.below(3000))};
+    const auto it = ref.find(probe.value);
+    ASSERT_EQ(index.find(probe),
+              it == ref.end() ? nl::NameIndex::kNone : it->second);
+  }
+  for (std::uint32_t k = 0; k < 3000; ++k) {
+    const auto it = ref.find(k);
+    EXPECT_EQ(index.find(nl::NameId{k}),
+              it == ref.end() ? nl::NameIndex::kNone : it->second);
   }
 }
 

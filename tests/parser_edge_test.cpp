@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 
 #include "liberty/gatefile.h"
 #include "liberty/liberty_io.h"
@@ -166,6 +167,129 @@ TEST(VerilogEdge, WriterEscapesHierarchicalNames) {
   nl::Design d2;
   nl::readVerilog(d2, text, gf());
   EXPECT_EQ(d2.top().numCells(), 1u);
+}
+
+// ----------------------------------------------------------- lexer edges
+//
+// Byte-level cases of the table-driven lexer.  Each result, message and
+// line number is the one the reader gave when it lexed with <cctype> and
+// a std::string per token.
+
+/// The VerilogError message reading `src` raises, or "" when it parses.
+std::string readError(const std::string& src) {
+  nl::Design d;
+  try {
+    nl::readVerilog(d, src, gf());
+  } catch (const nl::VerilogError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VerilogLexEdge, HighByteOutsideEscapedNameIsUnexpected) {
+  EXPECT_EQ(
+      readError("module top (a);\n  input a;\n  \xC3\xA9 x;\nendmodule\n"),
+      "verilog:3: unexpected character '\xC3'");
+  // A byte >= 0x80 also ends a plain identifier.
+  EXPECT_EQ(readError("module top (a);\n  input a;\n  wire b\xC3\xA9;\n"),
+            "verilog:3: unexpected character '\xC3'");
+  // Inside an escaped identifier it is just another name byte.
+  EXPECT_EQ(readError("module top (a);\n  input a;\n  wire \\b\xC3\xA9 ;\n"
+                      "endmodule\n"),
+            "");
+}
+
+TEST(VerilogLexEdge, DollarContinuesButDoesNotStartAnIdentifier) {
+  const std::string src =
+      "module top (a$b, z);\n  input a$b;\n  output z;\n"
+      "  IV g$1 (.A(a$b), .Z(z));\nendmodule\n";
+  nl::Design d;
+  nl::readVerilog(d, src, gf());
+  EXPECT_TRUE(d.top().findNet("a$b").valid());
+  EXPECT_TRUE(d.top().findCell("g$1").valid());
+  EXPECT_EQ(nl::writeVerilog(d), src);
+  EXPECT_EQ(readError("module top (a);\n  input a;\n  wire $x;\nendmodule\n"),
+            "verilog:3: unexpected character '$'");
+}
+
+TEST(VerilogLexEdge, EscapedIdentifierEndingAtEof) {
+  nl::Design d;
+  try {
+    nl::readVerilog(d, "module top (a);\n  input a;\nendmodule\nmodule \\m2",
+                    gf());
+    FAIL() << "expected VerilogError";
+  } catch (const nl::VerilogError& e) {
+    EXPECT_STREQ(e.what(), "verilog:4: expected ';'");
+  }
+  EXPECT_NE(d.findModule("m2"), nullptr);  // the name ran to the last byte
+}
+
+TEST(VerilogLexEdge, LineCommentAtEofWithoutNewline) {
+  nl::Design d;
+  nl::readVerilog(d,
+                  "module top (a, z);\n  input a;\n  output z;\n"
+                  "  IV g (.A(a), .Z(z));\nendmodule\n// trailing comment",
+                  gf());
+  EXPECT_EQ(d.top().numCells(), 1u);
+}
+
+TEST(VerilogLexEdge, CrlfCountsOneLinePerLine) {
+  EXPECT_EQ(readError("module top (a, z);\r\n  input a;\r\n  output z;\r\n"
+                      "  IV g (.A(a) .Z(z));\r\nendmodule\r\n"),
+            "verilog:4: expected ')'");
+  EXPECT_EQ(readError("module top (a, z);\r\n  input a;\r\n  output z;\r\n"
+                      "  IV g (.A(a), .Z(z));\r\nendmodule\r\n"),
+            "");
+}
+
+TEST(VerilogLexEdge, UnderscoreXAndZDigitsInBasedNumbers) {
+  // '_' separates digits; x and z read as 0.
+  auto bits = [](const char* literal) {
+    nl::Design d;
+    nl::readVerilog(d,
+                    std::string("module top (z);\n  output [7:0] z;\n"
+                                "  assign z = ") +
+                        literal + ";\nendmodule\n",
+                    gf());
+    std::string out;
+    for (int i = 7; i >= 0; --i) {
+      const nl::Module& m = d.top();
+      const nl::PortId p = m.findPort("z[" + std::to_string(i) + "]");
+      out += m.net(m.port(p).net).driver.kind == nl::TermKind::kConst1 ? '1'
+                                                                       : '0';
+    }
+    return out;
+  };
+  EXPECT_EQ(bits("8'b1_0x1_z01z"), "10010010");
+  EXPECT_EQ(bits("8'hx_5"), "00000101");
+  EXPECT_EQ(bits("8'bZX_1"), "00000001");
+}
+
+TEST(VerilogLexEdge, IdentifiersThatStartWithAKeyword) {
+  nl::Design d;
+  nl::readVerilog(d,
+                  "module moduleA (wire_x, z);\n  input wire_x;\n  output z;\n"
+                  "  wire inputs, endmodule_n;\n"
+                  "  IV assign_g (.A(wire_x), .Z(inputs));\n"
+                  "  IV g2 (.A(inputs), .Z(z));\nendmodule\n",
+                  gf());
+  ASSERT_NE(d.findModule("moduleA"), nullptr);
+  const nl::Module& m = *d.findModule("moduleA");
+  EXPECT_TRUE(m.findPort("wire_x").valid());
+  EXPECT_TRUE(m.findNet("inputs").valid());
+  EXPECT_TRUE(m.findNet("endmodule_n").valid());
+  EXPECT_TRUE(m.findCell("assign_g").valid());
+  EXPECT_EQ(m.numCells(), 2u);
+}
+
+TEST(VerilogLexEdge, UnterminatedBlockCommentReportsItsLastLine) {
+  // The line is counted up to the byte before the end of the text.
+  EXPECT_EQ(readError("module top (a);\n  input a;\n/* never\n closed\n\n"),
+            "verilog:5: unterminated block comment");
+  EXPECT_EQ(readError("module top (a);\n  input a;\n/* never"),
+            "verilog:3: unterminated block comment");
+  EXPECT_EQ(readError("module top (a);\n  input a;\n/*\n"),
+            "verilog:3: unterminated block comment");
 }
 
 // --------------------------------------------------------- liberty edges

@@ -27,7 +27,6 @@
 
 #include "core/parallel.h"
 #include "core/version.h"
-#include "flowdb/cache.h"
 #include "fuzz/generator.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -70,7 +69,7 @@ void usage() {
       "                     in-process reference run (byte-identical\n"
       "                     Verilog, SDC and canonical report)\n"
       "  --out FILE         results JSON (default BENCH_server.json)\n"
-      "  --version          print tool and cache-format versions\n"
+      "  --version          print the tool version\n"
       "  --help, -h         this message\n",
       stderr);
 }
@@ -189,9 +188,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--version") {
-      std::printf("drdesync-bench %s (cache format %u)\n",
-                  std::string(core::kToolVersion).c_str(),
-                  flowdb::kCacheFormatVersion);
+      std::printf("drdesync-bench %s\n",
+                  std::string(core::kToolVersion).c_str());
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       usage();

@@ -15,7 +15,6 @@
 
 #include "core/parallel.h"
 #include "core/version.h"
-#include "flowdb/cache.h"
 #include "server/server.h"
 #include "trace/trace.h"
 
@@ -40,7 +39,7 @@ void usage() {
       "diagnostics:\n"
       "  --trace FILE       write a Chrome trace_event JSON on exit; each\n"
       "                     request gets its own named track\n"
-      "  --version          print tool and cache-format versions\n"
+      "  --version          print the tool version\n"
       "  --help, -h         this message\n",
       stderr);
 }
@@ -85,9 +84,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--version") {
-      std::printf("drdesyncd %s (cache format %u)\n",
-                  std::string(core::kToolVersion).c_str(),
-                  flowdb::kCacheFormatVersion);
+      std::printf("drdesyncd %s\n", std::string(core::kToolVersion).c_str());
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       usage();
