@@ -63,7 +63,7 @@ int applyEcoEdit(bench::nl::Module& m, const bench::lib::Gatefile& gf,
     const bench::nl::NetId d = m.pinNet(ff, sc->data_pin);
     if (!d.valid()) continue;
     const bench::nl::Net& n = m.net(d);
-    if (!n.driver.isCellPin() || n.sinks.size() != 1) continue;
+    if (!n.driver.isCellPin() || m.sinks(d).size() != 1) continue;
     if (gf.kind(m.cellType(n.driver.cell())) !=
         bench::lib::CellKind::kCombinational) {
       continue;

@@ -20,6 +20,7 @@
 #include "pnr/pnr.h"
 #include "sim/flow_equivalence.h"
 #include "sim/simulator.h"
+#include "sim/stimulus.h"
 #include "sim/vcd.h"
 
 using namespace desync;
@@ -83,21 +84,14 @@ int main() {
               layout.total_hpwl_um);
 
   // Simulation of both versions + flow-equivalence + a waveform.
+  // Scan stays off; the shared protocol drives clock and reset.
+  sim::SyncStimulus stimulus;
+  stimulus.half_period_ns = res.sync_min_period_ns;
+  stimulus.cycles = 60;
   sim::Simulator sync_sim(sync_copy.top(), gatefile);
-  const sim::Time half = sim::nsToPs(res.sync_min_period_ns);
-  sync_sim.setInput("clk", Val::k0);
-  sync_sim.setInput("rst_n", Val::k0);
   sync_sim.setInput("scan_en", Val::k0);
   sync_sim.setInput("scan_in", Val::k0);
-  sync_sim.run(2 * half);
-  sync_sim.setInput("rst_n", Val::k1);
-  sync_sim.run(sync_sim.now() + half);
-  for (int i = 0; i < 60; ++i) {
-    sync_sim.setInput("clk", Val::k1);
-    sync_sim.run(sync_sim.now() + half);
-    sync_sim.setInput("clk", Val::k0);
-    sync_sim.run(sync_sim.now() + half);
-  }
+  sim::runSyncStimulus(sync_sim, stimulus);
 
   sim::Simulator desync_sim(dlx, gatefile);
   std::vector<sim::Time> rises;
@@ -107,13 +101,9 @@ int main() {
   {
     sim::VcdWriter vcd(desync_sim, (out / "dlx_desync.vcd").string(),
                        {"G1_gm", "G1_gs", "G2_gm", "G3_gm", "G4_gm"});
-    desync_sim.setInput("clk", Val::k0);
-    desync_sim.setInput("rst_n", Val::k0);
     desync_sim.setInput("scan_en", Val::k0);
     desync_sim.setInput("scan_in", Val::k0);
-    desync_sim.run(sim::nsToPs(20));
-    desync_sim.setInput("rst_n", Val::k1);
-    desync_sim.run(desync_sim.now() + 160 * half);
+    sim::runDesyncStimulus(desync_sim, stimulus, sync_sim.captures());
   }
   double period = rises.size() > 4
                       ? static_cast<double>(rises.back() - rises[2]) /

@@ -16,9 +16,9 @@
 #include "netlist/verilog.h"
 #include "sim/flow_equivalence.h"
 #include "sim/simulator.h"
+#include "sim/stimulus.h"
 
 using namespace desync;
-using sim::Val;
 
 int main() {
   std::printf("drdesync quickstart\n===================\n\n");
@@ -58,30 +58,20 @@ int main() {
                 rc.required_delay_ns);
   }
 
-  // 4. Simulate the synchronous version (50 clock cycles)...
+  // 4. Simulate the synchronous version (reset, then 50 clock cycles at
+  //    twice the minimum period)...
+  sim::SyncStimulus stimulus;
+  stimulus.half_period_ns = result.sync_min_period_ns;
+  stimulus.cycles = 50;
   sim::Simulator sync_sim(sync_copy.top(), gatefile);
-  const sim::Time half = sim::nsToPs(result.sync_min_period_ns);
-  sync_sim.setInput("clk", Val::k0);
-  sync_sim.setInput("rst_n", Val::k0);
-  sync_sim.run(2 * half);
-  sync_sim.setInput("rst_n", Val::k1);
-  sync_sim.run(sync_sim.now() + half);
-  for (int i = 0; i < 50; ++i) {
-    sync_sim.setInput("clk", Val::k1);
-    sync_sim.run(sync_sim.now() + half);
-    sync_sim.setInput("clk", Val::k0);
-    sync_sim.run(sync_sim.now() + half);
-  }
+  sim::runSyncStimulus(sync_sim, stimulus);
 
   // 5. ... and the desynchronized one: no clock at all — release reset and
   //    the controller network self-starts from the slave latches' reset
-  //    data tokens.
+  //    data tokens.  It free-runs until every register has stored the
+  //    values the comparison needs.
   sim::Simulator desync_sim(*design.findModule("counter"), gatefile);
-  desync_sim.setInput("clk", Val::k0);  // the old clock port is inert
-  desync_sim.setInput("rst_n", Val::k0);
-  desync_sim.run(sim::nsToPs(20));
-  desync_sim.setInput("rst_n", Val::k1);
-  desync_sim.run(desync_sim.now() + 220 * half);
+  sim::runDesyncStimulus(desync_sim, stimulus, sync_sim.captures());
 
   // 6. Flow-equivalence: compare the stored value sequences.
   sim::FlowEqReport report = sim::checkFlowEquivalence(sync_sim, desync_sim);

@@ -16,6 +16,7 @@
 #include "netlist/flatten.h"
 #include "sim/flow_equivalence.h"
 #include "sim/simulator.h"
+#include "sim/stimulus.h"
 
 using namespace desync;
 using sim::Val;
@@ -56,33 +57,30 @@ int main() {
 
   // Shift a pattern through both versions and compare stored sequences:
   // scan shifting is just another data flow, so flow-equivalence covers it.
-  auto driveSync = [&](sim::Simulator& s) {
-    const sim::Time half = sim::nsToPs(res.sync_min_period_ns);
-    s.setInput("clk", Val::k0);
-    s.setInput("rst_n", Val::k0);
-    s.setInput("scan_en", Val::k1);
-    s.setInput("scan_in", Val::k1);
-    s.run(2 * half);
-    s.setInput("rst_n", Val::k1);
-    s.run(s.now() + half);
-    for (int i = 0; i < 32; ++i) {
-      s.setInput("scan_in", (i % 5 < 2) ? Val::k1 : Val::k0);
-      s.setInput("clk", Val::k1);
-      s.run(s.now() + half);
-      s.setInput("clk", Val::k0);
-      s.run(s.now() + half);
-    }
-  };
+  // The shared protocol resets both; the scan_in stream changes every
+  // cycle, so the shift cycles themselves are driven here.
+  constexpr int kShifts = 32;
+  sim::SyncStimulus stimulus;
+  stimulus.half_period_ns = res.sync_min_period_ns;
+  stimulus.cycles = 0;
+  const sim::Time half = sim::nsToPs(res.sync_min_period_ns);
   sim::Simulator sync_sim(sync_copy.top(), gatefile);
-  driveSync(sync_sim);
+  sync_sim.setInput("scan_en", Val::k1);
+  sync_sim.setInput("scan_in", Val::k1);
+  sim::runSyncStimulus(sync_sim, stimulus);
+  for (int i = 0; i < kShifts; ++i) {
+    sync_sim.setInput("scan_in", (i % 5 < 2) ? Val::k1 : Val::k0);
+    sync_sim.setInput("clk", Val::k1);
+    sync_sim.run(sync_sim.now() + half);
+    sync_sim.setInput("clk", Val::k0);
+    sync_sim.run(sync_sim.now() + half);
+  }
+  stimulus.cycles = kShifts;  // the span the desync guard is measured in
 
   sim::Simulator desync_sim(m, gatefile);
-  desync_sim.setInput("clk", Val::k0);
-  desync_sim.setInput("rst_n", Val::k0);
   desync_sim.setInput("scan_en", Val::k1);
   desync_sim.setInput("scan_in", Val::k1);
-  desync_sim.run(sim::nsToPs(20));
-  desync_sim.setInput("rst_n", Val::k1);
+  sim::resetDesyncStimulus(desync_sim, stimulus);
   // Feed the same scan_in stream, paced by the self-timed handshakes: a new
   // bit after each capture of the first chain element's master latch.
   const sim::CaptureLog* first = nullptr;
@@ -91,7 +89,7 @@ int main() {
   }
   int shifts = 0;
   std::size_t seen = first != nullptr ? first->values.size() : 0;
-  while (shifts < 32 && desync_sim.now() < sim::nsToPs(4000)) {
+  while (shifts < kShifts && desync_sim.now() < sim::nsToPs(4000)) {
     desync_sim.run(desync_sim.now() + sim::nsToPs(1));
     if (first != nullptr && first->values.size() > seen) {
       seen = first->values.size();
@@ -100,6 +98,8 @@ int main() {
                           (shifts % 5 < 2) ? Val::k1 : Val::k0);
     }
   }
+  // The last bit stays on scan_in while the rest of the chain catches up.
+  sim::freeRunDesyncStimulus(desync_sim, stimulus, sync_sim.captures());
   std::printf("desynchronized scan shift: %d self-timed shift cycles\n",
               shifts);
 

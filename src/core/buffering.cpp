@@ -43,9 +43,11 @@ std::size_t insertBufferTrees(Module& module,
           n.driver.isConst()) {
         continue;
       }
-      if (static_cast<int>(n.sinks.size()) <= options.max_fanout) continue;
+      if (static_cast<int>(module.sinks(id).size()) <= options.max_fanout) {
+        continue;
+      }
     }
-    const std::size_t n_sinks = module.net(id).sinks.size();
+    const std::size_t n_sinks = module.sinks(id).size();
     const std::size_t chunk = static_cast<std::size_t>(options.max_fanout);
     const std::string base = std::string(module.netName(id));
     // Assign sink index ranges to the new buffer outputs, then rewire in

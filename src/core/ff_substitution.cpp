@@ -132,7 +132,7 @@ SubstitutionResult substituteFlipFlops(Module& module,
     // first sequential sink.
     int group = -1;
     if (z_net.valid()) {
-      for (const netlist::TermRef& t : module.net(z_net).sinks) {
+      for (const netlist::TermRef& t : module.sinks(z_net)) {
         if (t.isCellPin()) {
           int g = regions.group_of_cell[t.cell().index()];
           if (g >= 0) {
@@ -221,10 +221,10 @@ SubstitutionResult substituteFlipFlops(Module& module,
                                   std::string(module.cellName(ff)));
     }
     const SeqPinIds& ids = pinIdsFor(type, sc);
-    const netlist::Cell& cell = module.cell(ff);
+    const std::span<const netlist::PinConn> pins = module.pins(ff);
     auto pin = [&](netlist::NameId pid) -> NetId {
       if (!pid.valid()) return NetId{};
-      for (const netlist::PinConn& pc : cell.pins) {
+      for (const netlist::PinConn& pc : pins) {
         if (pc.name == pid) return pc.net;
       }
       return NetId{};

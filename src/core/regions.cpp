@@ -40,6 +40,40 @@ class UnionFind {
   std::vector<int> parent_;
 };
 
+/// Library class of every cell slot: combinational, sequential, or neither
+/// (a type the library lacks, or a tombstoned slot).  One library lookup
+/// per distinct type, where the passes' visits would pay one string-keyed
+/// lookup per cell per neighbor.
+class CellClasses {
+ public:
+  CellClasses(const Module& module, const liberty::Gatefile& gatefile)
+      : bits_(module.cellCapacity(), 0) {
+    netlist::NameIndex by_type;  // type NameId -> class bits
+    module.forEachCell([&](CellId id) {
+      const netlist::NameId type = module.cell(id).type;
+      std::uint32_t bits = by_type.find(type);
+      if (bits == netlist::NameIndex::kNone) {
+        const std::string_view name = module.cellType(id);
+        bits = (gatefile.isCombinational(name) ? kComb : 0u) |
+               (gatefile.isSequential(name) ? kSeq : 0u);
+        by_type.insert(type, bits);
+      }
+      bits_[id.index()] = static_cast<std::uint8_t>(bits);
+    });
+  }
+  [[nodiscard]] bool comb(CellId id) const {
+    return (bits_[id.index()] & kComb) != 0;
+  }
+  [[nodiscard]] bool seq(CellId id) const {
+    return (bits_[id.index()] & kSeq) != 0;
+  }
+
+ private:
+  static constexpr std::uint32_t kComb = 1;
+  static constexpr std::uint32_t kSeq = 2;
+  std::vector<std::uint8_t> bits_;
+};
+
 }  // namespace
 
 Regions groupRegions(Module& module, const liberty::Gatefile& gatefile,
@@ -71,12 +105,9 @@ Regions groupRegions(Module& module, const liberty::Gatefile& gatefile,
   const std::uint32_t n_slots = module.cellCapacity();
   UnionFind uf(n_slots);
 
-  auto isComb = [&](CellId id) {
-    return gatefile.isCombinational(std::string(module.cellType(id)));
-  };
-  auto isSeq = [&](CellId id) {
-    return gatefile.isSequential(std::string(module.cellType(id)));
-  };
+  const CellClasses classes(module, gatefile);
+  auto isComb = [&](CellId id) { return classes.comb(id); };
+  auto isSeq = [&](CellId id) { return classes.seq(id); };
   /// Data output nets of a sequential cell (Q/QN); its non-clock inputs are
   /// "data side" for dependency purposes.
   auto driverCell = [&](NetId net) -> CellId {
@@ -88,8 +119,7 @@ Regions groupRegions(Module& module, const liberty::Gatefile& gatefile,
   // directly driven sequential cells.
   module.forEachCell([&](CellId cid) {
     if (!isComb(cid)) return;
-    const netlist::Cell& c = module.cell(cid);
-    for (const netlist::PinConn& pin : c.pins) {
+    for (const netlist::PinConn& pin : module.pins(cid)) {
       if (!usable(pin.net)) continue;
       if (pin.dir == netlist::PortDir::kInput) {
         // Combinational source cells merge into this cloud.
@@ -99,7 +129,7 @@ Regions groupRegions(Module& module, const liberty::Gatefile& gatefile,
         }
       } else {
         // Combinational and sequential targets.
-        for (const netlist::TermRef& t : module.net(pin.net).sinks) {
+        for (const netlist::TermRef& t : module.sinks(pin.net)) {
           if (!t.isCellPin()) continue;
           CellId dst = t.cell();
           if (isComb(dst) || isSeq(dst)) {
@@ -143,8 +173,7 @@ Regions groupRegions(Module& module, const liberty::Gatefile& gatefile,
     changed = false;
     module.forEachCell([&](CellId cid) {
       if (!isSeq(cid) || isGrouped(cid)) return;
-      const netlist::Cell& c = module.cell(cid);
-      for (const netlist::PinConn& pin : c.pins) {
+      for (const netlist::PinConn& pin : module.pins(cid)) {
         if (pin.dir != netlist::PortDir::kInput || !usable(pin.net)) continue;
         CellId src = driverCell(pin.net);
         if (src.valid() && isSeq(src) && isGrouped(src)) {
@@ -222,9 +251,8 @@ Regions groupRegionsBySeqPrefix(
   regions.seq_cells.assign(static_cast<std::size_t>(regions.n_groups), {});
   regions.comb_cells.assign(static_cast<std::size_t>(regions.n_groups), {});
 
-  auto isSeq = [&](CellId id) {
-    return gatefile.isSequential(std::string(module.cellType(id)));
-  };
+  const CellClasses classes(module, gatefile);
+  auto isSeq = [&](CellId id) { return classes.seq(id); };
 
   // Sequential cells by prefix.
   module.forEachCell([&](CellId cid) {
@@ -255,10 +283,9 @@ Regions groupRegionsBySeqPrefix(
       return memo;
     }
     int found = -1;
-    const netlist::Cell& c = module.cell(cid);
-    for (const netlist::PinConn& pin : c.pins) {
+    for (const netlist::PinConn& pin : module.pins(cid)) {
       if (pin.dir != netlist::PortDir::kOutput || !pin.net.valid()) continue;
-      for (const netlist::TermRef& t : module.net(pin.net).sinks) {
+      for (const netlist::TermRef& t : module.sinks(pin.net)) {
         if (!t.isCellPin()) continue;
         int g = reachGroup(t.cell());
         if (g < 0) continue;
@@ -294,15 +321,13 @@ DependencyGraph buildDependencyGraph(const Module& module,
   std::vector<std::unordered_set<int>> pred_sets(
       static_cast<std::size_t>(regions.n_groups));
 
-  auto isSeq = [&](CellId id) {
-    return gatefile.isSequential(std::string(module.cellType(id)));
-  };
+  const CellClasses classes(module, gatefile);
+  auto isSeq = [&](CellId id) { return classes.seq(id); };
 
   module.forEachCell([&](CellId cid) {
     const int dst_group = regions.group_of_cell[cid.index()];
     if (dst_group < 0) return;
-    const netlist::Cell& c = module.cell(cid);
-    for (const netlist::PinConn& pin : c.pins) {
+    for (const netlist::PinConn& pin : module.pins(cid)) {
       if (pin.dir != netlist::PortDir::kInput || !pin.net.valid()) continue;
       const netlist::Net& net = module.net(pin.net);
       if (net.false_path) continue;

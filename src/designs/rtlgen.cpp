@@ -399,9 +399,10 @@ std::size_t Rtl::bufferHighFanout(int max_fanout) {
           n.driver.isConst()) {
         continue;
       }
-      if (static_cast<int>(n.sinks.size()) <= max_fanout) continue;
+      if (static_cast<int>(m_->sinks(id).size()) <= max_fanout) continue;
       // Split the sinks into chunks, each served by one buffer.
-      std::vector<netlist::TermRef> sinks = n.sinks;
+      const std::span<const netlist::TermRef> live = m_->sinks(id);
+      const std::vector<netlist::TermRef> sinks(live.begin(), live.end());
       std::size_t chunk = static_cast<std::size_t>(max_fanout);
       for (std::size_t start = 0; start < sinks.size(); start += chunk) {
         NetId buf_out = newNet("fbuf");

@@ -155,7 +155,7 @@ FaultSimResult runScanFaultSim(const netlist::Module& module,
   std::vector<Fault> faults;
   module.forEachNet([&](netlist::NetId id) {
     const netlist::Net& n = module.net(id);
-    if (n.driver.isConst() || n.sinks.empty()) return;
+    if (n.driver.isConst() || module.sinks(id).empty()) return;
     std::string name(module.netName(id));
     if (name == options.scan.scan_en_port ||
         name == options.clock_port || name == options.reset_port) {

@@ -11,6 +11,10 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
+#if defined(__linux__)
+#include <fcntl.h>   // AT_FDCWD
+#include <cstdio>    // renameat2, RENAME_EXCHANGE
+#endif
 
 namespace desync::flowdb {
 
@@ -39,6 +43,28 @@ std::optional<std::string> slurp(const std::string& path) {
   in.read(data.data(), size);
   if (!in || in.gcount() != size) return std::nullopt;
   return data;
+}
+
+/// Publishes the finished temp file `tmp` as `path`.  An existing slot is
+/// swapped with the temp (renameat2 RENAME_EXCHANGE) and the temp, which
+/// then holds the old table, is unlinked.  Both steps keep `path` naming a
+/// complete table at every instant, like a rename does; but a rename that
+/// *replaces* a file makes ext4 (auto_da_alloc, its default) flush the new
+/// file's data first, tens of milliseconds per store, while an exchange
+/// replaces nothing.  Where the slot does not exist yet, or the kernel or
+/// filesystem lacks the exchange, it falls back to rename.
+bool publish(const std::string& tmp, const std::string& path) {
+#if defined(__linux__) && defined(RENAME_EXCHANGE)
+  if (::renameat2(AT_FDCWD, tmp.c_str(), AT_FDCWD, path.c_str(),
+                  RENAME_EXCHANGE) == 0) {
+    std::error_code ec;
+    fs::remove(tmp, ec);  // the old table; a leftover is never read
+    return true;
+  }
+#endif
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  return !ec;
 }
 
 }  // namespace
@@ -115,9 +141,8 @@ bool PassCache::storeSlot(std::string_view name, std::string_view magic,
       return false;
     }
   }
-  std::error_code ec;
-  fs::rename(tmp, dir_ + "/" + std::string(name), ec);
-  if (ec) {
+  if (!publish(tmp, dir_ + "/" + std::string(name))) {
+    std::error_code ec;
     fs::remove(tmp, ec);
     return false;
   }

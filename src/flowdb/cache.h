@@ -4,8 +4,11 @@
 // whose payloads the caller defines (the proof tables of core/eco.h
 // live in one slot per design).  Slots are written atomically — the
 // payload is sealed in an envelope, written to a process-unique temp file
-// and renamed into place — so a killed run can never leave a half-written
-// slot behind; a reader either sees the complete previous slot or none.
+// and exchanged with the old slot (renamed into place when there is none)
+// — so a killed run can never leave a half-written slot behind; a reader
+// sees the complete previous slot, the complete new one, or none.  A table
+// torn by a crash before the kernel flushed it fails the envelope checksum
+// and costs only a cold prove.
 // Loads validate the envelope (magic, format version, checksum) and treat
 // any invalid slot as a miss with a diagnostic, so corruption degrades to
 // a cold run rather than an error.
@@ -13,8 +16,8 @@
 // Several concurrent runs — threads in one process (drdesyncd requests)
 // or separate processes — may share one cache directory: temp names are
 // unique per (process, process-wide counter), stores of one slot race
-// benignly (rename is atomic and last-writer-wins), and stats are
-// per-PassCache-instance.
+// benignly (exchange and rename are atomic and last-writer-wins), and
+// stats are per-PassCache-instance.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +60,9 @@ class PassCache {
                                       std::string_view magic,
                                       std::string* diag = nullptr);
 
-  /// Atomically overwrites the named slot (write temp + rename).  Returns
-  /// false (leaving no partial file) on I/O failure.
+  /// Atomically overwrites the named slot (write temp, exchange it with the
+  /// old slot, unlink the temp).  Returns false (leaving no partial file)
+  /// on I/O failure.
   bool storeSlot(std::string_view name, std::string_view magic,
                  std::string_view payload);
 

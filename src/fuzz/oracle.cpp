@@ -150,7 +150,7 @@ std::string swapCell(nl::Module& m, nl::CellId id, Rng& rng) {
   const std::string old_name(m.cellName(id));
   const std::string old_type(m.cellType(id));
   std::vector<nl::Module::PinInit> pins;
-  for (const nl::PinConn& p : m.cell(id).pins) {
+  for (const nl::PinConn& p : m.pins(id)) {
     pins.push_back({std::string(m.design().names().str(p.name)), p.dir,
                     p.net});
   }
@@ -166,7 +166,7 @@ std::string swapCell(nl::Module& m, nl::CellId id, Rng& rng) {
 std::string tiePin(nl::Module& m, nl::CellId cell, std::size_t pin_index,
                    Rng& rng) {
   const bool value = rng.chance(50);
-  const std::string pin(m.design().names().str(m.cell(cell).pins[pin_index].name));
+  const std::string pin(m.design().names().str(m.pins(cell)[pin_index].name));
   m.connectPin(cell, pin_index, m.constNet(value));
   return "constant tie: " + std::string(m.cellName(cell)) + "." + pin +
          " = 1'b" + (value ? "1" : "0");
@@ -182,7 +182,7 @@ std::string renameNet(nl::Module& m, nl::NetId id) {
   const nl::NetId fresh = m.addNet(name);
   const nl::TermRef driver = m.net(id).driver;
   m.connectPin(driver.cell(), driver.pin, fresh);
-  const std::vector<nl::NetId> assign(m.net(id).sinks.size(), fresh);
+  const std::vector<nl::NetId> assign(m.sinks(id).size(), fresh);
   m.redistributeSinks(id, assign);
   m.removeNet(id);
   return "net rename: " + old_name + " -> " + name;
@@ -214,7 +214,7 @@ std::string applySeededEcoEdit(nl::Module& m,
               liberty::CellKind::kCombinational) {
             return;
           }
-          const std::vector<nl::PinConn>& pins = m.cell(id).pins;
+          const std::span<const nl::PinConn> pins = m.pins(id);
           for (std::size_t p = 0; p < pins.size(); ++p) {
             if (pins[p].dir == nl::PortDir::kInput && pins[p].net.valid()) {
               sites.push_back({id, p});
@@ -228,9 +228,8 @@ std::string applySeededEcoEdit(nl::Module& m,
       case 2: {  // net rename
         std::vector<nl::NetId> sites;
         m.forEachNet([&](nl::NetId id) {
-          const nl::Net& n = m.net(id);
-          if (!n.driver.isCellPin()) return;
-          for (const nl::TermRef& s : n.sinks) {
+          if (!m.net(id).driver.isCellPin()) return;
+          for (const nl::TermRef& s : m.sinks(id)) {
             if (!s.isCellPin()) return;
           }
           sites.push_back(id);

@@ -22,15 +22,15 @@ void sweepDead(nl::Module& m) {
     for (nl::CellId id : m.cellIds()) {
       bool read = false;
       std::vector<nl::NetId> outs;
-      for (const nl::PinConn& p : m.cell(id).pins) {
+      for (const nl::PinConn& p : m.pins(id)) {
         if (p.dir != nl::PortDir::kOutput || !p.net.valid()) continue;
         outs.push_back(p.net);
-        if (!m.net(p.net).sinks.empty()) read = true;
+        if (!m.sinks(p.net).empty()) read = true;
       }
       if (read) continue;
       m.removeCell(id);
       for (nl::NetId n : outs) {
-        if (m.net(n).sinks.empty()) m.removeNet(n);
+        if (m.sinks(n).empty()) m.removeNet(n);
       }
       changed = true;
     }
@@ -51,7 +51,7 @@ void sweepDead(nl::Module& m) {
   std::vector<nl::NetId> orphans;
   m.forEachNet([&](nl::NetId id) {
     const nl::Net& n = m.net(id);
-    if (n.sinks.empty() &&
+    if (m.sinks(id).empty() &&
         (n.driver.kind == nl::TermKind::kNone || n.driver.isConst())) {
       orphans.push_back(id);
     }
@@ -62,7 +62,7 @@ void sweepDead(nl::Module& m) {
 /// Removes cell `id`, re-pointing every net it drove at constant zero.
 void tieCellLow(nl::Module& m, nl::CellId id) {
   std::vector<nl::NetId> outs;
-  for (const nl::PinConn& p : m.cell(id).pins) {
+  for (const nl::PinConn& p : m.pins(id)) {
     if (p.dir == nl::PortDir::kOutput && p.net.valid()) outs.push_back(p.net);
   }
   m.removeCell(id);
@@ -74,14 +74,14 @@ void tieCellLow(nl::Module& m, nl::CellId id) {
 bool bypassCell(nl::Module& m, nl::CellId id) {
   nl::NetId in;
   nl::NetId out;
-  for (const nl::PinConn& p : m.cell(id).pins) {
+  for (const nl::PinConn& p : m.pins(id)) {
     if (!p.net.valid()) continue;
     if (p.dir == nl::PortDir::kInput && !in.valid()) in = p.net;
     if (p.dir == nl::PortDir::kOutput && !out.valid()) out = p.net;
   }
   if (!in.valid() || !out.valid() || in == out) return false;
   std::vector<nl::NetId> extra;
-  for (const nl::PinConn& p : m.cell(id).pins) {
+  for (const nl::PinConn& p : m.pins(id)) {
     if (p.dir == nl::PortDir::kOutput && p.net.valid() && p.net != out) {
       extra.push_back(p.net);
     }

@@ -126,17 +126,17 @@ BoundModule::BoundModule(const netlist::Module& module,
     pin_base_[cid.index()] = static_cast<std::uint32_t>(pin_net_.size());
     if (t < 0) {
       ++unbound_;
-      slot_pin_.insert(slot_pin_.end(), cell.pins.size(), std::int16_t{-1});
+      slot_pin_.insert(slot_pin_.end(), cell.pin_count, std::int16_t{-1});
       return;
     }
     const TypeNameIds& ids = type_names[static_cast<std::size_t>(t)];
     const std::size_t n_lib = ids.pins.size();
-    pin_net_.insert(pin_net_.end(), n_lib, netlist::NetId{});
+    pin_net_.resize(pin_net_.size() + n_lib);  // NetId{} = unconnected
     const std::size_t pin_base = pin_base_[cid.index()];
     // First slot wins per library pin, matching Module::pinNet's
     // first-match semantics on (malformed) duplicate pin connections.
     claimed.assign(n_lib, false);
-    for (const netlist::PinConn& pc : cell.pins) {
+    for (const netlist::PinConn& pc : module.pins(cid)) {
       std::int16_t match = -1;
       for (std::size_t j = 0; j < n_lib; ++j) {
         if (ids.pins[j] == pc.name) {
@@ -155,9 +155,8 @@ BoundModule::BoundModule(const netlist::Module& module,
   // Net loads: wire cap per sink plus bound input-pin capacitances.
   net_load_.assign(module.netCapacity(), 0.0);
   module.forEachNet([&](netlist::NetId id) {
-    const netlist::Net& n = module.net(id);
     double load = 0.0;
-    for (const netlist::TermRef& s : n.sinks) {
+    for (const netlist::TermRef& s : module.sinks(id)) {
       load += lib.default_wire_cap;
       if (!s.isCellPin()) continue;
       const LibPin* lp = libPinOfSlot(s.cell(), s.pin);

@@ -50,7 +50,7 @@ std::string writeBlif(const Module& module) {
   module.forEachCell([&](CellId id) {
     const Cell& c = module.cell(id);
     out << ".subckt " << blifName(names.str(c.type));
-    for (const PinConn& pin : c.pins) {
+    for (const PinConn& pin : module.pins(id)) {
       if (!pin.net.valid()) continue;
       out << " " << names.str(pin.name) << "="
           << blifName(module.netName(pin.net));

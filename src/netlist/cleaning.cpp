@@ -13,13 +13,13 @@ struct InOut {
 };
 
 InOut resolvePins(const Module& m, CellId id, const CleaningRules& rules) {
-  const Cell& c = m.cell(id);
+  const std::span<const PinConn> pins = m.pins(id);
   std::string type(m.cellType(id));
   InOut io;
   std::string in_name = rules.input_pin ? rules.input_pin(type) : "";
   std::string out_name = rules.output_pin ? rules.output_pin(type) : "";
-  for (std::size_t i = 0; i < c.pins.size(); ++i) {
-    const PinConn& p = c.pins[i];
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const PinConn& p = pins[i];
     std::string_view pname = m.design().names().str(p.name);
     if (p.dir == PortDir::kInput) {
       if (io.in == Module::npos && (in_name.empty() || pname == in_name)) {
@@ -44,8 +44,8 @@ CleaningStats cleanLogic(Module& module, const CleaningRules& rules) {
     if (!rules.is_buffer || !rules.is_buffer(module.cellType(id))) continue;
     InOut io = resolvePins(module, id, rules);
     if (io.in == Module::npos || io.out == Module::npos) continue;
-    NetId in_net = module.cell(id).pins[io.in].net;
-    NetId out_net = module.cell(id).pins[io.out].net;
+    NetId in_net = module.pins(id)[io.in].net;
+    NetId out_net = module.pins(id)[io.out].net;
     module.removeCell(id);
     if (out_net.valid() && in_net.valid()) {
       module.mergeNetInto(out_net, in_net);
@@ -65,7 +65,7 @@ CleaningStats cleanLogic(Module& module, const CleaningRules& rules) {
       }
       InOut b_io = resolvePins(module, b_id, rules);
       if (b_io.in == Module::npos || b_io.out == Module::npos) continue;
-      NetId mid = module.cell(b_id).pins[b_io.in].net;
+      NetId mid = module.pins(b_id)[b_io.in].net;
       if (!mid.valid()) continue;
       const TermRef drv = module.net(mid).driver;
       if (!drv.isCellPin()) continue;
@@ -74,13 +74,13 @@ CleaningStats cleanLogic(Module& module, const CleaningRules& rules) {
       if (!rules.is_inverter(module.cellType(a_id))) continue;
       InOut a_io = resolvePins(module, a_id, rules);
       if (a_io.in == Module::npos) continue;
-      NetId src = module.cell(a_id).pins[a_io.in].net;
-      NetId b_out = module.cell(b_id).pins[b_io.out].net;
+      NetId src = module.pins(a_id)[a_io.in].net;
+      NetId b_out = module.pins(b_id)[b_io.out].net;
       if (!src.valid() || !b_out.valid()) continue;
       module.removeCell(b_id);
       module.mergeNetInto(b_out, src);
       // Drop A too when nothing else consumes the intermediate net.
-      if (module.net(mid).sinks.empty()) {
+      if (module.sinks(mid).empty()) {
         module.removeCell(a_id);
         module.removeNet(mid);
       }

@@ -18,8 +18,7 @@ void expandInstance(Module& top, CellId inst, const Module& sub) {
   // instance pin.
   std::unordered_map<NameId, NetId> port_to_outer;
   {
-    const Cell& c = top.cell(inst);
-    for (const PinConn& pin : c.pins) {
+    for (const PinConn& pin : top.pins(inst)) {
       if (pin.net.valid()) port_to_outer.emplace(pin.name, pin.net);
     }
   }
@@ -62,8 +61,8 @@ void expandInstance(Module& top, CellId inst, const Module& sub) {
   sub.forEachCell([&](CellId cid) {
     const Cell& c = sub.cell(cid);
     std::vector<Module::PinInit> pins;
-    pins.reserve(c.pins.size());
-    for (const PinConn& pin : c.pins) {
+    pins.reserve(c.pin_count);
+    for (const PinConn& pin : sub.pins(cid)) {
       NetId mapped;
       if (pin.net.valid()) mapped = net_map.at(pin.net.value);
       pins.push_back(Module::PinInit{std::string(names.str(pin.name)),
@@ -117,8 +116,8 @@ Module& cloneModule(Design& dst, const Module& src) {
   src.forEachCell([&](CellId cid) {
     const Cell& c = src.cell(cid);
     std::vector<Module::PinInit> pins;
-    pins.reserve(c.pins.size());
-    for (const PinConn& pin : c.pins) {
+    pins.reserve(c.pin_count);
+    for (const PinConn& pin : src.pins(cid)) {
       NetId mapped;
       if (pin.net.valid()) mapped = net_map.at(pin.net.value);
       pins.push_back(
@@ -148,16 +147,10 @@ Module& snapshotModule(Design& dst, Module& src) {
     return cloneModule(dst, src);
   }
   // Sharing the append-only table keeps every NameId valid in `dst`, so
-  // the raw arrays (which reference names by id) are adopted unchanged.
+  // the flat arrays (which reference names by id) are copied unchanged.
   dst.shareNames(src.design());
   Module& out = dst.addModule(src.name());
-  Module::RawState state;
-  state.nets = src.rawNets();
-  state.cells = src.rawCells();
-  state.ports = src.ports();
-  state.const_nets[0] = src.constNetRaw(false);
-  state.const_nets[1] = src.constNetRaw(true);
-  out.restoreRawState(std::move(state));
+  out.copyContentFrom(src);
   return out;
 }
 

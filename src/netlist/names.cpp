@@ -37,7 +37,9 @@ std::size_t NameTable::probe(std::string_view s, std::uint32_t hash) const {
 }
 
 NameId NameTable::intern(std::string_view s) {
-  if (2 * (strings_.size() + 1) > slots_.size()) grow();
+  if (2 * (strings_.size() + 1) > slots_.size()) {
+    rehash(std::max(kMinSlots, 2 * slots_.size()));
+  }
   const std::uint32_t hash = hashName(s);
   Slot& slot = slots_[probe(s, hash)];
   if (slot.id == kEmpty) {
@@ -89,9 +91,16 @@ std::string_view NameTable::store(std::string_view s) {
   return {at, s.size()};
 }
 
-void NameTable::grow() {
+void NameTable::reserve(std::size_t n) {
+  std::size_t slots = kMinSlots;
+  while (slots < 2 * (n + 1)) slots *= 2;
+  if (slots > slots_.size()) rehash(slots);
+  strings_.reserve(n);
+}
+
+void NameTable::rehash(std::size_t slots) {
   std::vector<Slot> old = std::move(slots_);
-  slots_.assign(std::max(kMinSlots, 2 * old.size()), Slot{0, kEmpty});
+  slots_.assign(slots, Slot{0, kEmpty});
   const std::size_t mask = slots_.size() - 1;
   for (const Slot& slot : old) {
     if (slot.id == kEmpty) continue;

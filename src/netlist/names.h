@@ -37,6 +37,10 @@ class NameTable {
 
   [[nodiscard]] std::size_t size() const { return strings_.size(); }
 
+  /// Sizes the index for `n` names in all, so interning up to that many
+  /// never rehashes.
+  void reserve(std::size_t n);
+
   /// Produces a name not yet present in the table by appending a numeric
   /// suffix to `base` if needed, and interns it.
   NameId makeUnique(std::string_view base);
@@ -51,7 +55,7 @@ class NameTable {
   /// Index of the slot holding `s`, or of the free slot where it belongs.
   [[nodiscard]] std::size_t probe(std::string_view s, std::uint32_t hash) const;
   std::string_view store(std::string_view s);
-  void grow();
+  void rehash(std::size_t slots);
 
   std::vector<std::unique_ptr<char[]>> blocks_;
   char* cursor_ = nullptr;  // free bytes of the newest block

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace desync::netlist {
@@ -68,18 +69,18 @@ void Module::removeNet(NetId id) {
   Net& n = net(id);
   // Detach any remaining terminals.
   if (n.driver.isCellPin()) {
-    cells_.at(n.driver.index).pins.at(n.driver.pin).net = NetId{};
+    pinAt(n.driver.cell(), n.driver.pin).net = NetId{};
   } else if (n.driver.isPort()) {
     ports_.at(n.driver.index).net = NetId{};
   }
-  for (const TermRef& t : n.sinks) {
+  for (const TermRef& t : sinks(id)) {
     if (t.isCellPin()) {
-      cells_.at(t.index).pins.at(t.pin).net = NetId{};
+      pinAt(t.cell(), t.pin).net = NetId{};
     } else if (t.isPort()) {
       ports_.at(t.index).net = NetId{};
     }
   }
-  n.sinks.clear();
+  n.sinks = SinkSegment{};  // the slots stay behind as pool garbage
   n.driver = TermRef{};
   n.valid = false;
   net_by_name_.erase(n.name);
@@ -88,10 +89,11 @@ void Module::removeNet(NetId id) {
 
 void Module::mergeNetInto(NetId from, NetId to) {
   if (from == to) return;
-  Net& src = net(from);
-  // Re-point every sink of `from` to `to`.
-  std::vector<TermRef> sinks = src.sinks;  // copy: attachTerm mutates lists
-  for (const TermRef& t : sinks) {
+  // Re-point every sink of `from` to `to`, from a copy: the attaches below
+  // grow the pool.
+  const std::span<const TermRef> live = sinks(from);
+  const std::vector<TermRef> moved(live.begin(), live.end());
+  for (const TermRef& t : moved) {
     if (t.isCellPin()) {
       connectPin(t.cell(), t.pin, to);
     } else if (t.isPort()) {
@@ -108,16 +110,8 @@ void Module::mergeNetInto(NetId from, NetId to) {
   removeNet(from);
 }
 
-Net& Module::net(NetId id) {
-  Net& n = nets_.at(id.index());
-  if (!n.valid) fail("access to removed net");
-  return n;
-}
-
-const Net& Module::net(NetId id) const {
-  const Net& n = nets_.at(id.index());
-  if (!n.valid) fail("access to removed net");
-  return n;
+void Module::removedAccess(const char* what) {
+  fail(std::string("access to removed ") + what);
 }
 
 std::string_view Module::netName(NetId id) const {
@@ -133,18 +127,20 @@ CellId Module::addCell(NameId name, NameId type,
   Cell& c = cells_.emplace_back();
   c.name = name;
   c.type = type;
-  c.pins.assign(pins.begin(), pins.end());
+  c.pin_begin = static_cast<std::uint32_t>(pin_pool_.size());
+  c.pin_count = static_cast<std::uint32_t>(pins.size());
   ++live_cells_;
   // Each pin is connected once it is attached, so a failed attach (a
   // second driver) leaves no pin pointing at a net that does not list it.
+  const std::uint32_t base = c.pin_begin;
+  for (const PinConn& p : pins) pin_pool_.push_back({p.name, p.dir, NetId{}});
   for (std::size_t i = 0; i < pins.size(); ++i) {
-    c.pins[i].net = NetId{};
     if (!pins[i].net.valid()) continue;
     attachTerm(pins[i].net,
                TermRef{TermKind::kCellPin, id.value,
                        static_cast<std::uint16_t>(i)},
                pins[i].dir);
-    c.pins[i].net = pins[i].net;
+    pin_pool_[base + i].net = pins[i].net;
   }
   return id;
 }
@@ -168,9 +164,7 @@ CellId Module::findCell(std::string_view name) const {
 
 void Module::removeCell(CellId id) {
   Cell& c = cell(id);
-  for (std::size_t i = 0; i < c.pins.size(); ++i) {
-    if (c.pins[i].net.valid()) disconnectPin(id, i);
-  }
+  for (std::size_t i = 0; i < c.pin_count; ++i) disconnectPin(id, i);
   c.valid = false;
   cell_by_name_.erase(c.name);
   --live_cells_;
@@ -193,35 +187,48 @@ void Module::removeCells(const std::vector<CellId>& ids) {
     if (n.driver.isCellPin() && !cells_[n.driver.cell().index()].valid) {
       n.driver = TermRef{};
     }
-    std::erase_if(n.sinks, [&](const TermRef& t) {
-      return t.isCellPin() && !cells_[t.cell().index()].valid;
-    });
+    TermRef* const first = sink_pool_.data() + n.sinks.begin;
+    TermRef* const last = std::remove_if(
+        first, first + n.sinks.count, [&](const TermRef& t) {
+          return t.isCellPin() && !cells_[t.cell().index()].valid;
+        });
+    n.sinks.count = static_cast<std::uint32_t>(last - first);
   });
   for (CellId id : ids) {
-    for (PinConn& pin : cells_[id.index()].pins) pin.net = NetId{};
+    const Cell& c = cells_[id.index()];
+    for (std::uint32_t i = 0; i < c.pin_count; ++i) {
+      pin_pool_[c.pin_begin + i].net = NetId{};
+    }
   }
 }
 
 void Module::redistributeSinks(NetId from, const std::vector<NetId>& assign) {
-  std::vector<TermRef> kept;
-  kept.reserve(net(from).sinks.size());
-  const std::vector<TermRef>& sinks = net(from).sinks;
-  for (std::size_t i = 0; i < sinks.size(); ++i) {
-    const TermRef t = sinks[i];
+  // The kept sinks are compacted in place: `from`'s segment never moves
+  // (nothing is appended to it), and pool indices survive the pushes below
+  // reallocating the pool.
+  const SinkSegment seg = net(from).sinks;
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < seg.count; ++i) {
+    const TermRef t = sink_pool_[seg.begin + i];
     const NetId to = i < assign.size() ? assign[i] : NetId{};
-    if (!to.valid() || !t.isCellPin()) {
-      kept.push_back(t);
+    if (!to.valid() || to == from || !t.isCellPin()) {
+      sink_pool_[seg.begin + kept++] = t;
       continue;
     }
-    cells_.at(t.cell().index()).pins.at(t.pin).net = to;
-    net(to).sinks.push_back(t);
+    pinAt(t.cell(), t.pin).net = to;
+    pushSink(net(to).sinks, t);
   }
-  net(from).sinks = std::move(kept);
+  nets_[from.index()].sinks.count = kept;
+}
+
+PinConn& Module::pinAt(CellId cell_id, std::size_t pin_index) {
+  const Cell& c = cell(cell_id);
+  if (pin_index >= c.pin_count) fail("pin index out of range");
+  return pin_pool_[c.pin_begin + pin_index];
 }
 
 void Module::connectPin(CellId cell_id, std::size_t pin_index, NetId net_id) {
-  Cell& c = cell(cell_id);
-  PinConn& pin = c.pins.at(pin_index);
+  PinConn& pin = pinAt(cell_id, pin_index);
   if (pin.net.valid()) disconnectPin(cell_id, pin_index);
   (void)net(net_id);  // validate
   pin.net = net_id;
@@ -231,8 +238,7 @@ void Module::connectPin(CellId cell_id, std::size_t pin_index, NetId net_id) {
 }
 
 void Module::disconnectPin(CellId cell_id, std::size_t pin_index) {
-  Cell& c = cell(cell_id);
-  PinConn& pin = c.pins.at(pin_index);
+  PinConn& pin = pinAt(cell_id, pin_index);
   if (!pin.net.valid()) return;
   TermRef term{TermKind::kCellPin, cell_id.value,
                static_cast<std::uint16_t>(pin_index)};
@@ -241,30 +247,18 @@ void Module::disconnectPin(CellId cell_id, std::size_t pin_index) {
 }
 
 std::size_t Module::findPin(CellId cell_id, std::string_view pin) const {
-  const Cell& c = cell(cell_id);
+  const std::span<const PinConn> ps = pins(cell_id);
   NameId nid = names().find(pin);
   if (!nid.valid()) return npos;
-  for (std::size_t i = 0; i < c.pins.size(); ++i) {
-    if (c.pins[i].name == nid) return i;
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    if (ps[i].name == nid) return i;
   }
   return npos;
 }
 
 NetId Module::pinNet(CellId cell_id, std::string_view pin) const {
   std::size_t idx = findPin(cell_id, pin);
-  return idx == npos ? NetId{} : cell(cell_id).pins[idx].net;
-}
-
-Cell& Module::cell(CellId id) {
-  Cell& c = cells_.at(id.index());
-  if (!c.valid) fail("access to removed cell");
-  return c;
-}
-
-const Cell& Module::cell(CellId id) const {
-  const Cell& c = cells_.at(id.index());
-  if (!c.valid) fail("access to removed cell");
-  return c;
+  return idx == npos ? NetId{} : pins(cell_id)[idx].net;
 }
 
 std::string_view Module::cellName(CellId id) const {
@@ -273,6 +267,15 @@ std::string_view Module::cellName(CellId id) const {
 
 std::string_view Module::cellType(CellId id) const {
   return names().str(cell(id).type);
+}
+
+void Module::reserve(std::size_t cells, std::size_t nets, std::size_t pins) {
+  cells_.reserve(cells);
+  nets_.reserve(nets);
+  pin_pool_.reserve(pins);
+  // Segments that fill move to the pool's end, leaving their old slots
+  // behind: twice the sinks is the usual high-water mark.
+  sink_pool_.reserve(2 * pins);
 }
 
 void Module::renameCell(CellId id, std::string_view new_name) {
@@ -341,8 +344,25 @@ void Module::attachTerm(NetId net_id, TermRef term, PortDir dir) {
     }
     n.driver = term;
   } else {
-    n.sinks.push_back(term);
+    pushSink(n.sinks, term);
   }
+}
+
+void Module::pushSink(SinkSegment& seg, TermRef term) {
+  if (seg.count == seg.capacity) {
+    const auto end = static_cast<std::uint32_t>(sink_pool_.size());
+    if (seg.capacity != 0 && seg.begin + seg.capacity == end) {
+      // Already the pool's tail: doubling in place is the same move.
+      sink_pool_.resize(end + seg.capacity);
+    } else {
+      sink_pool_.resize(end + std::max<std::uint32_t>(2 * seg.capacity, 1));
+      std::copy_n(sink_pool_.begin() + seg.begin, seg.count,
+                  sink_pool_.begin() + end);
+      seg.begin = end;
+    }
+    seg.capacity = std::max<std::uint32_t>(2 * seg.capacity, 1);
+  }
+  sink_pool_[seg.begin + seg.count++] = term;
 }
 
 void Module::detachTerm(NetId net_id, TermRef term, PortDir dir) {
@@ -352,56 +372,75 @@ void Module::detachTerm(NetId net_id, TermRef term, PortDir dir) {
     n.driver = TermRef{};
     return;
   }
-  auto it = std::find(n.sinks.begin(), n.sinks.end(), term);
-  if (it != n.sinks.end()) {
-    n.sinks.erase(it);
+  TermRef* const first = sink_pool_.data() + n.sinks.begin;
+  TermRef* const last = first + n.sinks.count;
+  TermRef* const it = std::find(first, last, term);
+  if (it != last) {
+    std::copy(it + 1, last, it);
+    --n.sinks.count;
   }
 }
 
-void Module::restoreRawState(RawState state) {
-  nets_ = std::move(state.nets);
-  cells_ = std::move(state.cells);
-  ports_ = std::move(state.ports);
-  const_net_[0] = state.const_nets[0];
-  const_net_[1] = state.const_nets[1];
-
-  net_by_name_.clear();
-  cell_by_name_.clear();
-  port_by_name_.clear();
-  live_nets_ = 0;
-  live_cells_ = 0;
-  for (std::uint32_t i = 0; i < nets_.size(); ++i) {
-    if (!nets_[i].valid) continue;
-    if (!net_by_name_.insert(nets_[i].name, i)) {
-      fail("restoreRawState: duplicate net name: " +
-           std::string(names().str(nets_[i].name)));
-    }
-    ++live_nets_;
+void Module::copyContentFrom(const Module& src) {
+  if (&src.names() != &names()) {
+    fail("copyContentFrom across different name tables");
   }
-  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
-    if (!cells_[i].valid) continue;
-    if (!cell_by_name_.insert(cells_[i].name, i)) {
-      fail("restoreRawState: duplicate cell name: " +
-           std::string(names().str(cells_[i].name)));
-    }
-    ++live_cells_;
-  }
-  for (std::uint32_t i = 0; i < ports_.size(); ++i) {
-    if (!port_by_name_.insert(ports_[i].name, i)) {
-      fail("restoreRawState: duplicate port name: " +
-           std::string(names().str(ports_[i].name)));
-    }
-  }
+  nets_ = src.nets_;
+  cells_ = src.cells_;
+  ports_ = src.ports_;
+  pin_pool_ = src.pin_pool_;
+  sink_pool_ = src.sink_pool_;
+  net_by_name_ = src.net_by_name_;
+  cell_by_name_ = src.cell_by_name_;
+  port_by_name_ = src.port_by_name_;
+  live_nets_ = src.live_nets_;
+  live_cells_ = src.live_cells_;
+  const_net_[0] = src.const_net_[0];
+  const_net_[1] = src.const_net_[1];
 }
 
 std::vector<std::string> Module::checkInvariants() const {
   std::vector<std::string> problems;
   auto report = [&](const std::string& s) { problems.push_back(s); };
 
+  // Pool ranges first: the cross-link checks below index through them.
+  auto pinsInPool = [&](const Cell& c) {
+    return std::uint64_t{c.pin_begin} + c.pin_count <= pin_pool_.size();
+  };
+  auto segmentInPool = [&](const SinkSegment& s) {
+    return s.count <= s.capacity &&
+           std::uint64_t{s.begin} + s.capacity <= sink_pool_.size();
+  };
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> segments;
+  forEachCell([&](CellId cid) {
+    if (!pinsInPool(cells_[cid.index()])) {
+      report("cell " + std::string(names().str(cells_[cid.index()].name)) +
+             " pins outside the pin pool");
+    }
+  });
+  forEachNet([&](NetId nid) {
+    const Net& n = nets_[nid.index()];
+    if (!segmentInPool(n.sinks)) {
+      report("net " + std::string(names().str(n.name)) +
+             " sink segment outside the sink pool");
+    } else if (n.sinks.capacity != 0) {
+      segments.emplace_back(n.sinks.begin, n.sinks.begin + n.sinks.capacity);
+    }
+  });
+  std::sort(segments.begin(), segments.end());
+  for (std::size_t i = 1; i < segments.size(); ++i) {
+    if (segments[i].first < segments[i - 1].second) {
+      report("sink segments overlap at pool slot " +
+             std::to_string(segments[i].first));
+    }
+  }
+  if (!problems.empty()) return problems;
+
   forEachCell([&](CellId cid) {
     const Cell& c = cells_[cid.index()];
-    for (std::size_t p = 0; p < c.pins.size(); ++p) {
-      const PinConn& pin = c.pins[p];
+    const std::span<const PinConn> cell_pins = pins(cid);
+    for (std::size_t p = 0; p < cell_pins.size(); ++p) {
+      const PinConn& pin = cell_pins[p];
       if (!pin.net.valid()) continue;
       if (pin.net.index() >= nets_.size() || !nets_[pin.net.index()].valid) {
         report("cell " + std::string(names().str(c.name)) +
@@ -418,8 +457,9 @@ std::vector<std::string> Module::checkInvariants() const {
                  std::string(names().str(n.name)));
         }
       } else {
-        if (std::find(n.sinks.begin(), n.sinks.end(), expect) ==
-            n.sinks.end()) {
+        const std::span<const TermRef> net_sinks = sinks(pin.net);
+        if (std::find(net_sinks.begin(), net_sinks.end(), expect) ==
+            net_sinks.end()) {
           report("input pin of " + std::string(names().str(c.name)) +
                  " not registered as sink of " +
                  std::string(names().str(n.name)));
@@ -438,13 +478,13 @@ std::vector<std::string> Module::checkInvariants() const {
                  " references dead cell");
           return;
         }
-        const Cell& c = cells_[t.index];
-        if (t.pin >= c.pins.size() || !(c.pins[t.pin].net == nid)) {
+        const std::span<const PinConn> cell_pins = pins(t.cell());
+        if (t.pin >= cell_pins.size() || !(cell_pins[t.pin].net == nid)) {
           report("net " + std::string(names().str(n.name)) +
                  " terminal not mirrored on cell pin");
           return;
         }
-        const bool pin_drives = c.pins[t.pin].dir != PortDir::kInput;
+        const bool pin_drives = cell_pins[t.pin].dir != PortDir::kInput;
         if (pin_drives != as_driver) {
           report("net " + std::string(names().str(n.name)) +
                  " direction mismatch with cell pin");
@@ -457,7 +497,7 @@ std::vector<std::string> Module::checkInvariants() const {
       }
     };
     checkTerm(n.driver, /*as_driver=*/true);
-    for (const TermRef& t : n.sinks) checkTerm(t, /*as_driver=*/false);
+    for (const TermRef& t : sinks(nid)) checkTerm(t, /*as_driver=*/false);
   });
 
   return problems;

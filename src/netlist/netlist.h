@@ -10,6 +10,14 @@
 // knows its driver and sinks, every cell pin knows its net.  All mutation
 // goes through Module member functions which keep the two views consistent;
 // checkInvariants() verifies the cross-links after algorithmic passes.
+//
+// Connectivity is stored flat: a Module keeps every cell pin in one
+// module-wide pin pool and every net sink in one module-wide sink pool, so
+// nothing is allocated per cell or per net.  A cell owns a fixed range of
+// the pin pool; a net owns a segment of the sink pool that moves to the end
+// of the pool with doubled capacity when it fills.  Reads go through
+// Module::pins(CellId) and Module::sinks(NetId); the spans they return are
+// invalidated by the next mutation of the module.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "netlist/ids.h"
@@ -81,14 +90,29 @@ struct PinConn {
   NetId net;                   ///< invalid when the pin is left unconnected
 };
 
-/// A cell instance.
+/// A cell instance.  Its pins are the range [pin_begin, pin_begin +
+/// pin_count) of the module's pin pool, read through Module::pins; the
+/// count is fixed when the cell is added.
 struct Cell {
   NameId name;
   NameId type;              ///< library cell or module name
-  std::vector<PinConn> pins;
+  std::uint32_t pin_begin = 0;
+  std::uint32_t pin_count = 0;
   bool valid = true;        ///< false once removed (slot tombstoned)
   bool size_only = false;   ///< SDC set_size_only: resizing allowed, no resynthesis
   bool dont_touch = false;  ///< excluded from optimization passes
+};
+
+/// A net's segment of the module's sink pool: its sinks are the range
+/// [begin, begin + size()) of the pool, read through Module::sinks, and
+/// `capacity` slots from `begin` are reserved for it.
+struct SinkSegment {
+  std::uint32_t begin = 0;
+  std::uint32_t count = 0;
+  std::uint32_t capacity = 0;
+
+  [[nodiscard]] std::size_t size() const { return count; }
+  [[nodiscard]] bool empty() const { return count == 0; }
 };
 
 /// A net (single scalar wire).
@@ -96,7 +120,7 @@ struct Net {
   NameId name;
   BusRef bus;                  ///< bus membership, if any
   TermRef driver;              ///< kNone when undriven
-  std::vector<TermRef> sinks;  ///< input cell pins and output ports
+  SinkSegment sinks;           ///< input cell pins and output ports
   bool valid = true;
   bool false_path = false;  ///< user-marked: ignored by grouping (thesis §3.2.2)
 };
@@ -148,8 +172,21 @@ class Module {
   /// `from` (if any) is disconnected.  Used by buffer-removal cleaning.
   void mergeNetInto(NetId from, NetId to);
 
-  [[nodiscard]] Net& net(NetId id);
-  [[nodiscard]] const Net& net(NetId id) const;
+  /// A live net; throws NetlistError on a removed one.
+  [[nodiscard]] Net& net(NetId id) {
+    return const_cast<Net&>(std::as_const(*this).net(id));
+  }
+  [[nodiscard]] const Net& net(NetId id) const {
+    const Net& n = nets_.at(id.index());
+    if (!n.valid) removedAccess("net");
+    return n;
+  }
+  /// Sinks of a live net, in attach order (an erase keeps the others'
+  /// order).  Invalidated by the next mutation of the module.
+  [[nodiscard]] std::span<const TermRef> sinks(NetId id) const {
+    const SinkSegment& s = net(id).sinks;
+    return {sink_pool_.data() + s.begin, s.count};
+  }
   [[nodiscard]] std::string_view netName(NetId id) const;
   [[nodiscard]] std::size_t numNets() const { return live_nets_; }
   [[nodiscard]] std::uint32_t netCapacity() const {
@@ -173,7 +210,8 @@ class Module {
   CellId addCell(std::string_view name, std::string_view type,
                  const std::vector<PinInit>& pins);
   /// Same over interned names: `pins` gives each pin's name, direction and
-  /// net (invalid = unconnected).
+  /// net (invalid = unconnected).  `pins` must not view this module's own
+  /// pin pool (copy a pins() span first).
   CellId addCell(NameId name, NameId type, std::span<const PinConn> pins);
   [[nodiscard]] CellId findCell(std::string_view name) const;
   /// Disconnects and tombstones the cell.
@@ -186,8 +224,8 @@ class Module {
   void removeCells(const std::vector<CellId>& ids);
   /// Re-homes cell-pin sinks of `from` in one pass: sink i moves to
   /// `assign[i]` when that id is valid (the pin is rewired and appended to
-  /// the target net's sinks in index order); invalid ids, ports and the
-  /// driver stay put.  `assign` is indexed by `from`'s current sink order.
+  /// the target net's sinks in index order); invalid ids, `from` itself,
+  /// ports and the driver stay put.  `assign` is indexed by `from`'s current sink order.
   /// Equivalent to connectPin per moved sink but O(sinks) total.
   void redistributeSinks(NetId from, const std::vector<NetId>& assign);
 
@@ -202,8 +240,21 @@ class Module {
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  [[nodiscard]] Cell& cell(CellId id);
-  [[nodiscard]] const Cell& cell(CellId id) const;
+  /// A live cell; throws NetlistError on a removed one.
+  [[nodiscard]] Cell& cell(CellId id) {
+    return const_cast<Cell&>(std::as_const(*this).cell(id));
+  }
+  [[nodiscard]] const Cell& cell(CellId id) const {
+    const Cell& c = cells_.at(id.index());
+    if (!c.valid) removedAccess("cell");
+    return c;
+  }
+  /// Pins of a live cell, in the order addCell was given them.
+  /// Invalidated by the next mutation of the module.
+  [[nodiscard]] std::span<const PinConn> pins(CellId id) const {
+    const Cell& c = cell(id);
+    return {pin_pool_.data() + c.pin_begin, c.pin_count};
+  }
   /// True when the id refers to a live (not removed) cell.
   [[nodiscard]] bool isLiveCell(CellId id) const {
     return id.valid() && id.index() < cells_.size() &&
@@ -215,6 +266,11 @@ class Module {
   [[nodiscard]] std::uint32_t cellCapacity() const {
     return static_cast<std::uint32_t>(cells_.size());
   }
+
+  /// Capacity hint for bulk construction (the Verilog reader): room for
+  /// `cells` cells, `nets` nets and `pins` cell pins, so the arrays and
+  /// pools do not regrow on the way there.
+  void reserve(std::size_t cells, std::size_t nets, std::size_t pins);
 
   /// Renames an existing cell (new name must be unused).
   void renameCell(CellId id, std::string_view new_name);
@@ -252,38 +308,20 @@ class Module {
     }
   }
 
-  // --- snapshot support (src/flowdb) ----------------------------------
+  // --- snapshot support ----------------------------------------------
   //
-  // FlowDB snapshots must reproduce a module *slot-exactly*: NetId/CellId
-  // are positional, so serialized pass state (region membership, enable
-  // nets, ...) stays valid across a save/restore only if tombstoned slots
-  // are preserved too.  rawNets()/rawCells() expose the full slot arrays
-  // (ports() already does); restoreRawState() replaces the module content
-  // wholesale and rebuilds the name indices and live counts.
+  // A snapshot must reproduce a module *slot-exactly*: NetId/CellId are
+  // positional, so state computed on one copy (region membership, enable
+  // nets, ...) stays valid on the other only if tombstoned slots are
+  // preserved too.
 
-  /// Full net slot array, tombstones included (read-only; for snapshots).
+  /// Full net slot array, tombstones included (read-only).
   [[nodiscard]] const std::vector<Net>& rawNets() const { return nets_; }
-  /// Full cell slot array, tombstones included.
-  [[nodiscard]] const std::vector<Cell>& rawCells() const { return cells_; }
-  /// The lazily-created constant net slot (invalid when never requested);
-  /// cached outside the net array, so snapshots persist it explicitly.
-  [[nodiscard]] NetId constNetRaw(bool value) const {
-    return const_net_[value ? 1 : 0];
-  }
 
-  /// Complete module content for restoreRawState.
-  struct RawState {
-    std::vector<Net> nets;
-    std::vector<Cell> cells;
-    std::vector<Port> ports;
-    NetId const_nets[2];
-  };
-
-  /// Replaces the module's entire content with `state` (slot arrays are
-  /// adopted as-is, preserving ids), rebuilds the by-name lookup maps and
-  /// live counts.  All NameIds in `state` must belong to this design's
-  /// NameTable.  Throws NetlistError on duplicate live names.
-  void restoreRawState(RawState state);
+  /// Makes this module a slot-exact copy of `src`: cells, nets, ports, the
+  /// pin and sink pools, the by-name indices and the constant nets.  Both
+  /// modules must resolve names through the same NameTable.
+  void copyContentFrom(const Module& src);
 
   // --- validation -----------------------------------------------------
 
@@ -293,8 +331,13 @@ class Module {
   [[nodiscard]] std::vector<std::string> checkInvariants() const;
 
  private:
+  [[noreturn]] static void removedAccess(const char* what);
   void attachTerm(NetId net, TermRef term, PortDir dir);
   void detachTerm(NetId net, TermRef term, PortDir dir);
+  /// Appends `term` to the net's sink segment, moving a full segment to the
+  /// end of the pool with doubled capacity.
+  void pushSink(SinkSegment& seg, TermRef term);
+  [[nodiscard]] PinConn& pinAt(CellId cell, std::size_t pin_index);
   [[nodiscard]] NameTable& names();
   [[nodiscard]] const NameTable& names() const;
 
@@ -303,6 +346,8 @@ class Module {
   std::vector<Net> nets_;
   std::vector<Cell> cells_;
   std::vector<Port> ports_;
+  std::vector<PinConn> pin_pool_;   // every cell's pins, see Cell
+  std::vector<TermRef> sink_pool_;  // every net's sinks, see SinkSegment
   NameIndex net_by_name_;
   NameIndex cell_by_name_;
   NameIndex port_by_name_;

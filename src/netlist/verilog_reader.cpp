@@ -257,9 +257,19 @@ class Parser {
  public:
   Parser(Design& design, std::string_view src, const CellTypeProvider& types,
          const VerilogReadOptions& options)
-      : design_(design), lex_(src), types_(types), options_(options) {}
+      : design_(design),
+        lex_(src),
+        types_(types),
+        options_(options),
+        // Capacity hints: a statement declares about one name (a net or an
+        // instance), and a named connection starts with '.'.
+        statements_(static_cast<std::size_t>(
+            std::count(src.begin(), src.end(), ';'))),
+        connections_(static_cast<std::size_t>(
+            std::count(src.begin(), src.end(), '.'))) {}
 
   void parseFile() {
+    names().reserve(names().size() + statements_);
     while (lex_.peek().kind != TokKind::kEof) {
       expectKeyword(Kw::kModule, "module");
       parseModule();
@@ -579,6 +589,7 @@ class Parser {
   void parseModule() {
     Token name = expect(TokKind::kIdent, "module name");
     module_ = &design_.addModule(name.text);
+    module_->reserve(statements_, statements_, connections_);
     last_module_ = name.text;
     ++module_seq_;
     bus_decls_.clear();
@@ -955,6 +966,8 @@ class Parser {
   Lexer lex_;
   const CellTypeProvider& types_;
   VerilogReadOptions options_;
+  std::size_t statements_;   // ';' in the source
+  std::size_t connections_;  // '.' in the source
 
   Module* module_ = nullptr;
   std::string last_module_;

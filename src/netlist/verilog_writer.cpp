@@ -37,7 +37,7 @@ void appendInt(std::string& out, std::int32_t v) {
 /// Estimated text size of a module, so the output is reserved once.
 std::size_t sizeHint(const Module& m) {
   std::size_t pins = 0;
-  m.forEachCell([&](CellId id) { pins += m.cell(id).pins.size(); });
+  m.forEachCell([&](CellId id) { pins += m.cell(id).pin_count; });
   return 40 * m.numCells() + 20 * pins + 24 * m.numNets() +
          40 * m.numPorts() + 64;
 }
@@ -112,7 +112,7 @@ class Writer {
       const Net& n = nets[i];
       if (!n.valid) continue;
       if (n.bus.valid() && contiguousBus(n.bus.bus) != NameIndex::kNone) {
-        refs_ += names_.str(n.bus.bus);
+        appendName(refs_, names_.str(n.bus.bus));
         refs_ += '[';
         appendInt(refs_, n.bus.bit);
         refs_ += ']';
@@ -254,7 +254,7 @@ class Writer {
       appendName(out_, names_.str(c.name));
       out_ += " (";
       bool first = true;
-      for (const PinConn& pin : c.pins) {
+      for (const PinConn& pin : m_.pins(id)) {
         out_ += first ? "." : ", .";
         first = false;
         out_ += names_.str(pin.name);

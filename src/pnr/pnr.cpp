@@ -50,11 +50,9 @@ std::size_t runCts(Module& module, const PnrOptions& options) {
     while (!work.empty()) {
       NetId net = work.front();
       work.pop_front();
-      const netlist::Net& n = module.net(net);
-      if (static_cast<int>(n.sinks.size()) <= options.cts_max_fanout) {
-        continue;
-      }
-      std::vector<netlist::TermRef> sinks = n.sinks;
+      const std::span<const netlist::TermRef> live = module.sinks(net);
+      if (static_cast<int>(live.size()) <= options.cts_max_fanout) continue;
+      const std::vector<netlist::TermRef> sinks(live.begin(), live.end());
       const std::size_t chunk =
           static_cast<std::size_t>(options.cts_max_fanout);
       for (std::size_t start = 0; start < sinks.size(); start += chunk) {
@@ -119,10 +117,10 @@ PnrResult placeAndRoute(Module& module, const liberty::Gatefile& gatefile,
     std::vector<std::vector<std::uint32_t>> adj(module.cellCapacity());
     module.forEachNet([&](NetId nid) {
       const netlist::Net& n = module.net(nid);
-      if (n.sinks.size() > kMaxOrderingFanout) return;
+      if (module.sinks(nid).size() > kMaxOrderingFanout) return;
       std::vector<std::uint32_t> terms;
       if (n.driver.isCellPin()) terms.push_back(n.driver.cell().value);
-      for (const netlist::TermRef& t : n.sinks) {
+      for (const netlist::TermRef& t : module.sinks(nid)) {
         if (t.isCellPin()) terms.push_back(t.cell().value);
       }
       for (std::size_t i = 0; i < terms.size(); ++i) {
@@ -289,7 +287,7 @@ PnrResult placeAndRoute(Module& module, const liberty::Gatefile& gatefile,
       ++terms;
     };
     visit(n.driver);
-    for (const netlist::TermRef& t : n.sinks) visit(t);
+    for (const netlist::TermRef& t : module.sinks(nid)) visit(t);
     if (terms >= 2) hpwl += (max_x - min_x) + (max_y - min_y);
   });
   result.total_hpwl_um = hpwl;

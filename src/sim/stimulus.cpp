@@ -104,11 +104,9 @@ void resetDesyncStimulus(Simulator& s, const SyncStimulus& st) {
   if (!st.reset_port.empty()) s.setInput(st.reset_port, inactive);
 }
 
-void runDesyncStimulus(Simulator& s, const SyncStimulus& st,
-                       const std::vector<CaptureLog>& golden,
-                       const FlowEqOptions& fe) {
-  resetDesyncStimulus(s, st);
-
+void freeRunDesyncStimulus(Simulator& s, const SyncStimulus& st,
+                           const std::vector<CaptureLog>& golden,
+                           const FlowEqOptions& fe) {
   // Desync capture log and known-capture target per usable element (the
   // simulator's log list is fixed at construction, so the pointers hold).
   std::vector<std::pair<const CaptureLog*, std::size_t>> targets;
@@ -133,6 +131,13 @@ void runDesyncStimulus(Simulator& s, const SyncStimulus& st,
   while (s.now() < guard && !done()) {
     s.run(std::min(guard, s.now() + step));
   }
+}
+
+void runDesyncStimulus(Simulator& s, const SyncStimulus& st,
+                       const std::vector<CaptureLog>& golden,
+                       const FlowEqOptions& fe) {
+  resetDesyncStimulus(s, st);
+  freeRunDesyncStimulus(s, st, golden, fe);
 }
 
 }  // namespace desync::sim

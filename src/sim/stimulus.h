@@ -82,14 +82,21 @@ inline constexpr int kDesyncGuardSpans = 8;
 /// controllers free-run from there.
 void resetDesyncStimulus(Simulator& s, const SyncStimulus& st);
 
+/// Free-runs the desynchronized design from its current state until every
+/// element of `golden` that the comparison can use (a mapped counterpart
+/// exists and the golden log has at least `fe.min_common` known captures)
+/// has at least its golden known-capture count plus `fe.max_initial_skip`
+/// known captures, so checkFlowEquivalence can try every alignment over
+/// the whole golden sequence.  Stops after kDesyncGuardSpans golden spans
+/// of `st` otherwise.  Callers with their own reset or input sequence
+/// (scan shifting, a separate controller reset) finish with this instead
+/// of a fixed window that may cut capture logs short.
+void freeRunDesyncStimulus(Simulator& s, const SyncStimulus& st,
+                           const std::vector<CaptureLog>& golden,
+                           const FlowEqOptions& fe = {});
+
 /// Desynchronized side of one FE batch: resetDesyncStimulus, then
-/// free-running until every element of `golden` that the comparison can
-/// use (a mapped counterpart exists and the golden log has at least
-/// `fe.min_common` known captures) has at least its golden known-capture
-/// count plus `fe.max_initial_skip` known captures, so
-/// checkFlowEquivalence can try every alignment over the whole golden
-/// sequence.  Stops after kDesyncGuardSpans golden spans of `st`
-/// otherwise.
+/// freeRunDesyncStimulus.
 void runDesyncStimulus(Simulator& s, const SyncStimulus& st,
                        const std::vector<CaptureLog>& golden,
                        const FlowEqOptions& fe = {});

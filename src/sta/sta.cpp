@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "core/parallel.h"
@@ -80,23 +79,27 @@ void Sta::buildGraph() {
   const std::vector<double>& load = bound.netLoads();
 
   // Resolve SDC set_disable_timing specs to (cell, lib pin) once, instead
-  // of comparing names per cell per arc.  Specs naming absent cells or pins
+  // of comparing names per cell per arc: a flag per cell slot, plus a
+  // sorted list of the pin-level cuts.  Specs naming absent cells or pins
   // match nothing, as before.
-  std::vector<std::uint32_t> disabled_cells;       // whole-cell cuts
+  enum : std::uint8_t { kWholeCell = 1, kSomePins = 2 };
+  std::vector<std::uint8_t> cut(m.cellCapacity(), 0);
   std::vector<std::pair<std::uint32_t, std::uint16_t>> disabled_pins;
   for (const DisabledArc& d : options_.disabled) {
     netlist::CellId cid = m.findCell(d.cell);
     if (!cid.valid()) continue;
     if (d.from_pin.empty()) {
-      disabled_cells.push_back(cid.index());
+      cut[cid.index()] |= kWholeCell;
       continue;
     }
     const liberty::BoundType* bt = bound.typeOf(cid);
     if (bt == nullptr) continue;
     const std::size_t j = bt->cell->pinIndex(d.from_pin);
     if (j == liberty::LibCell::npos) continue;
+    cut[cid.index()] |= kSomePins;
     disabled_pins.emplace_back(cid.index(), static_cast<std::uint16_t>(j));
   }
+  std::sort(disabled_pins.begin(), disabled_pins.end());
 
   m.forEachCell([&](netlist::CellId cid) {
     const netlist::Cell& cell = m.cell(cid);
@@ -105,9 +108,7 @@ void Sta::buildGraph() {
       throw StaError("unknown cell type (flatten first?): " +
                      std::string(names.str(cell.type)));
     }
-    const bool cell_disabled =
-        std::find(disabled_cells.begin(), disabled_cells.end(),
-                  cid.index()) != disabled_cells.end();
+    const bool cell_disabled = (cut[cid.index()] & kWholeCell) != 0;
 
     if (bt->kind == liberty::CellKind::kCombinational) {
       for (const liberty::BoundOutput& o : bt->outputs) {
@@ -118,15 +119,11 @@ void Sta::buildGraph() {
         for (std::size_t v = 0; v < o.inputs.size(); ++v) {
           netlist::NetId in_net = bound.pinNet(cid, o.inputs[v]);
           if (!in_net.valid()) continue;
-          bool pin_disabled = cell_disabled;
-          if (!pin_disabled) {
-            for (const auto& [dc, dp] : disabled_pins) {
-              if (dc == cid.index() && dp == o.inputs[v]) {
-                pin_disabled = true;
-                break;
-              }
-            }
-          }
+          const bool pin_disabled =
+              cell_disabled ||
+              ((cut[cid.index()] & kSomePins) != 0 &&
+               std::binary_search(disabled_pins.begin(), disabled_pins.end(),
+                                  std::make_pair(cid.index(), o.inputs[v])));
           // Delay from the arc matching this related pin (resolved at bind
           // time; fallback: worst arc of the output).
           double dr = 0.0, df = 0.0;
@@ -194,36 +191,45 @@ void Sta::buildGraph() {
       endpoints_.push_back(e);
     }
   }
+
+  // Out-arc lists as CSR over nets: a counting sort by source net keeps
+  // each net's arcs in arc order.
+  out_begin_.assign(m.netCapacity() + 1, 0);
+  for (const Arc& a : arcs_) ++out_begin_[a.from + 1];
+  for (std::size_t n = 0; n < m.netCapacity(); ++n) {
+    out_begin_[n + 1] += out_begin_[n];
+  }
+  out_arcs_.resize(arcs_.size());
+  std::vector<std::uint32_t> fill(out_begin_.begin(), out_begin_.end() - 1);
+  for (std::uint32_t i = 0; i < arcs_.size(); ++i) {
+    out_arcs_[fill[arcs_[i].from]++] = i;
+  }
 }
 
 void Sta::breakLoops() {
   const netlist::Module& m = *module_;
   const netlist::NameTable& names = m.design().names();
-  // Adjacency over enabled arcs.
-  std::vector<std::vector<std::uint32_t>> out(m.netCapacity());
-  for (std::uint32_t i = 0; i < arcs_.size(); ++i) {
-    if (!arcs_[i].disabled) out[arcs_[i].from].push_back(i);
-  }
-  // Iterative DFS; arcs to nodes on the current stack are back edges.
+  // Iterative DFS over enabled arcs; arcs to nodes on the current stack
+  // are back edges.
   enum : std::uint8_t { kWhite, kGray, kBlack };
   std::vector<std::uint8_t> color(m.netCapacity(), kWhite);
   struct Frame {
     std::uint32_t net;
-    std::size_t next = 0;
+    std::uint32_t next;  // position in out_arcs_
   };
+  std::vector<Frame> stack;
   for (std::uint32_t root = 0; root < m.netCapacity(); ++root) {
     if (color[root] != kWhite) continue;
-    std::vector<Frame> stack{{root, 0}};
+    stack.push_back(Frame{root, out_begin_[root]});
     color[root] = kGray;
     while (!stack.empty()) {
       Frame& f = stack.back();
-      if (f.next >= out[f.net].size()) {
+      if (f.next == out_begin_[f.net + 1]) {
         color[f.net] = kBlack;
         stack.pop_back();
         continue;
       }
-      const std::uint32_t arc_idx = out[f.net][f.next++];
-      Arc& arc = arcs_[arc_idx];
+      Arc& arc = arcs_[out_arcs_[f.next++]];
       if (arc.disabled) continue;
       if (color[arc.to] == kGray) {
         if (!options_.auto_break_loops) {
@@ -239,7 +245,7 @@ void Sta::breakLoops() {
       }
       if (color[arc.to] == kWhite) {
         color[arc.to] = kGray;
-        stack.push_back(Frame{arc.to, 0});
+        stack.push_back(Frame{arc.to, out_begin_[arc.to]});
       }
     }
   }
@@ -293,17 +299,16 @@ void Sta::propagate() {
     }
   });
 
-  // Kahn topological order over enabled arcs.
+  // Kahn topological order over enabled arcs; topo_ is the FIFO queue
+  // itself (its head walks forward as nets are visited).
   std::vector<std::uint32_t> indeg(m.netCapacity(), 0);
-  std::vector<std::vector<std::uint32_t>> out(m.netCapacity());
-  for (std::uint32_t i = 0; i < arcs_.size(); ++i) {
-    if (arcs_[i].disabled) continue;
-    out[arcs_[i].from].push_back(i);
-    ++indeg[arcs_[i].to];
+  for (const Arc& a : arcs_) {
+    if (!a.disabled) ++indeg[a.to];
   }
-  std::deque<std::uint32_t> ready;
+  topo_.clear();
+  topo_.reserve(m.netCapacity());
   for (std::uint32_t n = 0; n < m.netCapacity(); ++n) {
-    if (indeg[n] == 0) ready.push_back(n);
+    if (indeg[n] == 0) topo_.push_back(n);
   }
   auto relax = [&](std::uint32_t arc_idx) {
     const Arc& a = arcs_[arc_idx];
@@ -333,14 +338,13 @@ void Sta::propagate() {
       pred_fall_[a.to] = static_cast<std::int32_t>(arc_idx);
     }
   };
-  while (!ready.empty()) {
-    std::uint32_t n = ready.front();
-    ready.pop_front();
-    for (std::uint32_t arc_idx : out[n]) {
+  for (std::size_t head = 0; head < topo_.size(); ++head) {
+    const std::uint32_t n = topo_[head];
+    for (std::uint32_t k = out_begin_[n]; k < out_begin_[n + 1]; ++k) {
+      const std::uint32_t arc_idx = out_arcs_[k];
+      if (arcs_[arc_idx].disabled) continue;
       relax(arc_idx);
-      if (--indeg[arcs_[arc_idx].to] == 0) {
-        ready.push_back(arcs_[arc_idx].to);
-      }
+      if (--indeg[arcs_[arc_idx].to] == 0) topo_.push_back(arcs_[arc_idx].to);
     }
   }
 
@@ -443,27 +447,15 @@ std::optional<double> Sta::netToNetNs(std::string_view from,
   const std::uint32_t src = from_net.value;
   const std::uint32_t dst = to_net.value;
 
-  // Dedicated propagation from the single source.
+  // Dedicated propagation from the single source, in propagate()'s
+  // topological order (constants and other sources launch nothing).
   std::vector<double> rise(m.netCapacity(), kNegInf);
   std::vector<double> fall(m.netCapacity(), kNegInf);
   rise[src] = fall[src] = 0.0;
-  // Constants known (select pins etc. launch nothing).
-  std::vector<std::uint32_t> indeg(m.netCapacity(), 0);
-  std::vector<std::vector<std::uint32_t>> out(m.netCapacity());
-  for (std::uint32_t i = 0; i < arcs_.size(); ++i) {
-    if (arcs_[i].disabled) continue;
-    out[arcs_[i].from].push_back(i);
-    ++indeg[arcs_[i].to];
-  }
-  std::deque<std::uint32_t> ready;
-  for (std::uint32_t n = 0; n < m.netCapacity(); ++n) {
-    if (indeg[n] == 0) ready.push_back(n);
-  }
-  while (!ready.empty()) {
-    std::uint32_t n = ready.front();
-    ready.pop_front();
-    for (std::uint32_t ai : out[n]) {
-      const Arc& a = arcs_[ai];
+  for (const std::uint32_t n : topo_) {
+    for (std::uint32_t k = out_begin_[n]; k < out_begin_[n + 1]; ++k) {
+      const Arc& a = arcs_[out_arcs_[k]];
+      if (a.disabled) continue;
       double rs = kNegInf, fs = kNegInf;
       switch (a.unate) {
         case Unate::kPositive:
@@ -480,7 +472,6 @@ std::optional<double> Sta::netToNetNs(std::string_view from,
       }
       if (rs > kNegInf) rise[a.to] = std::max(rise[a.to], rs + a.d_rise);
       if (fs > kNegInf) fall[a.to] = std::max(fall[a.to], fs + a.d_fall);
-      if (--indeg[a.to] == 0) ready.push_back(a.to);
     }
   }
   double result = rising_out ? rise[dst] : fall[dst];

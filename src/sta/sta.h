@@ -154,6 +154,13 @@ class Sta {
   std::vector<double> arr_rise_, arr_fall_;
   std::vector<std::int32_t> pred_rise_, pred_fall_;  // arc index or -1
   std::vector<Arc> arcs_;
+  // Out-arcs of net n (disabled ones included, in arc order) are
+  // out_arcs_[out_begin_[n] .. out_begin_[n + 1]); built once by
+  // buildGraph.
+  std::vector<std::uint32_t> out_begin_;
+  std::vector<std::uint32_t> out_arcs_;
+  // Nets in the Kahn order propagate() visited them in.
+  std::vector<std::uint32_t> topo_;
   std::vector<Endpoint> endpoints_;
   std::vector<BrokenArc> broken_;
   double worst_ = 0.0;

@@ -11,6 +11,7 @@
 #include "netlist/netlist.h"
 #include "sim/flow_equivalence.h"
 #include "sim/simulator.h"
+#include "sim/stimulus.h"
 
 namespace nl = desync::netlist;
 namespace lib = desync::liberty;
@@ -228,39 +229,37 @@ TEST_P(SubstitutionEquivalence, FlowEquivalentAfterDesync) {
   desync::core::DesyncOptions opt;
   desync::core::desynchronize(d, m, gatefile, opt);
 
-  // Synchronous run: clock runs during functional reset.
+  // Synchronous run: clock runs during functional reset.  rst_n is the
+  // functional reset and is clocked through, so the protocol drives the
+  // clock only: 6 cycles with rst_n asserted, 20 after its release.
+  sim::SyncStimulus st;
+  st.reset_port.clear();
+  st.half_period_ns = 5;
+  st.cycles = 6;
   sim::Simulator ss(sync_copy.top(), gatefile);
-  ss.setInput("clk", Val::k0);
   ss.setInput("rst_n", Val::k0);
-  ss.run(sim::nsToPs(10));
-  for (int i = 0; i < 6; ++i) {
-    ss.setInput("clk", Val::k1);
-    ss.run(ss.now() + sim::nsToPs(5));
-    ss.setInput("clk", Val::k0);
-    ss.run(ss.now() + sim::nsToPs(5));
-  }
+  sim::runSyncStimulus(ss, st);
   ss.setInput("rst_n", Val::k1);
-  for (int i = 0; i < 20; ++i) {
-    ss.setInput("clk", Val::k1);
-    ss.run(ss.now() + sim::nsToPs(5));
-    ss.setInput("clk", Val::k0);
-    ss.run(ss.now() + sim::nsToPs(5));
-  }
+  st.cycles = 20;
+  sim::runSyncStimulus(ss, st);
 
   // Desynchronized run: release the controller reset first (self-timed
-  // reset cycles with rst_n still asserted), then the functional reset.
+  // reset cycles with rst_n still asserted), then the functional reset,
+  // then free-run until every element has the captures the comparison
+  // needs.
+  sim::SyncStimulus controller = st;
+  controller.reset_port = "rst";
+  controller.reset_active_low = false;
+  controller.reset_ns = 5;
   sim::Simulator sd(m, gatefile);
-  sd.setInput("clk", Val::k0);
   sd.setInput("rst_n", Val::k0);
-  sd.setInput("rst", Val::k1);
-  sd.run(sim::nsToPs(10));
-  sd.setInput("rst", Val::k0);
+  sim::resetDesyncStimulus(sd, controller);
   sd.run(sd.now() + sim::nsToPs(40));
   sd.setInput("rst_n", Val::k1);
-  sd.run(sd.now() + sim::nsToPs(300));
-
   sim::FlowEqOptions feo;
   feo.max_initial_skip = 120;  // reset-epoch cycle counts differ
+  sim::freeRunDesyncStimulus(sd, st, ss.captures(), feo);
+
   sim::FlowEqReport fe = sim::checkFlowEquivalence(ss, sd, feo);
   EXPECT_TRUE(fe.equivalent)
       << type << ": " << (fe.details.empty() ? "?" : fe.details[0]);

@@ -331,7 +331,7 @@ TEST(Determinism, EcoWarmRunIdenticalAcrossJobs) {
     bool edited = false;
     m.forEachCell([&](nl::CellId c) {
       if (edited || !gf().isCombinational(std::string(m.cellType(c)))) return;
-      const auto& pins = m.cell(c).pins;
+      const auto& pins = m.pins(c);
       for (std::size_t p = 0; p < pins.size(); ++p) {
         if (pins[p].dir == nl::PortDir::kInput && pins[p].net.valid()) {
           m.connectPin(c, p, m.constNet(true));

@@ -140,7 +140,7 @@ bool insertInverter(nl::Module& m, int skip = 0,
     const nl::NetId d = m.pinNet(ff, sc->data_pin);
     if (!d.valid()) continue;
     const nl::Net& n = m.net(d);
-    if (!n.driver.isCellPin() || n.sinks.size() != 1) continue;
+    if (!n.driver.isCellPin() || m.sinks(d).size() != 1) continue;
     const nl::CellId drv = n.driver.cell();
     if (gf().kind(m.cellType(drv)) != lib::CellKind::kCombinational) {
       continue;
@@ -174,7 +174,7 @@ std::set<std::string> registersReached(const nl::Module& m,
   while (!work.empty()) {
     const nl::NetId net = work.back();
     work.pop_back();
-    for (const nl::TermRef& s : m.net(net).sinks) {
+    for (const nl::TermRef& s : m.sinks(net)) {
       if (!s.isCellPin()) continue;
       const nl::CellId c = s.cell();
       const lib::CellKind kind = gf().kind(m.cellType(c));
@@ -183,9 +183,9 @@ std::set<std::string> registersReached(const nl::Module& m,
         continue;
       }
       if (kind == lib::CellKind::kClockGate) {
-        for (const nl::PinConn& p : m.cell(c).pins) {
+        for (const nl::PinConn& p : m.pins(c)) {
           if (p.dir != nl::PortDir::kOutput || !p.net.valid()) continue;
-          for (const nl::TermRef& g : m.net(p.net).sinks) {
+          for (const nl::TermRef& g : m.sinks(p.net)) {
             if (g.isCellPin() && gf().isFlipFlop(m.cellType(g.cell()))) {
               regs.insert(std::string(m.cellName(g.cell())));
             }
@@ -194,7 +194,7 @@ std::set<std::string> registersReached(const nl::Module& m,
         continue;
       }
       if (kind != lib::CellKind::kCombinational) continue;
-      for (const nl::PinConn& p : m.cell(c).pins) {
+      for (const nl::PinConn& p : m.pins(c)) {
         if (p.dir == nl::PortDir::kOutput) push(p.net);
       }
     }
@@ -206,7 +206,7 @@ std::set<std::string> registersReached(const nl::Module& m,
 void rerouteThrough(nl::Module& m, nl::NetId net, const std::string& type) {
   const nl::NetId out = m.addNet("eco_reroute_z");
   m.redistributeSinks(net,
-                      std::vector<nl::NetId>(m.net(net).sinks.size(), out));
+                      std::vector<nl::NetId>(m.sinks(net).size(), out));
   m.addCell("eco_reroute", type,
             {{"A", nl::PortDir::kInput, net},
              {"Z", nl::PortDir::kOutput, out}});
@@ -222,7 +222,7 @@ bool tieFirstCombInput(nl::Module& m, bool value,
         gf().kind(m.cellType(c)) != lib::CellKind::kCombinational) {
       return;
     }
-    const std::vector<nl::PinConn>& pins = m.cell(c).pins;
+    const std::span<const nl::PinConn> pins = m.pins(c);
     for (std::size_t p = 0; p < pins.size(); ++p) {
       if (pins[p].dir == nl::PortDir::kInput && pins[p].net.valid()) {
         m.connectPin(c, p, m.constNet(value));
@@ -231,7 +231,7 @@ bool tieFirstCombInput(nl::Module& m, bool value,
       }
     }
     if (!done) return;
-    for (const nl::PinConn& pc : m.cell(c).pins) {
+    for (const nl::PinConn& pc : m.pins(c)) {
       if (pc.dir == nl::PortDir::kOutput && pc.net.valid()) {
         reached->merge(registersReached(m, pc.net));
       }
@@ -246,9 +246,8 @@ bool renameFirstNet(nl::Module& m) {
   nl::NetId target;
   m.forEachNet([&](nl::NetId id) {
     if (target.valid()) return;
-    const nl::Net& n = m.net(id);
-    if (!n.driver.isCellPin() || n.sinks.empty()) return;
-    for (const nl::TermRef& s : n.sinks) {
+    if (!m.net(id).driver.isCellPin() || m.sinks(id).empty()) return;
+    for (const nl::TermRef& s : m.sinks(id)) {
       if (!s.isCellPin()) return;
     }
     target = id;
@@ -259,7 +258,7 @@ bool renameFirstNet(nl::Module& m) {
   const nl::TermRef driver = m.net(target).driver;
   m.connectPin(driver.cell(), driver.pin, fresh);
   m.redistributeSinks(target,
-                      std::vector<nl::NetId>(m.net(target).sinks.size(),
+                      std::vector<nl::NetId>(m.sinks(target).size(),
                                              fresh));
   m.removeNet(target);
   return true;
@@ -472,7 +471,7 @@ TEST(Eco, MultiFanoutEditReprovesExactlyTheReachedRegisters) {
     m.forEachNet([&](nl::NetId id) {
       if (!target_name.empty()) return;
       const nl::Net& n = m.net(id);
-      if (!n.driver.isCellPin() || n.sinks.size() < 2) return;
+      if (!n.driver.isCellPin() || m.sinks(id).size() < 2) return;
       if (gf().kind(m.cellType(n.driver.cell())) !=
           lib::CellKind::kCombinational) {
         return;
@@ -876,7 +875,7 @@ TEST(EcoCpu, CrossRegionRippleClosesOverDownstreamRegions) {
     m.forEachNet([&](nl::NetId id) {
       if (!target_name.empty()) return;
       const nl::Net& n = m.net(id);
-      if (!n.driver.isCellPin() || n.sinks.empty()) return;
+      if (!n.driver.isCellPin() || m.sinks(id).empty()) return;
       if (gf().kind(m.cellType(n.driver.cell())) !=
           lib::CellKind::kCombinational) {
         return;

@@ -3,6 +3,8 @@
 // corrupt-slot fallback and flow failure reporting.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -335,6 +337,58 @@ TEST(PassCache, NamedSlotRoundTripAndOverwrite) {
   EXPECT_EQ(*got, "tables-v2");
 }
 
+TEST(PassCache, OverwriteUnderConcurrentReaderNeverMisses) {
+  // The slot is published by exchanging it with the finished temp file
+  // (rename where there is nothing to exchange): at every instant the
+  // slot's name holds one complete table, the old or the new one.
+  const auto dir = scratchDir("slot_publish");
+  constexpr int kStores = 200;
+  const auto payloadOf = [](int k) {
+    return "tables-" + std::to_string(k) + std::string(512, 'p');
+  };
+  flowdb::PassCache writer(dir.string());
+  ASSERT_TRUE(writer.storeSlot("eco-dlx.tbl", "DSYNCECO", payloadOf(0)));
+  std::atomic<bool> done{false};
+  std::atomic<int> loads{0};
+  int misses = 0;
+  int foreign = 0;
+  std::thread reader([&] {
+    flowdb::PassCache cache(dir.string());
+    while (!done.load()) {
+      const auto got = cache.loadSlot("eco-dlx.tbl", "DSYNCECO");
+      loads.fetch_add(1);
+      if (!got.has_value()) {
+        ++misses;
+        continue;
+      }
+      int k = -1;
+      std::from_chars(got->data() + 7, got->data() + got->size(), k);
+      if (k < 0 || k > kStores || *got != payloadOf(k)) ++foreign;
+    }
+  });
+  // Overwrite only once the reader is looping, however loaded the machine.
+  while (loads.load() == 0) std::this_thread::yield();
+  int failed_stores = 0;
+  for (int k = 1; k <= kStores; ++k) {
+    if (!writer.storeSlot("eco-dlx.tbl", "DSYNCECO", payloadOf(k))) {
+      ++failed_stores;
+    }
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(failed_stores, 0);
+  EXPECT_EQ(misses, 0);
+  EXPECT_EQ(foreign, 0);
+  const auto last = writer.loadSlot("eco-dlx.tbl", "DSYNCECO");
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(*last, payloadOf(kStores));
+  // Each store's temp file, holding the previous table after the
+  // exchange, is gone.
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().filename().string(), "eco-dlx.tbl");
+  }
+}
+
 TEST(PassCache, TruncatedNamedSlotIsDiagnosedAsCorruptionNotVersion) {
   const auto dir = scratchDir("slot_trunc");
   flowdb::PassCache cache(dir.string());
@@ -449,6 +503,40 @@ TEST(VerilogRoundTrip, DesynchronizedDlxTopReachesFixpointAfterOneTrip) {
   nl::Design d2;
   nl::readVerilog(d2, v2, gf());
   EXPECT_EQ(d2.findModule("dlx")->numCells(), m.numCells());
+}
+
+TEST(VerilogRoundTrip, EscapedBusNameSurvivesWriteReadWrite) {
+  // A bus whose name is not a simple identifier: its selects must be
+  // escaped like its range declaration (`\u/b [0]`), or the text does
+  // not read back.
+  nl::Design design;
+  nl::Module& m = design.addModule("top");
+  const nl::NetId a = m.addNet("a");
+  const nl::NetId z = m.addNet("z");
+  const nl::NetId bit = m.addNet("u/b[0]", "u/b", 0);
+  m.addPort("a", nl::PortDir::kInput, a);
+  m.addPort("z", nl::PortDir::kOutput, z);
+  m.addCell("u1", "IV", {{"A", nl::PortDir::kInput, a},
+                         {"Z", nl::PortDir::kOutput, bit}});
+  m.addCell("u2", "IV", {{"A", nl::PortDir::kInput, bit},
+                         {"Z", nl::PortDir::kOutput, z}});
+  const std::string v1 = nl::writeVerilog(design);
+  EXPECT_NE(v1.find("\\u/b [0]"), std::string::npos) << v1;
+
+  // Kept escaped: the names survive as they are, a strict fixpoint.
+  nl::VerilogReadOptions keep;
+  keep.simplify_escaped_names = false;
+  nl::Design kept;
+  nl::readVerilog(kept, v1, gf(), keep);
+  const nl::NetId reread = kept.top().findNet("u/b[0]");
+  ASSERT_TRUE(reread.valid());
+  EXPECT_EQ(kept.names().str(kept.top().net(reread).bus.bus), "u/b");
+  EXPECT_EQ(nl::writeVerilog(kept), v1);
+
+  // Simplified (the default): the first trip renames, then it is a
+  // fixpoint.
+  const std::string v2 = roundTrip(v1, "top");
+  EXPECT_EQ(roundTrip(v2, "top"), v2);
 }
 
 TEST(VerilogRoundTrip, SynchronousCpuReachesFixpointAfterOneTrip) {

@@ -1,7 +1,9 @@
 // Unit tests for the netlist database, Verilog IO, cleaning and flattening.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
 
 #include "liberty/gatefile.h"
 #include "liberty/stdlib90.h"
@@ -106,13 +108,13 @@ TEST(Module, ConnectivityBookkeeping) {
                              {{"A", nl::PortDir::kInput, a},
                               {"Z", nl::PortDir::kOutput, z}});
   EXPECT_EQ(m.net(z).driver.cell(), inv);
-  ASSERT_EQ(m.net(a).sinks.size(), 1u);
-  EXPECT_EQ(m.net(a).sinks[0].cell(), inv);
+  ASSERT_EQ(m.sinks(a).size(), 1u);
+  EXPECT_EQ(m.sinks(a)[0].cell(), inv);
   EXPECT_TRUE(m.checkInvariants().empty());
 
   m.removeCell(inv);
   EXPECT_EQ(m.net(z).driver.kind, nl::TermKind::kNone);
-  EXPECT_TRUE(m.net(a).sinks.empty());
+  EXPECT_TRUE(m.sinks(a).empty());
   EXPECT_EQ(m.numCells(), 0u);
   EXPECT_TRUE(m.checkInvariants().empty());
 }
@@ -148,9 +150,320 @@ TEST(Module, MergeNetMovesSinksAndPorts) {
             {{"A", nl::PortDir::kInput, b}, {"Z", nl::PortDir::kOutput, {}}});
   m.addPort("out", nl::PortDir::kOutput, b);
   m.mergeNetInto(b, a);
-  EXPECT_EQ(m.net(a).sinks.size(), 2u);
+  EXPECT_EQ(m.sinks(a).size(), 2u);
   EXPECT_EQ(m.numNets(), 1u);
   EXPECT_TRUE(m.checkInvariants().empty());
+}
+
+// --- differential mutation test -------------------------------------------
+//
+// Seeded random edit sequences applied to a Module and to a plain
+// vector-of-vectors reference model of its connectivity.  After every step
+// the sink order of every live net, the pins of every live cell and the
+// invariants must agree.  Few nets and many pins drive sink segments well
+// past several doublings (each one a move to the end of the pool).
+
+struct RefNet {
+  bool live = true;
+  nl::TermRef driver;
+  std::vector<nl::TermRef> sinks;
+};
+
+struct RefModel {
+  std::vector<RefNet> nets;
+  std::vector<std::vector<nl::PinConn>> pins;  // by cell; empty = removed
+  std::vector<bool> cell_live;
+  std::vector<nl::NetId> port_net;  // output ports only
+
+  static void eraseFirst(std::vector<nl::TermRef>& v, nl::TermRef t) {
+    const auto it = std::find(v.begin(), v.end(), t);
+    if (it != v.end()) v.erase(it);
+  }
+  static nl::TermRef pinTerm(std::uint32_t cell, std::size_t pin) {
+    return nl::TermRef{nl::TermKind::kCellPin, cell,
+                       static_cast<std::uint16_t>(pin)};
+  }
+  void attach(nl::NetId net, nl::TermRef t, nl::PortDir dir) {
+    if (dir == nl::PortDir::kOutput) {
+      nets[net.index()].driver = t;
+    } else {
+      nets[net.index()].sinks.push_back(t);
+    }
+  }
+  void disconnect(std::uint32_t cell, std::size_t pin) {
+    nl::PinConn& p = pins[cell][pin];
+    if (!p.net.valid()) return;
+    RefNet& n = nets[p.net.index()];
+    if (p.dir == nl::PortDir::kOutput && n.driver == pinTerm(cell, pin)) {
+      n.driver = nl::TermRef{};
+    } else {
+      eraseFirst(n.sinks, pinTerm(cell, pin));
+    }
+    p.net = nl::NetId{};
+  }
+  void connect(std::uint32_t cell, std::size_t pin, nl::NetId net) {
+    disconnect(cell, pin);
+    pins[cell][pin].net = net;
+    attach(net, pinTerm(cell, pin), pins[cell][pin].dir);
+  }
+  void removeNet(nl::NetId id) {
+    RefNet& n = nets[id.index()];
+    if (n.driver.isCellPin()) pins[n.driver.index][n.driver.pin].net = {};
+    for (const nl::TermRef& t : n.sinks) {
+      if (t.isCellPin()) pins[t.index][t.pin].net = {};
+      if (t.isPort()) port_net[t.index] = {};
+    }
+    n = RefNet{};
+    n.live = false;
+  }
+};
+
+/// Every live net's driver and sink order, every live cell's pins, every
+/// port's net and the module's invariants agree with the model.
+::testing::AssertionResult sameAsModel(const nl::Module& m,
+                                       const RefModel& ref) {
+  const std::vector<std::string> problems = m.checkInvariants();
+  if (!problems.empty()) {
+    return ::testing::AssertionFailure() << "invariant: " << problems[0];
+  }
+  for (std::uint32_t i = 0; i < ref.nets.size(); ++i) {
+    const nl::NetId id{i};
+    if (!ref.nets[i].live) continue;
+    if (!(m.net(id).driver == ref.nets[i].driver)) {
+      return ::testing::AssertionFailure() << "driver of net " << i;
+    }
+    const std::span<const nl::TermRef> got = m.sinks(id);
+    if (!std::equal(got.begin(), got.end(), ref.nets[i].sinks.begin(),
+                    ref.nets[i].sinks.end())) {
+      return ::testing::AssertionFailure() << "sinks of net " << i;
+    }
+  }
+  for (std::uint32_t c = 0; c < ref.pins.size(); ++c) {
+    if (m.isLiveCell(nl::CellId{c}) != ref.cell_live[c]) {
+      return ::testing::AssertionFailure() << "liveness of cell " << c;
+    }
+    if (!ref.cell_live[c]) continue;
+    const std::span<const nl::PinConn> got = m.pins(nl::CellId{c});
+    const std::vector<nl::PinConn>& want = ref.pins[c];
+    if (got.size() != want.size()) {
+      return ::testing::AssertionFailure() << "pin count of cell " << c;
+    }
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      if (got[p].name != want[p].name || got[p].dir != want[p].dir ||
+          got[p].net != want[p].net) {
+        return ::testing::AssertionFailure() << "pin " << p << " of cell "
+                                             << c;
+      }
+    }
+  }
+  for (std::uint32_t p = 0; p < ref.port_net.size(); ++p) {
+    if (m.port(nl::PortId{p}).net != ref.port_net[p]) {
+      return ::testing::AssertionFailure() << "net of port " << p;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ModuleDifferential, RandomEditsMatchVectorReferenceModel) {
+  constexpr int kSeeds = 240;
+  constexpr int kSteps = 300;
+  std::uint32_t widest_segment = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    desync::util::Rng rng{static_cast<std::uint64_t>(seed)};
+    nl::Design d;
+    nl::Module& m = d.addModule("top");
+    RefModel ref;
+    const nl::NameId pin_names[] = {d.names().intern("A"),
+                                    d.names().intern("B"),
+                                    d.names().intern("C"),
+                                    d.names().intern("Z")};
+    std::uint32_t serial = 0;
+    const auto liveNets = [&] {
+      std::vector<nl::NetId> out;
+      for (std::uint32_t i = 0; i < ref.nets.size(); ++i) {
+        if (ref.nets[i].live) out.push_back(nl::NetId{i});
+      }
+      return out;
+    };
+    const auto liveCells = [&] {
+      std::vector<std::uint32_t> out;
+      for (std::uint32_t c = 0; c < ref.cell_live.size(); ++c) {
+        if (ref.cell_live[c]) out.push_back(c);
+      }
+      return out;
+    };
+    const auto addNet = [&] {
+      m.addNet("n" + std::to_string(serial++));
+      ref.nets.emplace_back();
+    };
+    for (int i = 0; i < 3; ++i) addNet();
+    for (int step = 0; step < kSteps; ++step) {
+      const std::vector<nl::NetId> nets = liveNets();
+      const std::vector<std::uint32_t> cells = liveCells();
+      const auto anyNet = [&] { return nets[rng.below(nets.size())]; };
+      switch (rng.below(10)) {
+        case 0:  // addNet (the pool of nets stays small)
+          if (nets.size() < 8) addNet();
+          break;
+        case 1:
+        case 2: {  // addCell: inputs anywhere, the output on an undriven net
+          std::vector<nl::PinConn> pins;
+          const std::size_t n_in = 1 + rng.below(3);
+          for (std::size_t p = 0; p < n_in; ++p) {
+            nl::NetId net;
+            if (rng.below(8) != 0) net = anyNet();
+            pins.push_back({pin_names[p], nl::PortDir::kInput, net});
+          }
+          std::vector<nl::NetId> undriven;
+          for (nl::NetId n : nets) {
+            if (ref.nets[n.index()].driver.kind == nl::TermKind::kNone) {
+              undriven.push_back(n);
+            }
+          }
+          nl::NetId out;
+          if (!undriven.empty() && rng.below(2) == 0) {
+            out = undriven[rng.below(undriven.size())];
+          }
+          pins.push_back({pin_names[3], nl::PortDir::kOutput, out});
+          const nl::CellId id = m.addCell(
+              d.names().intern("u" + std::to_string(serial++)),
+              d.names().intern("ND3"), pins);
+          ASSERT_EQ(id.index(), ref.pins.size());
+          ref.pins.emplace_back();
+          ref.cell_live.push_back(true);
+          for (std::size_t p = 0; p < pins.size(); ++p) {
+            ref.pins[id.index()].push_back(
+                {pins[p].name, pins[p].dir, nl::NetId{}});
+            if (pins[p].net.valid()) ref.connect(id.index(), p, pins[p].net);
+          }
+          break;
+        }
+        case 3: {  // connectPin (an output only onto an undriven net)
+          if (cells.empty()) break;
+          const std::uint32_t c = cells[rng.below(cells.size())];
+          const std::size_t p = rng.below(ref.pins[c].size());
+          const nl::NetId net = anyNet();
+          if (ref.pins[c][p].dir == nl::PortDir::kOutput &&
+              ref.nets[net.index()].driver.kind != nl::TermKind::kNone &&
+              !(ref.nets[net.index()].driver ==
+                RefModel::pinTerm(c, p))) {
+            break;
+          }
+          m.connectPin(nl::CellId{c}, p, net);
+          ref.connect(c, p, net);
+          break;
+        }
+        case 4: {  // disconnectPin
+          if (cells.empty()) break;
+          const std::uint32_t c = cells[rng.below(cells.size())];
+          const std::size_t p = rng.below(ref.pins[c].size());
+          m.disconnectPin(nl::CellId{c}, p);
+          ref.disconnect(c, p);
+          break;
+        }
+        case 5: {  // removeCell or removeCells
+          if (cells.empty()) break;
+          std::vector<nl::CellId> victims;
+          const std::size_t n = rng.below(2) == 0 ? 1 : 1 + rng.below(4);
+          for (std::size_t k = 0; k < n && k < cells.size(); ++k) {
+            const nl::CellId c{cells[rng.below(cells.size())]};
+            if (std::find(victims.begin(), victims.end(), c) ==
+                victims.end()) {
+              victims.push_back(c);
+            }
+          }
+          if (victims.size() == 1 && rng.below(2) == 0) {
+            m.removeCell(victims[0]);
+            const std::uint32_t c = victims[0].index();
+            for (std::size_t p = 0; p < ref.pins[c].size(); ++p) {
+              ref.disconnect(c, p);
+            }
+          } else {
+            m.removeCells(victims);
+            for (nl::CellId c : victims) ref.cell_live[c.index()] = false;
+            for (RefNet& net : ref.nets) {
+              if (net.driver.isCellPin() && !ref.cell_live[net.driver.index]) {
+                net.driver = nl::TermRef{};
+              }
+              std::erase_if(net.sinks, [&](const nl::TermRef& t) {
+                return t.isCellPin() && !ref.cell_live[t.index];
+              });
+            }
+            for (nl::CellId c : victims) {
+              for (nl::PinConn& p : ref.pins[c.index()]) p.net = {};
+            }
+          }
+          for (nl::CellId c : victims) ref.cell_live[c.index()] = false;
+          break;
+        }
+        case 6: {  // redistributeSinks onto other nets
+          const nl::NetId from = anyNet();
+          const std::vector<nl::TermRef> before = ref.nets[from.index()].sinks;
+          std::vector<nl::NetId> assign(rng.below(before.size() + 1));
+          for (nl::NetId& a : assign) {
+            const nl::NetId to = anyNet();
+            if (to != from && rng.below(3) != 0) a = to;
+          }
+          m.redistributeSinks(from, assign);
+          std::vector<nl::TermRef> kept;
+          for (std::size_t i = 0; i < before.size(); ++i) {
+            const nl::TermRef t = before[i];
+            if (i < assign.size() && assign[i].valid() && t.isCellPin()) {
+              ref.pins[t.index][t.pin].net = assign[i];
+              ref.nets[assign[i].index()].sinks.push_back(t);
+            } else {
+              kept.push_back(t);
+            }
+          }
+          ref.nets[from.index()].sinks = kept;
+          break;
+        }
+        case 7: {  // mergeNetInto
+          if (nets.size() < 2) break;
+          const nl::NetId from = anyNet();
+          const nl::NetId to = anyNet();
+          if (from == to) break;
+          m.mergeNetInto(from, to);
+          const std::vector<nl::TermRef> moved = ref.nets[from.index()].sinks;
+          for (const nl::TermRef& t : moved) {
+            if (t.isCellPin()) {
+              ref.connect(t.index, t.pin, to);
+            } else {
+              RefModel::eraseFirst(ref.nets[from.index()].sinks, t);
+              ref.port_net[t.index] = to;
+              ref.nets[to.index()].sinks.push_back(t);
+            }
+          }
+          ref.removeNet(from);
+          break;
+        }
+        case 8: {  // removeNet, keeping a few nets alive
+          if (nets.size() < 3) break;
+          const nl::NetId id = anyNet();
+          m.removeNet(id);
+          ref.removeNet(id);
+          break;
+        }
+        case 9: {  // an output port: one more sink
+          const nl::NetId net = anyNet();
+          const nl::PortId port = m.addPort(
+              "p" + std::to_string(serial++), nl::PortDir::kOutput, net);
+          ASSERT_EQ(port.index(), ref.port_net.size());
+          ref.port_net.push_back(net);
+          ref.nets[net.index()].sinks.push_back(
+              nl::TermRef{nl::TermKind::kPort, port.value, 0});
+          break;
+        }
+      }
+      ASSERT_TRUE(sameAsModel(m, ref)) << "after step " << step;
+    }
+    for (const nl::Net& n : m.rawNets()) {
+      widest_segment = std::max(widest_segment, n.sinks.capacity);
+    }
+  }
+  // Segments grew through several doublings (1, 2, 4, ..., >= 16).
+  EXPECT_GE(widest_segment, 16u);
 }
 
 TEST(Module, ConstNetsAreCached) {
@@ -227,7 +540,7 @@ TEST(Verilog, ParsesConstantsAndAssigns) {
   nl::CellId u1 = m.findCell("u1");
   nl::NetId zn = m.pinNet(u1, "Z");
   bool port_on_net = false;
-  for (const nl::TermRef& s : m.net(zn).sinks) {
+  for (const nl::TermRef& s : m.sinks(zn)) {
     if (s.isPort()) port_on_net = true;
   }
   EXPECT_TRUE(port_on_net);

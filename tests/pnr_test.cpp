@@ -45,7 +45,7 @@ TEST(Pnr, CtsBuffersTheClock) {
   // Every net (including the treed clock) now respects the fanout cap...
   // except leaf buffers with up to cts_max_fanout sinks.
   nl::NetId clk = m.port(m.findPort("clk")).net;
-  EXPECT_LE(m.net(clk).sinks.size(), 12u);
+  EXPECT_LE(m.sinks(clk).size(), 12u);
   EXPECT_TRUE(m.checkInvariants().empty());
 }
 
