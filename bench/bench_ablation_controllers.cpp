@@ -27,7 +27,7 @@ stgv::SiResult verifyRing(async::ControllerKind kind, int pairs) {
       async::buildControllerRing(d, gatefileHs(), kind, pairs);
   stgv::SiCircuit c = async::toSiCircuit(ring, gatefileHs());
   stgv::Stg closed;
-  return stgv::verifySpeedIndependent(c, closed, 1u << 24);
+  return stgv::verifySpeedIndependent(c, closed);
 }
 
 double ringPeriod(async::ControllerKind kind, int pairs) {

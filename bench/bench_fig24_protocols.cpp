@@ -62,7 +62,7 @@ int main() {
     if (arcs.empty() || arcs.size() > 2) continue;
     try {
       stg::Stg net = stg::makePairStg(arcs);
-      stg::Reachability r = stg::analyze(net, {100000});
+      stg::Reachability r = stg::analyze(net);
       if (!r.live || !r.bounded) continue;
       stg::FlowEqResult fe = stg::checkFlowEquivalence(net, 0, 1);
       histogram[{r.num_states, fe.holds}]++;

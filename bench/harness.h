@@ -170,6 +170,14 @@ struct RepeatedTiming {
   double median_ms = 0.0;
 };
 
+/// Fills min_ms / median_ms from a non-empty `t.runs_ms`.
+inline void summarizeTiming(RepeatedTiming& t) {
+  std::vector<double> sorted = t.runs_ms;
+  std::sort(sorted.begin(), sorted.end());
+  t.min_ms = sorted.front();
+  t.median_ms = sorted[sorted.size() / 2];
+}
+
 /// Runs `fn` `repeats` times, returning min/median wall time.  `fn` must be
 /// idempotent (the deterministic results are identical on every repeat).
 template <typename Fn>
@@ -182,10 +190,7 @@ RepeatedTiming measureRepeated(int repeats, Fn&& fn) {
                             std::chrono::steady_clock::now() - t0)
                             .count());
   }
-  std::vector<double> sorted = t.runs_ms;
-  std::sort(sorted.begin(), sorted.end());
-  t.min_ms = sorted.front();
-  t.median_ms = sorted[sorted.size() / 2];
+  summarizeTiming(t);
   return t;
 }
 

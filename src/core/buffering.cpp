@@ -10,10 +10,7 @@ using netlist::Module;
 using netlist::NetId;
 using netlist::PortDir;
 
-std::size_t insertBufferTrees(Module& module,
-                              const liberty::Gatefile& gatefile,
-                              const BufferingOptions& options) {
-  (void)gatefile;
+std::size_t insertBufferTrees(Module& module) {
   std::size_t added = 0;
   netlist::NameTable& names = module.design().names();
   // Per-base counters keep name uniquification O(1): makeUnique() would
@@ -43,12 +40,12 @@ std::size_t insertBufferTrees(Module& module,
           n.driver.isConst()) {
         continue;
       }
-      if (static_cast<int>(module.sinks(id).size()) <= options.max_fanout) {
+      if (static_cast<int>(module.sinks(id).size()) <= kBufferMaxFanout) {
         continue;
       }
     }
     const std::size_t n_sinks = module.sinks(id).size();
-    const std::size_t chunk = static_cast<std::size_t>(options.max_fanout);
+    const std::size_t chunk = static_cast<std::size_t>(kBufferMaxFanout);
     const std::string base = std::string(module.netName(id));
     // Assign sink index ranges to the new buffer outputs, then rewire in
     // one redistributeSinks pass: connectPin per sink re-scans the
@@ -57,7 +54,7 @@ std::size_t insertBufferTrees(Module& module,
     std::vector<NetId> assign(n_sinks);
     for (std::size_t start = 0; start < n_sinks; start += chunk) {
       NetId out = module.addNet(unique(base + "_bt"));
-      module.addCell(unique(base + "_btb"), options.buffer_cell,
+      module.addCell(unique(base + "_btb"), kBufferCell,
                      {{"A", PortDir::kInput, id}, {"Z", PortDir::kOutput, out}});
       ++added;
       const std::size_t end = std::min(start + chunk, n_sinks);

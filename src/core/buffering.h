@@ -7,21 +7,19 @@
 // of a region (the Fig 4.3 "low-skew buffer trees").
 #pragma once
 
-#include "liberty/gatefile.h"
+#include <string_view>
+
 #include "netlist/netlist.h"
 
 namespace desync::core {
 
-struct BufferingOptions {
-  int max_fanout = 12;
-  /// Buffer cell type (single input A, output Z).
-  std::string buffer_cell = "BF";
-};
+/// Fanout bound: a net with more sinks gets a buffer tree.
+inline constexpr int kBufferMaxFanout = 12;
+/// Buffer cell type (single input A, output Z).
+inline constexpr std::string_view kBufferCell = "BF";
 
 /// Inserts buffer trees; returns the number of buffers added.  Nets driven
 /// by input ports are treated as ideal (external drivers) and skipped.
-std::size_t insertBufferTrees(netlist::Module& module,
-                              const liberty::Gatefile& gatefile,
-                              const BufferingOptions& options = {});
+std::size_t insertBufferTrees(netlist::Module& module);
 
 }  // namespace desync::core

@@ -19,6 +19,9 @@ using netlist::PortDir;
 
 namespace {
 
+/// Longest delay element the flow builds, in stages.
+constexpr int kMaxDelayLevels = 200;
+
 /// Rise delay of one AND stage of the asymmetric delay element under
 /// nominal conditions (thesis §3.1.4), a pure function of the library.
 double characterizeDelayStageNs(const liberty::Gatefile& gatefile) {
@@ -46,7 +49,7 @@ RegionTiming computeRegionTiming(Module& m, const liberty::Gatefile& gatefile,
   // buffers): the delay elements must be sized against the timing the
   // backend netlist will actually have, otherwise buffer delay added later
   // silently eats the matching margin.
-  insertBufferTrees(m, gatefile);
+  insertBufferTrees(m);
 
   // Region critical paths (post-substitution STA).  The matched delay
   // covers paths into each region's master latches; the per-region queries
@@ -190,20 +193,24 @@ ControlNetworkReport insertControlNetwork(
     }
 
     // Delay element sized to the region's combinational critical path.
+    // Clamped to the stage cap before the cast, so a huge margin cannot
+    // overflow it.
     double target = required[gi] * options.margin;
-    int levels = std::max(
-        1, static_cast<int>(std::ceil(target / report.per_level_delay_ns)));
+    int levels = static_cast<int>(
+        std::fmin(std::fmax(std::ceil(target / report.per_level_delay_ns), 1.0),
+                  kMaxDelayLevels));
     if (options.mux_taps > 0) {
-      int sel = options.nominal_selection >= 0 ? options.nominal_selection
-                                               : options.mux_taps - 2;
-      sel = std::clamp(sel, 0, options.mux_taps - 1);
+      // The nominal tap, where the muxed delay matches margin * critical
+      // path, is the second-highest: headroom above, room to shorten.
+      const int sel = std::clamp(options.mux_taps - 2, 0,
+                                 options.mux_taps - 1);
       // Tap `sel` passes ~levels stages: total chain length accordingly.
       levels = std::max(
           levels, static_cast<int>(std::ceil(
                       static_cast<double>(levels) * options.mux_taps /
                       (sel + 1))));
     }
-    levels = std::min(levels, 200);
+    levels = std::min(levels, kMaxDelayLevels);
 
     async::DelayElementSpec spec;
     spec.levels = levels;
@@ -269,7 +276,7 @@ ControlNetworkReport insertControlNetwork(
 
   // Backend re-buffering: balanced enable trees (CTS-lite, thesis §4.7)
   // plus restoration of the drive buffers the cleaning pass removed.
-  insertBufferTrees(m, gatefile);
+  insertBufferTrees(m);
 
   // --- loop cuts for STA (thesis §4.6.1): every C-element keeper feedback
   // and every controller occupancy feedback, by flattened cell name.

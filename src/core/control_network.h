@@ -24,11 +24,10 @@ struct ControlNetworkOptions {
   double margin = 1.15;
   /// 0 = fixed delay elements; 2/4/8 = calibration mux with that many taps
   /// (Fig 5.3's "delay selection"); select pins become top-level ports
-  /// dsel0.. shared by every delay element, as in the paper.
+  /// dsel0.. shared by every delay element, as in the paper.  The nominal
+  /// tap, where the muxed delay matches margin * critical path, is the
+  /// second-highest (headroom above, room to shorten).
   int mux_taps = 0;
-  /// Tap at which the muxed delay matches margin * critical path.  -1:
-  /// second-highest tap (leaving headroom above and room to shorten).
-  int nominal_selection = -1;
   /// Name of an existing reset input port; empty: a new "rst" port
   /// (active-high) is created.
   std::string reset_port;

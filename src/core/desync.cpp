@@ -34,6 +34,27 @@ const char* feModeName(FeMode mode) {
   return "unknown";
 }
 
+std::vector<std::vector<std::string>> parseManualGroups(
+    std::string_view spec) {
+  // Splits `text` at `sep`, calling `each` on every field.
+  const auto split = [](std::string_view text, char sep, auto&& each) {
+    for (std::size_t begin = 0; begin <= text.size();) {
+      const std::size_t end = std::min(text.find(sep, begin), text.size());
+      each(text.substr(begin, end - begin));
+      begin = end + 1;
+    }
+  };
+  std::vector<std::vector<std::string>> groups;
+  split(spec, ';', [&](std::string_view group) {
+    std::vector<std::string> prefixes;
+    split(group, ',', [&](std::string_view prefix) {
+      if (!prefix.empty()) prefixes.emplace_back(prefix);
+    });
+    if (!prefixes.empty()) groups.push_back(std::move(prefixes));
+  });
+  return groups;
+}
+
 namespace {
 
 /// Pass-boundary counter samples (`--trace` runs only): cumulative liberty

@@ -17,6 +17,9 @@
 #pragma once
 
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/control_network.h"
 #include "core/ff_substitution.h"
@@ -39,6 +42,12 @@ enum class FeMode : std::uint8_t { kSim, kProve, kBoth };
 /// Parses "sim" / "prove" / "both"; throws std::invalid_argument otherwise.
 FeMode parseFeMode(const std::string& text);
 const char* feModeName(FeMode mode);
+
+/// Parses a manual region spec (`drdesync --group`, the daemon's `group`):
+/// "p1,p2;p3" -> {{p1,p2},{p3}}.  Empty prefixes and empty groups are
+/// dropped, so "" yields no groups (automatic grouping).
+std::vector<std::vector<std::string>> parseManualGroups(
+    std::string_view spec);
 
 /// Post-flow flow-equivalence self-check knobs (`--fe-check`, `--fe-mode`):
 /// after the seven passes, the converted module is simulated against a

@@ -5,8 +5,8 @@
 // regions, replaced flip-flops, ...).  The collected FlowReport travels in
 // DesyncResult; `drdesync --report` serializes it as JSON (schema in
 // docs/report-schema.md) and bench_tool_runtime republishes the per-pass
-// times as benchmark counters, so pass-level regressions show up in CI
-// benchmarks without re-profiling.
+// times in its BENCH JSON, so pass-level regressions show up in bench
+// trajectories without re-profiling.
 #pragma once
 
 #include <chrono>

@@ -45,10 +45,13 @@ namespace {
 
 namespace nl = netlist;
 
-core::DesyncOptions flowOptions(FaultKind fault,
-                                const std::string& cache_dir = {}) {
+/// Worker counts of check 8's cold (priming, or prover-off) and warm
+/// cached runs.
+constexpr int kColdJobs = 1;
+constexpr int kWarmJobs = 4;
+
+core::DesyncOptions flowOptions(FaultKind fault) {
   core::DesyncOptions opt;
-  opt.flowdb.cache_dir = cache_dir;
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
   if (fault == FaultKind::kFullyDecoupled) {
@@ -120,7 +123,18 @@ FlowRun runConversion(const std::string& text,
   return run;
 }
 
-// --- check 9's scripted edit ----------------------------------------------
+/// True when the run carries the note of a --cache-dir left inert by the
+/// prover being off.
+bool hasInertCacheNote(const FlowRun& run) {
+  for (const std::string& n : run.result.flow.notes()) {
+    if (n.find("nothing was loaded or stored") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// --- check 8's scripted edit ----------------------------------------------
 
 /// Comb gates that share the exact pin interface (A[,B] -> Z in the
 /// builtin libraries), so swapping the type alone yields a valid cell.
@@ -445,14 +459,19 @@ OracleVerdict runOracle(const std::string& verilog,
     return fail("sta", e.what());
   }
 
-  // 8. FlowDB: cold, warm and margin-changed cached runs are exact --------
-  // All three cached flows run at the oracle's --fe-mode.  With the prover
-  // on, the warm rerun must load the proof table and reuse every proof,
-  // and the margin change must re-prove nothing either (the margin sizes
-  // delay elements, which no miter reads); every proof record must equal
-  // the cold cached run's.  With the prover off the cache directory is
-  // inert: no slot is written and every run says so in a note.
-  if (options.check_flowdb) {
+  // 8. proof cache: every cached flow reproduces its uncached twin -------
+  // With the prover off the cache directory is inert: one cached flow at
+  // --jobs 1 must match check 2 (run at the caller's --jobs), write
+  // nothing and say so in a note.  With it on, one directory is primed
+  // by a cold cached run and then serves a warm rerun
+  // (loads the table, re-proves nothing), a margin change (re-proves
+  // nothing: the margin sizes delay elements, which no miter reads) and a
+  // seeded small edit (cell swap, constant tie or net rename —
+  // docs/eco.md), each against an uncached flow of the same input: equal
+  // Verilog, SDC, per-register proof records and protocol verdict, so a
+  // key that misses a miter input shows up as a mismatch.  When the edit
+  // makes the design un-flowable, both paths must agree on failing.
+  if (options.check_cache) {
     const fs::path base = options.scratch_dir.empty()
                               ? fs::temp_directory_path()
                               : fs::path(options.scratch_dir);
@@ -462,170 +481,147 @@ OracleVerdict runOracle(const std::string& verilog,
                 "-cache");
     std::error_code ec;
     fs::remove_all(dir, ec);
-    try {
-      core::DesyncOptions cached = flowOptions(options.fault, dir.string());
-      cached.fe.mode = options.fe_mode;
-      core::DesyncOptions moved = cached;
-      moved.control.margin += 0.10;
-      core::DesyncOptions moved_plain = moved;
-      moved_plain.flowdb.cache_dir.clear();
-      core::setThreadJobs(options.cold_jobs);
-      FlowRun cold = runConversion(verilog, gatefile, cached);
-      FlowRun moved_ref = runConversion(verilog, gatefile, moved_plain);
-      core::setThreadJobs(options.warm_jobs);
-      FlowRun warm = runConversion(verilog, gatefile, cached);
-      FlowRun moved_warm = runConversion(verilog, gatefile, moved);
-      core::setThreadJobs(options.restore_jobs);
-      const bool prove = options.fe_mode != core::FeMode::kSim;
-      const auto reproved = [](const FlowRun& run) {
-        const sim::symfe::SymfeReport& rep = run.result.symfe.report;
-        return rep.registers.size() - rep.restored;
-      };
-      const auto inertNote = [](const FlowRun& run) {
-        for (const std::string& n : run.result.flow.notes()) {
-          if (n.find("nothing was loaded or stored") != std::string::npos) {
-            return true;
-          }
-        }
-        return false;
-      };
-      if (cold.verilog != flow.verilog || cold.sdc != flow.sdc) {
-        fail("flowdb", "cold cached run differs from the uncached run");
-      } else if (warm.verilog != flow.verilog || warm.sdc != flow.sdc) {
-        fail("flowdb",
-             "warm cached run differs from the uncached run at --jobs " +
-                 std::to_string(options.warm_jobs));
-      } else if (moved_warm.verilog != moved_ref.verilog ||
-                 moved_warm.sdc != moved_ref.sdc) {
-        fail("flowdb",
-             "margin-changed cached run differs from the uncached run at "
-             "that margin");
-      } else if (prove && (warm.result.flow.cacheStats().hits != 1 ||
-                           reproved(warm) != 0 || reproved(moved_warm) != 0)) {
-        fail("flowdb",
-             "warm rerun hit " +
-                 std::to_string(warm.result.flow.cacheStats().hits) +
-                 " slot(s) and re-proved " + std::to_string(reproved(warm)) +
-                 " register(s); the margin change re-proved " +
-                 std::to_string(reproved(moved_warm)));
-      } else if (prove && (!sameProofs(warm.result.symfe, cold.result.symfe) ||
-                           !sameProofs(moved_warm.result.symfe,
-                                       moved_ref.result.symfe))) {
-        fail("flowdb", "reused proof records differ from fresh proofs");
-      } else if (!prove && fs::exists(dir)) {
-        fail("flowdb", "--cache-dir wrote " + dir.string() +
-                           " although the prover is off");
-      } else if (!prove && (!inertNote(cold) || !inertNote(warm))) {
-        fail("flowdb", "prover-off cached run lacks the inert-cache note");
-      }
-    } catch (const std::exception& e) {
-      core::setThreadJobs(options.restore_jobs);
-      fail("flowdb", e.what());
-    }
-    fs::remove_all(dir, ec);
-    if (!v.ok) return v;
-  }
-
-  // 9. incremental ECO: a seeded small edit re-flows byte-identically ------
-  // The edit (cell swap, constant tie or net rename — docs/eco.md) is
-  // applied structurally and serialized once, so the cold flow and the
-  // cached flow consume the identical edited text.  The proof table is
-  // primed on the ORIGINAL design; the cached run of the edited design
-  // must reproduce its cold flow byte for byte.  All three flows run at
-  // the oracle's --fe-mode: with the prover on, the cached run reuses the
-  // proofs of every unchanged miter and its per-register proof records
-  // (verdict, trivial, conflicts, decisions) and protocol verdict must
-  // equal the cold flow's — a key that misses a miter input shows up as
-  // a record mismatch.  When the edit makes the design un-flowable, both
-  // paths must agree on failing.
-  if (options.check_eco) {
-    std::string edited_text;
-    try {
-      nl::Design edited;
-      nl::readVerilog(edited, verilog, gatefile);
-      v.eco_edit = applySeededEcoEdit(edited.top(), gatefile,
-                                      options.eco_seed);
-      if (!v.eco_edit.empty()) {
-        edited_text = nl::writeVerilog(edited.top());
-      } else if (v.note.empty()) {
-        v.note = "eco check skipped: no applicable edit site";
-      }
-    } catch (const std::exception& e) {
-      return fail("eco", std::string("edit application: ") + e.what());
-    }
-    if (!edited_text.empty()) {
-      const fs::path base = options.scratch_dir.empty()
-                                ? fs::temp_directory_path()
-                                : fs::path(options.scratch_dir);
-      const fs::path dir =
-          base / ("drdesync-fuzz-" +
-                  std::to_string(static_cast<unsigned long>(::getpid())) +
-                  "-eco-cache");
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-      core::DesyncOptions plain = flowOptions(options.fault);
-      plain.fe.mode = options.fe_mode;
-      core::DesyncOptions cached = plain;
-      cached.flowdb.cache_dir = dir.string();
+    core::DesyncOptions plain = flowOptions(options.fault);
+    plain.fe.mode = options.fe_mode;
+    core::DesyncOptions cached = plain;
+    cached.flowdb.cache_dir = dir.string();
+    if (options.fe_mode == core::FeMode::kSim) {
       try {
-        core::setThreadJobs(options.cold_jobs);
-        bool cold_failed = false;
-        std::string cold_error;
-        FlowRun cold;
-        try {
-          cold = runConversion(edited_text, gatefile, plain);
-        } catch (const std::exception& e) {
-          cold_failed = true;
-          cold_error = e.what();
-        }
-        runConversion(verilog, gatefile, cached);
-        core::setThreadJobs(options.warm_jobs);
-        bool eco_failed = false;
-        std::string eco_error;
-        FlowRun eco;
-        try {
-          eco = runConversion(edited_text, gatefile, cached);
-        } catch (const std::exception& e) {
-          eco_failed = true;
-          eco_error = e.what();
-        }
+        core::setThreadJobs(kColdJobs);
+        const FlowRun run = runConversion(verilog, gatefile, cached);
         core::setThreadJobs(options.restore_jobs);
-        if (cold_failed != eco_failed) {
-          fail("eco", cold_failed
-                          ? "cold flow of the edited design failed (" +
-                                cold_error + ") but the cached re-flow "
-                                "succeeded [" + v.eco_edit + "]"
-                          : "cached re-flow failed (" + eco_error +
-                                ") but the cold flow of the edited design "
-                                "succeeded [" + v.eco_edit + "]");
-        } else if (!cold_failed &&
-                   (nl::writeVerilog(*eco.design) !=
-                        nl::writeVerilog(*cold.design) ||
-                    eco.sdc != cold.sdc)) {
-          // Whole-design comparison: the cached re-flow must also
-          // reproduce the helper modules (delay elements, controllers)
-          // byte for byte, not just the top — the CLI writes the full
-          // design.
-          fail("eco",
-               "cached re-flow differs from the cold flow of the edited "
-               "design at --jobs " + std::to_string(options.warm_jobs) +
-                   " [" + v.eco_edit + "]");
-        } else if (!cold_failed &&
-                   !sameProofs(eco.result.symfe, cold.result.symfe)) {
-          fail("eco",
-               "cached re-flow's flow-equivalence proof records differ "
-               "from the cold flow of the edited design at --jobs " +
-                   std::to_string(options.warm_jobs) + " [" + v.eco_edit +
-                   "]");
+        if (run.verilog != flow.verilog || run.sdc != flow.sdc) {
+          fail("cache", "prover-off cached run at --jobs " +
+                            std::to_string(kColdJobs) +
+                            " differs from the uncached run");
+        } else if (fs::exists(dir)) {
+          fail("cache", "--cache-dir wrote " + dir.string() +
+                            " although the prover is off");
+        } else if (!hasInertCacheNote(run)) {
+          fail("cache", "prover-off cached run lacks the inert-cache note");
         }
       } catch (const std::exception& e) {
         core::setThreadJobs(options.restore_jobs);
-        fail("eco", std::string("priming run: ") + e.what() + " [" +
-                        v.eco_edit + "]");
+        fail("cache", e.what());
       }
-      fs::remove_all(dir, ec);
-      if (!v.ok) return v;
+    } else {
+      std::string edited_text;
+      try {
+        nl::Design edited;
+        nl::readVerilog(edited, verilog, gatefile);
+        v.eco_edit = applySeededEcoEdit(edited.top(), gatefile,
+                                        options.eco_seed);
+        if (!v.eco_edit.empty()) {
+          edited_text = nl::writeVerilog(edited.top());
+        } else if (v.note.empty()) {
+          v.note = "cache check's edit skipped: no applicable edit site";
+        }
+      } catch (const std::exception& e) {
+        return fail("cache", std::string("edit application: ") + e.what());
+      }
+      // An edit that makes the design un-flowable is a verdict, not an
+      // oracle error: both the uncached and the cached flow must fail.
+      struct Outcome {
+        FlowRun run;
+        bool failed = false;
+        std::string error;
+      };
+      const auto attempt = [&](const core::DesyncOptions& opt) {
+        Outcome o;
+        try {
+          o.run = runConversion(edited_text, gatefile, opt);
+        } catch (const std::exception& e) {
+          o.failed = true;
+          o.error = e.what();
+        }
+        return o;
+      };
+      const std::string edit =
+          v.eco_edit.empty() ? std::string() : " [" + v.eco_edit + "]";
+      const std::string at_cold = " at --jobs " + std::to_string(kColdJobs);
+      const std::string at_warm = " at --jobs " + std::to_string(kWarmJobs);
+      std::string step;  // names the run that threw, for the catch below
+      try {
+        core::DesyncOptions moved = cached;
+        moved.control.margin += 0.10;
+        core::DesyncOptions moved_plain = moved;
+        moved_plain.flowdb.cache_dir.clear();
+        core::setThreadJobs(kColdJobs);
+        step = "cold cached run" + at_cold;
+        const FlowRun cold = runConversion(verilog, gatefile, cached);
+        step = "uncached run at the moved margin" + at_cold;
+        const FlowRun moved_ref = runConversion(verilog, gatefile, moved_plain);
+        Outcome edit_ref;
+        if (!edited_text.empty()) edit_ref = attempt(plain);
+        core::setThreadJobs(kWarmJobs);
+        step = "warm cached run" + at_warm;
+        const FlowRun warm = runConversion(verilog, gatefile, cached);
+        step = "cached run at the moved margin" + at_warm;
+        const FlowRun moved_warm = runConversion(verilog, gatefile, moved);
+        Outcome edit_cached;
+        if (!edited_text.empty()) edit_cached = attempt(cached);
+        core::setThreadJobs(options.restore_jobs);
+        const auto reproved = [](const FlowRun& run) {
+          const sim::symfe::SymfeReport& rep = run.result.symfe.report;
+          return rep.registers.size() - rep.restored;
+        };
+        if (cold.verilog != flow.verilog || cold.sdc != flow.sdc) {
+          fail("cache",
+               "cold cached run differs from the uncached run" + at_cold);
+        } else if (warm.verilog != flow.verilog || warm.sdc != flow.sdc) {
+          fail("cache", "warm cached run differs from the uncached run" +
+                            at_warm);
+        } else if (moved_warm.verilog != moved_ref.verilog ||
+                   moved_warm.sdc != moved_ref.sdc) {
+          fail("cache",
+               "margin-changed cached run differs from the uncached run at "
+               "that margin");
+        } else if (warm.result.flow.cacheStats().hits != 1 ||
+                   reproved(warm) != 0 || reproved(moved_warm) != 0) {
+          fail("cache",
+               "warm rerun hit " +
+                   std::to_string(warm.result.flow.cacheStats().hits) +
+                   " slot(s) and re-proved " + std::to_string(reproved(warm)) +
+                   " register(s); the margin change re-proved " +
+                   std::to_string(reproved(moved_warm)));
+        } else if (!sameProofs(warm.result.symfe, cold.result.symfe) ||
+                   !sameProofs(moved_warm.result.symfe,
+                               moved_ref.result.symfe)) {
+          fail("cache", "reused proof records differ from fresh proofs");
+        } else if (edited_text.empty()) {
+          // No edit site: the first three steps are the whole check.
+        } else if (edit_ref.failed != edit_cached.failed) {
+          fail("cache",
+               edit_ref.failed
+                   ? "cold flow of the edited design failed (" +
+                         edit_ref.error + ") but the cached re-flow "
+                         "succeeded" + edit
+                   : "cached re-flow failed (" + edit_cached.error +
+                         ") but the cold flow of the edited design "
+                         "succeeded" + edit);
+        } else if (!edit_ref.failed &&
+                   (nl::writeVerilog(*edit_cached.run.design) !=
+                        nl::writeVerilog(*edit_ref.run.design) ||
+                    edit_cached.run.sdc != edit_ref.run.sdc)) {
+          // Whole-design comparison: the cached re-flow must also reproduce
+          // the helper modules (delay elements, controllers) byte for byte,
+          // not just the top — the CLI writes the full design.
+          fail("cache",
+               "cached re-flow differs from the cold flow of the edited "
+               "design" + at_warm + edit);
+        } else if (!edit_ref.failed &&
+                   !sameProofs(edit_cached.run.result.symfe,
+                               edit_ref.run.result.symfe)) {
+          fail("cache",
+               "cached re-flow's flow-equivalence proof records differ from "
+               "the cold flow of the edited design" + at_warm + edit);
+        }
+      } catch (const std::exception& e) {
+        core::setThreadJobs(options.restore_jobs);
+        fail("cache", step + ": " + e.what() + edit);
+      }
     }
+    fs::remove_all(dir, ec);
   }
 
   return v;

@@ -30,24 +30,24 @@
 //                           netlist with the SDC loop cuts applied; vacuous
 //                           when the flow replaced no FF (no latch clocks
 //                           are generated then)
-//   8. "flowdb"           — a cold cached run and a warm rerun (at
-//                           different --jobs counts) write byte-identical
-//                           Verilog + SDC, and a cached run at a different
-//                           margin matches an uncached flow at that margin;
-//                           all at `fe_mode`.  With the prover on, the warm
-//                           rerun loads the proof table (hits == 1), both
-//                           warm runs re-prove no register and every reused
-//                           proof record equals a fresh one; with it off,
-//                           no slot is written and each run notes it
-//   9. "eco"              — a seeded small edit (cell swap, constant tie
-//                           or net rename) is applied to the design; the
-//                           cached re-flow over a proof table primed on
-//                           the original must be byte-identical to a
-//                           cold flow of the edited design (docs/eco.md);
-//                           both run at `fe_mode`, and with the prover on
-//                           their per-register proof records (verdict,
-//                           trivial, conflicts, decisions) and protocol
-//                           verdicts must match
+//   8. "cache"            — the proof cache (docs/eco.md) reproduces
+//                           uncached flows exactly, at `fe_mode`.  With
+//                           the prover off, one cached run at --jobs 1
+//                           matches check 2 (run at `restore_jobs`),
+//                           writes no directory and notes that the cache
+//                           was inert.  With it on, one
+//                           directory is primed by a cold cached run at
+//                           --jobs 1 (matches check 2), then at --jobs 4 a
+//                           warm rerun loads the proof table (hits == 1), a
+//                           margin +0.10 run matches an uncached flow at
+//                           that margin — both re-prove no register, and
+//                           their proof records equal fresh ones — and a
+//                           seeded small edit (cell swap, constant tie or
+//                           net rename) re-flows exactly as an uncached
+//                           flow of the edited design: whole-design
+//                           Verilog, SDC, per-register proof records
+//                           (verdict, trivial, conflicts, decisions) and
+//                           protocol verdict; either both fail or neither
 //
 // Fault injection (`drdesync-fuzz --fault`) deliberately mis-runs the flow
 // so the detection and shrinking machinery can be exercised end to end on
@@ -86,22 +86,15 @@ struct OracleOptions {
   /// Synchronous clock cycles of check 4's one vector batch (the
   /// desynchronized version runs until it has the matching captures).
   int cycles = 16;
-  /// Worker counts for the FlowDB cold / warm runs.
-  int cold_jobs = 1;
-  int warm_jobs = 4;
   /// Worker count restored after the run (0 = env/hardware default).
   int restore_jobs = 0;
-  /// Scratch directory for the FlowDB cache; empty = system temp.  The
-  /// oracle creates and removes a per-run subdirectory inside it.
+  /// Scratch directory for check 8's proof cache; empty = system temp.
+  /// The oracle creates and removes a per-run subdirectory inside it.
   std::string scratch_dir;
-  /// Disables the (filesystem-touching) FlowDB check; the shrinker turns
-  /// this off when the failure it preserves is an earlier check.
-  bool check_flowdb = true;
-  /// Disables the (filesystem-touching) incremental-ECO check; the
-  /// shrinker turns this off when the failure it preserves is an earlier
-  /// check.
-  bool check_eco = true;
-  /// Seed of check 9's scripted edit — it picks the edit kind (cell swap,
+  /// Disables the (filesystem-touching) proof-cache check; the shrinker
+  /// turns this off when the failure it preserves is an earlier check.
+  bool check_cache = true;
+  /// Seed of check 8's scripted edit — it picks the edit kind (cell swap,
   /// constant tie, net rename) and the edit site.  Recorded in reproducer
   /// headers so a replay applies the identical edit; kept fixed by the
   /// shrinker so the preserved failure stays the same edit.
@@ -110,8 +103,8 @@ struct OracleOptions {
   /// route, the symbolic per-register prover, or both.  The prover is
   /// never vacuous — designs without replaced FFs get combinational
   /// output-port miters instead of a skip — but it is timing-blind, so the
-  /// short-margin fault is only caught by the vector route.  Checks 8
-  /// and 9 also run at this mode, so a prove run exercises proof reuse.
+  /// short-margin fault is only caught by the vector route.  Check 8
+  /// also runs at this mode, so a prove run exercises proof reuse.
   core::FeMode fe_mode = core::FeMode::kSim;
 };
 
@@ -130,7 +123,7 @@ struct OracleVerdict {
   int regions = 0;
   std::size_t values_compared = 0;
   std::size_t registers_proved = 0;  ///< prove route: miters proved UNSAT
-  /// Check 9's applied edit, for logs ("" when the check was skipped).
+  /// Check 8's applied edit, for logs ("" when no edit ran).
   std::string eco_edit;
 };
 

@@ -134,12 +134,11 @@ ShrinkResult shrink(const std::string& verilog,
   r.check = first.check;
   r.detail = first.detail;
   r.initial_cells = first.cells;
-  // The FlowDB and ECO checks are the slowest (extra full flows each);
-  // skip them while shrinking unless one is the very failure being
-  // preserved.  The ECO edit seed itself is never changed, so a preserved
-  // "eco" failure keeps replaying the same scripted edit.
-  if (first.check != "flowdb") oopt.check_flowdb = false;
-  if (first.check != "eco") oopt.check_eco = false;
+  // The proof-cache check is the slowest (up to six extra flows); skip it
+  // while shrinking unless it is the very failure being preserved.  Its
+  // edit seed is never changed, so a preserved "cache" failure keeps
+  // replaying the same scripted edit.
+  if (first.check != "cache") oopt.check_cache = false;
 
   // Accepts `candidate` when it fails the same check.
   auto keeps_failure = [&](const std::string& candidate) {

@@ -36,8 +36,8 @@ struct ShrinkOptions {
   /// Hard cap on oracle evaluations (the expensive step).
   int max_evals = 400;
   /// Oracle configuration the failure was observed under.  The shrinker
-  /// disables the FlowDB check automatically unless the preserved failure
-  /// IS the "flowdb" check.
+  /// disables the proof-cache check automatically unless the preserved
+  /// failure IS the "cache" check.
   OracleOptions oracle;
 };
 

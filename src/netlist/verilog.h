@@ -29,8 +29,6 @@ struct VerilogReadOptions {
   /// Replace escaped identifiers (\foo[2] ) with synthesized simple names,
   /// mirroring drdesync's design-import cleanup (thesis §3.2.1).
   bool simplify_escaped_names = true;
-  /// Fold `assign a = b;` aliases by merging nets where possible.
-  bool fold_assigns = true;
 };
 
 /// Parses Verilog source into `design`.  New modules are added to the design;

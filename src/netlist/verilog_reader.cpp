@@ -942,7 +942,6 @@ class Parser {
             a.rhs.const_val ? TermKind::kConst1 : TermKind::kConst0, 0, 0};
         continue;
       }
-      if (!options_.fold_assigns) continue;
       NetId rhs_id = resolve(a.rhs.net);
       if (lhs_id == rhs_id) continue;
       // `assign lhs = rhs` -> rhs drives lhs: merge lhs into rhs, unless lhs

@@ -1,7 +1,6 @@
 #include "server/service.h"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "core/desync.h"
@@ -28,23 +27,6 @@ liberty::Library loadLibrary(const std::string& spec) {
   return liberty::readLibertyFile(spec);
 }
 
-/// "p1,p2;p3" -> {{p1,p2},{p3}}, same grammar as drdesync --group.
-std::vector<std::vector<std::string>> parseGroups(const std::string& spec) {
-  std::vector<std::vector<std::string>> groups;
-  std::stringstream groups_in(spec);
-  std::string group;
-  while (std::getline(groups_in, group, ';')) {
-    std::vector<std::string> prefixes;
-    std::stringstream prefix_in(group);
-    std::string prefix;
-    while (std::getline(prefix_in, prefix, ',')) {
-      if (!prefix.empty()) prefixes.push_back(prefix);
-    }
-    if (!prefixes.empty()) groups.push_back(std::move(prefixes));
-  }
-  return groups;
-}
-
 core::DesyncOptions flowOptions(const Request& req) {
   core::DesyncOptions opt;
   opt.control.reset_port = req.reset_port;
@@ -54,7 +36,7 @@ core::DesyncOptions flowOptions(const Request& req) {
   opt.grouping.bus_heuristic = req.bus_heuristic;
   opt.grouping.clean_logic = req.clean_logic;
   opt.grouping.false_path_nets = req.false_paths;
-  opt.manual_seq_groups = parseGroups(req.group);
+  opt.manual_seq_groups = core::parseManualGroups(req.group);
   return opt;
 }
 

@@ -7,9 +7,8 @@
 
 namespace desync::sim {
 
-std::string mappedElementName(const std::string& element,
-                              const FlowEqOptions& options) {
-  return options.map_name ? options.map_name(element) : element + "_Ls";
+std::string mappedElementName(const std::string& element) {
+  return element + "_Ls";
 }
 
 std::size_t firstKnownCapture(const std::vector<Val>& values,
@@ -33,7 +32,7 @@ FlowEqReport checkFlowEquivalence(const std::vector<CaptureLog>& sync_logs,
   FlowEqReport report;
   for (const CaptureLog& sync_log : sync_logs) {
     const CaptureLog* desync_log =
-        desync_sim.captureOf(mappedElementName(sync_log.element, options));
+        desync_sim.captureOf(mappedElementName(sync_log.element));
     if (desync_log == nullptr) {
       ++report.skipped;
       continue;
@@ -42,7 +41,7 @@ FlowEqReport checkFlowEquivalence(const std::vector<CaptureLog>& sync_logs,
     std::size_t si = firstKnownCapture(sync_log.values, options);
     const std::size_t di0 = firstKnownCapture(desync_log->values, options);
     if (std::min(sync_log.values.size() - si,
-                 desync_log->values.size() - di0) < options.min_common) {
+                 desync_log->values.size() - di0) < kFlowEqMinCommon) {
       ++report.skipped;
       continue;
     }
@@ -65,7 +64,7 @@ FlowEqReport checkFlowEquivalence(const std::vector<CaptureLog>& sync_logs,
       if (di >= desync_log->values.size()) break;
       std::size_t common = 0;
       std::size_t bad = mismatchesAt(di, &common);
-      if (common < options.min_common) break;
+      if (common < kFlowEqMinCommon) break;
       if (bad < best_bad) {
         best_bad = bad;
         best_di = di;
@@ -82,7 +81,7 @@ FlowEqReport checkFlowEquivalence(const std::vector<CaptureLog>& sync_logs,
       for (std::size_t k = 0; k < common; ++k) {
         Val a = sync_log.values[si + k];
         Val b = desync_log->values[best_di + k];
-        if (a != b && report.details.size() < options.max_details) {
+        if (a != b && report.details.size() < kFlowEqMaxDetails) {
           report.details.push_back(
               sync_log.element + " capture #" + std::to_string(k) +
               ": sync=" + toChar(a) + " desync=" + toChar(b));

@@ -25,13 +25,13 @@ struct FlowEqReport {
   std::vector<std::string> details;  ///< first few mismatch descriptions
 };
 
+/// Minimum number of common captures an element must have for the
+/// comparison to count (shorter logs are reported as skipped).
+inline constexpr std::size_t kFlowEqMinCommon = 2;
+/// Mismatch descriptions kept per report (FlowEqReport::details).
+inline constexpr std::size_t kFlowEqMaxDetails = 8;
+
 struct FlowEqOptions {
-  /// Maps a synchronous flip-flop cell name to the desynchronized slave
-  /// latch cell name.  Default: append "_Ls" (drdesync's naming).
-  std::function<std::string(const std::string&)> map_name;
-  /// Minimum number of common captures an element must have for the
-  /// comparison to count (shorter logs are reported as skipped).
-  std::size_t min_common = 2;
   /// Ignore leading X captures (before reset propagated).
   bool skip_leading_x = true;
   /// The desynchronized side may record extra reset-epoch captures: latches
@@ -40,13 +40,11 @@ struct FlowEqOptions {
   /// this many leading desync captures may be skipped to align the
   /// sequences; the remainder must then match exactly.
   std::size_t max_initial_skip = 2;
-  std::size_t max_details = 8;
 };
 
-/// Name of the desynchronized counterpart of synchronous element `element`
-/// under `options.map_name`.
-std::string mappedElementName(const std::string& element,
-                              const FlowEqOptions& options);
+/// Name of the desynchronized counterpart of synchronous flip-flop
+/// `element`: its slave latch, `element` + "_Ls" (drdesync's naming).
+std::string mappedElementName(const std::string& element);
 
 /// Index of the first capture the comparison uses: past the leading X
 /// captures when `options.skip_leading_x` is set, else 0.

@@ -7,6 +7,8 @@ namespace desync::sim {
 
 namespace {
 constexpr std::uint32_t kNoNet = std::numeric_limits<std::uint32_t>::max();
+/// Floor for any gate delay, ns.
+constexpr double kMinDelayNs = 0.001;
 }  // namespace
 
 // ------------------------------------------------------------ model types
@@ -128,7 +130,7 @@ void Simulator::build() {
                         : a.intrinsic_fall + a.fall_resistance * cap;
         worst = std::max(worst, d);
       }
-      worst = std::max(worst * scale, options_.min_delay_ns);
+      worst = std::max(worst * scale, kMinDelayNs);
       return nsToPs(worst);
     };
 
@@ -195,7 +197,7 @@ void Simulator::build() {
     s.qn = roleNet(bp.qn);
     // Delays: clock->q from the q pin's clock arc, d->q (latch transparency)
     // from its combinational arc.
-    s.cq = nsToPs(std::max(0.1 * options_.delay_scale, options_.min_delay_ns));
+    s.cq = nsToPs(std::max(0.1 * options_.delay_scale, kMinDelayNs));
     s.dq = s.cq;
     if (bp.q >= 0) {
       const liberty::LibPin& qp =
@@ -204,7 +206,7 @@ void Simulator::build() {
       for (const liberty::TimingArc& a : qp.arcs) {
         double d = std::max(a.intrinsic_rise + a.rise_resistance * cap,
                             a.intrinsic_fall + a.fall_resistance * cap);
-        d = std::max(d * scale, options_.min_delay_ns);
+        d = std::max(d * scale, kMinDelayNs);
         if (a.type == liberty::ArcType::kClockToQ) s.cq = nsToPs(d);
         if (a.type == liberty::ArcType::kCombinational) s.dq = nsToPs(d);
       }

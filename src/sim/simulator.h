@@ -42,8 +42,6 @@ struct SimOptions {
   /// Optional per-instance multiplier (intra-die variation), keyed by cell
   /// name.  Return 1.0 for nominal.
   std::function<double(std::string_view cell_name)> cell_delay_scale;
-  /// Floor for any gate delay, ns.
-  double min_delay_ns = 0.001;
   /// Record stored-value sequences of sequential elements.
   bool record_captures = true;
   /// Count 0<->1 toggles per net (for power estimation).

@@ -112,8 +112,8 @@ void freeRunDesyncStimulus(Simulator& s, const SyncStimulus& st,
   std::vector<std::pair<const CaptureLog*, std::size_t>> targets;
   for (const CaptureLog& g : golden) {
     const std::size_t known = g.values.size() - firstKnownCapture(g.values, fe);
-    if (known < fe.min_common) continue;
-    const CaptureLog* d = s.captureOf(mappedElementName(g.element, fe));
+    if (known < kFlowEqMinCommon) continue;
+    const CaptureLog* d = s.captureOf(mappedElementName(g.element));
     if (d != nullptr) targets.emplace_back(d, known + fe.max_initial_skip);
   }
   const auto done = [&] {

@@ -84,7 +84,7 @@ void resetDesyncStimulus(Simulator& s, const SyncStimulus& st);
 
 /// Free-runs the desynchronized design from its current state until every
 /// element of `golden` that the comparison can use (a mapped counterpart
-/// exists and the golden log has at least `fe.min_common` known captures)
+/// exists and the golden log has at least `kFlowEqMinCommon` known captures)
 /// has at least its golden known-capture count plus `fe.max_initial_skip`
 /// known captures, so checkFlowEquivalence can try every alignment over
 /// the whole golden sequence.  Stops after kDesyncGuardSpans golden spans

@@ -216,10 +216,6 @@ void finishMiter(RegisterProof& proof, sat::Solver& solver, Encoder& enc,
     return;
   }
   proof.verdict = RegVerdict::kRefuted;
-  if (!opt.want_counterexample) {
-    proof.reason = "miter satisfiable";
-    return;
-  }
   Counterexample cex =
       decodeModel(solver, enc, vs, vd, clear_active, preset_active, es);
   const Val scalar = recheck(cex);

@@ -123,7 +123,6 @@ struct SymfeOptions {
   /// Per-register conflict budget; exhausting it yields kSkipped (honest
   /// "don't know"), never a silent pass.
   std::uint64_t max_conflicts = 200000;
-  bool want_counterexample = true;
   async::ControllerKind controller = async::ControllerKind::kSemiDecoupled;
   std::optional<ProtocolInput> protocol;
   /// Content-addressed proof reuse (docs/eco.md).  When set, every task's

@@ -26,8 +26,7 @@ struct StateHash {
 
 }  // namespace
 
-SiResult verifySpeedIndependent(const SiCircuit& circuit, const Stg& spec,
-                                std::size_t max_states) {
+SiResult verifySpeedIndependent(const SiCircuit& circuit, const Stg& spec) {
   SiResult result;
 
   // --- signal table ----------------------------------------------------
@@ -225,7 +224,7 @@ SiResult verifySpeedIndependent(const SiCircuit& circuit, const Stg& spec,
     for (Move& m : moves) {
       auto [it, inserted] = seen.emplace(m.next, order.size());
       if (inserted) {
-        if (seen.size() > max_states) {
+        if (seen.size() > kMaxSiStates) {
           throw StgError("speed-independent product too large");
         }
         order.push_back(m.next);

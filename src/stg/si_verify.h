@@ -52,12 +52,16 @@ struct SiResult {
   std::vector<std::string> trace;
 };
 
+/// State-space guard of verifySpeedIndependent (a closed semi-decoupled
+/// ring of three pairs explores about 2.0M states).
+inline constexpr std::size_t kMaxSiStates = 1u << 22;
+
 /// Verifies `circuit` against `spec`.  Signals of the spec marked kInput are
 /// driven by the environment (must appear in circuit.inputs); signals marked
 /// kOutput must be driven by circuit gates whose edges are then checked
 /// against the spec.  Gates driving signals absent from the spec are
 /// internal and unconstrained (but still checked for semi-modularity).
-SiResult verifySpeedIndependent(const SiCircuit& circuit, const Stg& spec,
-                                std::size_t max_states = 1u << 22);
+/// Throws StgError beyond kMaxSiStates states.
+SiResult verifySpeedIndependent(const SiCircuit& circuit, const Stg& spec);
 
 }  // namespace desync::stg

@@ -120,14 +120,12 @@ namespace {
 
 struct Explorer {
   const Stg& stg;
-  std::size_t max_states;
   std::unordered_map<Marking, std::uint32_t, MarkingHash> id_of;
   std::vector<Marking> states;
   std::vector<std::vector<std::pair<TransIdx, std::uint32_t>>> edges;
   bool bounded = true;
 
-  explicit Explorer(const Stg& s, std::size_t limit)
-      : stg(s), max_states(limit) {}
+  explicit Explorer(const Stg& s) : stg(s) {}
 
   std::uint32_t intern(const Marking& m) {
     auto [it, inserted] =
@@ -146,8 +144,8 @@ struct Explorer {
     while (!work.empty()) {
       std::uint32_t id = work.front();
       work.pop_front();
-      if (processed++ > max_states) {
-        throw StgError("state space exceeds max_states");
+      if (processed++ > kMaxReachableStates) {
+        throw StgError("state space exceeds kMaxReachableStates");
       }
       // `states` may reallocate while we expand; copy the marking.
       Marking m = states[id];
@@ -204,8 +202,8 @@ bool stronglyConnected(
 
 }  // namespace
 
-Reachability analyze(const Stg& stg, const ReachabilityOptions& opts) {
-  Explorer ex(stg, opts.max_states);
+Reachability analyze(const Stg& stg) {
+  Explorer ex(stg);
   ex.run();
 
   Reachability r;
@@ -273,11 +271,10 @@ Reachability analyze(const Stg& stg, const ReachabilityOptions& opts) {
   return r;
 }
 
-void forEachEdge(
-    const Stg& stg,
-    const std::function<void(const Marking&, TransIdx, const Marking&)>& visit,
-    const ReachabilityOptions& opts) {
-  Explorer ex(stg, opts.max_states);
+void forEachEdge(const Stg& stg,
+                 const std::function<void(const Marking&, TransIdx,
+                                          const Marking&)>& visit) {
+  Explorer ex(stg);
   ex.run();
   for (std::size_t id = 0; id < ex.states.size(); ++id) {
     for (auto [t, nid] : ex.edges[id]) {

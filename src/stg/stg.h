@@ -125,18 +125,17 @@ struct Reachability {
   std::string violation;               ///< description of first problem
 };
 
-struct ReachabilityOptions {
-  std::size_t max_states = 1u << 20;
-};
+/// State-space guard of analyze() and forEachEdge().
+inline constexpr std::size_t kMaxReachableStates = 1u << 20;
 
-/// Explores the full state space.  Throws StgError when max_states is hit.
-Reachability analyze(const Stg& stg, const ReachabilityOptions& opts = {});
+/// Explores the full state space.  Throws StgError beyond
+/// kMaxReachableStates states.
+Reachability analyze(const Stg& stg);
 
 /// Callback-driven exploration: visit(marking, enabled transition, successor)
 /// for every edge of the reachability graph.  Used by trace monitors.
 void forEachEdge(
     const Stg& stg,
-    const std::function<void(const Marking&, TransIdx, const Marking&)>& visit,
-    const ReachabilityOptions& opts = {});
+    const std::function<void(const Marking&, TransIdx, const Marking&)>& visit);
 
 }  // namespace desync::stg

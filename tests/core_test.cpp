@@ -3,6 +3,10 @@
 // flow-equivalence checked in simulation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/desync.h"
 #include "designs/cpu.h"
 #include "designs/small.h"
@@ -198,6 +202,20 @@ TEST(Grouping, ManualPrefixGrouping) {
   // The adders landed with their registers.
   EXPECT_FALSE(r.comb_cells[1].empty());
   EXPECT_FALSE(r.comb_cells[2].empty());
+}
+
+TEST(Grouping, ManualGroupSpecParses) {
+  using Groups = std::vector<std::vector<std::string>>;
+  const std::vector<std::pair<std::string, Groups>> cases = {
+      {"", {}},
+      {"a", {{"a"}}},
+      {"p1,p2;p3", {{"p1", "p2"}, {"p3"}}},
+      {"a,b;;c,", {{"a", "b"}, {"c"}}},
+      {";,;", {}},
+  };
+  for (const auto& [spec, want] : cases) {
+    EXPECT_EQ(core::parseManualGroups(spec), want) << '"' << spec << '"';
+  }
 }
 
 TEST(Grouping, DlxAutoRegionsFollowPipelineStructure) {
@@ -459,6 +477,29 @@ TEST(Desync, ClockGatedDesignIsFlowEquivalent) {
   EXPECT_FALSE(m.findCell("cg").valid());        // CGL dissolved
   EXPECT_TRUE(m.findCell("cg_cenLm").valid());   // gating latches present
   EXPECT_TRUE(m.findCell("cg_cenLs").valid());
+}
+
+TEST(Desync, HugeMarginSaturatesAtTheLongestDelayElement) {
+  // The level count is clamped before its cast to int: a margin whose
+  // target overflows int must give the 200-stage cap, not 1 stage.
+  for (const double margin : {1.15, 1e300}) {
+    nl::Design d;
+    designs::buildCounter(d, gf(), 6);
+    core::DesyncOptions opt;
+    opt.control.reset_port = "rst_n";
+    opt.control.reset_active_low = true;
+    opt.control.margin = margin;
+    const core::DesyncResult res =
+        core::desynchronize(d, *d.findModule("counter"), gf(), opt);
+    ASSERT_FALSE(res.control.regions.empty());
+    for (const core::RegionControl& rc : res.control.regions) {
+      if (margin > 1e3) {
+        EXPECT_EQ(rc.delay_levels, 200) << "group " << rc.group;
+      } else {
+        EXPECT_LT(rc.delay_levels, 200) << "group " << rc.group;
+      }
+    }
+  }
 }
 
 TEST(Desync, GeneratedSdcDescribesTheNetwork) {

@@ -256,7 +256,8 @@ TEST(FlowEq, DesyncStimulusStopsOnceEveryElementHasItsCaptures) {
     const sim::CaptureLog* c = sd.captureOf(g.element + "_Ls");
     const std::size_t known =
         g.values.size() - sim::firstKnownCapture(g.values, fe);
-    if (c == nullptr || known < fe.min_common) continue;  // never compared
+    // Logs below the common-capture floor are never compared.
+    if (c == nullptr || known < sim::kFlowEqMinCommon) continue;
     ++waited_for;
     EXPECT_GE(c->values.size() - sim::firstKnownCapture(c->values, fe),
               known + fe.max_initial_skip)

@@ -21,6 +21,7 @@ namespace nl = desync::netlist;
 namespace lib = desync::liberty;
 namespace fuzz = desync::fuzz;
 namespace designs = desync::designs;
+namespace core = desync::core;
 
 namespace {
 
@@ -28,14 +29,6 @@ const lib::Gatefile& gf() {
   static const lib::Library l = lib::makeStdLib90(lib::LibVariant::kHighSpeed);
   static const lib::Gatefile g(l);
   return g;
-}
-
-/// Oracle options for unit tests: the FlowDB check triples the flow count
-/// and touches the filesystem, so only the dedicated test turns it on.
-fuzz::OracleOptions fastOracle() {
-  fuzz::OracleOptions o;
-  o.check_flowdb = false;
-  return o;
 }
 
 std::string smallDesignText(
@@ -100,7 +93,7 @@ TEST(Generator, ConfigShapesThePopulation) {
 TEST(Oracle, HonestFlowPassesOnGeneratedPopulation) {
   for (std::uint64_t s = 1; s <= 15; ++s) {
     const std::string text = fuzz::generateVerilog(gf(), s);
-    fuzz::OracleVerdict v = fuzz::runOracle(text, gf(), fastOracle());
+    fuzz::OracleVerdict v = fuzz::runOracle(text, gf(), fuzz::OracleOptions());
     EXPECT_TRUE(v.ok) << "seed " << s << " failed " << v.check << ": "
                       << v.detail;
     EXPECT_GT(v.ffs_replaced, 0u) << "seed " << s;
@@ -110,29 +103,38 @@ TEST(Oracle, HonestFlowPassesOnGeneratedPopulation) {
 
 TEST(Oracle, VerdictIsDeterministic) {
   const std::string text = fuzz::generateVerilog(gf(), 3);
-  fuzz::OracleVerdict a = fuzz::runOracle(text, gf(), fastOracle());
-  fuzz::OracleVerdict b = fuzz::runOracle(text, gf(), fastOracle());
+  fuzz::OracleVerdict a = fuzz::runOracle(text, gf(), fuzz::OracleOptions());
+  fuzz::OracleVerdict b = fuzz::runOracle(text, gf(), fuzz::OracleOptions());
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.check, b.check);
   EXPECT_EQ(a.detail, b.detail);
   EXPECT_EQ(a.values_compared, b.values_compared);
 }
 
-TEST(Oracle, FlowDbCheckPassesColdAndWarm) {
+TEST(Oracle, CacheCheckPassesWithAndWithoutTheProver) {
   const std::filesystem::path scratch =
-      std::filesystem::temp_directory_path() / "fuzz_test_flowdb";
+      std::filesystem::temp_directory_path() / "fuzz_test_cache";
   std::filesystem::create_directories(scratch);
-  fuzz::OracleOptions o;
-  o.scratch_dir = scratch.string();
   const std::string text = fuzz::generateVerilog(gf(), 5);
-  fuzz::OracleVerdict v = fuzz::runOracle(text, gf(), o);
-  EXPECT_TRUE(v.ok) << v.check << ": " << v.detail;
+  for (const core::FeMode mode : {core::FeMode::kSim, core::FeMode::kProve}) {
+    fuzz::OracleOptions o;
+    o.scratch_dir = scratch.string();
+    o.fe_mode = mode;
+    fuzz::OracleVerdict v = fuzz::runOracle(text, gf(), o);
+    EXPECT_TRUE(v.ok) << core::feModeName(mode) << ": " << v.check << ": "
+                      << v.detail;
+    // Only the prover-on check applies the seeded edit.
+    EXPECT_EQ(v.eco_edit.empty(), mode == core::FeMode::kSim)
+        << core::feModeName(mode) << ": " << v.eco_edit;
+  }
+  // The oracle removes its per-run cache directory on every path.
+  EXPECT_TRUE(std::filesystem::is_empty(scratch));
   std::filesystem::remove_all(scratch);
 }
 
 TEST(Oracle, RejectsGarbageInput) {
-  fuzz::OracleVerdict v =
-      fuzz::runOracle("module broken (a; endmodule", gf(), fastOracle());
+  fuzz::OracleVerdict v = fuzz::runOracle("module broken (a; endmodule",
+                                          gf(), fuzz::OracleOptions());
   EXPECT_FALSE(v.ok);
   EXPECT_EQ(v.check, "parse");
 }
@@ -143,7 +145,7 @@ TEST(Oracle, ToleratesHollowDesignsButFlagsFlowErrors) {
   // shrinker depends on hollowed-out candidates being judged, not crashed.
   fuzz::OracleVerdict empty = fuzz::runOracle(
       "module empty (clk, rst_n);\n  input clk;\n  input rst_n;\nendmodule\n",
-      gf(), fastOracle());
+      gf(), fuzz::OracleOptions());
   EXPECT_TRUE(empty.ok) << empty.check << ": " << empty.detail;
   EXPECT_EQ(empty.ffs_replaced, 0u);
 
@@ -154,7 +156,7 @@ TEST(Oracle, ToleratesHollowDesignsButFlagsFlowErrors) {
       "module noreset (clk);\n  input clk;\n  wire q, nq;\n"
       "  DFF t (.D(nq), .CP(clk), .Q(q));\n  IV i (.A(q), .Z(nq));\n"
       "endmodule\n",
-      gf(), fastOracle());
+      gf(), fuzz::OracleOptions());
   EXPECT_FALSE(v.ok);
   EXPECT_EQ(v.check, "flow") << v.detail;
   EXPECT_NE(v.detail.find("control_network"), std::string::npos) << v.detail;
@@ -165,7 +167,7 @@ TEST(Oracle, DetectsFullyDecoupledControllerBug) {
   // controller's extra concurrency breaks flow equivalence on a two-region
   // pipeline (core_test shows the same on the builder directly; here it
   // must surface through the text-level oracle).
-  fuzz::OracleOptions o = fastOracle();
+  fuzz::OracleOptions o = fuzz::OracleOptions();
   o.fault = fuzz::FaultKind::kFullyDecoupled;
   o.cycles = 40;
   fuzz::OracleVerdict v =
@@ -178,7 +180,7 @@ TEST(Oracle, DetectsTooShortMatchedDelays) {
   // Fig 5.3's dashed region: matched delays far below the logic depth
   // capture data before it settled.  The long-path design exercises its
   // full critical path every cycle, so the corruption is deterministic.
-  fuzz::OracleOptions o = fastOracle();
+  fuzz::OracleOptions o = fuzz::OracleOptions();
   o.fault = fuzz::FaultKind::kShortMargin;
   o.cycles = 30;
   fuzz::OracleVerdict v =
@@ -199,7 +201,7 @@ TEST(Oracle, FaultKindNamesRoundTrip) {
 TEST(Shrink, PassingInputIsReturnedUnchanged) {
   const std::string text = fuzz::generateVerilog(gf(), 1);
   fuzz::ShrinkOptions so;
-  so.oracle = fastOracle();
+  so.oracle = fuzz::OracleOptions();
   fuzz::ShrinkResult r = fuzz::shrink(text, gf(), so);
   EXPECT_FALSE(r.failing);
   EXPECT_EQ(r.verilog, text);
@@ -211,7 +213,7 @@ TEST(Shrink, SelfTestFaultConvergesToMinimalRegister) {
   // so the reducer must reach a design of at most a few cells — well under
   // the <= 10 gate acceptance bar — and do so deterministically.
   fuzz::ShrinkOptions so;
-  so.oracle = fastOracle();
+  so.oracle = fuzz::OracleOptions();
   so.oracle.fault = fuzz::FaultKind::kSelfTest;
   const std::string text = fuzz::generateVerilog(gf(), 1);
 
@@ -236,7 +238,7 @@ TEST(Shrink, PreservesRealFlowEquivalenceFailures) {
   // result still fails flow-equivalence and still holds >= 2 registers in
   // >= 2 regions (one register alone cannot break FE this way).
   fuzz::ShrinkOptions so;
-  so.oracle = fastOracle();
+  so.oracle = fuzz::OracleOptions();
   so.oracle.fault = fuzz::FaultKind::kFullyDecoupled;
   const std::string text = fuzz::generateVerilog(gf(), 2);
   fuzz::OracleVerdict before = fuzz::runOracle(text, gf(), so.oracle);

@@ -196,7 +196,6 @@ TEST(Symfe, CorpusPassRunsCleanInProveAndBothModes) {
   ASSERT_FALSE(src.empty());
   for (const core::FeMode mode : {core::FeMode::kProve, core::FeMode::kBoth}) {
     fuzz::OracleOptions oo;
-    oo.check_flowdb = false;
     oo.fe_mode = mode;
     const fuzz::OracleVerdict v = fuzz::runOracle(src, gf(), oo);
     EXPECT_TRUE(v.ok) << core::feModeName(mode) << ": " << v.check << ": "
@@ -213,7 +212,7 @@ TEST(Symfe, CorpusFullyDecoupledFaultRefutedByProtocol) {
   const std::string src = readFile(corpusPath("fz_s2_flow-equivalence.v"));
   ASSERT_FALSE(src.empty());
   fuzz::OracleOptions oo;
-  oo.check_flowdb = false;
+  oo.check_cache = false;
   oo.fault = fuzz::FaultKind::kFullyDecoupled;
   oo.fe_mode = core::FeMode::kProve;
   const fuzz::OracleVerdict v = fuzz::runOracle(src, gf(), oo);
@@ -228,7 +227,7 @@ TEST(Symfe, CorpusSelfTestFaultUnaffectedByProveMode) {
   const std::string src = readFile(corpusPath("fz_s1_self-test.v"));
   ASSERT_FALSE(src.empty());
   fuzz::OracleOptions oo;
-  oo.check_flowdb = false;
+  oo.check_cache = false;
   oo.fault = fuzz::FaultKind::kSelfTest;
   oo.fe_mode = core::FeMode::kBoth;
   const fuzz::OracleVerdict v = fuzz::runOracle(src, gf(), oo);
@@ -242,11 +241,12 @@ TEST(Symfe, GeneratorSeedsBothRoutesNeverDisagree) {
   // `--fe-mode both` runs the sampling vector check and the symbolic
   // prover back to back; the honest oracle must pass both on every seed
   // (either route failing fails the run), at two worker counts with
-  // byte-identical verdicts.
+  // byte-identical verdicts.  The proof-cache check runs on every seed:
+  // warm rerun, margin change and seeded edit, each against a cold flow.
+  std::uint64_t edited = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::string src = fuzz::generateVerilog(gf(), seed);
     fuzz::OracleOptions oo;
-    oo.check_flowdb = false;
     oo.fe_mode = core::FeMode::kBoth;
     core::setThreadJobs(1);
     const fuzz::OracleVerdict v1 = fuzz::runOracle(src, gf(), oo);
@@ -260,6 +260,8 @@ TEST(Symfe, GeneratorSeedsBothRoutesNeverDisagree) {
     ASSERT_EQ(v1.detail, v4.detail) << "seed " << seed;
     ASSERT_EQ(v1.registers_proved, v4.registers_proved) << "seed " << seed;
     ASSERT_EQ(v1.note, v4.note) << "seed " << seed;
+    ASSERT_EQ(v1.eco_edit, v4.eco_edit) << "seed " << seed;
+    if (!v1.eco_edit.empty()) ++edited;
     // The prover is never vacuous: every seed with replaced FFs proves
     // them, and FF-less seeds get output miters.
     if (v1.ffs_replaced > 0) {
@@ -268,6 +270,8 @@ TEST(Symfe, GeneratorSeedsBothRoutesNeverDisagree) {
       ASSERT_GT(v1.registers_proved, 0u) << "seed " << seed;
     }
   }
+  // Most generated designs have an edit site; the edit step is not idle.
+  EXPECT_GT(edited, kSeeds / 2);
 }
 
 // ------------------------------------- refutation + replay round-trip
@@ -367,7 +371,6 @@ TEST(Symfe, CombOnlyDesignGetsOutputMiters) {
 TEST(Symfe, VacuousVectorCheckIsReportedNotSilent) {
   // Satellite 1: in sim mode a design without replaced FFs must say so.
   fuzz::OracleOptions oo;
-  oo.check_flowdb = false;
   oo.fe_mode = core::FeMode::kSim;
   const fuzz::OracleVerdict vs = fuzz::runOracle(kCombOnly, gf(), oo);
   EXPECT_TRUE(vs.ok) << vs.check << ": " << vs.detail;

@@ -3,7 +3,7 @@
 // Generates seeded random synchronous designs, pushes each through the
 // complete seven-pass flow and cross-checks every invariant the repo
 // guarantees (flow equivalence against the synchronous golden simulation,
-// Verilog write/read fixpoint, STA/SDC sanity, FlowDB cold/warm identity).
+// Verilog write/read fixpoint, STA/SDC sanity, proof-cache identity).
 // On a failure the netlist is delta-debugged down to a minimal reproducer
 // and written to the corpus directory with its one-line repro command.
 //
@@ -50,9 +50,8 @@ void usage() {
       "  --fault NAME       inject a known flow fault: none, fully-decoupled,\n"
       "                     short-margin or self-test (default none)\n"
       "  --cycles N         synchronous clock cycles simulated (default 16)\n"
-      "  --no-flowdb        skip the FlowDB cold/warm cache cross-check\n"
-      "  --no-eco           skip the incremental-ECO differential check\n"
-      "  --eco-seed S       seed of the ECO check's scripted edit (default:\n"
+      "  --no-cache         skip the proof-cache check (check 8)\n"
+      "  --eco-seed S       seed of the cache check's scripted edit (default:\n"
       "                     the design seed in generation mode, 1 otherwise)\n"
       "  --fe-mode M        flow-equivalence route: 'sim' (vector batches,\n"
       "                     default), 'prove' (per-register SAT proof), or\n"
@@ -159,10 +158,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--cycles") {
       oracle.cycles = parseIntFlag(arg, next());
-    } else if (arg == "--no-flowdb") {
-      oracle.check_flowdb = false;
-    } else if (arg == "--no-eco") {
-      oracle.check_eco = false;
+    } else if (arg == "--no-cache") {
+      oracle.check_cache = false;
     } else if (arg == "--eco-seed") {
       oracle.eco_seed = static_cast<std::uint64_t>(parseIntFlag(arg, next()));
       eco_seed_fixed = true;
@@ -180,7 +177,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       core::setThreadJobs(jobs);
-      oracle.restore_jobs = jobs;  // FlowDB check restores this count
+      oracle.restore_jobs = jobs;  // the cache check restores this count
     } else if (arg == "--shrink") {
       do_shrink = true;
     } else if (arg == "--max-evals") {
@@ -274,8 +271,9 @@ int main(int argc, char** argv) {
   for (int r = 0; r < runs; ++r) {
     const std::uint64_t s = seed + static_cast<std::uint64_t>(r);
     const std::string text = fuzz::generateVerilog(gatefile, s, gen);
-    // The ECO edit follows the design seed so every seed exercises a
-    // different edit kind/site; --eco-seed pins it for reproduction.
+    // The cache check's edit follows the design seed so every seed
+    // exercises a different edit kind/site; --eco-seed pins it for
+    // reproduction.
     if (!eco_seed_fixed) oracle.eco_seed = s;
     fuzz::OracleVerdict v = fuzz::runOracle(text, gatefile, oracle);
     if (v.ok) {
@@ -311,7 +309,7 @@ int main(int argc, char** argv) {
         << static_cast<unsigned long long>(s) << ", failing check \"" << check
         << "\"\n"
         << "// " << v.detail << "\n";
-    if (check == "eco") {
+    if (check == "cache") {
       // The replayed oracle must apply the identical scripted edit.
       out << "// eco edit (seed " << static_cast<unsigned long long>(
                  oracle.eco_seed) << "): " << v.eco_edit << "\n";
@@ -322,7 +320,7 @@ int main(int argc, char** argv) {
                 ? std::string{}
                 : std::string(" --fe-mode ") +
                       core::feModeName(oracle.fe_mode))
-        << (check == "eco" ? " --eco-seed " + std::to_string(oracle.eco_seed)
+        << (check == "cache" ? " --eco-seed " + std::to_string(oracle.eco_seed)
                            : std::string{})
         << " --expect-check " << check << "\n"
         << repro;

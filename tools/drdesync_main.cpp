@@ -11,13 +11,13 @@
 //            --group "pc_,ifid_;idex_;exmem_,red_;rf_,dmem_"
 //            --out dlx_desync.v --sdc dlx.sdc --blif dlx.blif --report
 #include <cerrno>
+#include <cmath>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,7 +58,8 @@ void usage() {
       "  --group \"p1,p2;p3\" manual regions by cell-name prefix\n"
       "                     (';' separates regions, ',' prefixes)\n"
       "  --false-path NET   net the grouping pass ignores (repeatable)\n"
-      "  --margin F         matched-delay safety margin (default 0.10)\n"
+      "  --margin F         matched-delay factor on each region's critical\n"
+      "                     path, >= 1.0 (default 1.15)\n"
       "  --mux-taps N       delay-line calibration taps: 0, 2, 4 or 8\n"
       "  --no-bus-heuristic disable bus-name region merging\n"
       "  --no-clean         skip netlist cleaning before grouping\n"
@@ -118,22 +119,6 @@ int parseIntFlag(const std::string& flag, const std::string& text) {
   return v;
 }
 
-std::vector<std::vector<std::string>> parseGroups(const std::string& spec) {
-  std::vector<std::vector<std::string>> groups;
-  std::stringstream groups_in(spec);
-  std::string group;
-  while (std::getline(groups_in, group, ';')) {
-    std::vector<std::string> prefixes;
-    std::stringstream prefix_in(group);
-    std::string prefix;
-    while (std::getline(prefix_in, prefix, ',')) {
-      if (!prefix.empty()) prefixes.push_back(prefix);
-    }
-    if (!prefixes.empty()) groups.push_back(std::move(prefixes));
-  }
-  return groups;
-}
-
 void printReport(const util::Json& report) {
   std::fputs((report.dump() + "\n").c_str(), stdout);
 }
@@ -178,7 +163,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--false-path") {
       opt.grouping.false_path_nets.push_back(next());
     } else if (arg == "--margin") {
-      opt.control.margin = parseDoubleFlag(arg, next());
+      const double margin = parseDoubleFlag(arg, next());
+      if (!std::isfinite(margin) || margin < 1.0) {
+        std::fprintf(stderr,
+                     "--margin must be a finite factor >= 1.0 on the "
+                     "critical path (got %g)\n",
+                     margin);
+        return 2;
+      }
+      opt.control.margin = margin;
     } else if (arg == "--mux-taps") {
       const int taps = parseIntFlag(arg, next());
       if (taps != 0 && taps != 2 && taps != 4 && taps != 8) {
@@ -237,7 +230,7 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  opt.manual_seq_groups = parseGroups(group_spec);
+  opt.manual_seq_groups = core::parseManualGroups(group_spec);
 
   // The command line wins over the DESYNC_TRACE environment default.
   if (!trace_path.empty()) {
