@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string_view>
 
 #include "async/celement.h"
 #include "async/delay_element.h"
@@ -69,6 +70,16 @@ ControlNetworkReport insertControlNetwork(
   report.per_level_delay_ns = timing.per_level_delay_ns;
   const std::vector<double>& required = timing.required_delay_ns;
 
+  // Instances are built over interned names: every pin name is already a
+  // port name of the (ensured) module it instantiates, and instance names
+  // are assembled in one reused buffer.
+  netlist::NameTable& names = design.names();
+  std::string buf;
+  const auto name = [&](std::string_view base, std::string_view suffix) {
+    return names.intern(buf.assign(base).append(suffix));
+  };
+  std::vector<netlist::PinConn> pins;
+
   // --- reset --------------------------------------------------------------
   NetId rst;
   if (options.reset_port.empty()) {
@@ -106,6 +117,12 @@ ControlNetworkReport insertControlNetwork(
                                            async::ControllerReset::kEmpty);
   Module& ctrl_f = async::ensureController(design, gatefile, options.controller,
                                            async::ControllerReset::kFull);
+  const netlist::NameId pin_ri = names.intern("ri");
+  const netlist::NameId pin_ao = names.intern("ao");
+  const netlist::NameId pin_rst = names.intern("rst");
+  const netlist::NameId pin_ai = names.intern("ai");
+  const netlist::NameId pin_ro = names.intern("ro");
+  const netlist::NameId pin_g = names.intern("g");
 
   std::vector<bool> active(static_cast<std::size_t>(regions.n_groups), false);
   for (int g = 0; g < regions.n_groups; ++g) {
@@ -139,20 +156,20 @@ ControlNetworkReport insertControlNetwork(
       gs = m.addNet(base + "_gs_nc");
     }
 
-    m.addCell(base + "_M", std::string(ctrl_e.name()),
-              {{"ri", PortDir::kInput, n.m_ri},
-               {"ao", PortDir::kInput, n.s_ai},
-               {"rst", PortDir::kInput, rst},
-               {"ai", PortDir::kOutput, n.m_ai},
-               {"ro", PortDir::kOutput, n.m_ro},
-               {"g", PortDir::kOutput, gm}});
-    m.addCell(base + "_S", std::string(ctrl_f.name()),
-              {{"ri", PortDir::kInput, n.m_ro},
-               {"ao", PortDir::kInput, n.s_ao},
-               {"rst", PortDir::kInput, rst},
-               {"ai", PortDir::kOutput, n.s_ai},
-               {"ro", PortDir::kOutput, n.s_ro},
-               {"g", PortDir::kOutput, gs}});
+    const netlist::PinConn master[] = {{pin_ri, PortDir::kInput, n.m_ri},
+                                       {pin_ao, PortDir::kInput, n.s_ai},
+                                       {pin_rst, PortDir::kInput, rst},
+                                       {pin_ai, PortDir::kOutput, n.m_ai},
+                                       {pin_ro, PortDir::kOutput, n.m_ro},
+                                       {pin_g, PortDir::kOutput, gm}};
+    m.addCell(name(base, "_M"), ctrl_e.nameId(), master);
+    const netlist::PinConn slave[] = {{pin_ri, PortDir::kInput, n.m_ro},
+                                      {pin_ao, PortDir::kInput, n.s_ao},
+                                      {pin_rst, PortDir::kInput, rst},
+                                      {pin_ai, PortDir::kOutput, n.s_ai},
+                                      {pin_ro, PortDir::kOutput, n.s_ro},
+                                      {pin_g, PortDir::kOutput, gs}};
+    m.addCell(name(base, "_S"), ctrl_f.nameId(), slave);
     report.size_only_cells.push_back(base + "_M");
     report.size_only_cells.push_back(base + "_S");
   }
@@ -181,14 +198,16 @@ ControlNetworkReport insertControlNetwork(
                                          static_cast<int>(preds.size()),
                                          async::ResetKind::kHigh);
       req_src = m.addNet(base + "_jr");
-      std::vector<Module::PinInit> pins;
+      const netlist::NameId cell = name(base, "_CJR");
+      pins.clear();
       for (std::size_t i = 0; i < preds.size(); ++i) {
-        pins.push_back({"A" + std::to_string(i), PortDir::kInput,
+        pins.push_back({names.intern("A" + std::to_string(i)),
+                        PortDir::kInput,
                         nets[static_cast<std::size_t>(preds[i])].s_ro});
       }
-      pins.push_back({"RST", PortDir::kInput, rst});
-      pins.push_back({"Z", PortDir::kOutput, req_src});
-      m.addCell(base + "_CJR", std::string(cj.name()), pins);
+      pins.push_back({names.intern("RST"), PortDir::kInput, rst});
+      pins.push_back({names.intern("Z"), PortDir::kOutput, req_src});
+      m.addCell(cell, cj.nameId(), pins);
       report.size_only_cells.push_back(base + "_CJR");
     }
 
@@ -216,12 +235,14 @@ ControlNetworkReport insertControlNetwork(
     spec.levels = levels;
     spec.mux_taps = options.mux_taps;
     Module& del = async::ensureDelayElement(design, gatefile, spec);
-    std::vector<Module::PinInit> pins = {{"A", PortDir::kInput, req_src},
-                                         {"Z", PortDir::kOutput, nets[gi].m_ri}};
+    const netlist::NameId cell = name(base, "_DE");
+    pins.assign({{names.intern("A"), PortDir::kInput, req_src},
+                 {names.intern("Z"), PortDir::kOutput, nets[gi].m_ri}});
     for (std::size_t i = 0; i < dsel.size(); ++i) {
-      pins.push_back({"S" + std::to_string(i), PortDir::kInput, dsel[i]});
+      pins.push_back(
+          {names.intern("S" + std::to_string(i)), PortDir::kInput, dsel[i]});
     }
-    m.addCell(base + "_DE", std::string(del.name()), pins);
+    m.addCell(cell, del.nameId(), pins);
 
     RegionControl rc;
     rc.group = g;
@@ -258,15 +279,15 @@ ControlNetworkReport insertControlNetwork(
     Module& cj = async::ensureCElement(design, gatefile,
                                        static_cast<int>(succs.size()),
                                        async::ResetKind::kLow);
-    std::vector<Module::PinInit> pins;
+    pins.clear();
     for (std::size_t i = 0; i < succs.size(); ++i) {
-      pins.push_back({"A" + std::to_string(i), PortDir::kInput,
+      pins.push_back({names.intern("A" + std::to_string(i)), PortDir::kInput,
                       nets[static_cast<std::size_t>(succs[i])].m_ai});
     }
-    pins.push_back({"RST", PortDir::kInput, rst});
+    pins.push_back({names.intern("RST"), PortDir::kInput, rst});
     NetId join = m.addNet(base + "_ja");
-    pins.push_back({"Z", PortDir::kOutput, join});
-    m.addCell(base + "_CJA", std::string(cj.name()), pins);
+    pins.push_back({names.intern("Z"), PortDir::kOutput, join});
+    m.addCell(name(base, "_CJA"), cj.nameId(), pins);
     report.size_only_cells.push_back(base + "_CJA");
     m.mergeNetInto(nets[gi].s_ao, join);
   }
@@ -280,15 +301,17 @@ ControlNetworkReport insertControlNetwork(
 
   // --- loop cuts for STA (thesis §4.6.1): every C-element keeper feedback
   // and every controller occupancy feedback, by flattened cell name.
+  const netlist::NameId maj3 = names.find("MAJ3");
+  const netlist::NameId aoi21 = names.find("AOI21");
   m.forEachCell([&](netlist::CellId cid) {
-    std::string name(m.cellName(cid));
-    std::string type(m.cellType(cid));
-    if (type == "MAJ3" && name.find("_maj") != std::string::npos) {
-      report.loop_cuts.push_back(sta::DisabledArc{name, "C"});
+    const netlist::Cell& c = m.cell(cid);
+    if (c.type != maj3 && c.type != aoi21) return;
+    const std::string_view cell = names.str(c.name);
+    if (c.type == maj3 && cell.find("_maj") != std::string_view::npos) {
+      report.loop_cuts.push_back(sta::DisabledArc{std::string(cell), "C"});
     }
-    if (type == "AOI21" && name.size() > 5 &&
-        name.substr(name.size() - 5) == "/u_dn") {
-      report.loop_cuts.push_back(sta::DisabledArc{name, "A"});
+    if (c.type == aoi21 && cell.size() > 5 && cell.ends_with("/u_dn")) {
+      report.loop_cuts.push_back(sta::DisabledArc{std::string(cell), "A"});
     }
   });
 

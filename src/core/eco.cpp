@@ -1,5 +1,6 @@
 #include "core/eco.h"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <vector>
@@ -98,6 +99,31 @@ void ProofCache::load(FlowReport& flow) {
   }
 }
 
+bool ProofCache::sameAsLoaded(
+    const std::vector<const sim::symfe::RegisterProof*>& proved) const {
+  if (!warm_ || proved.size() < table_.size()) return false;
+  for (const sim::symfe::RegisterProof* p : proved) {
+    const auto it = table_.find(*p->key);
+    if (it == table_.end() || it->second.trivial != p->trivial ||
+        it->second.conflicts != p->conflicts ||
+        it->second.decisions != p->decisions) {
+      return false;
+    }
+  }
+  // Every proof is in the table; they cover it unless two registers share
+  // a key, so count the distinct keys.
+  std::vector<util::CacheKey> keys;
+  keys.reserve(proved.size());
+  for (const sim::symfe::RegisterProof* p : proved) keys.push_back(*p->key);
+  const auto less = [](const util::CacheKey& a, const util::CacheKey& b) {
+    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+  };
+  std::sort(keys.begin(), keys.end(), less);
+  const auto distinct = static_cast<std::size_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
+  return distinct == table_.size();
+}
+
 void ProofCache::finish(const sim::symfe::SymfeReport& report,
                         FlowReport& flow, double compute_ms) {
   FlowReport::EcoSection eco;
@@ -112,20 +138,22 @@ void ProofCache::finish(const sim::symfe::SymfeReport& report,
         proved.push_back(&p);
       }
     }
-    flowdb::ByteWriter w;
-    w.str(module_name_);
-    w.u64(proved.size());
-    for (const sim::symfe::RegisterProof* p : proved) {
-      w.u64(p->key->hi);
-      w.u64(p->key->lo);
-      w.u32(p->trivial ? 1 : 0);
-      w.u64(p->conflicts);
-      w.u64(p->decisions);
+    if (!sameAsLoaded(proved)) {
+      flowdb::ByteWriter w;
+      w.str(module_name_);
+      w.u64(proved.size());
+      for (const sim::symfe::RegisterProof* p : proved) {
+        w.u64(p->key->hi);
+        w.u64(p->key->lo);
+        w.u32(p->trivial ? 1 : 0);
+        w.u64(p->conflicts);
+        w.u64(p->decisions);
+      }
+      if (!cache_->storeSlot(slot_name_, kSlotMagic, w.bytes())) {
+        flow.note("eco: failed to store the proof table");
+      }
+      eco.proofs_stored = static_cast<std::int64_t>(proved.size());
     }
-    if (!cache_->storeSlot(slot_name_, kSlotMagic, w.bytes())) {
-      flow.note("eco: failed to store the proof table");
-    }
-    eco.proofs_stored = static_cast<std::int64_t>(proved.size());
     pass.counter("proofs", eco.proofs_stored);
     pass.counter("bytes_written",
                  static_cast<std::int64_t>(cache_->stats().bytes_written));

@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/desync.h"
 #include "flowdb/cache.h"
@@ -50,10 +51,11 @@ class ProofCache {
     return cache_->stats();
   }
 
-  /// Stores this run's keyed proofs under an "eco_store" report entry,
-  /// then publishes the "eco" report section and the FlowCacheStats
-  /// (`compute_ms`: the seven passes' wall time).  Call once, after the
-  /// fe_prove pass.
+  /// Stores this run's keyed proofs under an "eco_store" report entry —
+  /// unless they are exactly the loaded table, which is then left as it is
+  /// (nothing written, `proofs_stored` 0) — and publishes the "eco" report
+  /// section and the FlowCacheStats (`compute_ms`: the seven passes' wall
+  /// time).  Call once, after the fe_prove pass.
   void finish(const sim::symfe::SymfeReport& report, FlowReport& flow,
               double compute_ms);
 
@@ -61,6 +63,10 @@ class ProofCache {
   ProofCache(std::unique_ptr<flowdb::PassCache> cache,
              std::string_view module_name);
   void load(FlowReport& flow);
+  /// True when `proved` (keyed, proved) is exactly the loaded table: the
+  /// same keys, each with the same record.
+  [[nodiscard]] bool sameAsLoaded(
+      const std::vector<const sim::symfe::RegisterProof*>& proved) const;
 
   std::unique_ptr<flowdb::PassCache> cache_;
   std::string module_name_;  ///< the design the slot belongs to

@@ -1,7 +1,11 @@
 #include "core/ff_substitution.h"
 
+#include <array>
+#include <cassert>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -27,41 +31,87 @@ void track(Regions& regions, Module& m, CellId id, int group, bool seq) {
   list.push_back(id);
 }
 
+/// A fixed cell-type or pin name, interned on its first use (so names enter
+/// the table in the order the cells need them) and reused after.
+class FixedName {
+ public:
+  explicit FixedName(std::string_view text) : text_(text) {}
+  netlist::NameId operator()(netlist::NameTable& names) {
+    if (!id_.valid()) id_ = names.intern(text_);
+    return id_;
+  }
+
+ private:
+  std::string_view text_;
+  netlist::NameId id_;
+};
+
+/// Builds the glue and latch cells.  A cell or net name is `base` +
+/// `suffix` (+ "_ds<n>" for a fresh net), assembled in one reused buffer.
 struct Builder {
+  Builder(Module& m, const liberty::Gatefile& gf, Regions& regions,
+          SubstitutionResult& result)
+      : m(m), names(m.design().names()), regions(regions), result(result),
+        latch_type(gf.simpleLatch()) {}
+
   Module& m;
-  const liberty::Gatefile& gf;
+  netlist::NameTable& names;
   Regions& regions;
   SubstitutionResult& result;
   std::uint64_t counter = 0;
+  std::string buf;
+  FixedName pin_a{"A"}, pin_b{"B"}, pin_s{"S"}, pin_z{"Z"};
+  FixedName pin_d{"D"}, pin_g{"G"}, pin_q{"Q"};
+  FixedName iv{"IV"}, mux21{"MUX21"}, an2{"AN2"}, an2b1{"AN2B1"};
+  FixedName or2{"OR2"}, or2b1{"OR2B1"}, latch_type;
 
-  NetId newNet(const std::string& base) {
-    return m.addNet(base + "_ds" + std::to_string(counter++));
+  struct Pin {
+    FixedName* name;
+    PortDir dir;
+    NetId net;
+  };
+
+  NetId newNet(std::string_view base, std::string_view suffix = {}) {
+    buf.assign(base).append(suffix).append("_ds").append(
+        std::to_string(counter++));
+    return m.addNet(names.intern(buf));
   }
 
-  CellId comb(const std::string& name, const char* type, int group,
-              std::initializer_list<Module::PinInit> pins) {
-    CellId id = m.addCell(name, type, pins);
+  CellId add(std::string_view base, std::string_view suffix, FixedName& type,
+             std::initializer_list<Pin> pins) {
+    const netlist::NameId name = names.intern(buf.assign(base).append(suffix));
+    const netlist::NameId type_id = type(names);
+    std::array<netlist::PinConn, 4> conns;
+    assert(pins.size() <= conns.size());
+    std::size_t n = 0;
+    for (const Pin& p : pins) conns[n++] = {(*p.name)(names), p.dir, p.net};
+    return m.addCell(name, type_id, std::span(conns.data(), n));
+  }
+
+  CellId comb(std::string_view base, std::string_view suffix,
+              FixedName& type, int group, std::initializer_list<Pin> pins) {
+    CellId id = add(base, suffix, type, pins);
     track(regions, m, id, group, /*seq=*/false);
     ++result.glue_cells_added;
     return id;
   }
 
-  NetId gate2(const std::string& name, const char* type, int group, NetId a,
-              NetId b) {
-    NetId z = newNet(name);
-    comb(name, type, group,
-         {{"A", PortDir::kInput, a},
-          {"B", PortDir::kInput, b},
-          {"Z", PortDir::kOutput, z}});
+  NetId gate2(std::string_view base, std::string_view suffix,
+              FixedName& type, int group, NetId a, NetId b) {
+    NetId z = newNet(base, suffix);
+    comb(base, suffix, type, group,
+         {{&pin_a, PortDir::kInput, a},
+          {&pin_b, PortDir::kInput, b},
+          {&pin_z, PortDir::kOutput, z}});
     return z;
   }
 
-  CellId latch(const std::string& name, int group, NetId d, NetId g,
-               NetId q) {
-    CellId id = m.addCell(name, gf.simpleLatch(),
-                          {{"D", PortDir::kInput, d},
-                           {"G", PortDir::kInput, g},
-                           {"Q", PortDir::kOutput, q}});
+  CellId latch(std::string_view base, std::string_view suffix, int group,
+               NetId d, NetId g, NetId q) {
+    CellId id = add(base, suffix, latch_type,
+                    {{&pin_d, PortDir::kInput, d},
+                     {&pin_g, PortDir::kInput, g},
+                     {&pin_q, PortDir::kOutput, q}});
     track(regions, m, id, group, /*seq=*/true);
     return id;
   }
@@ -77,7 +127,7 @@ SubstitutionResult substituteFlipFlops(Module& module,
                               NetId{});
   result.slave_enable.assign(static_cast<std::size_t>(regions.n_groups),
                              NetId{});
-  Builder b{module, gatefile, regions, result};
+  Builder b(module, gatefile, regions, result);
 
   // The enable-forcing gates for asynchronous controls (Fig 3.1c) depend
   // only on (region enable, control net, polarity) — share them across all
@@ -90,9 +140,10 @@ SubstitutionResult substituteFlipFlops(Module& module,
     auto key = std::make_tuple(enable.value, ctrl.value, active_low);
     auto it = forced_enable_cache.find(key);
     if (it != forced_enable_cache.end()) return it->second;
-    NetId out = b.gate2("G" + std::to_string(group) + "_" + tag + "_" +
-                            std::to_string(b.counter++),
-                        active_low ? "OR2B1" : "OR2", group, enable, ctrl);
+    const std::string name = "G" + std::to_string(group) + "_" + tag + "_" +
+                             std::to_string(b.counter++);
+    NetId out = b.gate2(name, {}, active_low ? b.or2b1 : b.or2, group, enable,
+                        ctrl);
     forced_enable_cache.emplace(key, out);
     return out;
   };
@@ -144,21 +195,23 @@ SubstitutionResult substituteFlipFlops(Module& module,
     }
     if (group < 0 || !e_net.valid()) continue;
     auto [gm, gs] = enables(group);
-    std::string base = std::string(module.cellName(cg));
+    const std::string_view base = module.cellName(cg);
     // Fig 3.1(d): the gating condition is latched while the master enable
     // is low (mirror of the integrated clock gate's low-phase latch), and
     // re-latched against the slave enable so each AND term is stable for
     // the whole duration of the pulse it gates.
-    NetId gmn = b.newNet(base + "_gmn");
-    b.comb(base + "_minv", "IV", group,
-           {{"A", PortDir::kInput, gm}, {"Z", PortDir::kOutput, gmn}});
-    NetId cen_m = b.newNet(base + "_cenm");
-    b.latch(base + "_cenLm", group, e_net, gmn, cen_m);
-    NetId gsn = b.newNet(base + "_gsn");
-    b.comb(base + "_sinv", "IV", group,
-           {{"A", PortDir::kInput, gs}, {"Z", PortDir::kOutput, gsn}});
-    NetId cen_s = b.newNet(base + "_cens");
-    b.latch(base + "_cenLs", group, cen_m, gsn, cen_s);
+    NetId gmn = b.newNet(base, "_gmn");
+    b.comb(base, "_minv", b.iv, group,
+           {{&b.pin_a, PortDir::kInput, gm},
+            {&b.pin_z, PortDir::kOutput, gmn}});
+    NetId cen_m = b.newNet(base, "_cenm");
+    b.latch(base, "_cenLm", group, e_net, gmn, cen_m);
+    NetId gsn = b.newNet(base, "_gsn");
+    b.comb(base, "_sinv", b.iv, group,
+           {{&b.pin_a, PortDir::kInput, gs},
+            {&b.pin_z, PortDir::kOutput, gsn}});
+    NetId cen_s = b.newNet(base, "_cens");
+    b.latch(base, "_cenLs", group, cen_m, gsn, cen_s);
     gated_clock_nets.emplace(z_net.value, Gating{cen_m, cen_s});
     removed_gates.push_back(cg);
   }
@@ -207,7 +260,7 @@ SubstitutionResult substituteFlipFlops(Module& module,
   struct FfInfo {
     const liberty::SeqClass* sc;
     int group;
-    std::string name;
+    std::string_view name;  ///< into the name table, which outlives the cell
     NetId d, si, se, sync, clear, preset, clock, q, qn;
   };
   std::vector<FfInfo> infos;
@@ -229,7 +282,7 @@ SubstitutionResult substituteFlipFlops(Module& module,
       }
       return NetId{};
     };
-    infos.push_back(FfInfo{sc, group, std::string(module.cellName(ff)),
+    infos.push_back(FfInfo{sc, group, module.cellName(ff),
                            pin(ids.d), pin(ids.si), pin(ids.se),
                            pin(ids.sync), pin(ids.clear), pin(ids.preset),
                            pin(ids.clock), pin(ids.q), pin(ids.qn)});
@@ -245,7 +298,7 @@ SubstitutionResult substituteFlipFlops(Module& module,
     const liberty::SeqClass* sc = info.sc;
     const int group = info.group;
     auto [gm, gs] = enables(group);
-    const std::string& name = info.name;
+    const std::string_view name = info.name;
     NetId d = info.d;
     const NetId si = info.si;
     const NetId se = info.se;
@@ -264,44 +317,41 @@ SubstitutionResult substituteFlipFlops(Module& module,
     if (!d.valid()) d = module.constNet(false);
     if (se.valid()) {
       // Scan mux (Fig 3.1a): D when SE=0, SI when SE=1.
-      NetId z = b.newNet(name + "_scm");
-      b.comb(name + "_scmux", "MUX21", group,
-             {{"A", PortDir::kInput, d},
-              {"B", PortDir::kInput, si},
-              {"S", PortDir::kInput, se},
-              {"Z", PortDir::kOutput, z}});
+      NetId z = b.newNet(name, "_scm");
+      b.comb(name, "_scmux", b.mux21, group,
+             {{&b.pin_a, PortDir::kInput, d},
+              {&b.pin_b, PortDir::kInput, si},
+              {&b.pin_s, PortDir::kInput, se},
+              {&b.pin_z, PortDir::kOutput, z}});
       d = z;
     }
     if (sync.valid()) {
       // Synchronous set/reset (Fig 3.1b).
       if (sync_set) {
-        d = b.gate2(name + "_sys", sync_low ? "OR2B1" : "OR2", group, d,
-                    sync);
+        d = b.gate2(name, "_sys", sync_low ? b.or2b1 : b.or2, group, d, sync);
       } else {
-        d = b.gate2(name + "_syr", sync_low ? "AN2" : "AN2B1", group, d,
-                    sync);
+        d = b.gate2(name, "_syr", sync_low ? b.an2 : b.an2b1, group, d, sync);
       }
     }
 
     NetId gm_eff = gm;
     NetId gs_eff = gs;
     if (gating != nullptr) {
-      gm_eff = b.gate2(name + "_cgm", "AN2", group, gm, gating->cen_master);
-      gs_eff = b.gate2(name + "_cgs", "AN2", group, gs, gating->cen_slave);
+      gm_eff = b.gate2(name, "_cgm", b.an2, group, gm, gating->cen_master);
+      gs_eff = b.gate2(name, "_cgs", b.an2, group, gs, gating->cen_slave);
     }
 
     // Async controls (Fig 3.1c): force the latches transparent while the
     // control is asserted and gate the data so the forced value flows.
     NetId slave_gate_clear, slave_gate_preset;
     if (clear.valid()) {
-      d = b.gate2(name + "_acm", clear_low ? "AN2" : "AN2B1", group, d,
-                  clear);
+      d = b.gate2(name, "_acm", clear_low ? b.an2 : b.an2b1, group, d, clear);
       gm_eff = forcedEnable(group, gm_eff, clear, clear_low, "agm");
       gs_eff = forcedEnable(group, gs_eff, clear, clear_low, "ags");
       slave_gate_clear = clear;
     }
     if (preset.valid()) {
-      d = b.gate2(name + "_apm", preset_low ? "OR2B1" : "OR2", group, d,
+      d = b.gate2(name, "_apm", preset_low ? b.or2b1 : b.or2, group, d,
                   preset);
       gm_eff = forcedEnable(group, gm_eff, preset, preset_low, "apgm");
       gs_eff = forcedEnable(group, gs_eff, preset, preset_low, "apgs");
@@ -309,22 +359,23 @@ SubstitutionResult substituteFlipFlops(Module& module,
     }
 
     // --- the latch pair ------------------------------------------------
-    NetId mq = b.newNet(name + "_mq");
-    b.latch(name + "_Lm", group, d, gm_eff, mq);
+    NetId mq = b.newNet(name, "_mq");
+    b.latch(name, "_Lm", group, d, gm_eff, mq);
     NetId sd = mq;
     if (slave_gate_clear.valid()) {
-      sd = b.gate2(name + "_acs", clear_low ? "AN2" : "AN2B1", group, sd,
+      sd = b.gate2(name, "_acs", clear_low ? b.an2 : b.an2b1, group, sd,
                    slave_gate_clear);
     }
     if (slave_gate_preset.valid()) {
-      sd = b.gate2(name + "_aps", preset_low ? "OR2B1" : "OR2", group, sd,
+      sd = b.gate2(name, "_aps", preset_low ? b.or2b1 : b.or2, group, sd,
                    slave_gate_preset);
     }
-    if (!q.valid()) q = b.newNet(name + "_q");
-    b.latch(name + "_Ls", group, sd, gs_eff, q);
+    if (!q.valid()) q = b.newNet(name, "_q");
+    b.latch(name, "_Ls", group, sd, gs_eff, q);
     if (qn.valid()) {
-      b.comb(name + "_qninv", "IV", group,
-             {{"A", PortDir::kInput, q}, {"Z", PortDir::kOutput, qn}});
+      b.comb(name, "_qninv", b.iv, group,
+             {{&b.pin_a, PortDir::kInput, q},
+              {&b.pin_z, PortDir::kOutput, qn}});
     }
     ++result.ffs_replaced;
   }

@@ -8,68 +8,80 @@
 namespace desync::netlist {
 namespace {
 
-/// Expands one instance `inst` (of module `sub`) inside `top`.
-void expandInstance(Module& top, CellId inst, const Module& sub) {
-  const Design& design = top.design();
-  const NameTable& names = design.names();
-  std::string prefix = std::string(top.cellName(inst)) + "/";
+/// Buffers expandInstance reuses from one instance to the next.
+struct ExpandScratch {
+  std::string name;                ///< "<instance>/" + inner name
+  std::vector<NetId> port_outer;   ///< sub PortId -> outer net
+  std::vector<NetId> net_map;      ///< sub NetId -> top NetId
+  std::vector<PinConn> pins;       ///< one copied cell's pins
+};
 
-  // Map each formal port name of `sub` to the outer net bound on the
-  // instance pin.
-  std::unordered_map<NameId, NetId> port_to_outer;
-  {
-    for (const PinConn& pin : top.pins(inst)) {
-      if (pin.net.valid()) port_to_outer.emplace(pin.name, pin.net);
+/// Expands one instance `inst` (of module `sub`) inside `top`.  Pin, type
+/// and inner names are already ids of the design's one NameTable; only the
+/// prefixed net and cell names are new.
+void expandInstance(Module& top, CellId inst, const Module& sub,
+                    ExpandScratch& scratch) {
+  NameTable& names = top.design().names();
+
+  // Bind each port of `sub` to the outer net on the instance pin of the
+  // same name (the first such pin), then each port's inner net to it.  A
+  // single inner net bound through several ports to *different* outer nets
+  // cannot be expressed after flattening.
+  scratch.port_outer.assign(sub.numPorts(), NetId{});
+  for (const PinConn& pin : top.pins(inst)) {
+    if (!pin.net.valid()) continue;
+    const PortId port = sub.findPort(pin.name);
+    if (port.valid() && !scratch.port_outer[port.index()].valid()) {
+      scratch.port_outer[port.index()] = pin.net;
     }
   }
+  scratch.net_map.assign(sub.netCapacity(), NetId{});
+  for (std::size_t i = 0; i < sub.numPorts(); ++i) {
+    const NetId inner = sub.ports()[i].net;
+    const NetId outer = scratch.port_outer[i];
+    if (!inner.valid() || !outer.valid()) continue;
+    NetId& bound = scratch.net_map[inner.index()];
+    if (bound.valid() && !(bound == outer)) {
+      throw NetlistError("flatten: inner net of " + std::string(sub.name()) +
+                         " bound to multiple distinct outer nets");
+    }
+    bound = outer;
+  }
+
   // Remove the instance up front so its output pins stop driving the outer
   // nets the copied inner drivers will take over.
+  std::string& name = scratch.name;
+  name.assign(top.cellName(inst)).push_back('/');
+  const std::size_t prefix = name.size();
   top.removeCell(inst);
 
-  // Create inner nets in the outer module.  Port-connected inner nets map to
-  // the outer nets instead.
-  std::unordered_map<std::uint32_t, NetId> net_map;  // sub NetId -> top NetId
+  // Create the other inner nets in the outer module.
   sub.forEachNet([&](NetId nid) {
+    NetId& outer = scratch.net_map[nid.index()];
+    if (outer.valid()) return;
     const Net& n = sub.net(nid);
-    // A net is "the port's net" when some port of `sub` references it.  A
-    // single inner net bound through several ports to *different* outer
-    // nets cannot be expressed after flattening.
-    NetId outer;
-    for (const Port& p : sub.ports()) {
-      if (!(p.net == nid)) continue;
-      auto it = port_to_outer.find(p.name);
-      if (it == port_to_outer.end()) continue;
-      if (outer.valid() && !(outer == it->second)) {
-        throw NetlistError("flatten: inner net of " + std::string(sub.name()) +
-                           " bound to multiple distinct outer nets");
-      }
-      outer = it->second;
+    if (n.driver.isConst()) {
+      outer = top.constNet(n.driver.kind == TermKind::kConst1);
+    } else {
+      name.resize(prefix);
+      name.append(names.str(n.name));
+      outer = top.addNet(names.intern(name));
+      top.net(outer).false_path = n.false_path;
     }
-    if (!outer.valid()) {
-      if (n.driver.isConst()) {
-        outer = top.constNet(n.driver.kind == TermKind::kConst1);
-      } else {
-        std::string name = prefix + std::string(names.str(n.name));
-        outer = top.addNet(name);
-        top.net(outer).false_path = n.false_path;
-      }
-    }
-    net_map.emplace(nid.value, outer);
   });
 
   // Copy cells.
   sub.forEachCell([&](CellId cid) {
     const Cell& c = sub.cell(cid);
-    std::vector<Module::PinInit> pins;
-    pins.reserve(c.pin_count);
+    scratch.pins.clear();
     for (const PinConn& pin : sub.pins(cid)) {
       NetId mapped;
-      if (pin.net.valid()) mapped = net_map.at(pin.net.value);
-      pins.push_back(Module::PinInit{std::string(names.str(pin.name)),
-                                     pin.dir, mapped});
+      if (pin.net.valid()) mapped = scratch.net_map[pin.net.index()];
+      scratch.pins.push_back(PinConn{pin.name, pin.dir, mapped});
     }
-    CellId new_id = top.addCell(prefix + std::string(names.str(c.name)),
-                                names.str(c.type), pins);
+    name.resize(prefix);
+    name.append(names.str(c.name));
+    const CellId new_id = top.addCell(names.intern(name), c.type, scratch.pins);
     top.cell(new_id).size_only = c.size_only;
     top.cell(new_id).dont_touch = c.dont_touch;
   });
@@ -113,18 +125,20 @@ Module& cloneModule(Design& dst, const Module& src) {
       out.addPort(names.str(p.name), p.dir, net);
     }
   }
+  NameTable& dst_names = dst.names();
+  std::vector<PinConn> pins;
   src.forEachCell([&](CellId cid) {
     const Cell& c = src.cell(cid);
-    std::vector<Module::PinInit> pins;
-    pins.reserve(c.pin_count);
+    const NameId name = dst_names.intern(names.str(c.name));
+    const NameId type = dst_names.intern(names.str(c.type));
+    pins.clear();
     for (const PinConn& pin : src.pins(cid)) {
       NetId mapped;
       if (pin.net.valid()) mapped = net_map.at(pin.net.value);
       pins.push_back(
-          Module::PinInit{std::string(names.str(pin.name)), pin.dir, mapped});
+          PinConn{dst_names.intern(names.str(pin.name)), pin.dir, mapped});
     }
-    CellId new_id =
-        out.addCell(names.str(c.name), names.str(c.type), pins);
+    const CellId new_id = out.addCell(name, type, pins);
     out.cell(new_id).size_only = c.size_only;
     out.cell(new_id).dont_touch = c.dont_touch;
   });
@@ -156,17 +170,17 @@ Module& snapshotModule(Design& dst, Module& src) {
 
 FlattenStats flatten(Module& module) {
   FlattenStats stats;
-  Design& design = module.design();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (CellId id : module.cellIds()) {
-      const Module* sub = design.findModule(module.cellType(id));
-      if (sub == nullptr || sub == &module) continue;
-      expandInstance(module, id, *sub);
-      ++stats.instances_flattened;
-      changed = true;
-    }
+  const Design& design = module.design();
+  ExpandScratch scratch;
+  // An expansion appends its cells, so one walk by id also reaches the
+  // instances nested in them, after every instance that existed before.
+  for (std::uint32_t i = 0; i < module.cellCapacity(); ++i) {
+    const CellId id{i};
+    if (!module.isLiveCell(id)) continue;
+    const Module* sub = design.findModule(module.cell(id).type);
+    if (sub == nullptr || sub == &module) continue;
+    expandInstance(module, id, *sub, scratch);
+    ++stats.instances_flattened;
   }
   return stats;
 }

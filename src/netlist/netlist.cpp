@@ -314,7 +314,11 @@ PortId Module::addPort(std::string_view name, PortDir dir, NetId net_id,
 
 PortId Module::findPort(std::string_view name) const {
   NameId nid = names().find(name);
-  return nid.valid() ? PortId{port_by_name_.find(nid)} : PortId{};
+  return nid.valid() ? findPort(nid) : PortId{};
+}
+
+PortId Module::findPort(NameId name) const {
+  return PortId{port_by_name_.find(name)};
 }
 
 std::vector<CellId> Module::cellIds() const {
@@ -522,8 +526,11 @@ Module* Design::findModule(std::string_view name) {
 
 const Module* Design::findModule(std::string_view name) const {
   const NameId nid = names().find(name);
-  const std::uint32_t at =
-      nid.valid() ? module_by_name_.find(nid) : NameIndex::kNone;
+  return nid.valid() ? findModule(nid) : nullptr;
+}
+
+const Module* Design::findModule(NameId name) const {
+  const std::uint32_t at = module_by_name_.find(name);
   return at == NameIndex::kNone ? nullptr : &modules_[at];
 }
 

@@ -281,6 +281,7 @@ class Module {
   PortId addPort(std::string_view name, PortDir dir, NetId net,
                  std::string_view bus_name, std::int32_t bit);
   [[nodiscard]] PortId findPort(std::string_view name) const;
+  [[nodiscard]] PortId findPort(NameId name) const;
   [[nodiscard]] Port& port(PortId id) { return ports_.at(id.index()); }
   [[nodiscard]] const Port& port(PortId id) const {
     return ports_.at(id.index());
@@ -412,6 +413,7 @@ class Design {
   /// Finds a module by name; nullptr if absent.
   [[nodiscard]] Module* findModule(std::string_view name);
   [[nodiscard]] const Module* findModule(std::string_view name) const;
+  [[nodiscard]] const Module* findModule(NameId name) const;
 
   /// Declares which module is the top of the design.
   void setTop(std::string_view name);

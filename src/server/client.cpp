@@ -8,6 +8,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "server/protocol.h"
+
 namespace desync::server {
 
 Client::Client(const std::string& socket_path) {
@@ -41,18 +43,8 @@ Client::Client(Client&& other) noexcept
 }
 
 void Client::sendLine(const std::string& line) {
-  std::string framed = line;
-  framed += '\n';
-  const char* p = framed.data();
-  std::size_t left = framed.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("send: ") + std::strerror(errno));
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+  if (!writeLine(fd_, line)) {
+    throw std::runtime_error(std::string("send: ") + std::strerror(errno));
   }
 }
 

@@ -1,5 +1,8 @@
 #include "server/protocol.h"
 
+#include <sys/uio.h>
+
+#include <cerrno>
 #include <cmath>
 
 namespace desync::server {
@@ -119,6 +122,33 @@ std::string requestLine(const Request& req) {
     doc.set("report", Json::str(reportModeName(req.report)));
   }
   return doc.dump();
+}
+
+bool writeLine(int fd, std::string_view line) {
+  char newline = '\n';
+  iovec iov[2] = {{const_cast<char*>(line.data()), line.size()},
+                  {&newline, 1}};
+  iovec* next = iov;
+  int count = 2;
+  while (count > 0) {
+    const ssize_t n = ::writev(fd, next, count);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    // Skip what was written: whole buffers first, then into the next one.
+    auto left = static_cast<std::size_t>(n);
+    while (count > 0 && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
+  }
+  return true;
 }
 
 }  // namespace desync::server

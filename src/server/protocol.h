@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.h"
@@ -72,5 +73,10 @@ class ProtocolError : public std::runtime_error {
 
 /// Serializes a Request as its wire line (used by drdesync-bench).
 [[nodiscard]] std::string requestLine(const Request& req);
+
+/// Writes `line` and its framing '\n' to `fd` in one writev, without
+/// copying the line; short writes and EINTR are retried.  Returns false,
+/// with errno set, when the write fails (peer gone).
+bool writeLine(int fd, std::string_view line);
 
 }  // namespace desync::server

@@ -18,32 +18,16 @@ using util::Json;
 
 namespace {
 
-/// Writes `line` + '\n' to `fd`, retrying short writes.  Errors (peer gone)
-/// are swallowed: the request was already served, there is no one to tell.
-void writeLineFd(int fd, const std::string& line) {
-  std::string framed = line;
-  framed += '\n';
-  const char* p = framed.data();
-  std::size_t left = framed.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-}
-
 /// One accepted connection.  Jobs hold a shared_ptr, so the fd stays open
 /// until the last queued reply for it has been written.
 struct SocketWriter {
   explicit SocketWriter(int fd) : fd(fd) {}
   ~SocketWriter() { ::close(fd); }
+  /// Errors (peer gone) are swallowed: the request was already served,
+  /// there is no one to tell.
   void write(const std::string& line) {
     std::lock_guard<std::mutex> lock(mutex);
-    writeLineFd(fd, line);
+    writeLine(fd, line);
   }
   int fd;
   std::mutex mutex;

@@ -25,7 +25,6 @@ std::atomic<bool> g_enabled{false};
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using util::jsonEscape;
 
 /// Event name capacity; longer names are truncated.  Sized for the flow's
 /// longest pass/counter names with headroom.
@@ -395,6 +394,13 @@ Summary finish() {
   out.precision(3);
   out << std::fixed;
   out << "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
+  // One reused buffer: each statement below escapes at most one name.
+  std::string escaped;
+  auto esc = [&escaped](std::string_view s) -> const std::string& {
+    escaped.clear();
+    util::escapeTo(escaped, s);
+    return escaped;
+  };
   bool first = true;
   auto sep = [&]() -> std::ofstream& {
     if (!first) out << ",\n";
@@ -407,7 +413,7 @@ Summary finish() {
     if (track.name.empty()) continue;
     sep() << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
           << track.tid << ", \"ts\": 0, \"args\": {\"name\": \""
-          << jsonEscape(track.name) << "\"}}";
+          << esc(track.name) << "\"}}";
   }
   for (const Track& track : tracks) {
     // Names for E events: replay the B/E pairing so each end event carries
@@ -418,7 +424,7 @@ Summary finish() {
       switch (e.kind) {
         case Event::Kind::kBegin:
           stack.push_back(&e);
-          sep() << "{\"name\": \"" << jsonEscape(e.name) << "\", \"cat\": \""
+          sep() << "{\"name\": \"" << esc(e.name) << "\", \"cat\": \""
                 << e.cat << "\", \"ph\": \"B\", \"pid\": 1, \"tid\": "
                 << track.tid << ", \"ts\": " << ts << "}";
           break;
@@ -426,19 +432,19 @@ Summary finish() {
           if (stack.empty()) break;
           const Event* b = stack.back();
           stack.pop_back();
-          sep() << "{\"name\": \"" << jsonEscape(b->name) << "\", \"cat\": \""
+          sep() << "{\"name\": \"" << esc(b->name) << "\", \"cat\": \""
                 << b->cat << "\", \"ph\": \"E\", \"pid\": 1, \"tid\": "
                 << track.tid << ", \"ts\": " << ts << "}";
           break;
         }
         case Event::Kind::kCounter:
-          sep() << "{\"name\": \"" << jsonEscape(e.name)
+          sep() << "{\"name\": \"" << esc(e.name)
                 << "\", \"ph\": \"C\", \"pid\": 1, \"tid\": " << track.tid
                 << ", \"ts\": " << ts << ", \"args\": {\"value\": " << e.value
                 << "}}";
           break;
         case Event::Kind::kInstant:
-          sep() << "{\"name\": \"" << jsonEscape(e.name) << "\", \"cat\": \""
+          sep() << "{\"name\": \"" << esc(e.name) << "\", \"cat\": \""
                 << e.cat << "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, "
                    "\"tid\": "
                 << track.tid << ", \"ts\": " << ts << "}";

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 
 namespace desync::util {
 
@@ -152,16 +151,18 @@ struct Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote, backslash or control byte.
+      const std::size_t run = pos;
+      while (pos < in.size()) {
+        const auto c = static_cast<unsigned char>(in[pos]);
+        if (c < 0x20 || c == '"' || c == '\\') break;
+        ++pos;
+      }
+      out.append(in, run, pos - run);
       if (pos >= in.size()) fail(pos, "unterminated string");
       const char c = in[pos++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail(pos - 1, "unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail(pos - 1, "unescaped control character in string");
       if (pos >= in.size()) fail(pos, "truncated escape");
       const char e = in[pos++];
       switch (e) {
@@ -358,27 +359,31 @@ Json Json::parse(std::string_view text) {
   return v;
 }
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+void escapeTo(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  // Room for the unescaped bytes up front, so a long string grows the
+  // output once, not once per doubling.
+  out.reserve(out.size() + s.size());
+  const char* run = s.data();
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(run, p);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof u);
+      }
     }
+    run = p + 1;
   }
-  return out;
+  out.append(run, end);
 }
 
 void Json::dumpTo(std::string& out) const {
@@ -401,7 +406,7 @@ void Json::dumpTo(std::string& out) const {
     }
     case Kind::kString:
       out += '"';
-      out += jsonEscape(str_);
+      escapeTo(out, str_);
       out += '"';
       break;
     case Kind::kArray:
@@ -417,7 +422,7 @@ void Json::dumpTo(std::string& out) const {
       for (std::size_t i = 0; i < obj_.size(); ++i) {
         if (i > 0) out += ", ";
         out += '"';
-        out += jsonEscape(obj_[i].first);
+        escapeTo(out, obj_[i].first);
         out += "\": ";
         obj_[i].second.dumpTo(out);
       }

@@ -3,9 +3,9 @@
 // Everything JSON-shaped goes through here: the drdesyncd wire protocol
 // (one request object per line in, one reply object per line out), the
 // `drdesync --report` run reports, the bench BENCH_*.json files and the
-// trace writer's string escaping.  The parser covers objects, arrays,
-// strings (with \uXXXX escapes decoded to UTF-8), numbers, booleans and
-// null with strict full-input validation: trailing garbage, unterminated
+// trace writer's string escaping (escapeTo).  The parser covers objects,
+// arrays, strings (with \uXXXX escapes decoded to UTF-8), numbers, booleans
+// and null with strict full-input validation: trailing garbage, unterminated
 // strings, malformed escapes, lone surrogates and numbers outside the
 // RFC 8259 grammar are JsonError, never a silently-truncated value.
 // Object member order is preserved so dumps are deterministic.
@@ -94,8 +94,9 @@ class Json {
   void dumpTo(std::string& out) const;
 };
 
-/// Escapes `s` as the *contents* of a JSON string literal (no quotes):
-/// quotes, backslashes and every control character.
-[[nodiscard]] std::string jsonEscape(std::string_view s);
+/// Appends `s` to `out` escaped as the *contents* of a JSON string literal
+/// (no quotes): quotes, backslashes and every control character.  Runs of
+/// bytes that need no escape are copied in bulk.
+void escapeTo(std::string& out, std::string_view s);
 
 }  // namespace desync::util

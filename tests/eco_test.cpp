@@ -14,6 +14,8 @@
 // The TSan variant (eco_test_tsan, DESYNC_ECO_TEST_LIGHT) drops the CPU
 // case studies and re-runs the pipe2 tests with the flow's parallel
 // sections race-checked.
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -22,9 +24,11 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/desync.h"
+#include "core/eco.h"
 #include "core/parallel.h"
 #include "designs/cpu.h"
 #include "designs/small.h"
@@ -271,6 +275,20 @@ fs::path slotPath(const fs::path& dir) {
     if (name.rfind("eco-", 0) == 0) return e.path();
   }
   return {};
+}
+
+/// Inode and modification time of the slot: a rewrite renames a new file
+/// into place, so both change.
+using SlotStamp = std::pair<ino_t, std::int64_t>;
+SlotStamp slotStamp(const fs::path& dir) {
+  struct stat st {};
+  if (::stat(slotPath(dir).c_str(), &st) != 0) {
+    ADD_FAILURE() << "no proof-table slot in " << dir;
+    return {};
+  }
+  return {st.st_ino,
+          static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+              st.st_mtim.tv_nsec};
 }
 
 bool anyNoteContains(const core::FlowReport& flow, const std::string& what) {
@@ -706,21 +724,81 @@ TEST(Eco, ForeignDesignSlotIsIgnored) {
 TEST(Eco, BytesWrittenCountsTheStoredTables) {
   const fs::path dir = scratchDir("bytes_written");
   const FlowOutput cold = runPipe2(ecoOptions(dir.string()));
-  const FlowOutput warm = runPipe2(ecoOptions(dir.string()));
   const std::uint64_t slot_bytes = fs::file_size(slotPath(dir));
+  const SlotStamp stored = slotStamp(dir);
+  const FlowOutput warm = runPipe2(ecoOptions(dir.string()));
 
-  // The report is published after the table is stored, so both runs
-  // account for the store; the slot on disk is the warm run's payload
-  // plus its envelope.
-  EXPECT_GT(cold.result.flow.cacheStats().bytes_written, 0u);
-  EXPECT_EQ(warm.result.flow.cacheStats().bytes_written +
+  // The report is published after the table is stored, so the cold run
+  // accounts for the store: the slot on disk is its payload plus the
+  // envelope.  The warm run proved exactly the stored table and leaves the
+  // slot as it is.
+  EXPECT_EQ(cold.result.flow.cacheStats().bytes_written +
                 desync::flowdb::kEnvelopeOverhead,
             slot_bytes);
+  EXPECT_EQ(warm.result.flow.cacheStats().bytes_written, 0u);
+  EXPECT_EQ(warm.result.flow.eco().proofs_stored, 0);
+  EXPECT_EQ(slotStamp(dir), stored);
+  EXPECT_EQ(fs::file_size(slotPath(dir)), slot_bytes);
   EXPECT_EQ(cold.result.flow.cacheStats().hits, 0u);
   EXPECT_EQ(cold.result.flow.cacheStats().misses, 1u);
   EXPECT_EQ(warm.result.flow.cacheStats().hits, 1u);
   EXPECT_EQ(warm.result.flow.cacheStats().misses, 0u);
   EXPECT_GT(warm.result.flow.cacheStats().bytes_read, 0u);
+  // The store is still an entry of the report.
+  bool has_store = false;
+  for (const auto& pass : warm.result.flow.passes()) {
+    has_store = has_store || pass.name == "eco_store";
+  }
+  EXPECT_TRUE(has_store);
+}
+
+TEST(Eco, OneNewProofStillStoresTheTable) {
+  const fs::path dir = scratchDir("one_new_proof");
+  const FlowOutput cold = runPipe2(ecoOptions(dir.string()));
+  const SlotStamp stored = slotStamp(dir);
+  const FlowOutput edited = runPipe2(
+      ecoOptions(dir.string()), [](nl::Module& m) { insertInverter(m); });
+
+  ASSERT_EQ(reproved(edited).size(), 1u);
+  EXPECT_GT(edited.result.flow.cacheStats().bytes_written, 0u);
+  EXPECT_EQ(edited.result.flow.eco().proofs_stored,
+            cold.result.flow.eco().proofs_stored);
+  EXPECT_NE(slotStamp(dir), stored);
+}
+
+namespace {
+
+/// Runs ProofCache::finish over proved registers with `keys` (one register
+/// per key, all with the same record) and returns the bytes it wrote.
+std::uint64_t storeProofs(const fs::path& dir,
+                          const std::vector<std::uint64_t>& keys) {
+  core::DesyncOptions opt = ecoOptions(dir.string());
+  core::FlowReport flow;
+  const auto cache = core::ProofCache::open(opt, "m", flow);
+  EXPECT_NE(cache, nullptr);
+  symfe::SymfeReport report;
+  for (const std::uint64_t k : keys) {
+    symfe::RegisterProof& r = report.registers.emplace_back();
+    r.verdict = symfe::RegVerdict::kProved;
+    r.conflicts = 3;
+    r.key = desync::util::CacheKey{k, ~k};
+  }
+  cache->finish(report, flow, 0.0);
+  return flow.cacheStats().bytes_written;
+}
+
+}  // namespace
+
+TEST(Eco, OnlyAnUnchangedKeySetSkipsTheStore) {
+  const fs::path dir = scratchDir("key_sets");
+  EXPECT_GT(storeProofs(dir, {1, 2}), 0u);
+  EXPECT_EQ(storeProofs(dir, {2, 1}), 0u);  // same set, other order
+  // Two registers sharing a key cover less than the table: stored.
+  EXPECT_GT(storeProofs(dir, {1, 1}), 0u);
+  EXPECT_EQ(storeProofs(dir, {1, 1}), 0u);
+  EXPECT_EQ(storeProofs(dir, {1}), 0u);
+  EXPECT_GT(storeProofs(dir, {1, 3}), 0u);
+  EXPECT_GT(storeProofs(dir, {1}), 0u);
 }
 
 // --- jobs-independence and the CPU case studies ---------------------------

@@ -1,6 +1,8 @@
 // FlowDB: named-slot validation, cache-directory prover runs (warm == cold
 // byte for byte at any --jobs, an option-only change reusing every proof),
 // corrupt-slot fallback and flow failure reporting.
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +11,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/desync.h"
@@ -42,6 +45,21 @@ std::filesystem::path scratchDir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Inode and modification time of the design's proof-table slot in
+/// `dir`: a rewrite renames a new file into place, so both change.
+std::pair<ino_t, std::int64_t> slotStamp(const std::filesystem::path& dir) {
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().filename().string().rfind("eco-", 0) != 0) continue;
+    struct stat st {};
+    if (::stat(e.path().c_str(), &st) != 0) break;
+    return {st.st_ino, static_cast<std::int64_t>(st.st_mtim.tv_sec) *
+                               1000000000 +
+                           st.st_mtim.tv_nsec};
+  }
+  ADD_FAILURE() << "no proof-table slot in " << dir;
+  return {};
 }
 
 struct FlowOutput {
@@ -94,6 +112,7 @@ TEST(FlowCache, WarmRunIsByteIdenticalToColdOnDlx) {
 
   const FlowOutput plain = runCpuFlow(config, cpuOptions());
   const FlowOutput cold = runCpuFlow(config, cpuOptions(dir.string()));
+  const auto stored = slotStamp(dir);
   const FlowOutput warm = runCpuFlow(config, cpuOptions(dir.string()));
 
   // Caching must never alter output: cold-with-cache == no-cache, and the
@@ -115,7 +134,10 @@ TEST(FlowCache, WarmRunIsByteIdenticalToColdOnDlx) {
   EXPECT_EQ(warm_stats.hits, 1u);
   EXPECT_EQ(warm_stats.misses, 0u);
   EXPECT_GT(warm_stats.bytes_read, 0u);
-  EXPECT_GT(warm_stats.bytes_written, 0u);
+  // The warm run proved exactly the stored table: the slot is left as it
+  // is, not rewritten.
+  EXPECT_EQ(warm_stats.bytes_written, 0u);
+  EXPECT_EQ(slotStamp(dir), stored);
   expectEveryProofRestored(warm);
 }
 

@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <bit>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "server/server.h"
 #include "server/service.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace server = desync::server;
 namespace fuzz = desync::fuzz;
@@ -119,6 +122,88 @@ TEST(ServerJson, NumbersDumpShortestAndRoundTripExactly) {
   EXPECT_EQ(util::Json::number(42).dump(), "42");
   EXPECT_EQ(util::Json::number(0.1).dump(), "0.1");
   EXPECT_EQ(util::Json::number(3.21).dump(), "3.21");
+}
+
+namespace {
+
+/// The per-byte escaper the writer used before it copied runs in bulk,
+/// kept as the reference escapeTo must match byte for byte.
+std::string referenceEscape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// Strings that stress the run boundaries: every byte alone and between
+/// two runs, runs ending at an escape or at the end, long unescaped runs,
+/// quote and backslash clusters, and random byte soup.
+std::vector<std::string> escapeCorpus() {
+  std::vector<std::string> out = {"", "\"\"\\\\", "\\\"", "a\"", "\"a"};
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    all += c;
+    out.emplace_back(1, c);
+    out.push_back(std::string("run") + c + "run");
+    out.push_back(std::string(40, 'x') + c);
+    out.push_back(c + std::string(40, 'y'));
+  }
+  out.push_back(all);
+  out.push_back(std::string(20000, 'r'));
+  out.push_back(std::string(5000, 'r') + '"' + std::string(5000, 's') + '\\');
+  out.push_back(std::string(3000, 'r') + "\n\t\x01\x1f\x7f\xff" +
+                std::string(3000, 's'));
+  util::Rng rng{21};
+  static constexpr char kHot[] = {'"',  '\\',   '\n', '\r',
+                                  '\t', '\0', '\x1f', 'a'};
+  for (int i = 0; i < 500; ++i) {
+    std::string s;
+    const int len = rng.range(0, 300);
+    for (int k = 0; k < len; ++k) {
+      s += rng.chance(30) ? kHot[rng.below(sizeof kHot)]
+                          : static_cast<char>(rng.below(256));
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ServerJson, EscapeMatchesThePerByteReferenceAndRoundTrips) {
+  for (const std::string& s : escapeCorpus()) {
+    std::string out = "prefix";
+    util::escapeTo(out, s);
+    ASSERT_EQ(out, "prefix" + referenceEscape(s)) << "length " << s.size();
+
+    const util::Json str = util::Json::str(s);
+    ASSERT_EQ(str.dump(), '"' + referenceEscape(s) + '"');
+    ASSERT_EQ(util::Json::parse(str.dump()).asString(), s);
+
+    // Keys take the same path.
+    util::Json obj = util::Json::object();
+    obj.set(s, util::Json::str(s));
+    const util::Json back = util::Json::parse(obj.dump());
+    ASSERT_EQ(back.asObject().size(), 1u);
+    EXPECT_EQ(back.asObject()[0].first, s);
+    EXPECT_EQ(back.asObject()[0].second.asString(), s);
+  }
 }
 
 // Every wire input a client could use to reach undefined behaviour or an

@@ -23,7 +23,7 @@ check "FNV-64 offset basis" 'cbf29ce484222325|1469598103934665603'
 check "FNV-64 prime" '100000001b3|1099511628211'
 check "splitmix64 body" 'bf58476d1ce4e5b9|94d049bb133111eb'
 check "LCG step (use util::Rng)" '6364136223846793005'
-check "jsonEscape definition" 'jsonEscape\([^)]*\)[[:space:]]*\{'
+check "JSON escaper definition" '(jsonEscape|escapeTo)\([^)]*\)[[:space:]]*\{'
 
 [ "$fail" -eq 0 ] && echo "check_single_impl: ok"
 exit "$fail"

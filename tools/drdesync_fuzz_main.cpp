@@ -9,8 +9,8 @@
 //
 //   drdesync-fuzz --runs 200                        # hunt
 //   drdesync-fuzz --seed 7 --fault self-test --shrink --out-dir tests/corpus
-//   drdesync-fuzz --replay tests/corpus/fz_s7_self-test.v \
-//                 --fault self-test --expect-check self-test
+//   drdesync-fuzz --replay tests/corpus/fz_s7_self-test.v
+//                 --fault self-test --expect-check self-test   (one line)
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
