@@ -12,7 +12,9 @@
 // FAILS (exit 1) when the prover leaves any register refuted or skipped,
 // or when the vector route disagrees — the acceptance bar for the case
 // studies.  Timings go to BENCH_symfe.json; CI publishes registers-proved
-// and solver-conflict counts to the step summary.
+// and solver-conflict counts to the step summary, and the ARM-class proof
+// graph's size, solver instances and trivial miters (the cold prover's
+// work counters).
 #include <algorithm>
 #include <limits>
 #include <string>
@@ -65,6 +67,9 @@ struct RouteResult {
   std::size_t skipped = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
+  std::size_t graph_nodes = 0;
+  std::size_t solvers = 0;
+  std::size_t trivial = 0;
   bool prove_ok = false;
   bool vector_ok = false;
   std::size_t values_compared = 0;
@@ -92,6 +97,9 @@ RouteResult runDesign(const Flow& flow, int repeats) {
   r.skipped = rep.skipped;
   r.conflicts = rep.conflicts;
   r.decisions = rep.decisions;
+  r.graph_nodes = rep.graph_nodes;
+  r.solvers = rep.solvers;
+  r.trivial = rep.trivial;
   r.prove_ok = rep.ok();
   if (!r.prove_ok) {
     for (const symfe::RegisterProof& reg : rep.registers) {
@@ -157,6 +165,9 @@ int main() {
        {"arm_proved", static_cast<double>(arm.proved)},
        {"arm_conflicts", static_cast<double>(arm.conflicts)},
        {"arm_decisions", static_cast<double>(arm.decisions)},
+       {"arm_graph_nodes", static_cast<double>(arm.graph_nodes)},
+       {"arm_solvers", static_cast<double>(arm.solvers)},
+       {"arm_trivial", static_cast<double>(arm.trivial)},
        {"arm_vector_ms", arm.vector_ms},
        {"arm_prove_ms", arm.prove_ms}});
   if (ok) {

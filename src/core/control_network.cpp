@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <string_view>
+#include <unordered_map>
 
 #include "async/celement.h"
 #include "async/delay_element.h"
@@ -41,10 +43,23 @@ double characterizeDelayStageNs(const liberty::Gatefile& gatefile) {
 
 }  // namespace
 
+double delayStageNs(const liberty::Gatefile& gatefile) {
+  static std::mutex mu;
+  static std::unordered_map<std::uint64_t, double> by_library;
+  const std::uint64_t key = gatefile.library().contentHash();
+  const std::lock_guard<std::mutex> lock(mu);
+  if (const auto it = by_library.find(key); it != by_library.end()) {
+    return it->second;
+  }
+  const double ns = characterizeDelayStageNs(gatefile);  // may throw
+  by_library.emplace(key, ns);
+  return ns;
+}
+
 RegionTiming computeRegionTiming(Module& m, const liberty::Gatefile& gatefile,
                                  const Regions& regions) {
   RegionTiming timing;
-  timing.per_level_delay_ns = characterizeDelayStageNs(gatefile);
+  timing.per_level_delay_ns = delayStageNs(gatefile);
 
   // Re-buffer the datapath first (the cleaning pass stripped the synthesis
   // buffers): the delay elements must be sized against the timing the

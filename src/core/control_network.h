@@ -66,6 +66,13 @@ struct RegionTiming {
   std::vector<double> required_delay_ns;
 };
 
+/// Rise delay of one AND stage of the asymmetric delay element under
+/// nominal conditions (thesis §3.1.4): a 16-level element measured with
+/// STA in a scratch design.  It is a pure function of the library, so it
+/// is characterized once per library content hash and served from a
+/// process-wide table after that (thread-safe).
+double delayStageNs(const liberty::Gatefile& gatefile);
+
 /// Runs the timing prerequisites of control-network insertion: re-buffers
 /// the datapath (the cleaning pass stripped the synthesis buffers, and the
 /// delay elements must be sized against the timing the backend netlist

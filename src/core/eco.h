@@ -4,8 +4,8 @@
 // expensive work a rerun can skip is proving flow equivalence: the seven
 // passes and the outputs always recompute.  A register's verdict depends
 // only on its own miter (Paykin et al., arXiv 2004.10655), so the prover
-// keys each miter by a hash of exactly what it reads (sim/symfe/
-// proof_key.h) and a `drdesync --cache-dir` run reuses the stored proof of
+// keys each miter by the content hashes of its two proof-graph literals
+// (sim/symfe/graph.h) and a `drdesync --cache-dir` run reuses the proof of
 // every key it has seen before.  Equal keys mean identical miter CNF, so
 // a reused proof is exactly what a fresh one would report — no edit
 // analysis, no closure, nothing for a caller to vouch for.  An identical

@@ -59,12 +59,17 @@ util::Json FlowReport::toJson() const {
                 .set("refuted", count(symfe_.refuted))
                 .set("skipped", count(symfe_.skipped))
                 .set("restored", count(symfe_.restored))
+                .set("trivial", count(symfe_.trivial))
+                .set("solvers", count(symfe_.solvers))
+                .set("graph_nodes", count(symfe_.graph_nodes))
                 .set("conflicts", count(symfe_.conflicts))
                 .set("decisions", count(symfe_.decisions))
                 .set("protocol_states", count(symfe_.protocol_states))
                 .set("protocol_admissible",
                      Json::boolean(symfe_.protocol_admissible))
                 .set("comb_only", Json::boolean(symfe_.comb_only))
+                .set("graph_ms", reportNumber(symfe_.graph_ms))
+                .set("solve_ms", reportNumber(symfe_.solve_ms))
                 .set("ms", reportNumber(symfe_.ms)));
   }
   if (eco_.ran) {

@@ -108,11 +108,16 @@ class FlowReport {
     std::int64_t refuted = 0;
     std::int64_t skipped = 0;
     std::int64_t restored = 0;    ///< subset of proved: reused proofs
+    std::int64_t trivial = 0;     ///< proved fresh as one literal
+    std::int64_t solvers = 0;     ///< fresh solver instances
+    std::int64_t graph_nodes = 0;  ///< nodes of the pair's proof graph
     std::int64_t conflicts = 0;   ///< total solver conflicts
     std::int64_t decisions = 0;   ///< total solver decisions
     std::int64_t protocol_states = 0;  ///< markings explored (fully dec.)
     bool protocol_admissible = true;
     bool comb_only = false;
+    double graph_ms = 0.0;  ///< task list, proof graph and keys
+    double solve_ms = 0.0;  ///< restores, CNF and SAT
     double ms = 0.0;
   };
   void setSymfe(SymfeSection symfe) {

@@ -82,6 +82,10 @@ Json runReport(const RunInfo& info, const DesyncResult& result) {
                 .set("proved", count(sf.proved))
                 .set("refuted", count(sf.refuted))
                 .set("skipped", count(sf.skipped))
+                .set("restored", count(sf.restored))
+                .set("trivial", count(sf.trivial))
+                .set("solvers", count(sf.solvers))
+                .set("graph_nodes", count(sf.graph_nodes))
                 .set("conflicts", count(sf.conflicts))
                 .set("decisions", count(sf.decisions))
                 .set("comb_only", Json::boolean(sf.comb_only))
@@ -94,6 +98,8 @@ Json runReport(const RunInfo& info, const DesyncResult& result) {
                          .set("channels", count(sf.protocol.channels))
                          .set("states_explored",
                               count(sf.protocol.states_explored)))
+                .set("graph_ms", reportNumber(sf.graph_ms))
+                .set("solve_ms", reportNumber(sf.solve_ms))
                 .set("ms", reportNumber(sf.total_ms)));
   }
   out.set("flow", result.flow.toJson());

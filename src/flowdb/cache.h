@@ -30,7 +30,7 @@ namespace desync::flowdb {
 /// Format version of every slot in a cache directory.  A slot sealed by
 /// another version is rejected as a version mismatch, not as corruption;
 /// files other than the requested slot are never read.
-inline constexpr std::uint32_t kCacheFormatVersion = 6;
+inline constexpr std::uint32_t kCacheFormatVersion = 7;
 
 /// Traffic counters for one PassCache instance.
 struct CacheStats {

@@ -393,7 +393,19 @@ void Module::copyContentFrom(const Module& src) {
   cells_ = src.cells_;
   ports_ = src.ports_;
   pin_pool_ = src.pin_pool_;
-  sink_pool_ = src.sink_pool_;
+  // The copy's sink segments are laid out densely, capacity == count: the
+  // source's pool keeps the old slots of every segment that grew.
+  std::size_t live = 0;
+  for (const Net& n : nets_) live += n.sinks.count;
+  sink_pool_.clear();
+  sink_pool_.reserve(live);
+  for (Net& n : nets_) {
+    const SinkSegment seg = n.sinks;
+    n.sinks = {static_cast<std::uint32_t>(sink_pool_.size()), seg.count,
+               seg.count};
+    sink_pool_.insert(sink_pool_.end(), src.sink_pool_.begin() + seg.begin,
+                      src.sink_pool_.begin() + seg.begin + seg.count);
+  }
   net_by_name_ = src.net_by_name_;
   cell_by_name_ = src.cell_by_name_;
   port_by_name_ = src.port_by_name_;

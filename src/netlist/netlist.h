@@ -189,6 +189,9 @@ class Module {
   }
   [[nodiscard]] std::string_view netName(NetId id) const;
   [[nodiscard]] std::size_t numNets() const { return live_nets_; }
+  /// Slots of the sink pool: live sinks plus the reserve and the old
+  /// slots that grown segments left behind.
+  [[nodiscard]] std::size_t sinkPoolSize() const { return sink_pool_.size(); }
   [[nodiscard]] std::uint32_t netCapacity() const {
     return static_cast<std::uint32_t>(nets_.size());
   }
@@ -320,7 +323,9 @@ class Module {
   [[nodiscard]] const std::vector<Net>& rawNets() const { return nets_; }
 
   /// Makes this module a slot-exact copy of `src`: cells, nets, ports, the
-  /// pin and sink pools, the by-name indices and the constant nets.  Both
+  /// pin pool, the by-name indices and the constant nets.  The sink pool
+  /// is laid out densely (each segment's capacity is its count), so the
+  /// copy drops the old slots of segments that grew in `src`.  Both
   /// modules must resolve names through the same NameTable.
   void copyContentFrom(const Module& src);
 

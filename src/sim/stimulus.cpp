@@ -104,25 +104,52 @@ void resetDesyncStimulus(Simulator& s, const SyncStimulus& st) {
   if (!st.reset_port.empty()) s.setInput(st.reset_port, inactive);
 }
 
+namespace {
+
+/// True once `log` holds every capture checkFlowEquivalence reads against
+/// `golden`'s known captures: all of them at some skip <= max_initial_skip
+/// that matches them all (the comparison takes the first skip without a
+/// mismatch, and every smaller skip already has its full window), or a
+/// full window at every skip.  Logs only grow, so the comparison's result
+/// is fixed from then on.
+bool hasItsCaptures(const CaptureLog& golden, const CaptureLog& log,
+                    const FlowEqOptions& fe) {
+  const std::size_t gi = firstKnownCapture(golden.values, fe);
+  const std::size_t known = golden.values.size() - gi;
+  const std::size_t di0 = firstKnownCapture(log.values, fe);
+  const std::size_t have = log.values.size() - di0;
+  if (have >= known + fe.max_initial_skip) return true;
+  for (std::size_t skip = 0; known + skip <= have; ++skip) {
+    if (std::equal(golden.values.begin() + static_cast<std::ptrdiff_t>(gi),
+                   golden.values.end(),
+                   log.values.begin() +
+                       static_cast<std::ptrdiff_t>(di0 + skip))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 void freeRunDesyncStimulus(Simulator& s, const SyncStimulus& st,
                            const std::vector<CaptureLog>& golden,
                            const FlowEqOptions& fe) {
-  // Desync capture log and known-capture target per usable element (the
-  // simulator's log list is fixed at construction, so the pointers hold).
-  std::vector<std::pair<const CaptureLog*, std::size_t>> targets;
+  // Golden and desync capture logs of every usable element still waiting
+  // for captures (the simulator's log list is fixed at construction, so
+  // the pointers hold).
+  std::vector<std::pair<const CaptureLog*, const CaptureLog*>> waiting;
   for (const CaptureLog& g : golden) {
     const std::size_t known = g.values.size() - firstKnownCapture(g.values, fe);
     if (known < kFlowEqMinCommon) continue;
     const CaptureLog* d = s.captureOf(mappedElementName(g.element));
-    if (d != nullptr) targets.emplace_back(d, known + fe.max_initial_skip);
+    if (d != nullptr) waiting.emplace_back(&g, d);
   }
   const auto done = [&] {
-    for (const auto& [log, need] : targets) {
-      if (log->values.size() - firstKnownCapture(log->values, fe) < need) {
-        return false;
-      }
-    }
-    return true;
+    std::erase_if(waiting, [&](const auto& w) {
+      return hasItsCaptures(*w.first, *w.second, fe);
+    });
+    return waiting.empty();
   };
 
   const Time step = nsToPs(st.half_period_ns);

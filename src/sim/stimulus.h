@@ -73,8 +73,8 @@ void runSyncStimulus(bitsim::BitSim& s, const SyncStimulus& st,
 /// Bound on the desynchronized free run, in golden spans (the synchronous
 /// run after reset release: one half-period plus `cycles` periods).  A
 /// guard, not a tuning knob: it only ends runs in which some element never
-/// produces all of its captures (a deadlock, or a clock-gated register
-/// that stops before its reset-epoch extra is matched).
+/// produces the captures the comparison reads (a deadlock, or a register
+/// whose captures do not match its golden log at any skip).
 inline constexpr int kDesyncGuardSpans = 8;
 
 /// Desynchronized-side reset: clk held low (the converted design no longer
@@ -85,10 +85,12 @@ void resetDesyncStimulus(Simulator& s, const SyncStimulus& st);
 /// Free-runs the desynchronized design from its current state until every
 /// element of `golden` that the comparison can use (a mapped counterpart
 /// exists and the golden log has at least `kFlowEqMinCommon` known captures)
-/// has at least its golden known-capture count plus `fe.max_initial_skip`
-/// known captures, so checkFlowEquivalence can try every alignment over
-/// the whole golden sequence.  Stops after kDesyncGuardSpans golden spans
-/// of `st` otherwise.  Callers with their own reset or input sequence
+/// has the captures checkFlowEquivalence reads: its golden known captures
+/// at the first skip that matches them all, or its golden known-capture
+/// count plus `fe.max_initial_skip` known captures, so every alignment can
+/// be tried over the whole golden sequence.  A clock-gated register that
+/// stops capturing after one reset-epoch extra is thus complete at skip 1.
+/// Stops after kDesyncGuardSpans golden spans of `st` otherwise.  Callers with their own reset or input sequence
 /// (scan shifting, a separate controller reset) finish with this instead
 /// of a fixed window that may cut capture logs short.
 void freeRunDesyncStimulus(Simulator& s, const SyncStimulus& st,

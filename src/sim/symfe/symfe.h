@@ -52,7 +52,7 @@ struct RegisterProof {
   std::string name;  ///< FF cell name, or "out:<port>" on comb-only designs
   RegVerdict verdict = RegVerdict::kSkipped;
   std::string reason;   ///< skip reason or refutation description
-  bool trivial = false;  ///< cones hash-consed to one literal; no SAT call
+  bool trivial = false;  ///< both sides are one graph literal; no SAT call
   /// Proof reused from SymfeOptions::proof_table: an identical miter was
   /// proved before, and trivial/conflicts/decisions are that proof's.
   bool restored = false;
@@ -60,8 +60,8 @@ struct RegisterProof {
   std::uint64_t decisions = 0;
   double ms = 0.0;
   std::optional<Counterexample> cex;  ///< present on kRefuted
-  /// Content key of the miter (docs/eco.md); computed only when a proof
-  /// table is given, absent when a cone of the miter has no key.
+  /// Content key of the miter (docs/eco.md); absent when the register
+  /// has no miter (skipped before any proof).
   std::optional<util::CacheKey> key;
 };
 
@@ -83,8 +83,13 @@ struct SymfeReport {
   std::size_t refuted = 0;
   std::size_t skipped = 0;
   std::size_t restored = 0;  ///< subset of proved: reused, not re-run
+  std::size_t trivial = 0;   ///< proved fresh as one literal, no solver
+  std::size_t solvers = 0;   ///< fresh solver instances (one per miter)
+  std::size_t graph_nodes = 0;  ///< nodes of the pair's proof graph
   std::uint64_t conflicts = 0;
   std::uint64_t decisions = 0;
+  double graph_ms = 0.0;  ///< task list, proof graph and keys
+  double solve_ms = 0.0;  ///< restores, CNF and SAT (parallel wall time)
   double total_ms = 0.0;
   bool comb_only = false;  ///< no registers: output-port miters instead
   std::string note;
@@ -125,12 +130,11 @@ struct SymfeOptions {
   std::uint64_t max_conflicts = 200000;
   async::ControllerKind controller = async::ControllerKind::kSemiDecoupled;
   std::optional<ProtocolInput> protocol;
-  /// Content-addressed proof reuse (docs/eco.md).  When set, every task's
-  /// miter key is computed (RegisterProof::key) and a task whose key is in
-  /// the table reuses the stored proof instead of running SAT.  Equal keys
-  /// mean identical miter CNF, so the reused proof is exactly what a fresh
-  /// one would report.  nullptr: no keys are computed.  Must outlive the
-  /// prover call.
+  /// Content-addressed proof reuse (docs/eco.md): a task whose miter key
+  /// (RegisterProof::key) is in the table reuses the stored proof instead
+  /// of running SAT.  Equal keys mean identical miter CNF, so the reused
+  /// proof is exactly what a fresh one would report.  nullptr: nothing is
+  /// reused.  Must outlive the prover call.
   const ProofTable* proof_table = nullptr;
 };
 

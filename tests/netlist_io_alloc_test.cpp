@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <optional>
@@ -103,6 +105,14 @@ TEST(NetlistIoAlloc, SnapshotAndTeardownCostAConstantNumberOfBlocks) {
         allocationsOf([&] { nl::snapshotModule(snap, d->top()); });
     EXPECT_LE(n, kMaxBlocks);
     EXPECT_EQ(snap.top().numCells(), d->top().numCells());
+    // The snapshot's sink pool is dense: one slot per live sink, where the
+    // read's pool also keeps the old slots of every segment that grew.
+    std::size_t live_sinks = 0;
+    snap.top().forEachNet(
+        [&](nl::NetId id) { live_sinks += snap.top().sinks(id).size(); });
+    EXPECT_EQ(snap.top().sinkPoolSize(), live_sinks);
+    EXPECT_LT(snap.top().sinkPoolSize(), d->top().sinkPoolSize());
+    EXPECT_TRUE(snap.top().checkInvariants().empty());
   }
   const std::size_t before = g_frees.load();
   d.reset();
@@ -149,6 +159,26 @@ TEST(NetlistIoAlloc, ControlNetworkAllocatesLittlePerInsertedCell) {
   ASSERT_GT(inserted, 500u);
   EXPECT_LE(static_cast<double>(n), kMaxPerCell * inserted)
       << n << " allocations for " << inserted << " inserted cells";
+}
+
+TEST(NetlistIoAlloc, DelayStageIsCharacterizedOncePerLibrary) {
+  // The AND-stage delay is measured on a scratch 16-level delay element
+  // through a whole Sta (hundreds of allocations).  After the first call
+  // per library content it is a table lookup: no allocation, and the
+  // same bits, also for another Library object with the same content.
+  const double first = core::delayStageNs(gf());
+  EXPECT_GT(first, 0.0);
+  double again = 0.0;
+  EXPECT_EQ(allocationsOf([&] { again = core::delayStageNs(gf()); }), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(again),
+            std::bit_cast<std::uint64_t>(first));
+  const lib::Library twin = lib::makeStdLib90(lib::LibVariant::kHighSpeed);
+  const lib::Gatefile twin_gf(twin);
+  EXPECT_EQ(allocationsOf([&] { again = core::delayStageNs(twin_gf); }), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(again),
+            std::bit_cast<std::uint64_t>(first));
+  const lib::Library ll = lib::makeStdLib90(lib::LibVariant::kLowLeakage);
+  EXPECT_NE(core::delayStageNs(lib::Gatefile(ll)), first);
 }
 
 TEST(NetlistIoAlloc, JsonDumpOfALargeReplyOnlyGrowsTheOutput) {

@@ -461,6 +461,18 @@ TEST(ModuleDifferential, RandomEditsMatchVectorReferenceModel) {
     for (const nl::Net& n : m.rawNets()) {
       widest_segment = std::max(widest_segment, n.sinks.capacity);
     }
+    // A snapshot holds the same connectivity in a dense sink pool (no
+    // slots left behind by grown segments) and stays editable.
+    nl::Design snap_design;
+    nl::Module& snap = nl::snapshotModule(snap_design, m);
+    ASSERT_TRUE(sameAsModel(snap, ref)) << "snapshot";
+    std::size_t live_sinks = 0;
+    snap.forEachNet([&](nl::NetId id) { live_sinks += snap.sinks(id).size(); });
+    EXPECT_EQ(snap.sinkPoolSize(), live_sinks);
+    EXPECT_LE(snap.sinkPoolSize(), m.sinkPoolSize());
+    const std::vector<nl::NetId> nets = liveNets();
+    snap.addPort("snap_p", nl::PortDir::kOutput, nets.front());
+    EXPECT_TRUE(snap.checkInvariants().empty());
   }
   // Segments grew through several doublings (1, 2, 4, ..., >= 16).
   EXPECT_GE(widest_segment, 16u);
