@@ -81,8 +81,7 @@ void tracePassBoundaryCounters(const liberty::Gatefile& gatefile,
 /// from the pristine synchronous snapshot, desynchronized side on the event
 /// engine until it has its captures (sim/stimulus.h), stored-value
 /// sequences compared per batch.
-void runFeCheck(ScopedPass& pass, const netlist::Module& sync_top,
-                const netlist::Module& module,
+void runFeCheck(const netlist::Module& sync_top, const netlist::Module& module,
                 const liberty::Gatefile& gatefile,
                 const DesyncOptions& options, DesyncResult& result) {
   const sim::bitsim::BitsimStats before = sim::bitsim::bitsimStats();
@@ -114,13 +113,6 @@ void runFeCheck(ScopedPass& pass, const netlist::Module& sync_top,
         "capture sequences to compare)");
   }
 
-  const sim::FlowEqBatchReport& fe = result.fe.report;
-  pass.counter("batches", static_cast<std::int64_t>(fe.batches_run));
-  pass.counter("elements", static_cast<std::int64_t>(fe.elements_compared));
-  pass.counter("values", static_cast<std::int64_t>(fe.values_compared));
-  pass.counter("mismatches", static_cast<std::int64_t>(fe.mismatches));
-  pass.counter("equivalent", fe.equivalent ? 1 : 0);
-
   const sim::bitsim::BitsimStats after = sim::bitsim::bitsimStats();
   FlowReport::BitsimSection bs;
   bs.compiles = after.compiles - before.compiles;
@@ -142,8 +134,7 @@ void runFeCheck(ScopedPass& pass, const netlist::Module& sync_top,
 /// Post-flow symbolic route (`--fe-mode prove|both`): per-register
 /// projection-equivalence miters over the pristine snapshot plus the
 /// token-flow protocol admissibility check (sim/symfe).
-void runFeProve(ScopedPass& pass, const netlist::Module& sync_top,
-                const netlist::Module& module,
+void runFeProve(const netlist::Module& sync_top, const netlist::Module& module,
                 const liberty::Gatefile& gatefile,
                 const DesyncOptions& options, DesyncResult& result,
                 const ProofCache* cache) {
@@ -170,15 +161,6 @@ void runFeProve(ScopedPass& pass, const netlist::Module& sync_top,
   result.symfe.ran = true;
 
   const sim::symfe::SymfeReport& rep = result.symfe.report;
-  pass.counter("registers", static_cast<std::int64_t>(rep.registers.size()));
-  pass.counter("proved", static_cast<std::int64_t>(rep.proved));
-  pass.counter("refuted", static_cast<std::int64_t>(rep.refuted));
-  pass.counter("skipped", static_cast<std::int64_t>(rep.skipped));
-  pass.counter("restored", static_cast<std::int64_t>(rep.restored));
-  pass.counter("conflicts", static_cast<std::int64_t>(rep.conflicts));
-  pass.counter("decisions", static_cast<std::int64_t>(rep.decisions));
-  pass.counter("protocol_admissible", rep.protocol.admissible ? 1 : 0);
-
   FlowReport::SymfeSection ss;
   ss.registers = static_cast<std::int64_t>(rep.registers.size());
   ss.proved = static_cast<std::int64_t>(rep.proved);
@@ -378,14 +360,13 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
 
   const double passes_ms = result.flow.totalMs() - setup_ms;
   if (want_vector) {
-    runPass("fe_check", [&](ScopedPass& pass) {
-      runFeCheck(pass, *sync_top, module, gatefile, options, result);
+    runPass("fe_check", [&](ScopedPass&) {
+      runFeCheck(*sync_top, module, gatefile, options, result);
     });
   }
   if (want_prove) {
-    runPass("fe_prove", [&](ScopedPass& pass) {
-      runFeProve(pass, *sync_top, module, gatefile, options, result,
-                 cache.get());
+    runPass("fe_prove", [&](ScopedPass&) {
+      runFeProve(*sync_top, module, gatefile, options, result, cache.get());
     });
   }
   if (cache != nullptr) {

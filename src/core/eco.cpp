@@ -52,9 +52,6 @@ std::unique_ptr<ProofCache> ProofCache::open(const DesyncOptions& options,
   cache->load_ms_ = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-  pass.counter("proofs", static_cast<std::int64_t>(cache->table_.size()));
-  pass.counter("bytes_read",
-               static_cast<std::int64_t>(cache->cacheStats().bytes_read));
   return cache;
 }
 
@@ -154,9 +151,6 @@ void ProofCache::finish(const sim::symfe::SymfeReport& report,
       }
       eco.proofs_stored = static_cast<std::int64_t>(proved.size());
     }
-    pass.counter("proofs", eco.proofs_stored);
-    pass.counter("bytes_written",
-                 static_cast<std::int64_t>(cache_->stats().bytes_written));
   }
   flow.setEco(eco);
   // Published after the store, so bytes_written counts the table.

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "liberty/stdlib90.h"
+
 namespace desync::liberty {
 namespace {
 
@@ -370,6 +372,12 @@ Library readLibertyFile(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return readLiberty(ss.str());
+}
+
+Library loadLibrary(const std::string& spec) {
+  if (spec == "builtin:hs") return makeStdLib90(LibVariant::kHighSpeed);
+  if (spec == "builtin:ll") return makeStdLib90(LibVariant::kLowLeakage);
+  return readLibertyFile(spec);
 }
 
 std::string writeLiberty(const Library& lib) {

@@ -27,6 +27,10 @@ Library readLiberty(std::string_view text);
 /// Reads a .lib file from disk.
 Library readLibertyFile(const std::string& path);
 
+/// The library a `--lib` spec names: builtin:hs or builtin:ll (stdlib90's
+/// high-speed or low-leakage variant), or else a .lib file path.
+Library loadLibrary(const std::string& spec);
+
 /// Serializes a Library back to Liberty text (round-trips through
 /// readLiberty).
 std::string writeLiberty(const Library& lib);

@@ -7,7 +7,6 @@
 #include "core/parallel.h"
 #include "core/run_report.h"
 #include "liberty/liberty_io.h"
-#include "liberty/stdlib90.h"
 #include "netlist/verilog.h"
 #include "trace/trace.h"
 
@@ -16,16 +15,6 @@ namespace desync::server {
 using util::Json;
 
 namespace {
-
-liberty::Library loadLibrary(const std::string& spec) {
-  if (spec == "builtin:hs") {
-    return liberty::makeStdLib90(liberty::LibVariant::kHighSpeed);
-  }
-  if (spec == "builtin:ll") {
-    return liberty::makeStdLib90(liberty::LibVariant::kLowLeakage);
-  }
-  return liberty::readLibertyFile(spec);
-}
 
 core::DesyncOptions flowOptions(const Request& req) {
   core::DesyncOptions opt;
@@ -49,7 +38,7 @@ double msSince(std::chrono::steady_clock::time_point begin) {
 }  // namespace
 
 FlowService::FlowService(const ServiceOptions& options)
-    : library_(loadLibrary(options.lib)),
+    : library_(liberty::loadLibrary(options.lib)),
       gatefile_(library_),
       default_jobs_(options.default_jobs) {}
 

@@ -250,67 +250,71 @@ ConeWalker::ConeWalker(const liberty::BoundModule& bound, ProofGraph& graph,
     : bound_(bound), module_(bound.module()), graph_(graph),
       desync_side_(desync_side), memo_(module_.netCapacity()) {}
 
-std::optional<NodeLit> ConeWalker::literalFor(netlist::NetId net) {
-  Entry e;
-  if (!walk(net, 0, e)) return std::nullopt;
-  if (e.height > kMaxConeDepth) {
-    fail("symfe: combinational cone too deep at net " +
-         std::string(module_.netName(net)));
-    return std::nullopt;
+std::optional<NodeLit> ConeWalker::literalFor(netlist::NetId root) {
+  // Post-order on stack_ (left over by a failed walk): a gate's literal is
+  // made once its inputs' are on inputs_, visited in pin order.
+  stack_.clear();
+  inputs_.clear();
+  NodeLit lit;
+  Step step = enter(root, lit);
+  while (step != Step::kFailed) {
+    if (step == Step::kDone) {
+      if (stack_.empty()) return lit;
+      inputs_.push_back(lit);
+    }
+    GateFrame& f = stack_.back();
+    if (f.next < f.arity()) {
+      const netlist::NetId in = f.nextInput(bound_);
+      step = in.valid() ? enter(in, lit)
+                        : fail("symfe: unconnected input on " +
+                               std::string(module_.cellName(f.cell)));
+      continue;
+    }
+    const auto ins = std::span<const NodeLit>(inputs_).subspan(f.base);
+    lit = f.out != nullptr ? graph_.table(f.out->table, ins) : ins[0];
+    inputs_.resize(f.base);
+    memo_[f.net.index()] = Entry{lit, State::kDone};
+    stack_.pop_back();
+    step = Step::kDone;
   }
-  return e.lit;
+  // A failure is not memoized: its message names the net where this walk
+  // met it, which depends on where the walk entered the cone.
+  for (const GateFrame& f : stack_) memo_[f.net.index()].state = State::kNew;
+  return std::nullopt;
 }
 
-bool ConeWalker::walk(netlist::NetId net, std::uint32_t depth, Entry& out) {
-  if (depth > kMaxConeDepth) {
-    return fail("symfe: combinational cone too deep at net " +
-                std::string(module_.netName(net)));
-  }
-  Entry& slot = memo_[net.index()];  // stable: memo_ is pre-sized
-  if (slot.state == State::kDone) {
-    deep_reuse_ |= depth + slot.height > kMaxConeDepth;
-    out = slot;
-    return true;
-  }
+ConeWalker::Step ConeWalker::enter(netlist::NetId id, NodeLit& lit) {
+  Entry& slot = memo_[id.index()];  // stable: memo_ is pre-sized
+  const auto name = [&] { return module_.netName(id); };
+  const auto done = [&](NodeLit l) {
+    slot = Entry{l, State::kDone};
+    lit = l;
+    return Step::kDone;
+  };
+  if (slot.state == State::kDone) return done(slot.lit);
   if (slot.state == State::kExpanding) {
     return fail("symfe: combinational cycle through net " +
-                std::string(module_.netName(net)));
+                std::string(name()));
   }
-  slot.state = State::kExpanding;
-  if (!compute(net, depth, out)) {
-    // A failure is not memoized: its message names the net where this
-    // walk met it, which depends on where the walk entered the cone.
-    slot.state = State::kNew;
-    return false;
-  }
-  out.state = State::kDone;
-  slot = out;
-  return true;
-}
+  const auto push = [&](netlist::CellId cell,
+                        const liberty::BoundOutput* out, netlist::NetId d) {
+    slot.state = State::kExpanding;
+    stack_.push_back(GateFrame{id, cell, out, d,
+                               static_cast<std::uint32_t>(inputs_.size())});
+    return Step::kPushed;
+  };
+  if (desync_side_ && isRawEnableNet(name())) return done(kTrue);
 
-bool ConeWalker::compute(netlist::NetId id, std::uint32_t depth,
-                         Entry& out) {
   const netlist::Net& n = module_.net(id);
-  const auto name = [&] { return module_.netName(id); };
-  out.height = 0;
-  if (desync_side_ && isRawEnableNet(name())) {
-    out.lit = kTrue;
-    return true;
-  }
-
   switch (n.driver.kind) {
     case netlist::TermKind::kConst0:
-      out.lit = kFalse;
-      return true;
+      return done(kFalse);
     case netlist::TermKind::kConst1:
-      out.lit = kTrue;
-      return true;
+      return done(kTrue);
     case netlist::TermKind::kPort:
-      out.lit = graph_.leaf(LeafKind::kInput, name());
-      return true;
+      return done(graph_.leaf(LeafKind::kInput, name()));
     case netlist::TermKind::kNone:
-      out.lit = graph_.leaf(LeafKind::kFree, name());
-      return true;
+      return done(graph_.leaf(LeafKind::kFree, name()));
     case netlist::TermKind::kCellPin:
       break;
   }
@@ -328,47 +332,19 @@ bool ConeWalker::compute(netlist::NetId id, std::uint32_t depth,
   const auto stateLeaf = [&](std::string_view reg, const char* what) {
     const liberty::BoundSeqPins& bp = bt->seq_pins;
     const NodeLit l = graph_.leaf(LeafKind::kState, reg);
-    if (bound_.rolePinNet(cid, bp.q) == id) {
-      out.lit = l;
-      return true;
-    }
-    if (bp.qn >= 0 && bound_.rolePinNet(cid, bp.qn) == id) {
-      out.lit = ~l;
-      return true;
-    }
+    if (bound_.rolePinNet(cid, bp.q) == id) return done(l);
+    if (bp.qn >= 0 && bound_.rolePinNet(cid, bp.qn) == id) return done(~l);
     return fail(std::string("symfe: unexpected ") + what +
                 " output pin on " + std::string(cname()));
   };
 
   switch (bt->kind) {
-    case liberty::CellKind::kCombinational: {
+    case liberty::CellKind::kCombinational:
       for (const liberty::BoundOutput& o : bt->outputs) {
-        if (bound_.pinNet(cid, o.pin) != id) continue;
-        // This node's inputs go on top of the scratch stack; every walk()
-        // leaves the stack as it found it.
-        const std::size_t base = inputs_.size();
-        for (const std::uint16_t p : o.inputs) {
-          const netlist::NetId in_net = bound_.pinNet(cid, p);
-          Entry in;
-          if (!in_net.valid()) {
-            inputs_.resize(base);
-            return fail("symfe: unconnected input on " + std::string(cname()));
-          }
-          if (!walk(in_net, depth + 1, in)) {
-            inputs_.resize(base);
-            return false;
-          }
-          inputs_.push_back(in.lit);
-          out.height = std::max(out.height, in.height + 1);
-        }
-        out.lit = graph_.table(
-            o.table, std::span<const NodeLit>(inputs_).subspan(base));
-        inputs_.resize(base);
-        return true;
+        if (bound_.pinNet(cid, o.pin) == id) return push(cid, &o, {});
       }
       return fail("symfe: no output function of " + std::string(cname()) +
                   " drives net " + std::string(name()));
-    }
     case liberty::CellKind::kFlipFlop:
       return stateLeaf(cname(), "flip-flop");
     case liberty::CellKind::kLatch: {
@@ -386,11 +362,7 @@ bool ConeWalker::compute(netlist::NetId id, std::uint32_t depth,
         return fail("symfe: latch " + std::string(cname()) +
                     " has no data cone");
       }
-      Entry in;
-      if (!walk(d, depth + 1, in)) return false;
-      out.lit = in.lit;
-      out.height = in.height + 1;
-      return true;
+      return push(cid, nullptr, d);
     }
     case liberty::CellKind::kClockGate:
       return fail("symfe: clock gate " + std::string(cname()) +
@@ -407,33 +379,42 @@ std::optional<sat::Lit> Cnf::find(NodeLit l) const {
   return sat::mkLit(it->second, l.negated());
 }
 
-sat::Var Cnf::encode(std::uint32_t id) {
-  if (const auto it = vars_.find(id); it != vars_.end()) return it->second;
-  const ProofGraph::Node& node = graph_.nodes_[id];
-  sat::Lit in[6];
-  for (unsigned i = 0; i < node.n; ++i) {
-    in[i] = lit(graph_.inputs_[node.in + i]);
-  }
-  const sat::Var v = solver_.newVar();
-  vars_.emplace(id, v);
-  if (id == 0) {
-    solver_.addClause(sat::mkLit(v, true));  // the constant false
-    return v;
-  }
-  // Full row encoding: (inputs == r) -> (v == t[r]) for every row.  At most
-  // 64 clauses of n+1 literals; complete in both directions.  A leaf has
-  // no inputs and no clauses.
+sat::Var Cnf::encode(std::uint32_t root) {
+  if (const auto it = vars_.find(root); it != vars_.end()) return it->second;
+  // Depth-first on an explicit stack of (node, inputs visited): a node's
+  // variable comes right after its inputs', in canonical input order.
+  std::vector<std::pair<std::uint32_t, unsigned>> stack{{root, 0}};
   std::vector<sat::Lit> clause;
-  for (unsigned r = 0; node.n > 0 && r < (1u << node.n); ++r) {
-    clause.clear();
-    for (unsigned i = 0; i < node.n; ++i) {
-      clause.push_back(((r >> i) & 1) ? ~in[i] : in[i]);
+  for (;;) {
+    auto& [id, next] = stack.back();
+    const ProofGraph::Node& node = graph_.nodes_[id];
+    if (next < node.n) {
+      const std::uint32_t in = graph_.inputs_[node.in + next++].node();
+      if (!vars_.contains(in)) stack.emplace_back(in, 0);
+      continue;
     }
-    clause.push_back(tableBit(node.table, r) ? sat::mkLit(v)
-                                             : sat::mkLit(v, true));
-    solver_.addClause(clause);
+    const sat::Var v = solver_.newVar();
+    vars_.emplace(id, v);
+    if (id == 0) solver_.addClause(sat::mkLit(v, true));  // constant false
+    sat::Lit in[6];
+    for (unsigned i = 0; i < node.n; ++i) {
+      in[i] = *find(graph_.inputs_[node.in + i]);
+    }
+    // Full row encoding: (inputs == r) -> (v == t[r]) for every row.  At
+    // most 64 clauses of n+1 literals; complete in both directions.  A
+    // leaf has no inputs and no clauses.
+    for (unsigned r = 0; node.n > 0 && r < (1u << node.n); ++r) {
+      clause.clear();
+      for (unsigned i = 0; i < node.n; ++i) {
+        clause.push_back(((r >> i) & 1) ? ~in[i] : in[i]);
+      }
+      clause.push_back(tableBit(node.table, r) ? sat::mkLit(v)
+                                               : sat::mkLit(v, true));
+      solver_.addClause(clause);
+    }
+    stack.pop_back();
+    if (stack.empty()) return v;
   }
-  return v;
 }
 
 }  // namespace desync::sim::symfe

@@ -118,9 +118,27 @@ class ProofGraph {
 /// protocol's concern, checked separately via token flow.
 bool isRawEnableNet(std::string_view name);
 
-/// Longest walk below a cone root, in nets (a guard, not a tuning knob:
-/// real combinational paths are tens of levels deep).
-inline constexpr std::uint32_t kMaxConeDepth = 20000;
+/// A gate whose inputs a net walk visits one at a time, in pin order: a
+/// combinational output (`out`), or a transparent latch (`out` null) whose
+/// one input is its data net `d`.  The walks keep these on a stack, not on
+/// the call stack, so a cone of any depth is walked.
+struct GateFrame {
+  netlist::NetId net;
+  netlist::CellId cell;
+  const liberty::BoundOutput* out = nullptr;
+  netlist::NetId d;
+  std::uint32_t base = 0;  ///< its first input value on the walk's stack
+  std::uint32_t next = 0;  ///< inputs visited so far
+
+  [[nodiscard]] unsigned arity() const {
+    return out != nullptr ? static_cast<unsigned>(out->inputs.size()) : 1;
+  }
+  /// Net of the next input (invalid when unconnected); advances.
+  netlist::NetId nextInput(const liberty::BoundModule& bound) {
+    const std::uint32_t i = next++;
+    return out != nullptr ? bound.pinNet(cell, out->inputs[i]) : d;
+  }
+};
 
 /// Memoized walk of one module's combinational fan-in cones into the
 /// graph; one walker serves every register of its module.  The net
@@ -139,30 +157,25 @@ class ConeWalker {
 
   /// Literal of `net`'s cone, or nullopt when the cone cannot be expressed
   /// combinationally (cycle, clock gate in a data path, latch on the
-  /// synchronous side, unbound cell, more than kMaxConeDepth nets deep);
-  /// error() then says why.  Only successful cones are memoized, so the
-  /// outcome and the message are what a walker that saw only this task's
-  /// roots would give — unless takeDeepReuse() says otherwise.
+  /// synchronous side, unbound cell); error() then says why.  Only
+  /// successful cones are memoized, so the outcome and the message are
+  /// what a walker that saw only this task's roots would give.
   std::optional<NodeLit> literalFor(netlist::NetId net);
   [[nodiscard]] const std::string& error() const { return error_; }
-  /// True (and reset) when a walk since the last call reused a memoized
-  /// cone so deep that the guard could trip inside it: only a fresh
-  /// walker then names the net where this task's own walk trips it.
-  bool takeDeepReuse() { return std::exchange(deep_reuse_, false); }
 
  private:
   enum class State : std::uint8_t { kNew, kExpanding, kDone };
   struct Entry {
     NodeLit lit;
-    std::uint32_t height = 0;  ///< longest walk below this net
     State state = State::kNew;
   };
-  /// False on failure (error_ set; no slot left kExpanding).
-  bool walk(netlist::NetId net, std::uint32_t depth, Entry& out);
-  bool compute(netlist::NetId net, std::uint32_t depth, Entry& out);
-  bool fail(std::string why) {
+  enum class Step : std::uint8_t { kDone, kPushed, kFailed };
+  /// Visits `net`: its literal into `lit` when memoized or a leaf (kDone),
+  /// its gate's frame onto stack_ (kPushed), or error_ set (kFailed).
+  Step enter(netlist::NetId net, NodeLit& lit);
+  Step fail(std::string why) {
     error_ = std::move(why);
-    return false;
+    return Step::kFailed;
   }
 
   const liberty::BoundModule& bound_;
@@ -170,9 +183,9 @@ class ConeWalker {
   ProofGraph& graph_;
   bool desync_side_;
   std::vector<Entry> memo_;  ///< per net index
-  std::vector<NodeLit> inputs_;  ///< scratch stack of gate input literals
+  std::vector<GateFrame> stack_;  ///< gates being walked
+  std::vector<NodeLit> inputs_;  ///< their input literals so far
   std::string error_;
-  bool deep_reuse_ = false;
 };
 
 /// One miter's CNF in a fresh solver: each node of a literal's cone gets a

@@ -16,7 +16,6 @@
 // of (vs != vd) proves the projection; a model decodes into a named
 // input/state vector that replayCounterexample() re-runs on both
 // simulation engines as an independent end-to-end check of the encoding.
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <map>
@@ -293,24 +292,37 @@ class ScalarEval {
       : bound_(bound), module_(bound.module()), desync_side_(desync_side),
         leaves_(leaves) {}
 
-  Val net(netlist::NetId id) { return walk(id, 0); }
-
- private:
-  Val leaf(LeafKind kind, std::string_view name) {
-    return fromBool(leaves_.value(kind, name));
+  /// `root`'s value: post-order on stack_, inputs in pin order.
+  Val net(netlist::NetId root) {
+    std::optional<Val> v = enter(root);
+    for (;;) {
+      if (v) {
+        if (stack_.empty()) return *v;
+        vals_.push_back(*v);
+      }
+      GateFrame& f = stack_.back();
+      if (f.next < f.arity()) {
+        const netlist::NetId in = f.nextInput(bound_);
+        v = in.valid() ? enter(in) : Val::kX;
+        continue;
+      }
+      v = f.out != nullptr
+              ? evalTable3(f.out->table, &vals_[f.base], f.arity())
+              : vals_[f.base];
+      vals_.resize(f.base);
+      memo_[f.net.value] = *v;
+      stack_.pop_back();
+    }
   }
 
-  Val walk(netlist::NetId id, int depth) {
-    if (depth > 20000) return Val::kX;
+ private:
+  /// `id`'s value when memoized or a leaf, nullopt with its gate's frame
+  /// pushed otherwise.  A gate reads X until it is done, so even a cycle
+  /// (which the cone walk has already refused) ends.
+  std::optional<Val> enter(netlist::NetId id) {
     if (const auto it = memo_.find(id.value); it != memo_.end()) {
       return it->second;
     }
-    const Val v = compute(id, depth);
-    memo_.emplace(id.value, v);
-    return v;
-  }
-
-  Val compute(netlist::NetId id, int depth) {
     const netlist::Net& n = module_.net(id);
     const std::string_view name = module_.netName(id);
     if (desync_side_ && isRawEnableNet(name)) return Val::k1;
@@ -320,9 +332,9 @@ class ScalarEval {
       case netlist::TermKind::kConst1:
         return Val::k1;
       case netlist::TermKind::kPort:
-        return leaf(LeafKind::kInput, name);
+        return fromBool(leaves_.value(LeafKind::kInput, name));
       case netlist::TermKind::kNone:
-        return leaf(LeafKind::kFree, name);
+        return fromBool(leaves_.value(LeafKind::kFree, name));
       case netlist::TermKind::kCellPin:
         break;
     }
@@ -331,38 +343,35 @@ class ScalarEval {
     const liberty::BoundType* bt = bound_.typeOf(cid);
     if (bt == nullptr) return Val::kX;
     const auto state = [&](std::string_view reg) {
-      const Val l = leaf(LeafKind::kState, reg);
+      const Val l = fromBool(leaves_.value(LeafKind::kState, reg));
       if (bt->seq_pins.qn >= 0 &&
           bound_.rolePinNet(cid, bt->seq_pins.qn) == id) {
         return invert(l);
       }
       return l;
     };
+    const auto push = [&](const liberty::BoundOutput* out,
+                          netlist::NetId d) -> std::optional<Val> {
+      memo_.emplace(id.value, Val::kX);
+      stack_.push_back(GateFrame{id, cid, out, d,
+                                 static_cast<std::uint32_t>(vals_.size())});
+      return std::nullopt;
+    };
     switch (bt->kind) {
-      case liberty::CellKind::kCombinational: {
+      case liberty::CellKind::kCombinational:
         for (const liberty::BoundOutput& o : bt->outputs) {
-          if (bound_.pinNet(cid, o.pin) != id) continue;
-          Val in[6];
-          const unsigned nin =
-              std::min<unsigned>(6, static_cast<unsigned>(o.inputs.size()));
-          for (unsigned i = 0; i < nin; ++i) {
-            const netlist::NetId in_net = bound_.pinNet(cid, o.inputs[i]);
-            in[i] = in_net.valid() ? walk(in_net, depth + 1) : Val::kX;
-          }
-          return evalTable3(o.table, in, nin);
+          if (bound_.pinNet(cid, o.pin) == id) return push(&o, {});
         }
         return Val::kX;
-      }
       case liberty::CellKind::kFlipFlop:
         return state(cname);
       case liberty::CellKind::kLatch: {
         if (!desync_side_) return Val::kX;
-        if (cname.size() > 3 &&
-            cname.compare(cname.size() - 3, 3, "_Ls") == 0) {
+        if (cname.ends_with("_Ls")) {
           return state(cname.substr(0, cname.size() - 3));
         }
         const netlist::NetId d = bound_.rolePinNet(cid, bt->seq_pins.data);
-        return d.valid() ? walk(d, depth + 1) : Val::kX;
+        return d.valid() ? push(nullptr, d) : Val::kX;
       }
       case liberty::CellKind::kClockGate:
         return Val::kX;
@@ -375,6 +384,8 @@ class ScalarEval {
   bool desync_side_;
   ModelLeaves& leaves_;
   std::unordered_map<std::uint32_t, Val> memo_;
+  std::vector<GateFrame> stack_;  ///< gates being evaluated
+  std::vector<Val> vals_;         ///< their input values so far
 };
 
 /// Solves one non-trivial miter in a fresh solver and fills the verdict.
@@ -529,13 +540,6 @@ SymfeReport proveFlowEquivalence(const liberty::BoundModule& sync_bound,
       try {
         m = registerMiter(graph, sync_cone, desync_cone, sync_bound,
                           desync_bound, task, sync_clk);
-        if (sync_cone.takeDeepReuse() | desync_cone.takeDeepReuse()) {
-          // Only a fresh walk names the net where this task trips the guard.
-          ConeWalker sync(sync_bound, graph, /*desync_side=*/false);
-          ConeWalker desync(desync_bound, graph, /*desync_side=*/true);
-          m = registerMiter(graph, sync, desync, sync_bound, desync_bound,
-                            task, sync_clk);
-        }
       } catch (const std::exception& e) {
         m.skip = std::string("internal: ") + e.what();
       }

@@ -8,7 +8,8 @@
 // proof reuse: reused proofs equal fresh ones, and a change confined to
 // one gate's function or to the scan-enable, clock-gate-enable or
 // slave-latch-enable cone re-proves exactly its register, while an edit
-// that only shifts graph node ids leaves other registers' keys alone.
+// that only shifts graph node ids leaves other registers' keys alone; a
+// cone 30 000 gates deep is proved and refuted on a 512 KB thread stack.
 #include <gtest/gtest.h>
 #include <pthread.h>
 
@@ -574,56 +575,130 @@ TEST(Symfe, KeysIgnoreUnrelatedEdits) {
 }
 
 #ifndef DESYNC_SYMFE_TEST_LIGHT
-TEST(Symfe, DeepConeReasonDoesNotDependOnEarlierTasks) {
-  // A buffer chain c1..c20010 from input a on both sides.  r1 reads c19990
-  // (19991 nets deep: proved), and its walk memoizes the chain below.  r2
-  // reads c20010, so its walk meets that memoized chain 21 nets down; the
-  // guard trips at the net 20001 nets below r2's root, c10, as it would
-  // were r2 the only task.
-  FlowedPair p = keyedPair();
-  nl::Module& sync = p.sync.top();
-  nl::Module& desync = *p.desync.findModule(p.top);
-  for (nl::Module* m : {&sync, &desync}) {
-    nl::NetId prev = m->findNet("a");
-    for (int k = 1; k <= 20010; ++k) {
-      const nl::NetId c = m->addNet("c" + std::to_string(k));
-      m->addCell("cb" + std::to_string(k), "BF",
-                 {{"A", nl::PortDir::kInput, prev},
-                  {"Z", nl::PortDir::kOutput, c}});
-      prev = c;
-    }
-    const nl::CellId g1 = m->findCell("g1");
-    const nl::CellId g2 = m->findCell("g2");
-    m->connectPin(g1, m->findPin(g1, "A"), m->findNet("c19990"));
-    m->connectPin(g2, m->findPin(g2, "A"), m->findNet("c20010"));
+constexpr int kDeepChain = 30000;
+
+/// A chain of kDeepChain NAND gates, n1 = a NAND b and nk = n(k-1) NAND a
+/// or b in turn, that no canonicalization collapses: every graph node
+/// reads the one below it.  r1 and r2 capture its end.  On the desync side
+/// each register is a master/slave latch pair, and r2's slave reads its
+/// master through an inverter: a broken projection.  `reversed` declares
+/// r2 before r1, so the prover meets the two tasks in the other order.
+std::string deepChainVerilog(bool desync, bool reversed) {
+  std::ostringstream v;
+  v << "module deep (clk, a, b, q1, q2);\n"
+       "  input clk, a, b;\n  output q1, q2;\n"
+       "  wire m1, m2, m2n;\n";
+  for (int k = 1; k <= kDeepChain; ++k) v << "  wire n" << k << ";\n";
+  v << "  ND2 g1 (.A(a), .B(b), .Z(n1));\n";
+  for (int k = 2; k <= kDeepChain; ++k) {
+    v << "  ND2 g" << k << " (.A(n" << k - 1 << "), .B(" << "ab"[k % 2]
+      << "), .Z(n" << k << "));\n";
   }
-  // A cone walk recurses once per net: one 20010 nets deep needs about
-  // 12 MB of stack, more than a default 8 MB main thread has.
-  symfe::SymfeReport rep;
-  struct Job {
-    const nl::Module* sync;
-    const nl::Module* desync;
-    symfe::SymfeReport* rep;
-  } job{&sync, &desync, &rep};
+  const std::string end = "n" + std::to_string(kDeepChain);
+  const auto reg = [&](int r) {
+    const std::string q = "q" + std::to_string(r);
+    const std::string m = "m" + std::to_string(r);
+    const std::string name = "r" + std::to_string(r);
+    if (!desync) {
+      v << "  DFF " << name << " (.D(" << end << "), .CP(clk), .Q(" << q
+        << "));\n";
+      return;
+    }
+    v << "  LD " << name << "_Lm (.D(" << end << "), .G(G1_gm), .Q(" << m
+      << "));\n";
+    const std::string sd = r == 2 ? "m2n" : m;
+    if (r == 2) v << "  IV r2_break (.A(m2), .Z(m2n));\n";
+    v << "  LD " << name << "_Ls (.D(" << sd << "), .G(G1_gs), .Q(" << q
+      << "));\n";
+  };
+  reg(reversed ? 2 : 1);
+  reg(reversed ? 1 : 2);
+  v << "endmodule\n";
+  return v.str();
+}
+
+/// Runs `fn` on a fresh thread with a 512 KB stack: a walk that recursed
+/// once per net would overflow it long before the end of the chain.
+template <typename Fn>
+void onSmallStack(Fn fn) {
   pthread_attr_t attr;
   pthread_attr_init(&attr);
-  pthread_attr_setstacksize(&attr, std::size_t{64} << 20);
+  pthread_attr_setstacksize(&attr, std::size_t{512} << 10);
   pthread_t thread;
   ASSERT_EQ(pthread_create(
                 &thread, &attr,
-                [](void* arg) -> void* {
-                  const Job& j = *static_cast<Job*>(arg);
-                  *j.rep = prove(*j.sync, *j.desync, nullptr);
+                [](void* f) -> void* {
+                  (*static_cast<Fn*>(f))();
                   return nullptr;
                 },
-                &job),
+                &fn),
             0);
   pthread_join(thread, nullptr);
   pthread_attr_destroy(&attr);
-  EXPECT_EQ(proofOf(rep, "r1").verdict, symfe::RegVerdict::kProved);
-  EXPECT_EQ(proofOf(rep, "r2").verdict, symfe::RegVerdict::kSkipped);
-  EXPECT_EQ(proofOf(rep, "r2").reason,
-            "symfe: combinational cone too deep at net c10");
+}
+
+TEST(Symfe, DeepConeIsProvedAndRefutedOnASmallStack) {
+  // The graph walk, the CNF encoding (r2's miter is not trivial) and the
+  // scalar recheck of r2's counterexample all go kDeepChain gates deep.
+  struct Run {
+    symfe::SymfeReport rep;
+    symfe::ReplayResult replay;
+  };
+  const auto run = [](bool reversed, int jobs) {
+    nl::Design sync;
+    nl::Design desync;
+    nl::readVerilog(sync, deepChainVerilog(false, reversed), gf());
+    nl::readVerilog(desync, deepChainVerilog(true, reversed), gf());
+    const lib::BoundModule sb(sync.top(), gf());
+    const lib::BoundModule db(desync.top(), gf());
+    Run out;
+    onSmallStack([&] {
+      const core::JobsScope scope(jobs);
+      out.rep = symfe::proveFlowEquivalence(sb, db);
+      const symfe::RegisterProof& r2 = proofOf(out.rep, "r2");
+      if (r2.cex) {
+        out.replay = symfe::replayCounterexample(sb, "r2", *r2.cex);
+      }
+    });
+    return out;
+  };
+  const Run serial = run(false, 1);
+  const symfe::RegisterProof& r1 = proofOf(serial.rep, "r1");
+  const symfe::RegisterProof& r2 = proofOf(serial.rep, "r2");
+  EXPECT_EQ(r1.verdict, symfe::RegVerdict::kProved) << r1.reason;
+  EXPECT_TRUE(r1.trivial);
+  EXPECT_TRUE(r1.key.has_value());
+  ASSERT_EQ(r2.verdict, symfe::RegVerdict::kRefuted) << r2.reason;
+  EXPECT_EQ(r2.reason.rfind("projection differs", 0), 0u) << r2.reason;
+  EXPECT_TRUE(r2.key.has_value());
+  ASSERT_TRUE(r2.cex.has_value());
+  EXPECT_NE(r2.cex->sync_value, r2.cex->desync_value);
+  EXPECT_TRUE(serial.replay.ran) << serial.replay.detail;
+  EXPECT_TRUE(serial.replay.matches_solver) << serial.replay.detail;
+  EXPECT_GT(serial.rep.graph_nodes, static_cast<std::size_t>(kDeepChain));
+
+  // The other task order at --jobs 4: the same records and keys.
+  const Run parallel = run(true, 4);
+  EXPECT_EQ(parallel.rep.registers.front().name, "r2");
+  for (const char* name : {"r1", "r2"}) {
+    const symfe::RegisterProof& a = proofOf(serial.rep, name);
+    const symfe::RegisterProof& b = proofOf(parallel.rep, name);
+    EXPECT_EQ(a.verdict, b.verdict) << name;
+    EXPECT_EQ(a.reason, b.reason) << name;
+    EXPECT_EQ(a.trivial, b.trivial) << name;
+    EXPECT_EQ(a.key, b.key) << name;
+    EXPECT_EQ(a.conflicts, b.conflicts) << name;
+    EXPECT_EQ(a.decisions, b.decisions) << name;
+    ASSERT_EQ(a.cex.has_value(), b.cex.has_value()) << name;
+    if (a.cex) {
+      EXPECT_EQ(a.cex->inputs, b.cex->inputs) << name;
+      EXPECT_EQ(a.cex->states, b.cex->states) << name;
+      EXPECT_EQ(a.cex->frees, b.cex->frees) << name;
+      EXPECT_EQ(a.cex->sync_value, b.cex->sync_value) << name;
+      EXPECT_EQ(a.cex->desync_value, b.cex->desync_value) << name;
+    }
+  }
+  EXPECT_TRUE(parallel.replay.matches_solver) << parallel.replay.detail;
 }
 #endif
 

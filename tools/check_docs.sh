@@ -8,7 +8,10 @@
 #   2. every `--flag` docs/cli.md documents is actually accepted by at
 #      least one tool's parser (no stale docs);
 #   3. every relative markdown link in README.md and docs/*.md resolves
-#      to an existing file.
+#      to an existing file;
+#   4. every current cache format a doc states ("cache_format_version": N,
+#      "format is vN", "cache format vN") is flowdb::kCacheFormatVersion
+#      (mentions of older formats, such as "a v6 directory", are free).
 #
 # Exits non-zero listing every failure.
 set -u
@@ -88,6 +91,21 @@ for md in "$repo/README.md" "$repo"/docs/*.md; do
     fi
   done
 done
+
+# --- 4. stated cache format == flowdb::kCacheFormatVersion ---------------
+format=$(sed -n 's/.*kCacheFormatVersion = \([0-9]*\);.*/\1/p' \
+  "$repo/src/flowdb/cache.h")
+if [ -z "$format" ]; then
+  echo "FAIL: could not read kCacheFormatVersion from src/flowdb/cache.h"
+  fail=1
+fi
+stated='"cache_format_version": *[0-9]+|format is v[0-9]+|cache format v[0-9]+'
+stale=$(grep -n -o -E "$stated" "$repo/README.md" "$repo"/docs/*.md |
+  grep -v -E "[^0-9]$format\$")
+if [ -n "$format" ] && [ -n "$stale" ]; then
+  echo "$stale" | sed "s|^$repo/||; s|^|FAIL: cache format is v$format, docs say: |"
+  fail=1
+fi
 
 if [ "$fail" -eq 0 ]; then
   echo "check_docs: OK ($(echo "$all_parser_flags" | tr ' ' '\n' |

@@ -25,7 +25,7 @@
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
 #include "fuzz/shrink.h"
-#include "liberty/stdlib90.h"
+#include "liberty/liberty_io.h"
 
 using namespace desync;
 
@@ -211,9 +211,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  liberty::Library library = liberty::makeStdLib90(
-      lib_name == "builtin:hs" ? liberty::LibVariant::kHighSpeed
-                               : liberty::LibVariant::kLowLeakage);
+  liberty::Library library = liberty::loadLibrary(lib_name);
   liberty::Gatefile gatefile(library);
 
   // --- emit mode: dump one generated design, no oracle --------------------

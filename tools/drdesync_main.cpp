@@ -18,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "core/version.h"
 #include "flowdb/cache.h"
 #include "liberty/liberty_io.h"
-#include "liberty/stdlib90.h"
 #include "netlist/blif.h"
 #include "netlist/verilog.h"
 #include "trace/trace.h"
@@ -35,6 +35,13 @@
 using namespace desync;
 
 namespace {
+
+/// Writes a side output (--sdc, --blif, --gatefile); fails as --out does.
+void writeFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open for write: " + path);
+  out << text;
+}
 
 void usage() {
   // One flag per line; tools/check_docs.sh cross-checks this text and
@@ -242,21 +249,18 @@ int main(int argc, char** argv) {
   core::RunInfo info;
   info.input = in_path;
   try {
-    liberty::Library library =
-        lib_path == "builtin:hs"
-            ? liberty::makeStdLib90(liberty::LibVariant::kHighSpeed)
-        : lib_path == "builtin:ll"
-            ? liberty::makeStdLib90(liberty::LibVariant::kLowLeakage)
-            : liberty::readLibertyFile(lib_path);
+    liberty::Library library = liberty::loadLibrary(lib_path);
     liberty::Gatefile gatefile(library);
-    if (!gatefile_path.empty()) {
-      std::ofstream(gatefile_path) << gatefile.toText();
-    }
+    if (!gatefile_path.empty()) writeFile(gatefile_path, gatefile.toText());
 
     netlist::Design design;
     netlist::readVerilogFile(design, in_path, gatefile, {}, top);
-    netlist::Module& module =
-        top.empty() ? design.top() : *design.findModule(top);
+    netlist::Module* found =
+        top.empty() ? &design.top() : design.findModule(top);
+    if (found == nullptr) {
+      throw std::runtime_error("top module '" + top + "' not found");
+    }
+    netlist::Module& module = *found;
 
     info.cells_in = module.numCells();
     core::DesyncResult result =
@@ -270,12 +274,8 @@ int main(int argc, char** argv) {
     }
 
     netlist::writeVerilogFile(design, out_path);
-    if (!sdc_path.empty()) {
-      std::ofstream(sdc_path) << result.sdc.toText();
-    }
-    if (!blif_path.empty()) {
-      std::ofstream(blif_path) << netlist::writeBlif(module);
-    }
+    if (!sdc_path.empty()) writeFile(sdc_path, result.sdc.toText());
+    if (!blif_path.empty()) writeFile(blif_path, netlist::writeBlif(module));
 
     if (report) {
       // Machine-readable run report (docs/report-schema.md), one line.
