@@ -10,11 +10,19 @@
 // The DLX case runs a second time with the tracer recording: the delta is
 // the tracer's overhead (acceptance: < 2 % on a traced run, 0 when
 // disabled — one relaxed load + branch per site).
+//
+// Netlist IO is tracked the same way: the DLX and ARM-class designs as
+// structural Verilog text, each read (`<d>_read_ms`, median) and the read
+// design written back (`<d>_write_ms`), with the read's name-table probe
+// count (`<d>_name_probes`, the same on any machine) and the ARM-class
+// read/write ratio (`arm_read_write_ratio`).  A trajectory only: nothing
+// here gates on wall time.
 #include <filesystem>
 #include <functional>
 
 #include "designs/small.h"
 #include "harness.h"
+#include "netlist/verilog.h"
 #include "trace/trace.h"
 
 using namespace bench;
@@ -68,6 +76,42 @@ Result runCase(const Case& c, int repeats) {
   if (c.traced) std::filesystem::remove(trace_path);
   res.trace_events /= repeats;
   summarizeTiming(res.timing);
+  return res;
+}
+
+/// Median read and write of one design's Verilog text.
+struct IoResult {
+  RepeatedTiming read;
+  RepeatedTiming write;
+  nl::VerilogReadStats stats;
+  std::size_t cells = 0;
+};
+
+IoResult runIo(const designs::CpuConfig& cfg, int repeats) {
+  std::string text;
+  {
+    nl::Design d;
+    designs::buildCpu(d, gatefileHs(), cfg);
+    text = nl::writeVerilog(d);
+  }
+  IoResult res;
+  nl::Design read;
+  for (int r = 0; r < repeats; ++r) {
+    // Each read fills a fresh design; its teardown stays outside the timing.
+    nl::Design d;
+    const auto t0 = std::chrono::steady_clock::now();
+    res.stats = nl::readVerilog(d, text, gatefileHs());
+    res.read.runs_ms.push_back(std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
+    if (r == 0) read = std::move(d);
+  }
+  summarizeTiming(res.read);
+  res.cells = read.top().numCells();
+  std::size_t out_bytes = 0;
+  res.write = measureRepeated(
+      repeats, [&] { out_bytes += nl::writeVerilog(read).size(); });
+  if (out_bytes == 0) std::abort();
   return res;
 }
 
@@ -126,6 +170,26 @@ int main() {
   }
   kv.emplace_back("dlx_trace_overhead_pct", overhead_pct);
   kv.emplace_back("dlx_traced_trace_events", traced.trace_events);
+
+  row("  netlist IO (read the Verilog text, write the read design back):");
+  row("  %-16s %8s %11s %11s %12s", "design", "cells", "read_ms", "write_ms",
+      "name_probes");
+  const std::pair<const char*, designs::CpuConfig> io_cases[] = {
+      {"dlx", designs::dlxConfig()}, {"arm", designs::armClassConfig()}};
+  for (const auto& [key, cfg] : io_cases) {
+    const IoResult io = runIo(cfg, repeats);
+    row("  %-16s %8zu %11.2f %11.2f %12zu", key, io.cells, io.read.median_ms,
+        io.write.median_ms, io.stats.name_probes);
+    const std::string k = key;
+    kv.emplace_back(k + "_read_ms", io.read.median_ms);
+    kv.emplace_back(k + "_write_ms", io.write.median_ms);
+    kv.emplace_back(k + "_name_probes",
+                    static_cast<double>(io.stats.name_probes));
+    if (k == "arm") {
+      kv.emplace_back("arm_read_write_ratio",
+                      io.read.median_ms / io.write.median_ms);
+    }
+  }
   writeBenchJson("tool_runtime", dlx.timing, kv);
   return 0;
 }

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "async/cell_builder.h"
+
 namespace desync::async {
 
 using netlist::Design;
@@ -20,36 +22,29 @@ namespace {
 
 /// Builds the primitive 2-input element inside `m`: a MAJ3 whose third input
 /// is the (post-reset-gate) output.  Returns the output net.
-NetId buildC2Core(Module& m, NetId a, NetId b, NetId rst, ResetKind reset,
-                  const std::string& prefix) {
-  NetId z = m.addNet(prefix + "z");
+NetId buildC2Core(CellBuilder& b, NetId a, NetId bn, NetId rst,
+                  ResetKind reset, const std::string& prefix) {
+  NetId z = b.net(prefix + "z");
   if (reset == ResetKind::kNone) {
-    m.addCell(prefix + "maj", "MAJ3",
-              {{"A", PortDir::kInput, a},
-               {"B", PortDir::kInput, b},
-               {"C", PortDir::kInput, z},
-               {"Z", PortDir::kOutput, z}});
+    b.cell(prefix + "maj", "MAJ3",
+           {{"A", PortDir::kInput, a},
+            {"B", PortDir::kInput, bn},
+            {"C", PortDir::kInput, z},
+            {"Z", PortDir::kOutput, z}});
     return z;
   }
-  NetId raw = m.addNet(prefix + "raw");
-  m.addCell(prefix + "maj", "MAJ3",
-            {{"A", PortDir::kInput, a},
-             {"B", PortDir::kInput, b},
-             {"C", PortDir::kInput, z},
-             {"Z", PortDir::kOutput, raw}});
-  if (reset == ResetKind::kLow) {
-    // z = raw & !rst : held at 0 while reset is asserted.
-    m.addCell(prefix + "rstg", "AN2B1",
-              {{"A", PortDir::kInput, raw},
-               {"B", PortDir::kInput, rst},
-               {"Z", PortDir::kOutput, z}});
-  } else {
-    // z = raw | rst : held at 1 while reset is asserted.
-    m.addCell(prefix + "rstg", "OR2",
-              {{"A", PortDir::kInput, raw},
-               {"B", PortDir::kInput, rst},
-               {"Z", PortDir::kOutput, z}});
-  }
+  NetId raw = b.net(prefix + "raw");
+  b.cell(prefix + "maj", "MAJ3",
+         {{"A", PortDir::kInput, a},
+          {"B", PortDir::kInput, bn},
+          {"C", PortDir::kInput, z},
+          {"Z", PortDir::kOutput, raw}});
+  // kLow: z = raw & !rst, held at 0 while reset is asserted; kHigh:
+  // z = raw | rst, held at 1.
+  b.cell(prefix + "rstg", reset == ResetKind::kLow ? "AN2B1" : "OR2",
+         {{"A", PortDir::kInput, raw},
+          {"B", PortDir::kInput, rst},
+          {"Z", PortDir::kOutput, z}});
   return z;
 }
 
@@ -65,16 +60,18 @@ Module& ensureCElement(Design& design, const liberty::Gatefile& gatefile,
   if (Module* existing = design.findModule(name)) return *existing;
 
   Module& m = design.addModule(name);
+  CellBuilder b(m);
   std::vector<NetId> level;
   for (int i = 0; i < n_inputs; ++i) {
-    NetId in = m.addNet("A" + std::to_string(i));
-    m.addPort("A" + std::to_string(i), PortDir::kInput, in);
+    const std::string pin = "A" + std::to_string(i);
+    NetId in = b.net(pin);
+    b.port(pin, PortDir::kInput, in);
     level.push_back(in);
   }
   NetId rst;
   if (reset != ResetKind::kNone) {
-    rst = m.addNet("RST");
-    m.addPort("RST", PortDir::kInput, rst);
+    rst = b.net("RST");
+    b.port("RST", PortDir::kInput, rst);
   }
 
   // Reduce pairwise until a single output remains.  Odd operand carried.
@@ -85,14 +82,14 @@ Module& ensureCElement(Design& design, const liberty::Gatefile& gatefile,
       std::string prefix =
           "s" + std::to_string(stage) + "_" + std::to_string(i / 2) + "_";
       next.push_back(
-          buildC2Core(m, level[i], level[i + 1], rst, reset, prefix));
+          buildC2Core(b, level[i], level[i + 1], rst, reset, prefix));
     }
     if (level.size() % 2 == 1) next.push_back(level.back());
     level = std::move(next);
     ++stage;
   }
 
-  m.addPort("Z", PortDir::kOutput, level[0]);
+  b.port("Z", PortDir::kOutput, level[0]);
   return m;
 }
 

@@ -1,5 +1,6 @@
 #include "async/controllers.h"
 
+#include "async/cell_builder.h"
 #include "async/celement.h"
 
 namespace desync::async {
@@ -25,61 +26,63 @@ struct CtrlNets {
   NetId ri, ao, rst, ai, ro, g;
 };
 
-CtrlNets addPorts(Module& m) {
+CtrlNets addPorts(CellBuilder& b) {
   CtrlNets n;
-  n.ri = m.addNet("ri");
-  n.ao = m.addNet("ao");
-  n.rst = m.addNet("rst");
-  m.addPort("ri", PortDir::kInput, n.ri);
-  m.addPort("ao", PortDir::kInput, n.ao);
-  m.addPort("rst", PortDir::kInput, n.rst);
+  n.ri = b.net("ri");
+  n.ao = b.net("ao");
+  n.rst = b.net("rst");
+  b.port("ri", PortDir::kInput, n.ri);
+  b.port("ao", PortDir::kInput, n.ao);
+  b.port("rst", PortDir::kInput, n.rst);
   return n;
 }
 
 void buildSimple(Design& design, const liberty::Gatefile& gatefile, Module& m,
                  ControllerReset reset) {
-  CtrlNets n = addPorts(m);
-  NetId aoN = m.addNet("aoN");
-  m.addCell("u_aon", "IV",
-            {{"A", PortDir::kInput, n.ao}, {"Z", PortDir::kOutput, aoN}});
+  CellBuilder b(m);
+  CtrlNets n = addPorts(b);
+  NetId aoN = b.net("aoN");
+  b.cell("u_aon", "IV",
+         {{"A", PortDir::kInput, n.ao}, {"Z", PortDir::kOutput, aoN}});
   // g = C(ri, !ao), reset per flavour.
   ResetKind rk =
       reset == ControllerReset::kEmpty ? ResetKind::kLow : ResetKind::kHigh;
   Module& c2 = ensureCElement(design, gatefile, 2, rk);
-  NetId g = m.addNet("g_int");
-  m.addCell("u_c", std::string(c2.name()),
-            {{"A0", PortDir::kInput, n.ri},
-             {"A1", PortDir::kInput, aoN},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, g}});
+  NetId g = b.net("g_int");
+  b.cell("u_c", c2.name(),
+         {{"A0", PortDir::kInput, n.ri},
+          {"A1", PortDir::kInput, aoN},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, g}});
   // ai and ro are buffered copies of g: distinct output nets keep the
   // module flattenable (one inner net cannot bind three outer nets) and
   // reflect real output drive buffering.
-  NetId ai = m.addNet("ai_int");
-  NetId ro = m.addNet("ro_int");
-  m.addCell("u_ai", "BF",
-            {{"A", PortDir::kInput, g}, {"Z", PortDir::kOutput, ai}});
-  m.addCell("u_ro", "BF",
-            {{"A", PortDir::kInput, g}, {"Z", PortDir::kOutput, ro}});
-  m.addPort("ai", PortDir::kOutput, ai);
-  m.addPort("ro", PortDir::kOutput, ro);
-  m.addPort("g", PortDir::kOutput, g);
+  NetId ai = b.net("ai_int");
+  NetId ro = b.net("ro_int");
+  b.cell("u_ai", "BF",
+         {{"A", PortDir::kInput, g}, {"Z", PortDir::kOutput, ai}});
+  b.cell("u_ro", "BF",
+         {{"A", PortDir::kInput, g}, {"Z", PortDir::kOutput, ro}});
+  b.port("ai", PortDir::kOutput, ai);
+  b.port("ro", PortDir::kOutput, ro);
+  b.port("g", PortDir::kOutput, g);
 }
 
 void buildSemiDecoupled(Design& design, const liberty::Gatefile& gatefile,
                         Module& m, ControllerReset reset) {
-  CtrlNets n = addPorts(m);
+  CellBuilder b(m);
+  CtrlNets n = addPorts(b);
   const bool full = reset == ControllerReset::kFull;
 
-  NetId aoN = m.addNet("aoN");
-  m.addCell("u_aon", "IV",
-            {{"A", PortDir::kInput, n.ao}, {"Z", PortDir::kOutput, aoN}});
+  NetId aoN = b.net("aoN");
+  b.cell("u_aon", "IV",
+         {{"A", PortDir::kInput, n.ao}, {"Z", PortDir::kOutput, aoN}});
 
-  n.g = m.addNet("g_int");
-  NetId d = m.addNet("d");
-  NetId dn = m.addNet("dn");
-  NetId a = m.addNet("a");
-  NetId e = m.addNet("e");
+  n.g = b.net("g_int");
+  NetId d = b.net("d");
+  NetId dn = b.net("dn");
+  NetId a = b.net("a");
+  NetId e = b.net("e");
 
   // "Ready" condition: empty and successor idle (e = aoN & !d).  Sensing
   // ao- through the shared aoN inverter (rather than ao directly) keeps the
@@ -87,112 +90,113 @@ void buildSemiDecoupled(Design& design, const liberty::Gatefile& gatefile,
   // reads aoN, so a new capture may only start after aoN actually rose —
   // otherwise a stale aoN misclears the next datum (found by the
   // speed-independent verifier).
-  m.addCell("u_e", "AN2B1",
-            {{"A", PortDir::kInput, aoN},
-             {"B", PortDir::kInput, d},
-             {"Z", PortDir::kOutput, e}});
+  b.cell("u_e", "AN2B1",
+         {{"A", PortDir::kInput, aoN},
+          {"B", PortDir::kInput, d},
+          {"Z", PortDir::kOutput, e}});
 
   // Latch enable as a C-element: opens on a request while ready, closes
   // only once the request withdrew AND the occupancy latched — so neither
   // edge of the pulse can be withdrawn by a faster environment (verified
   // semi-modular).
   Module& c2r0 = ensureCElement(design, gatefile, 2, ResetKind::kLow);
-  m.addCell("u_g", std::string(c2r0.name()),
-            {{"A0", PortDir::kInput, n.ri},
-             {"A1", PortDir::kInput, e},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, n.g}});
+  b.cell("u_g", c2r0.name(),
+         {{"A0", PortDir::kInput, n.ri},
+          {"A1", PortDir::kInput, e},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, n.g}});
 
   // Input acknowledge: a = C(g, ri).  The occupancy bit is set by a (not by
   // g) so the latch pulse cannot terminate before the acknowledge
   // C-element caught it.
-  m.addCell("u_a", std::string(c2r0.name()),
-            {{"A0", PortDir::kInput, n.g},
-             {"A1", PortDir::kInput, n.ri},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, a}});
+  b.cell("u_a", c2r0.name(),
+         {{"A0", PortDir::kInput, n.g},
+          {"A1", PortDir::kInput, n.ri},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, a}});
 
   // Occupancy: d = (d & !ao) | a.  AOI21 computes !((d & aoN) + a); the
   // reset gate closes the feedback loop and applies rst.  d clears only
   // once the input handshake released (a-) and the successor captured
   // (ao+), which is the overwrite protection of the protocol.
-  m.addCell("u_dn", "AOI21",
-            {{"A", PortDir::kInput, d},
-             {"B", PortDir::kInput, aoN},
-             {"C", PortDir::kInput, a},
-             {"Z", PortDir::kOutput, dn}});
+  b.cell("u_dn", "AOI21",
+         {{"A", PortDir::kInput, d},
+          {"B", PortDir::kInput, aoN},
+          {"C", PortDir::kInput, a},
+          {"Z", PortDir::kOutput, dn}});
   if (full) {
     // d = !dn | rst
-    m.addCell("u_d", "OR2B1",
-              {{"A", PortDir::kInput, n.rst},
-               {"B", PortDir::kInput, dn},
-               {"Z", PortDir::kOutput, d}});
+    b.cell("u_d", "OR2B1",
+           {{"A", PortDir::kInput, n.rst},
+            {"B", PortDir::kInput, dn},
+            {"Z", PortDir::kOutput, d}});
   } else {
     // d = !dn & !rst
-    m.addCell("u_d", "NR2",
-              {{"A", PortDir::kInput, dn},
-               {"B", PortDir::kInput, n.rst},
-               {"Z", PortDir::kOutput, d}});
+    b.cell("u_d", "NR2",
+           {{"A", PortDir::kInput, dn},
+            {"B", PortDir::kInput, n.rst},
+            {"Z", PortDir::kOutput, d}});
   }
 
   // Output request: r = C(d, !ao); the full flavour requests at reset
   // ("ao- -> ro+", thesis Fig 4.5).
   Module& c2r = ensureCElement(design, gatefile, 2,
                                full ? ResetKind::kHigh : ResetKind::kLow);
-  NetId r = m.addNet("r");
-  m.addCell("u_r", std::string(c2r.name()),
-            {{"A0", PortDir::kInput, d},
-             {"A1", PortDir::kInput, aoN},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, r}});
+  NetId r = b.net("r");
+  b.cell("u_r", c2r.name(),
+         {{"A0", PortDir::kInput, d},
+          {"A1", PortDir::kInput, aoN},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, r}});
 
-  m.addPort("ai", PortDir::kOutput, a);
-  m.addPort("ro", PortDir::kOutput, r);
-  m.addPort("g", PortDir::kOutput, n.g);
+  b.port("ai", PortDir::kOutput, a);
+  b.port("ro", PortDir::kOutput, r);
+  b.port("g", PortDir::kOutput, n.g);
 }
 
 void buildFullyDecoupled(Design& design, const liberty::Gatefile& gatefile,
                          Module& m, ControllerReset reset) {
-  CtrlNets n = addPorts(m);
+  CellBuilder b(m);
+  CtrlNets n = addPorts(b);
   const bool full = reset == ControllerReset::kFull;
 
-  NetId aoN = m.addNet("aoN");
-  m.addCell("u_aon", "IV",
-            {{"A", PortDir::kInput, n.ao}, {"Z", PortDir::kOutput, aoN}});
-  n.g = m.addNet("g_int");
-  NetId d = m.addNet("d");
-  NetId dN = m.addNet("dN");
-  NetId a = m.addNet("a");
-  NetId aN = m.addNet("aN");
-  NetId r = m.addNet("r");
-  NetId rN = m.addNet("rN");
+  NetId aoN = b.net("aoN");
+  b.cell("u_aon", "IV",
+         {{"A", PortDir::kInput, n.ao}, {"Z", PortDir::kOutput, aoN}});
+  n.g = b.net("g_int");
+  NetId d = b.net("d");
+  NetId dN = b.net("dN");
+  NetId a = b.net("a");
+  NetId aN = b.net("aN");
+  NetId r = b.net("r");
+  NetId rN = b.net("rN");
 
   // Latch pulse: opens on a request while empty, closes once the occupancy
   // latched (and the request withdrew).
   Module& c2r0 = ensureCElement(design, gatefile, 2, ResetKind::kLow);
-  m.addCell("u_g", std::string(c2r0.name()),
-            {{"A0", PortDir::kInput, n.ri},
-             {"A1", PortDir::kInput, dN},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, n.g}});
+  b.cell("u_g", c2r0.name(),
+         {{"A0", PortDir::kInput, n.ri},
+          {"A1", PortDir::kInput, dN},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, n.g}});
 
   // Input acknowledge: a = C(g, ri, !r) — the third input orders the
   // acknowledge release after the local request's return-to-zero, which is
   // what keeps d's set/clear edges acknowledged without gating the latch on
   // the *external* ao- (the fully-decoupled property).
-  NetId gri = m.addNet("gri");
-  m.addCell("u_a0", std::string(c2r0.name()),
-            {{"A0", PortDir::kInput, n.g},
-             {"A1", PortDir::kInput, n.ri},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, gri}});
-  m.addCell("u_a", std::string(c2r0.name()),
-            {{"A0", PortDir::kInput, gri},
-             {"A1", PortDir::kInput, rN},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, a}});
-  m.addCell("u_an", "IV",
-            {{"A", PortDir::kInput, a}, {"Z", PortDir::kOutput, aN}});
+  NetId gri = b.net("gri");
+  b.cell("u_a0", c2r0.name(),
+         {{"A0", PortDir::kInput, n.g},
+          {"A1", PortDir::kInput, n.ri},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, gri}});
+  b.cell("u_a", c2r0.name(),
+         {{"A0", PortDir::kInput, gri},
+          {"A1", PortDir::kInput, rN},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, a}});
+  b.cell("u_an", "IV",
+         {{"A", PortDir::kInput, a}, {"Z", PortDir::kOutput, aN}});
 
   // Occupancy SR: d = (d & !ao) | a, built as dN = !((!d | ao) & !a)'s
   // complement pair: dN_next = (dN + ao) * aN; d = IV(dN) closes the loop
@@ -200,53 +204,53 @@ void buildFullyDecoupled(Design& design, const liberty::Gatefile& gatefile,
   if (full) {
     // Reset forces d = 1 (dN = 0): dnn = OAI21 then NOR with... use the
     // complement: d = IV(dN); force dN low with rst via AN2B1.
-    NetId dnn = m.addNet("dnn");
-    m.addCell("u_dn0", "OAI21",
-              {{"A", PortDir::kInput, dN},
-               {"B", PortDir::kInput, n.ao},
-               {"C", PortDir::kInput, aN},
-               {"Z", PortDir::kOutput, dnn}});
+    NetId dnn = b.net("dnn");
+    b.cell("u_dn0", "OAI21",
+           {{"A", PortDir::kInput, dN},
+            {"B", PortDir::kInput, n.ao},
+            {"C", PortDir::kInput, aN},
+            {"Z", PortDir::kOutput, dnn}});
     // dN = !dnn & !rst
-    NetId dnb = m.addNet("dnb");
-    m.addCell("u_dn1", "IV",
-              {{"A", PortDir::kInput, dnn}, {"Z", PortDir::kOutput, dnb}});
-    m.addCell("u_dn2", "AN2B1",
-              {{"A", PortDir::kInput, dnb},
-               {"B", PortDir::kInput, n.rst},
-               {"Z", PortDir::kOutput, dN}});
-    m.addCell("u_d", "IV",
-              {{"A", PortDir::kInput, dN}, {"Z", PortDir::kOutput, d}});
+    NetId dnb = b.net("dnb");
+    b.cell("u_dn1", "IV",
+           {{"A", PortDir::kInput, dnn}, {"Z", PortDir::kOutput, dnb}});
+    b.cell("u_dn2", "AN2B1",
+           {{"A", PortDir::kInput, dnb},
+            {"B", PortDir::kInput, n.rst},
+            {"Z", PortDir::kOutput, dN}});
+    b.cell("u_d", "IV",
+           {{"A", PortDir::kInput, dN}, {"Z", PortDir::kOutput, d}});
   } else {
     // dN_next = ((dN + ao) * aN) | rst  (reset forces dN = 1, d = 0).
-    NetId dnn = m.addNet("dnn");
-    m.addCell("u_dn0", "OAI21",
-              {{"A", PortDir::kInput, dN},
-               {"B", PortDir::kInput, n.ao},
-               {"C", PortDir::kInput, aN},
-               {"Z", PortDir::kOutput, dnn}});
+    NetId dnn = b.net("dnn");
+    b.cell("u_dn0", "OAI21",
+           {{"A", PortDir::kInput, dN},
+            {"B", PortDir::kInput, n.ao},
+            {"C", PortDir::kInput, aN},
+            {"Z", PortDir::kOutput, dnn}});
     // dnn = !dN_next(no-rst); dN = !dnn | rst = OR2B1(rst, dnn)
-    m.addCell("u_dn1", "OR2B1",
-              {{"A", PortDir::kInput, n.rst},
-               {"B", PortDir::kInput, dnn},
-               {"Z", PortDir::kOutput, dN}});
-    m.addCell("u_d", "IV",
-              {{"A", PortDir::kInput, dN}, {"Z", PortDir::kOutput, d}});
+    b.cell("u_dn1", "OR2B1",
+           {{"A", PortDir::kInput, n.rst},
+            {"B", PortDir::kInput, dnn},
+            {"Z", PortDir::kOutput, dN}});
+    b.cell("u_d", "IV",
+           {{"A", PortDir::kInput, dN}, {"Z", PortDir::kOutput, d}});
   }
 
   // Output request: 4-phase on the wire (r+ waits ao-).
   Module& c2r = ensureCElement(design, gatefile, 2,
                                full ? ResetKind::kHigh : ResetKind::kLow);
-  m.addCell("u_r", std::string(c2r.name()),
-            {{"A0", PortDir::kInput, d},
-             {"A1", PortDir::kInput, aoN},
-             {"RST", PortDir::kInput, n.rst},
-             {"Z", PortDir::kOutput, r}});
-  m.addCell("u_rn", "IV",
-            {{"A", PortDir::kInput, r}, {"Z", PortDir::kOutput, rN}});
+  b.cell("u_r", c2r.name(),
+         {{"A0", PortDir::kInput, d},
+          {"A1", PortDir::kInput, aoN},
+          {"RST", PortDir::kInput, n.rst},
+          {"Z", PortDir::kOutput, r}});
+  b.cell("u_rn", "IV",
+         {{"A", PortDir::kInput, r}, {"Z", PortDir::kOutput, rN}});
 
-  m.addPort("ai", PortDir::kOutput, a);
-  m.addPort("ro", PortDir::kOutput, r);
-  m.addPort("g", PortDir::kOutput, n.g);
+  b.port("ai", PortDir::kOutput, a);
+  b.port("ro", PortDir::kOutput, r);
+  b.port("g", PortDir::kOutput, n.g);
 }
 
 }  // namespace
@@ -296,33 +300,34 @@ Module& buildControllerRing(Design& design, const liberty::Gatefile& gatefile,
       ensureController(design, gatefile, kind, ControllerReset::kFull);
 
   Module& m = design.addModule(name);
-  NetId rst = m.addNet("rst");
-  m.addPort("rst", PortDir::kInput, rst);
+  CellBuilder b(m);
+  NetId rst = b.net("rst");
+  b.port("rst", PortDir::kInput, rst);
 
   std::vector<NetId> req(static_cast<std::size_t>(n)),
       ack(static_cast<std::size_t>(n)), g(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     req[static_cast<std::size_t>(i)] =
-        m.addNet("r" + std::to_string(i));  // ro of i -> ri of i+1
+        b.net("r" + std::to_string(i));  // ro of i -> ri of i+1
     ack[static_cast<std::size_t>(i)] =
-        m.addNet("k" + std::to_string(i));  // ai of i+1 -> ao of i
-    g[static_cast<std::size_t>(i)] = m.addNet("g" + std::to_string(i));
+        b.net("k" + std::to_string(i));  // ai of i+1 -> ao of i
+    g[static_cast<std::size_t>(i)] = b.net("g" + std::to_string(i));
   }
   for (int i = 0; i < n; ++i) {
     const int prev = (i + n - 1) % n;
     const Module& proto =
         full_mask[static_cast<std::size_t>(i)] ? full_ctrl : empty_ctrl;
-    m.addCell("ctl" + std::to_string(i), std::string(proto.name()),
-              {{"ri", PortDir::kInput, req[static_cast<std::size_t>(prev)]},
-               {"ao", PortDir::kInput, ack[static_cast<std::size_t>(i)]},
-               {"rst", PortDir::kInput, rst},
-               {"ai", PortDir::kOutput, ack[static_cast<std::size_t>(prev)]},
-               {"ro", PortDir::kOutput, req[static_cast<std::size_t>(i)]},
-               {"g", PortDir::kOutput, g[static_cast<std::size_t>(i)]}});
+    b.cell("ctl" + std::to_string(i), proto.name(),
+           {{"ri", PortDir::kInput, req[static_cast<std::size_t>(prev)]},
+            {"ao", PortDir::kInput, ack[static_cast<std::size_t>(i)]},
+            {"rst", PortDir::kInput, rst},
+            {"ai", PortDir::kOutput, ack[static_cast<std::size_t>(prev)]},
+            {"ro", PortDir::kOutput, req[static_cast<std::size_t>(i)]},
+            {"g", PortDir::kOutput, g[static_cast<std::size_t>(i)]}});
   }
   for (int i = 0; i < n; ++i) {
-    m.addPort("g" + std::to_string(i), PortDir::kOutput,
-              g[static_cast<std::size_t>(i)]);
+    b.port("g" + std::to_string(i), PortDir::kOutput,
+           g[static_cast<std::size_t>(i)]);
   }
   return m;
 }

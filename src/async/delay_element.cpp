@@ -3,6 +3,8 @@
 #include <cmath>
 #include <vector>
 
+#include "async/cell_builder.h"
+
 namespace desync::async {
 
 using netlist::Design;
@@ -32,31 +34,38 @@ Module& ensureDelayElement(Design& design, const liberty::Gatefile& gatefile,
   if (Module* existing = design.findModule(name)) return *existing;
 
   Module& m = design.addModule(name);
-  NetId in = m.addNet("A");
-  m.addPort("A", PortDir::kInput, in);
+  // The chain, then a MUX21 tree of taps - 1 cells and log2(taps) selects.
+  const int muxes = spec.mux_taps > 0 ? spec.mux_taps - 1 : 0;
+  const int selects = spec.mux_taps == 8 ? 3 : spec.mux_taps == 4 ? 2 : 1;
+  m.reserve(static_cast<std::size_t>(spec.levels + muxes),
+            static_cast<std::size_t>(spec.levels + 1 + muxes + selects),
+            static_cast<std::size_t>(3 * spec.levels + 4 * muxes),
+            static_cast<std::size_t>(2 + selects));
+  CellBuilder b(m);
+  NetId in = b.net("A");
+  b.port("A", PortDir::kInput, in);
 
   // The chain.  Stage i output: asymmetric -> AN2(in, prev); symmetric ->
   // BF(prev).
   std::vector<NetId> stages;
   NetId prev = in;
   for (int i = 0; i < spec.levels; ++i) {
-    NetId out = m.addNet("d" + std::to_string(i));
+    NetId out = b.net("d" + std::to_string(i));
     if (spec.asymmetric) {
-      m.addCell("u" + std::to_string(i), "AN2",
-                {{"A", PortDir::kInput, in},
-                 {"B", PortDir::kInput, prev},
-                 {"Z", PortDir::kOutput, out}});
+      b.cell("u" + std::to_string(i), "AN2",
+             {{"A", PortDir::kInput, in},
+              {"B", PortDir::kInput, prev},
+              {"Z", PortDir::kOutput, out}});
     } else {
-      m.addCell("u" + std::to_string(i), "BF",
-                {{"A", PortDir::kInput, prev},
-                 {"Z", PortDir::kOutput, out}});
+      b.cell("u" + std::to_string(i), "BF",
+             {{"A", PortDir::kInput, prev}, {"Z", PortDir::kOutput, out}});
     }
     stages.push_back(out);
     prev = out;
   }
 
   if (spec.mux_taps == 0) {
-    m.addPort("Z", PortDir::kOutput, stages.back());
+    b.port("Z", PortDir::kOutput, stages.back());
     return m;
   }
 
@@ -72,33 +81,33 @@ Module& ensureDelayElement(Design& design, const liberty::Gatefile& gatefile,
   }
 
   // Select ports S0 (LSB) .. S(n-1).
-  int select_bits = spec.mux_taps == 8 ? 3 : spec.mux_taps == 4 ? 2 : 1;
   std::vector<NetId> sel;
-  for (int s = 0; s < select_bits; ++s) {
-    NetId n = m.addNet("S" + std::to_string(s));
-    m.addPort("S" + std::to_string(s), PortDir::kInput, n);
+  for (int s = 0; s < selects; ++s) {
+    const std::string pin = "S" + std::to_string(s);
+    NetId n = b.net(pin);
+    b.port(pin, PortDir::kInput, n);
     sel.push_back(n);
   }
 
   // MUX21 tree, level s selects by bit s.
   std::vector<NetId> level = taps;
-  for (int s = 0; s < select_bits; ++s) {
+  for (int s = 0; s < selects; ++s) {
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      NetId out = m.addNet("m" + std::to_string(s) + "_" +
-                           std::to_string(i / 2));
-      m.addCell("mx" + std::to_string(s) + "_" + std::to_string(i / 2),
-                "MUX21",
-                {{"A", PortDir::kInput, level[i]},
-                 {"B", PortDir::kInput, level[i + 1]},
-                 {"S", PortDir::kInput, sel[static_cast<std::size_t>(s)]},
-                 {"Z", PortDir::kOutput, out}});
+      const std::string suffix =
+          std::to_string(s) + "_" + std::to_string(i / 2);
+      NetId out = b.net("m" + suffix);
+      b.cell("mx" + suffix, "MUX21",
+             {{"A", PortDir::kInput, level[i]},
+              {"B", PortDir::kInput, level[i + 1]},
+              {"S", PortDir::kInput, sel[static_cast<std::size_t>(s)]},
+              {"Z", PortDir::kOutput, out}});
       next.push_back(out);
     }
     level = std::move(next);
   }
 
-  m.addPort("Z", PortDir::kOutput, level[0]);
+  b.port("Z", PortDir::kOutput, level[0]);
   return m;
 }
 

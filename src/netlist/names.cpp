@@ -131,7 +131,9 @@ std::uint32_t NameIndex::find(NameId key) const {
 
 bool NameIndex::insert(NameId key, std::uint32_t value) {
   assert(key.valid());
-  if (2 * (size_ + 1) > slots_.size()) grow();
+  if (2 * (size_ + 1) > slots_.size()) {
+    rehash(std::max(kMinSlots, 2 * slots_.size()));
+  }
   Slot& slot = slots_[slotOf(key.value)];
   if (slot.key != kNone) return false;
   slot = Slot{key.value, value};
@@ -162,9 +164,15 @@ void NameIndex::clear() {
   size_ = 0;
 }
 
-void NameIndex::grow() {
+void NameIndex::reserve(std::size_t n) {
+  std::size_t slots = kMinSlots;
+  while (slots < 2 * (n + 1)) slots *= 2;
+  if (slots > slots_.size()) rehash(slots);
+}
+
+void NameIndex::rehash(std::size_t slots) {
   std::vector<Slot> old = std::move(slots_);
-  slots_.assign(std::max(kMinSlots, 2 * old.size()), Slot{kNone, 0});
+  slots_.assign(slots, Slot{kNone, 0});
   const std::size_t mask = slots_.size() - 1;
   for (const Slot& slot : old) {
     if (slot.key == kNone) continue;

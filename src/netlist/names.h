@@ -77,6 +77,9 @@ class NameIndex {
   bool insert(NameId key, std::uint32_t value);
   void erase(NameId key);
   void clear();
+  /// Sizes the map for `n` keys in all, so inserting up to that many
+  /// never grows it.
+  void reserve(std::size_t n);
 
  private:
   struct Slot {
@@ -86,7 +89,7 @@ class NameIndex {
 
   [[nodiscard]] std::size_t home(std::uint32_t key) const;
   [[nodiscard]] std::size_t slotOf(std::uint32_t key) const;
-  void grow();
+  void rehash(std::size_t slots);
 
   std::vector<Slot> slots_;  // power-of-two size, <= 1/2 full
   std::size_t size_ = 0;

@@ -57,9 +57,7 @@ NetId Module::findNet(std::string_view name) const {
 NetId Module::constNet(bool value) {
   NetId& slot = const_net_[value ? 1 : 0];
   if (slot.valid() && nets_[slot.index()].valid) return slot;
-  std::string base = value ? "const1" : "const0";
-  NameId nid = names().makeUnique(base);
-  slot = addNet(names().str(nid));
+  slot = addNet(names().makeUnique(value ? "const1" : "const0"));
   nets_[slot.index()].driver =
       TermRef{value ? TermKind::kConst1 : TermKind::kConst0, 0, 0};
   return slot;
@@ -269,9 +267,14 @@ std::string_view Module::cellType(CellId id) const {
   return names().str(cell(id).type);
 }
 
-void Module::reserve(std::size_t cells, std::size_t nets, std::size_t pins) {
+void Module::reserve(std::size_t cells, std::size_t nets, std::size_t pins,
+                     std::size_t ports) {
   cells_.reserve(cells);
   nets_.reserve(nets);
+  ports_.reserve(ports);
+  cell_by_name_.reserve(cells);
+  net_by_name_.reserve(nets);
+  port_by_name_.reserve(ports);
   pin_pool_.reserve(pins);
   // Segments that fill move to the pool's end, leaving their old slots
   // behind: twice the sinks is the usual high-water mark.
@@ -289,12 +292,21 @@ void Module::renameCell(CellId id, std::string_view new_name) {
 }
 
 PortId Module::addPort(std::string_view name, PortDir dir, NetId net_id) {
-  NameId nid = names().intern(name);
+  return addPort(names().intern(name), dir, net_id);
+}
+
+PortId Module::addPort(std::string_view name, PortDir dir, NetId net_id,
+                       std::string_view bus_name, std::int32_t bit) {
+  const NameId nid = names().intern(name);
+  return addPort(nid, dir, net_id, BusRef{names().intern(bus_name), bit});
+}
+
+PortId Module::addPort(NameId name, PortDir dir, NetId net_id, BusRef bus) {
   PortId id{static_cast<std::uint32_t>(ports_.size())};
-  if (!port_by_name_.insert(nid, id.value)) {
-    fail("duplicate port name: " + std::string(name));
+  if (!port_by_name_.insert(name, id.value)) {
+    fail("duplicate port name: " + std::string(names().str(name)));
   }
-  ports_.push_back(Port{nid, dir, NetId{}, BusRef{}});
+  ports_.push_back(Port{name, dir, NetId{}, bus});
   if (net_id.valid()) {
     ports_.back().net = net_id;
     TermRef term{TermKind::kPort, id.value, 0};
@@ -302,13 +314,6 @@ PortId Module::addPort(std::string_view name, PortDir dir, NetId net_id) {
     attachTerm(net_id, term,
                dir == PortDir::kInput ? PortDir::kOutput : PortDir::kInput);
   }
-  return id;
-}
-
-PortId Module::addPort(std::string_view name, PortDir dir, NetId net_id,
-                       std::string_view bus_name, std::int32_t bit) {
-  PortId id = addPort(name, dir, net_id);
-  ports_.at(id.index()).bus = BusRef{names().intern(bus_name), bit};
   return id;
 }
 

@@ -271,9 +271,10 @@ class Module {
   }
 
   /// Capacity hint for bulk construction (the Verilog reader): room for
-  /// `cells` cells, `nets` nets and `pins` cell pins, so the arrays and
-  /// pools do not regrow on the way there.
-  void reserve(std::size_t cells, std::size_t nets, std::size_t pins);
+  /// `cells` cells, `nets` nets, `pins` cell pins and `ports` ports, so
+  /// the arrays, pools and by-name indices do not regrow on the way there.
+  void reserve(std::size_t cells, std::size_t nets, std::size_t pins,
+               std::size_t ports);
 
   /// Renames an existing cell (new name must be unused).
   void renameCell(CellId id, std::string_view new_name);
@@ -283,6 +284,9 @@ class Module {
   PortId addPort(std::string_view name, PortDir dir, NetId net);
   PortId addPort(std::string_view name, PortDir dir, NetId net,
                  std::string_view bus_name, std::int32_t bit);
+  /// Same over an interned name (and bus membership, if any); the string
+  /// overloads intern and call this one.
+  PortId addPort(NameId name, PortDir dir, NetId net, BusRef bus = {});
   [[nodiscard]] PortId findPort(std::string_view name) const;
   [[nodiscard]] PortId findPort(NameId name) const;
   [[nodiscard]] Port& port(PortId id) { return ports_.at(id.index()); }

@@ -31,12 +31,25 @@ struct VerilogReadOptions {
   bool simplify_escaped_names = true;
 };
 
+/// Work counters of one read; the same for the same text on any machine.
+struct VerilogReadStats {
+  /// NameTable lookups (interns and finds) the reader made: one per
+  /// distinct name it met, one per instance name, a few per cell type.
+  std::size_t name_probes = 0;
+  /// Lookups in the reader's own name-to-symbol table: one per net
+  /// reference, declared name and instance type.
+  std::size_t symbol_probes = 0;
+};
+
 /// Parses Verilog source into `design`.  New modules are added to the design;
 /// the last module parsed becomes top unless a module named `top_hint` exists.
-void readVerilog(Design& design, std::string_view source,
-                 const CellTypeProvider& types,
-                 const VerilogReadOptions& options = {},
-                 std::string_view top_hint = {});
+/// A NetlistError the database raises while a statement is built (a
+/// duplicate name, a second driver) is reported as a VerilogError with that
+/// statement's line.
+VerilogReadStats readVerilog(Design& design, std::string_view source,
+                             const CellTypeProvider& types,
+                             const VerilogReadOptions& options = {},
+                             std::string_view top_hint = {});
 
 /// Reads a Verilog file from disk.  Throws VerilogError / std::runtime_error.
 void readVerilogFile(Design& design, const std::string& path,

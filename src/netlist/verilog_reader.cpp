@@ -1,7 +1,5 @@
 #include <algorithm>
-#include <array>
 #include <charconv>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -11,202 +9,29 @@
 
 #include "netlist/verilog.h"
 #include "netlist/verilog_chars.h"
+#include "netlist/verilog_lexer.h"
 
 namespace desync::netlist {
 namespace {
 
 namespace chars = verilog_chars;
+using namespace verilog_lexer;
 
-// ------------------------------------------------------------------ Lexer
-
-enum class TokKind : std::uint8_t {
-  kEof,
-  kIdent,    // plain or escaped identifier (text holds the raw name)
-  kNumber,   // sized or unsized constant (text holds full literal)
-  kPunct,    // single-char punctuation, kind in `punct`
-};
-
-/// Keyword an identifier spells.  Escaped identifiers are classified too,
-/// so `\wire ` reads as the keyword, and every keyword is still accepted
-/// where the grammar takes a plain name.
-enum class Kw : std::uint8_t {
-  kNone,
-  kModule,
-  kEndmodule,
-  kInput,
-  kOutput,
-  kInout,
-  kWire,
-  kTri,
-  kReg,
-  kSupply0,
-  kSupply1,
-  kAssign,
-};
-
-Kw keyword(std::string_view s) {
-  // Every keyword is 3-9 lowercase letters starting with one of these.
-  if (s.size() < 3 || s.size() > 9 ||
-      std::string_view("aeimorstw").find(s.front()) == std::string_view::npos) {
-    return Kw::kNone;
-  }
-  static constexpr std::array<std::pair<std::string_view, Kw>, 11> kWords{{
-      {"module", Kw::kModule},
-      {"endmodule", Kw::kEndmodule},
-      {"input", Kw::kInput},
-      {"output", Kw::kOutput},
-      {"inout", Kw::kInout},
-      {"wire", Kw::kWire},
-      {"tri", Kw::kTri},
-      {"reg", Kw::kReg},
-      {"supply0", Kw::kSupply0},
-      {"supply1", Kw::kSupply1},
-      {"assign", Kw::kAssign},
-  }};
-  for (const auto& [word, kw] : kWords) {
-    if (word == s) return kw;
-  }
-  return Kw::kNone;
-}
-
-/// A token is a view into the source; the lexer holds one of lookahead.
-struct Token {
-  std::string_view text;
-  TokKind kind = TokKind::kEof;
-  Kw kw = Kw::kNone;
-  char punct = 0;
-  bool escaped = false;  // identifier came from a \escaped form
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view src)
-      : p_(src.data()), end_(src.data() + src.size()) {}
-
-  const Token& peek() {
-    if (!have_) {
-      cur_ = lex();
-      have_ = true;
-    }
-    return cur_;
-  }
-
-  Token next() {
-    const Token& t = peek();
-    have_ = false;
-    return t;
-  }
-
-  /// Line of the last token lexed (the lookahead, once peeked).
-  [[nodiscard]] int line() const { return line_; }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw VerilogError("verilog:" + std::to_string(line_) + ": " + msg);
-  }
-
-  /// True when the two bytes at p are `a` `b`.
-  [[nodiscard]] bool startsWith(const char* p, char a, char b) const {
-    return end_ - p >= 2 && p[0] == a && p[1] == b;
-  }
-
-  [[nodiscard]] const char* endOfLine(const char* p) const {
-    const void* nl = std::memchr(p, '\n', static_cast<std::size_t>(end_ - p));
-    return nl != nullptr ? static_cast<const char*>(nl) : end_;
-  }
-
-  void skipSpaceAndComments() {
-    const char* p = p_;
-    for (;;) {
-      while (p < end_ && chars::is(*p, chars::kSpace)) {
-        line_ += *p == '\n' ? 1 : 0;
-        ++p;
-      }
-      if (startsWith(p, '/', '/')) {
-        p = endOfLine(p);
-        continue;
-      }
-      if (startsWith(p, '/', '*')) {
-        p += 2;
-        while (end_ - p >= 2 && !(p[0] == '*' && p[1] == '/')) {
-          line_ += *p == '\n' ? 1 : 0;
-          ++p;
-        }
-        if (end_ - p < 2) fail("unterminated block comment");
-        p += 2;
-        continue;
-      }
-      // Compiler directives (`timescale etc.): skip to end of line.
-      if (p < end_ && *p == '`') {
-        p = endOfLine(p);
-        continue;
-      }
-      break;
-    }
-    p_ = p;
-  }
-
-  /// Advances past the run of bytes in class `cls` (or, with `until`, not
-  /// in it) and returns the text from `start`.
-  std::string_view scan(const char* start, std::uint8_t cls, bool until) {
-    const char* p = p_;
-    while (p < end_ && chars::is(*p, cls) != until) ++p;
-    p_ = p;
-    return {start, static_cast<std::size_t>(p - start)};
-  }
-
-  Token lex() {
-    skipSpaceAndComments();
-    Token t;
-    if (p_ == end_) return t;
-    const char* const start = p_;
-    const char c = *p_;
-    if (c == '\\') {
-      // Escaped identifier: up to next whitespace, backslash dropped.
-      ++p_;
-      t.kind = TokKind::kIdent;
-      t.text = scan(start + 1, chars::kSpace, /*until=*/true);
-      t.kw = keyword(t.text);
-      t.escaped = true;
-      return t;
-    }
-    if (chars::is(c, chars::kIdentStart)) {
-      t.kind = TokKind::kIdent;
-      t.text = scan(start, chars::kIdentCont, /*until=*/false);
-      t.kw = keyword(t.text);
-      return t;
-    }
-    if (chars::is(c, chars::kDigit) || c == '\'') {
-      // Number: [size]'[base]digits or plain decimal.
-      scan(start, chars::kDigit, /*until=*/false);
-      if (p_ < end_ && *p_ == '\'') {
-        ++p_;
-        if (p_ < end_) ++p_;  // base char
-        while (p_ < end_ && (chars::is(*p_, chars::kAlnum) || *p_ == '_')) {
-          ++p_;
-        }
-      }
-      t.kind = TokKind::kNumber;
-      t.text = {start, static_cast<std::size_t>(p_ - start)};
-      return t;
-    }
-    if (chars::is(c, chars::kPunct)) {
-      ++p_;
-      t.kind = TokKind::kPunct;
-      t.punct = c;
-      return t;
-    }
-    fail(std::string("unexpected character '") + c + "'");
-  }
-
-  const char* p_;  // next byte to lex
-  const char* end_;
-  int line_ = 1;
-  Token cur_;
-  bool have_ = false;
-};
+constexpr std::uint32_t kNone = NameIndex::kNone;
 
 // --------------------------------------------------------------- Parser
+
+/// What the read knows about one name text: its id in the design's table,
+/// once interned, and what it names in the module being parsed (a net, a
+/// declared bus, a cell type), stamped with the module's sequence number
+/// so an entry from an earlier module reads as empty.
+struct Symbol {
+  NameId name;  // invalid until first needed
+  std::uint32_t module = 0;
+  NetId net;
+  std::uint32_t bus = kNone;   // into bus_decls_
+  std::uint32_t type = kNone;  // into cell_types_
+};
 
 /// One bit of an elaborated expression: a net or a constant.
 struct BitRef {
@@ -214,9 +39,23 @@ struct BitRef {
   bool const_val = false;  // used when net invalid
 };
 
+/// A declared range; a bus's record also locates its nets, MSB first, at
+/// bus_nets_[first, first + width).
 struct BusDecl {
   std::int32_t msb = 0;
   std::int32_t lsb = 0;
+  std::uint32_t first = 0;
+
+  /// Offset of `bit` from the MSB, or kNone outside the range.
+  [[nodiscard]] std::uint32_t offset(std::int32_t bit) const {
+    const std::int64_t from_msb =
+        msb >= lsb ? std::int64_t{msb} - bit : std::int64_t{bit} - msb;
+    const std::int64_t width =
+        (msb >= lsb ? std::int64_t{msb} - lsb : std::int64_t{lsb} - msb) + 1;
+    return from_msb >= 0 && from_msb < width
+               ? static_cast<std::uint32_t>(from_msb)
+               : kNone;
+  }
 };
 
 /// A cell type as the current module's instances see it, resolved once
@@ -236,22 +75,58 @@ struct CellTypeInfo {
     std::uint32_t width = 0;
   };
 
-  std::string_view name;
-  NameId id;  // interned on first use
+  std::uint32_t symbol = kNone;  // the type name's
   const Module* sub = nullptr;
   std::vector<Pin> pins;
   std::vector<Bit> bits;
   std::optional<std::vector<std::string>> order;
 };
 
-/// What the current module's parse knows about one name: the net it
-/// names and the bus it declares.  Stamped with the module's sequence
-/// number, so a stale entry from an earlier module reads as empty.
-struct LocalName {
-  std::uint32_t module = 0;
-  NetId net;
-  std::uint32_t bus = NameIndex::kNone;  // index into bus_decls_
+/// Capacity hints for one module, from one pass over its text.
+struct ModuleCounts {
+  std::size_t cells = 0;
+  std::size_t nets = 0;
+  std::size_t pins = 0;
 };
+
+/// Counts the module whose text starts `src` and runs to the next
+/// "endmodule" (or the end).
+ModuleCounts countModule(std::string_view src) {
+  const char* const text = src.data();
+  const std::size_t size = std::min(src.size(), src.find("endmodule"));
+  std::size_t semis = 0, dots = 0, parens = 0, colons = 0;
+  // Fixed blocks with byte-wide tallies: a loop the compiler vectorizes.
+  constexpr std::size_t kBlock = 240;
+  std::size_t i = 0;
+  for (; i + kBlock <= size; i += kBlock) {
+    std::uint8_t s = 0, d = 0, p = 0, c = 0;
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      s += text[i + j] == ';';
+      d += text[i + j] == '.';
+      p += text[i + j] == '(';
+      c += text[i + j] == ':';
+    }
+    semis += s;
+    dots += d;
+    parens += p;
+    colons += c;
+  }
+  for (; i < size; ++i) {
+    semis += text[i] == ';';
+    dots += text[i] == '.';
+    parens += text[i] == '(';
+    colons += text[i] == ':';
+  }
+  ModuleCounts n;
+  // A '.' starts a named connection, and an instance opens one '(' of its
+  // own besides one per named connection.
+  n.pins = dots;
+  n.cells = parens > dots ? parens - dots : 0;
+  // A statement that is not an instance declares about one net, and a
+  // range (its ':') about a word of them.
+  n.nets = (semis > n.cells ? semis - n.cells : 0) + 32 * colons;
+  return n;
+}
 
 class Parser {
  public:
@@ -260,23 +135,29 @@ class Parser {
       : design_(design),
         lex_(src),
         types_(types),
-        options_(options),
-        // Capacity hints: a statement declares about one name (a net or an
-        // instance), and a named connection starts with '.'.
-        statements_(static_cast<std::size_t>(
-            std::count(src.begin(), src.end(), ';'))),
-        connections_(static_cast<std::size_t>(
-            std::count(src.begin(), src.end(), '.'))) {}
+        options_(options) {}
 
   void parseFile() {
-    names().reserve(names().size() + statements_);
     while (lex_.peek().kind != TokKind::kEof) {
-      expectKeyword(Kw::kModule, "module");
-      parseModule();
+      const Token t = lex_.next();
+      if (t.kind != TokKind::kIdent || keyword(t.text()) != Kw::kModule) {
+        fail("expected keyword 'module'");
+      }
+      // The database's own errors (duplicate names, a second driver) get
+      // the line of the statement that raised them.
+      try {
+        parseModule();
+      } catch (const NetlistError& e) {
+        fail(e.what());
+      }
     }
   }
 
   [[nodiscard]] std::string_view lastModule() const { return last_module_; }
+
+  [[nodiscard]] VerilogReadStats stats() const {
+    return {name_probes_, symbol_probes_};
+  }
 
  private:
   [[noreturn]] void fail(const std::string& msg) {
@@ -285,6 +166,16 @@ class Parser {
 
   NameTable& names() { return design_.names(); }
 
+  // The reader's NameTable lookups, counted.
+  NameId intern(std::string_view s) {
+    ++name_probes_;
+    return names().intern(s);
+  }
+  NameId find(std::string_view s) {
+    ++name_probes_;
+    return names().find(s);
+  }
+
   Token expect(TokKind kind, const char* what) {
     Token t = lex_.next();
     if (t.kind != kind) fail(std::string("expected ") + what);
@@ -292,60 +183,117 @@ class Parser {
   }
 
   void expectPunct(char p) {
-    Token t = lex_.next();
-    if (t.kind != TokKind::kPunct || t.punct != p) {
-      fail(std::string("expected '") + p + "'");
-    }
+    if (lex_.acceptPunct(p)) return;
+    lex_.peek();  // a bad byte is reported as such
+    fail(std::string("expected '") + p + "'");
   }
 
-  void expectKeyword(Kw kw, std::string_view text) {
-    Token t = lex_.next();
-    if (t.kind != TokKind::kIdent || t.kw != kw) {
-      fail("expected keyword '" + std::string(text) + "'");
-    }
-  }
+  bool peekPunct(char p) { return lex_.peekPunct(p); }
 
-  bool peekPunct(char p) {
+  /// Consumes `wire` or `reg` after a port direction.
+  void skipNetKind() {
     const Token& t = lex_.peek();
-    return t.kind == TokKind::kPunct && t.punct == p;
-  }
-
-  bool peekKeyword(Kw kw) {
-    const Token& t = lex_.peek();
-    return t.kind == TokKind::kIdent && t.kw == kw;
+    if (t.kind != TokKind::kIdent) return;
+    const Kw kw = keyword(t.text());
+    if (kw == Kw::kWire || kw == Kw::kReg) lex_.next();
   }
 
   /// Consumes a `,` and returns true when one follows.
-  bool nextComma() {
-    if (!peekPunct(',')) return false;
-    lex_.next();
-    return true;
-  }
+  bool nextComma() { return lex_.acceptPunct(','); }
 
   /// Maps possibly-escaped identifiers to the module-local simple name.
   std::string_view canonName(const Token& t) {
-    if (!t.escaped || !options_.simplify_escaped_names) return t.text;
-    auto it = escaped_map_.find(t.text);
+    if (!t.escaped || !options_.simplify_escaped_names) return t.text();
+    auto it = escaped_map_.find(t.text());
     if (it != escaped_map_.end()) return names().str(it->second);
     std::string simple;
-    simple.reserve(t.text.size() + 4);
-    for (char c : t.text) {
+    simple.reserve(t.text().size() + 4);
+    for (char c : t.text()) {
       simple.push_back(chars::is(c, chars::kAlnum) ? c : '_');
     }
     if (simple.empty() || chars::is(simple.front(), chars::kDigit)) {
       simple.insert(simple.begin(), 'n');
     }
     // Ensure the substitution does not collide with an existing name.
+    // makeUnique looks `simple` up, then each "_<k>" it tries, then interns.
     const NameId id = names().makeUnique(simple);
-    escaped_map_.emplace(t.text, id);
-    return names().str(id);
+    const std::string_view got = names().str(id);
+    std::size_t tries = 0;
+    if (got.size() > simple.size()) {
+      std::from_chars(got.data() + simple.size() + 1, got.data() + got.size(),
+                      tries);
+    }
+    name_probes_ += 2 + tries;
+    escaped_map_.emplace(t.text(), id);
+    return got;
+  }
+
+  // --- symbols ---------------------------------------------------------
+
+  /// The symbol for `text`: one probe of the read's own table of texts.
+  std::uint32_t symbol(std::string_view text) {
+    ++symbol_probes_;
+    const std::uint32_t i = texts_.intern(text).index();
+    if (i == symbols_.size()) symbols_.emplace_back();
+    return i;
+  }
+
+  std::uint32_t symbolOf(const Token& t) { return symbol(canonName(t)); }
+
+  /// Symbol `i` as the current module sees it.
+  Symbol& local(std::uint32_t i) {
+    Symbol& s = symbols_[i];
+    if (s.module != module_seq_) {
+      s.module = module_seq_;
+      s.net = NetId{};
+      s.bus = kNone;
+      s.type = kNone;
+    }
+    return s;
+  }
+
+  std::string_view textOf(std::uint32_t i) { return texts_.str(NameId{i}); }
+
+  /// The symbol's id in the design's table, interned on first need.
+  NameId nameOf(std::uint32_t i) {
+    if (!symbols_[i].name.valid()) symbols_[i].name = intern(textOf(i));
+    return symbols_[i].name;
+  }
+
+  /// The net symbol `i` names, created (as bit `bit` of bus `bus` when
+  /// that is a symbol) when absent.  The module's own index is only asked
+  /// the first time (a net the parse did not create, a constant net, may
+  /// exist).
+  NetId netOf(std::uint32_t i, std::uint32_t bus = kNone,
+              std::int32_t bit = 0) {
+    if (!local(i).net.valid()) {
+      const NameId name = nameOf(i);
+      NetId net = module_->findNet(name);
+      if (!net.valid()) {
+        const BusRef ref = bus != kNone ? BusRef{nameOf(bus), bit} : BusRef{};
+        net = module_->addNet(name, ref);
+      }
+      symbols_[i].net = net;
+    }
+    return symbols_[i].net;
+  }
+
+  /// The net for bit `bit` of bus `base`: from the bus record when the bus
+  /// declares that bit, else by its "base[bit]" name, created as a bus bit
+  /// when absent.
+  NetId bitNet(std::uint32_t base, std::int32_t bit) {
+    if (const std::uint32_t bus = local(base).bus; bus != kNone) {
+      const BusDecl& decl = bus_decls_[bus];
+      const std::uint32_t at = decl.offset(bit);
+      if (at != kNone) return bus_nets_[decl.first + at];
+    }
+    return netOf(symbol(bitName(textOf(base), bit)), base, bit);
   }
 
   // --- range / declarations ------------------------------------------
 
   std::optional<BusDecl> parseOptionalRange() {
-    if (!peekPunct('[')) return std::nullopt;
-    lex_.next();
+    if (!lex_.acceptPunct('[')) return std::nullopt;
     BusDecl d;
     d.msb = parseInt();
     expectPunct(':');
@@ -357,10 +305,10 @@ class Parser {
   std::int32_t parseInt() {
     Token t = expect(TokKind::kNumber, "integer");
     std::int32_t v = 0;
-    const char* end = t.text.data() + t.text.size();
-    auto [p, ec] = std::from_chars(t.text.data(), end, v);
+    const char* end = t.text().data() + t.text().size();
+    auto [p, ec] = std::from_chars(t.text().data(), end, v);
     if (ec != std::errc() || p != end) {
-      fail("bad integer '" + std::string(t.text) + "'");
+      fail("bad integer '" + std::string(t.text()) + "'");
     }
     return v;
   }
@@ -386,70 +334,47 @@ class Parser {
     return bit_name_;
   }
 
-  LocalName& local(NameId name) {
-    if (name.index() >= local_.size()) local_.resize(names().size());
-    LocalName& entry = local_[name.index()];
-    if (entry.module != module_seq_) {
-      entry = LocalName{module_seq_, NetId{}, NameIndex::kNone};
-    }
-    return entry;
-  }
-
-  /// The net named `name`.  The module's own index is only asked the first
-  /// time (a net the parse did not create, a constant net, may exist).
-  NetId netNamed(NameId name) {
-    LocalName& entry = local(name);
-    if (!entry.net.valid()) {
-      entry.net = module_->findNet(name);
-      if (!entry.net.valid()) entry.net = module_->addNet(name);
-    }
-    return entry.net;
-  }
-
-  /// The net for bit `bit` of `base`, created as a bus bit when absent.
-  NetId bitNet(std::string_view base, std::int32_t bit) {
-    const NameId name = names().intern(bitName(base, bit));
-    LocalName& entry = local(name);
-    if (!entry.net.valid()) {
-      entry.net = module_->findNet(name);
-      if (!entry.net.valid()) {
-        entry.net = module_->addNet(name, BusRef{names().intern(base), bit});
-      }
-    }
-    return entry.net;
-  }
-
-  void declareNets(std::string_view base, std::optional<BusDecl> range) {
+  void declareNets(std::uint32_t base, std::optional<BusDecl> range) {
     if (!range) {
-      const NameId name = names().intern(base);
-      netNamed(name);
-      local(name).bus = NameIndex::kNone;
+      netOf(base);
+      symbols_[base].bus = kNone;
       return;
     }
-    forEachBit(*range, [&](std::int32_t b) { bitNet(base, b); });
+    BusDecl decl = *range;
+    decl.first = static_cast<std::uint32_t>(bus_nets_.size());
+    forEachBit(decl, [&](std::int32_t b) {
+      const NetId net = bitNet(base, b);
+      bus_nets_.push_back(net);
+    });
     // Interned by the bits above, unless every one of them existed already.
-    LocalName& entry = local(names().intern(base));
-    if (entry.bus != NameIndex::kNone) {
-      bus_decls_[entry.bus] = *range;
+    nameOf(base);
+    Symbol& s = local(base);
+    if (s.bus != kNone) {
+      bus_decls_[s.bus] = decl;
     } else {
-      entry.bus = static_cast<std::uint32_t>(bus_decls_.size());
-      bus_decls_.push_back(*range);
+      s.bus = static_cast<std::uint32_t>(bus_decls_.size());
+      bus_decls_.push_back(decl);
     }
   }
 
-  void declarePorts(std::string_view base, std::optional<BusDecl> range,
+  void declarePorts(std::uint32_t base, std::optional<BusDecl> range,
                     PortDir dir) {
     declareNets(base, range);
+    const Symbol& s = symbols_[base];
     if (!range) {
-      if (!module_->findPort(base).valid()) {
-        module_->addPort(base, dir, module_->findNet(base));
+      if (!module_->findPort(s.name).valid()) {
+        module_->addPort(s.name, dir, s.net);
       }
       return;
     }
-    forEachBit(*range, [&](std::int32_t b) {
-      const std::string_view name = bitName(base, b);
+    const BusDecl decl = bus_decls_[s.bus];
+    const NameId bus = s.name;
+    std::uint32_t at = decl.first;
+    forEachBit(decl, [&](std::int32_t b) {
+      const NetId net = bus_nets_[at++];
+      const NameId name = module_->net(net).name;
       if (!module_->findPort(name).valid()) {
-        module_->addPort(name, dir, module_->findNet(name), base, b);
+        module_->addPort(name, dir, net, BusRef{bus, b});
       }
     });
   }
@@ -458,48 +383,40 @@ class Parser {
 
   /// Elaborates an expression and appends its bits, MSB first, to bits_.
   void parseExpr() {
-    if (peekPunct('{')) {
-      lex_.next();
+    if (lex_.acceptPunct('{')) {
       do {
         parseExpr();
       } while (nextComma());
       expectPunct('}');
       return;
     }
-    const Token& p = lex_.peek();
-    if (p.kind == TokKind::kNumber) {
-      constBits(lex_.next().text);
+    const Token t = lex_.next();
+    if (t.kind == TokKind::kNumber) {
+      constBits(t.text());
       return;
     }
-    if (p.kind == TokKind::kIdent) {
-      const std::string_view base = canonName(lex_.next());
-      if (peekPunct('[')) {
-        lex_.next();
-        BusDecl range;
-        range.msb = parseInt();
-        range.lsb = range.msb;
-        if (peekPunct(':')) {
-          lex_.next();
-          range.lsb = parseInt();
-        }
-        expectPunct(']');
-        forEachBit(range, [&](std::int32_t b) {
-          bits_.push_back(BitRef{bitNet(base, b), false});
-        });
-        return;
-      }
-      const NameId name = names().intern(base);
-      const std::uint32_t bus = local(name).bus;
-      if (bus != NameIndex::kNone) {
-        forEachBit(bus_decls_[bus], [&](std::int32_t b) {
-          bits_.push_back(BitRef{bitNet(base, b), false});
-        });
-        return;
-      }
-      bits_.push_back(BitRef{netNamed(name), false});
+    if (t.kind != TokKind::kIdent) fail("expected expression");
+    const std::uint32_t base = symbolOf(t);
+    if (lex_.acceptPunct('[')) {
+      BusDecl range;
+      range.msb = parseInt();
+      range.lsb = range.msb;
+      if (lex_.acceptPunct(':')) range.lsb = parseInt();
+      expectPunct(']');
+      forEachBit(range, [&](std::int32_t b) {
+        bits_.push_back(BitRef{bitNet(base, b), false});
+      });
       return;
     }
-    fail("expected expression");
+    if (const std::uint32_t bus = local(base).bus; bus != kNone) {
+      const BusDecl& decl = bus_decls_[bus];
+      const std::uint32_t width = decl.offset(decl.lsb) + 1;
+      for (std::uint32_t i = 0; i < width; ++i) {
+        bits_.push_back(BitRef{bus_nets_[decl.first + i], false});
+      }
+      return;
+    }
+    bits_.push_back(BitRef{netOf(base), false});
   }
 
   void constBits(std::string_view literal_view) {
@@ -546,33 +463,27 @@ class Parser {
       if (digits.empty()) {
         fail("missing digits in constant '" + literal + "'");
       }
-      int radix = base == 'b' ? 2 : base == 'o' ? 8 : base == 'd' ? 10 : 16;
-      for (char c : digits) {
-        int d = 0;
-        if (c >= '0' && c <= '9') {
-          d = c - '0';
-        } else if (c >= 'a' && c <= 'f') {
-          d = c - 'a' + 10;
-        } else if (c >= 'A' && c <= 'F') {
-          d = c - 'A' + 10;
-        } else if (c == 'x' || c == 'z' || c == 'X' || c == 'Z') {
-          d = 0;  // x/z treated as 0 for gate-level constants
-        } else {
+      const std::uint64_t radix =
+          base == 'b' ? 2 : base == 'o' ? 8 : base == 'd' ? 10 : 16;
+      for (const char c : digits) {
+        const char lc = static_cast<char>(
+            std::tolower(static_cast<unsigned char>(c)));
+        std::uint64_t d = 0;  // x and z read as 0 in gate-level constants
+        if (chars::is(c, chars::kDigit)) {
+          d = static_cast<std::uint64_t>(c - '0');
+        } else if (lc >= 'a' && lc <= 'f') {
+          d = static_cast<std::uint64_t>(lc - 'a' + 10);
+        } else if (lc != 'x' && lc != 'z') {
           fail("bad constant digit in '" + literal + "'");
         }
         if (d >= radix) {
           fail(std::string("digit '") + c + "' out of range for base '" +
                base + "' in '" + literal + "'");
         }
-        const std::uint64_t next =
-            value * static_cast<std::uint64_t>(radix) +
-            static_cast<std::uint64_t>(d);
-        if (value > (std::numeric_limits<std::uint64_t>::max() -
-                     static_cast<std::uint64_t>(d)) /
-                        static_cast<std::uint64_t>(radix)) {
+        if (value > (std::numeric_limits<std::uint64_t>::max() - d) / radix) {
           fail("constant value overflows 64 bits in '" + literal + "'");
         }
-        value = next;
+        value = value * radix + d;
       }
     }
     for (int i = 0; i < width; ++i) {
@@ -587,27 +498,36 @@ class Parser {
   // --- module ----------------------------------------------------------
 
   void parseModule() {
+    const ModuleCounts counts = countModule(lex_.rest());
+    names().reserve(names().size() + counts.cells + counts.nets);
+    texts_.reserve(texts_.size() + counts.nets);
+    symbols_.reserve(texts_.size() + counts.nets);
     Token name = expect(TokKind::kIdent, "module name");
-    module_ = &design_.addModule(name.text);
-    module_->reserve(statements_, statements_, connections_);
-    last_module_ = name.text;
+    ++name_probes_;  // addModule interns the name
+    module_ = &design_.addModule(name.text());
+    last_module_ = name.text();
     ++module_seq_;
     bus_decls_.clear();
+    bus_nets_.clear();
     escaped_map_.clear();
-    type_info_.clear();
+    cell_types_.clear();
     pending_assigns_.clear();
 
-    if (peekPunct('(')) {
-      lex_.next();
-      if (!peekPunct(')')) parsePortHeader();
+    std::size_t header_ports = 0;
+    if (lex_.acceptPunct('(')) {
+      if (!peekPunct(')')) header_ports = parsePortHeader();
       expectPunct(')');
     }
     expectPunct(';');
+    module_->reserve(counts.cells, counts.nets, counts.pins, header_ports);
 
-    while (!peekKeyword(Kw::kEndmodule)) {
-      parseItem();
+    for (;;) {
+      const Token t = lex_.next();
+      if (t.kind != TokKind::kIdent) fail("expected module item");
+      const Kw kw = keyword(t.text());
+      if (kw == Kw::kEndmodule) break;
+      parseItem(t, kw);
     }
-    lex_.next();  // endmodule
 
     resolveAssigns();
   }
@@ -621,60 +541,57 @@ class Parser {
     }
   }
 
-  void parsePortHeader() {
+  /// Parses the port list and returns how many ports it names.
+  std::size_t parsePortHeader() {
+    std::size_t ports = 0;
     do {
       const Token& p = lex_.peek();
-      if (p.kind == TokKind::kIdent && portDir(p.kw)) {
+      if (p.kind == TokKind::kIdent && portDir(keyword(p.text()))) {
         // ANSI style: direction [range] name {, [direction [range]] name}
-        parseAnsiPortGroup();
+        const PortDir dir = *portDir(keyword(lex_.next().text()));
+        skipNetKind();
+        auto range = parseOptionalRange();
+        declarePorts(symbolOf(expect(TokKind::kIdent, "port name")), range,
+                     dir);
       } else {
         // A non-ANSI header only names the ports; their declarations
         // follow.  Escaped names still get their simple name here, in
         // header order.
         canonName(expect(TokKind::kIdent, "port name"));
       }
+      ++ports;
     } while (nextComma());
+    return ports;
   }
 
-  void parseAnsiPortGroup() {
-    const PortDir dir = *portDir(lex_.next().kw);
-    if (peekKeyword(Kw::kWire) || peekKeyword(Kw::kReg)) lex_.next();
-    auto range = parseOptionalRange();
-    Token name = expect(TokKind::kIdent, "port name");
-    declarePorts(canonName(name), range, dir);
-  }
-
-  void parseItem() {
-    Token t = lex_.next();
-    if (t.kind != TokKind::kIdent) fail("expected module item");
-    if (const std::optional<PortDir> dir = portDir(t.kw)) {
-      if (peekKeyword(Kw::kWire) || peekKeyword(Kw::kReg)) lex_.next();
+  void parseItem(const Token& t, Kw kw) {
+    if (const std::optional<PortDir> dir = portDir(kw)) {
+      skipNetKind();
       auto range = parseOptionalRange();
       do {
-        Token name = expect(TokKind::kIdent, "port name");
-        declarePorts(canonName(name), range, *dir);
+        declarePorts(symbolOf(expect(TokKind::kIdent, "port name")), range,
+                     *dir);
       } while (nextComma());
       expectPunct(';');
       return;
     }
-    switch (t.kw) {
+    switch (kw) {
       case Kw::kWire:
       case Kw::kTri:
       case Kw::kReg: {
         auto range = parseOptionalRange();
         do {
-          Token name = expect(TokKind::kIdent, "net name");
-          declareNets(canonName(name), range);
+          declareNets(symbolOf(expect(TokKind::kIdent, "net name")), range);
         } while (nextComma());
         expectPunct(';');
         return;
       }
       case Kw::kSupply0:
       case Kw::kSupply1: {
-        const bool one = t.kw == Kw::kSupply1;
+        const bool one = kw == Kw::kSupply1;
         do {
-          Token name = expect(TokKind::kIdent, "net name");
-          NetId id = netNamed(names().intern(canonName(name)));
+          const NetId id =
+              netOf(symbolOf(expect(TokKind::kIdent, "net name")));
           module_->net(id).driver =
               TermRef{one ? TermKind::kConst1 : TermKind::kConst0, 0, 0};
         } while (nextComma());
@@ -685,8 +602,8 @@ class Parser {
         parseAssign();
         return;
       default:
-        // Otherwise: an instance.  t.text is the cell/module type name.
-        parseInstance(t.text);
+        // Otherwise: an instance.  t.text() is the cell/module type name.
+        parseInstance(t.text());
     }
   }
 
@@ -717,8 +634,7 @@ class Parser {
 
   void parseInstance(std::string_view type) {
     // Skip parameter lists: #( ... )
-    if (peekPunct('#')) {
-      lex_.next();
+    if (lex_.acceptPunct('#')) {
       expectPunct('(');
       int depth = 1;
       while (depth > 0) {
@@ -728,8 +644,8 @@ class Parser {
         if (t.kind == TokKind::kPunct && t.punct == ')') --depth;
       }
     }
-    Token inst = expect(TokKind::kIdent, "instance name");
-    const std::string_view inst_name = canonName(inst);
+    const std::string_view inst_name =
+        canonName(expect(TokKind::kIdent, "instance name"));
     expectPunct('(');
     bindings_.clear();
     bits_.clear();
@@ -740,7 +656,7 @@ class Parser {
         b.first = static_cast<std::uint32_t>(bits_.size());
         if (named) {
           expectPunct('.');
-          b.pin = expect(TokKind::kIdent, "pin name").text;
+          b.pin = expect(TokKind::kIdent, "pin name").text();
           expectPunct('(');
           if (peekPunct(')')) {
             b.explicit_empty = true;
@@ -763,15 +679,20 @@ class Parser {
   /// The type record for `type`.  A module instantiating itself sees its
   /// own ports as declared so far, so its record is rebuilt every time.
   CellTypeInfo& typeInfo(std::string_view type) {
-    auto [it, fresh] = type_info_.try_emplace(type);
-    CellTypeInfo& info = it->second;
-    if (fresh) {
-      info.name = type;
-      info.sub = design_.findModule(type);
+    const std::uint32_t sym = symbol(type);
+    Symbol& s = local(sym);
+    if (s.type == kNone) {
+      s.type = static_cast<std::uint32_t>(cell_types_.size());
+      CellTypeInfo& info = cell_types_.emplace_back();
+      info.symbol = sym;
+      // A name the table lacks names no module.
+      if (!s.name.valid()) s.name = find(type);
+      info.sub = s.name.valid() ? design_.findModule(s.name) : nullptr;
     }
+    CellTypeInfo& info = cell_types_[s.type];
     if (info.sub == module_) {
       info = CellTypeInfo{};
-      info.name = type;
+      info.symbol = sym;
       info.sub = module_;
     }
     return info;
@@ -782,12 +703,17 @@ class Parser {
   const CellTypeInfo::Pin* resolvePin(CellTypeInfo& info,
                                       std::string_view pin) {
     for (const CellTypeInfo::Pin& p : info.pins) {
-      if (p.name == pin) return &p;
+      // Pin names are a few bytes: compare them inline.
+      if (p.name.size() == pin.size() &&
+          std::equal(p.name.begin(), p.name.end(), pin.begin())) {
+        return &p;
+      }
     }
     CellTypeInfo::Pin out{pin, PortDir::kInput,
                           static_cast<std::uint32_t>(info.bits.size()), 1};
     if (const Module* sub = info.sub) {
-      const PortId pid = sub->findPort(pin);
+      const NameId pin_id = find(pin);
+      const PortId pid = pin_id.valid() ? sub->findPort(pin_id) : PortId{};
       if (pid.valid()) {  // scalar port
         out.dir = sub->port(pid).dir;
         info.bits.push_back({pin, sub->port(pid).name});
@@ -795,10 +721,9 @@ class Parser {
         // Bus port: its bits by descending bit index (MSB first); the
         // first port declared for a bit wins, and the MSB's direction is
         // the pin's.
-        const NameId bus = names().find(pin);
         std::vector<std::pair<std::int32_t, const Port*>> ports;
         for (const Port& p : sub->ports()) {
-          if (bus.valid() && p.bus.valid() && p.bus.bus == bus) {
+          if (pin_id.valid() && p.bus.valid() && p.bus.bus == pin_id) {
             ports.emplace_back(p.bus.bit, &p);
           }
         }
@@ -818,7 +743,8 @@ class Parser {
           info.bits.push_back({names().str(p->name), p->name});
         }
       }
-    } else if (const auto dir = types_.pinDir(info.name, pin)) {
+    } else if (const auto dir =
+                   types_.pinDir(textOf(info.symbol), pin)) {
       out.dir = *dir;
       info.bits.push_back({pin, NameId{}});
     } else {
@@ -879,14 +805,14 @@ class Parser {
         pin_bits_.push_back(pin->first + i);
       }
     }
-    const NameId inst = names().intern(inst_name);
-    if (!info.id.valid()) info.id = names().intern(type);
+    const NameId inst = intern(inst_name);
+    const NameId type_id = nameOf(info.symbol);
     for (std::size_t i = 0; i < pins_.size(); ++i) {
       CellTypeInfo::Bit& bit = info.bits[pin_bits_[i]];
-      if (!bit.id.valid()) bit.id = names().intern(bit.name);
+      if (!bit.id.valid()) bit.id = intern(bit.name);
       pins_[i].name = bit.id;
     }
-    module_->addCell(inst, info.id, pins_);
+    module_->addCell(inst, type_id, pins_);
   }
 
   std::vector<std::string> modulePinOrder(const Module& sub) {
@@ -965,19 +891,21 @@ class Parser {
   Lexer lex_;
   const CellTypeProvider& types_;
   VerilogReadOptions options_;
-  std::size_t statements_;   // ';' in the source
-  std::size_t connections_;  // '.' in the source
+  // Every name text the read met, and its symbol by the text's id there.
+  NameTable texts_;
+  std::vector<Symbol> symbols_;
+  std::size_t name_probes_ = 0;
+  std::size_t symbol_probes_ = 0;
 
   Module* module_ = nullptr;
   std::string last_module_;
-  // Per module: nets and declared buses by name (local_ is indexed by
-  // NameId and stamped with module_seq_), escaped-name substitutions and
-  // cell type records.
-  std::vector<LocalName> local_;
+  // Per module (symbols are stamped with module_seq_): the declared buses
+  // and their nets, escaped-name substitutions and cell type records.
   std::uint32_t module_seq_ = 0;
   std::vector<BusDecl> bus_decls_;
+  std::vector<NetId> bus_nets_;
   std::unordered_map<std::string_view, NameId> escaped_map_;
-  std::unordered_map<std::string_view, CellTypeInfo> type_info_;
+  std::vector<CellTypeInfo> cell_types_;
   std::vector<PendingAssign> pending_assigns_;
   // Per statement, reused so an instance allocates nothing of its own.
   std::vector<BitRef> bits_;
@@ -989,10 +917,10 @@ class Parser {
 
 }  // namespace
 
-void readVerilog(Design& design, std::string_view source,
-                 const CellTypeProvider& types,
-                 const VerilogReadOptions& options,
-                 std::string_view top_hint) {
+VerilogReadStats readVerilog(Design& design, std::string_view source,
+                             const CellTypeProvider& types,
+                             const VerilogReadOptions& options,
+                             std::string_view top_hint) {
   Parser parser(design, source, types, options);
   parser.parseFile();
   if (!top_hint.empty() && design.findModule(top_hint) != nullptr) {
@@ -1000,6 +928,7 @@ void readVerilog(Design& design, std::string_view source,
   } else if (!parser.lastModule().empty()) {
     design.setTop(parser.lastModule());
   }
+  return parser.stats();
 }
 
 void readVerilogFile(Design& design, const std::string& path,

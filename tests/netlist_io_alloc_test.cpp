@@ -68,6 +68,16 @@ const std::string& dlxText() {
   return text;
 }
 
+/// The ARM-class case study as structural Verilog text.
+const std::string& armText() {
+  static const std::string text = [] {
+    nl::Design d;
+    designs::buildCpu(d, gf(), designs::armClassConfig());
+    return nl::writeVerilog(d);
+  }();
+  return text;
+}
+
 template <typename F>
 std::size_t allocationsOf(F&& f) {
   const std::size_t before = g_allocations.load();
@@ -80,13 +90,37 @@ TEST(NetlistIoAlloc, ReaderAllocatesAtMostHalfPerCell) {
   // cell or per net: every array, pool and name table grows geometrically.
   // The reader with a std::string per token and std::map bus tables made
   // 20.1 allocations per cell here; with a pin vector per cell and a sink
-  // vector per net it made 2.7.
+  // vector per net it made 2.7; with the by-name indices growing from
+  // empty and a capacity hint per ';' it made 270 for the whole read.
+  // Sized from the module's own counts, no index grows: 247, plus 5 %.
+  constexpr std::size_t kMaxAllocations = 259;
   const std::string& text = dlxText();
   nl::Design d;
   const std::size_t n = allocationsOf([&] { nl::readVerilog(d, text, gf()); });
   const std::size_t cells = d.top().numCells();
   ASSERT_GT(cells, 10000u);
   EXPECT_LE(2 * n, cells) << n << " allocations for " << cells << " cells";
+  EXPECT_LE(n, kMaxAllocations);
+}
+
+TEST(NetlistIoAlloc, ReaderProbesTheNameTableAtMostThreeTimesPerCell) {
+  // The reader resolves a net reference through its own table of the
+  // texts it met, and a declared bus bit through the bus's record, so the
+  // design's NameTable is asked about once per new name (a net, an
+  // instance).  Interning every identifier, and each bus bit as "base[i]"
+  // plus its base, made 5.9 probes per cell on the DLX and 5.8 on the
+  // ARM-class design.
+  for (const std::string* text : {&dlxText(), &armText()}) {
+    nl::Design d;
+    const nl::VerilogReadStats stats = nl::readVerilog(d, *text, gf());
+    const std::size_t cells = d.top().numCells();
+    ASSERT_GT(cells, 10000u);
+    EXPECT_LE(stats.name_probes, 3 * cells)
+        << stats.name_probes << " name probes for " << cells << " cells";
+    // One probe of the reader's own table per net reference, declared
+    // name and instance type, at most.
+    EXPECT_LE(stats.symbol_probes, 8 * cells) << stats.symbol_probes;
+  }
 }
 
 TEST(NetlistIoAlloc, SnapshotAndTeardownCostAConstantNumberOfBlocks) {
@@ -139,8 +173,11 @@ TEST(NetlistIoAlloc, ControlNetworkAllocatesLittlePerInsertedCell) {
   // instantiates them and flattens the instances into the top.  With a
   // std::string per pin and instance name and a hash map per flattened
   // instance, this made 10.8 allocations per inserted cell (6929 for 644);
-  // building and flattening over interned names makes 2.39 (1540).
-  constexpr double kMaxPerCell = 2.5;
+  // building and flattening over interned names made 2.39 (1540); with the
+  // controller, C-element and delay-element modules built over interned
+  // names too (the delay element sized up front), it makes 1.18 (762),
+  // bounded with 5 % headroom.
+  constexpr double kMaxPerCell = 1.24;
   nl::Design d;
   nl::Module& m = designs::buildCpu(d, gf(), designs::dlxConfig());
   core::Regions regions = core::groupRegions(m, gf(), {});

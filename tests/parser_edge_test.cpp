@@ -292,6 +292,85 @@ TEST(VerilogLexEdge, UnterminatedBlockCommentReportsItsLastLine) {
             "verilog:3: unterminated block comment");
 }
 
+TEST(VerilogEdge, EveryDiagnosticKeepsItsTextAndLine) {
+  // One small input per message the reader can raise, with its exact text
+  // and line.  Assign folding runs at `endmodule`, so its messages carry
+  // that line; a netlist database error carries the line of the statement
+  // that raised it.
+  const std::string head = "module top (a, z);\n  input a;\n  output z;\n";
+  const std::string sub =
+      "module sub (x, y);\n  input [1:0] x;\n  output y;\nendmodule\n";
+  struct Case {
+    std::string src;
+    std::string message;
+  };
+  const Case cases[] = {
+      // Lexer.
+      {head + "  IV g (.A(a), .Z(z)) / 2;\n",
+       "verilog:4: unexpected character '/'"},
+      {head + "/* open\n", "verilog:4: unterminated block comment"},
+      // Tokens the grammar expects.
+      {"wire a;\n", "verilog:1: expected keyword 'module'"},
+      {"module ;\n", "verilog:1: expected module name"},
+      {"module top (a z);\n", "verilog:1: expected ')'"},
+      {head + "  IV g (.A(a), .Z(z))\nendmodule\n", "verilog:5: expected ';'"},
+      {"module top (input ;\n", "verilog:1: expected port name"},
+      {head + "  wire ;\n", "verilog:4: expected net name"},
+      {head + "  wire [a:0] w;\n", "verilog:4: expected integer"},
+      {head + "  ;\n", "verilog:4: expected module item"},
+      {head + "  IV (.A(a), .Z(z));\n", "verilog:4: expected instance name"},
+      {head + "  IV g (.(a), .Z(z));\n", "verilog:4: expected pin name"},
+      {head + "  IV g (.A(;), .Z(z));\n", "verilog:4: expected expression"},
+      {head + "  IV #(1 g (.A(a), .Z(z));\n",
+       "verilog:5: unterminated parameter list"},
+      {head + "  wire [99999999999:0] w;\n",
+       "verilog:4: bad integer '99999999999'"},
+      // Constants.
+      {head + "  assign z = 99999999999999999999;\n",
+       "verilog:4: bad constant '99999999999999999999'"},
+      {head + "  assign z = 0'b0;\n", "verilog:4: bad constant width in '0'b0'"},
+      {head + "  assign z = 5000'b0;\n",
+       "verilog:4: constant width 5000 exceeds 4096 in '5000'b0'"},
+      {head + "  assign z = 8'", "verilog:4: missing base in constant '8''"},
+      {head + "  assign z = 8'q0;\n",
+       "verilog:4: bad constant base 'q' in '8'q0'"},
+      {head + "  assign z = 4'b_;\n",
+       "verilog:4: missing digits in constant '4'b_'"},
+      {head + "  assign z = 4'b1g;\n",
+       "verilog:4: bad constant digit in '4'b1g'"},
+      {head + "  assign z = 4'b2;\n",
+       "verilog:4: digit '2' out of range for base 'b' in '4'b2'"},
+      {head + "  assign z = 72'hFFFFFFFFFFFFFFFFF;\n",
+       "verilog:4: constant value overflows 64 bits in "
+       "'72'hFFFFFFFFFFFFFFFFF'"},
+      // Instances.
+      {head + "  IV g (.Q(a), .Z(z));\n",
+       "verilog:4: unknown pin 'Q' on cell type 'IV'"},
+      {sub + head + "  sub s (.x(a), .y(z));\nendmodule\n",
+       "verilog:8: width mismatch on pin 'x' of 'sub'"},
+      {head + "  IV g (a, z, a);\n",
+       "verilog:4: positional connection count exceeds pins of IV"},
+      // Assigns.
+      {head + "  wire [1:0] w;\n  assign w = a;\nendmodule\n",
+       "verilog:5: assign width mismatch"},
+      {head + "  assign 1'b0 = a;\nendmodule\n", "verilog:4: assign to constant"},
+      {head + "  IV g (.A(a), .Z(z));\n  assign z = a;\nendmodule\n",
+       "verilog:6: cannot fold assign onto driven net z"},
+      {head + "  IV g (.A(a), .Z(z));\n  assign z = 1'b0;\nendmodule\n",
+       "verilog:6: assign target already driven: z"},
+      // Netlist database errors, with the line of their statement.
+      {head + "  wire y;\n  IV u1 (.A(a), .Z(y));\n  IV u1 (.A(a), .Z(z));\n",
+       "verilog:6: duplicate cell name: u1"},
+      {head + "  IV u1 (.A(a), .Z(z));\n  IV u2 (.A(a), .Z(z));\n",
+       "verilog:5: net 'z' has multiple drivers"},
+      {"module t;\nendmodule\nmodule t;\nendmodule\n",
+       "verilog:3: duplicate module name: t"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(readError(c.src), c.message) << c.src;
+  }
+}
+
 // --------------------------------------------------------- liberty edges
 
 TEST(LibertyEdge, LineContinuationsAndEscapes) {
